@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
-from .errors import ConfigError, ShapeError
-from .layers import Dense, LeakyReLU
+from . import dataio, losses
+from .errors import ConfigError, ShapeError, UsageError
+from .layers import Dense, LeakyReLU, collect
 from .optim import AdamState, adam_step
 from .tensor import make_rng
 
@@ -105,23 +105,6 @@ def standardize_apply(x: np.ndarray, mu, sd) -> np.ndarray:
 # k-nearest neighbors
 
 
-def knn_classify(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
-                 k: int = 10) -> int:
-    """Majority vote over the k Euclidean-nearest training points.
-
-    Vote ties break by smallest summed distance among the tied labels'
-    neighbors, then by lowest label id.
-    """
-    train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y)
-    if train_x.shape[0] < k:
-        raise ConfigError(f"need at least k={k} training points, "
-                          f"got {train_x.shape[0]}")
-    d = np.sqrt(((train_x - np.asarray(query, dtype=np.float64)) ** 2).sum(axis=1))
-    near = np.argsort(d, kind="stable")[:k]
-    return _vote(train_y[near], d[near])
-
-
 def _vote(labels: np.ndarray, dists: np.ndarray) -> int:
     candidates = {}
     for lab, dist in zip(labels.tolist(), dists.tolist()):
@@ -135,7 +118,12 @@ def _vote(labels: np.ndarray, dists: np.ndarray) -> int:
 
 def knn_predict(train_x, train_y, queries, k: int = 10,
                 chunk: int = 512) -> np.ndarray:
-    """Vectorized kNN over many queries (same tie rules as knn_classify)."""
+    """Majority vote over the k Euclidean-nearest training points, for each
+    query.
+
+    Vote ties break by smallest summed distance among the tied labels'
+    neighbors, then by lowest label id.
+    """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
     queries = np.asarray(queries, dtype=np.float64)
@@ -276,43 +264,35 @@ class MLPBaseline:
 
     def __init__(self, in_features: int, n_classes: int, rng,
                  slope: float = 0.2, dtype=np.float32):
-        self.layers = []
+        self.dense = []
         prev = in_features
-        for w in self.WIDTHS:
-            self.layers.append(Dense(prev, w, rng, slope=slope, dtype=dtype))
-            self.layers.append(LeakyReLU(slope))
+        for w in (*self.WIDTHS, n_classes):
+            self.dense.append(Dense(prev, w, rng, slope=slope, dtype=dtype))
             prev = w
-        self.head = Dense(prev, n_classes, rng, slope=slope, dtype=dtype)
+        self.acts = [LeakyReLU(slope) for _ in self.WIDTHS]
         self.n_classes = n_classes
         self.mu = np.zeros(in_features)
         self.sd = np.ones(in_features)
         self.dtype = dtype
 
+    def _named_layers(self):
+        return [(f"d{i}", layer) for i, layer in enumerate(self.dense)]
+
     def params(self) -> dict:
-        out = {}
-        dense = [l for l in self.layers if isinstance(l, Dense)] + [self.head]
-        for i, layer in enumerate(dense):
-            out[f"d{i}.w"] = layer.w
-            out[f"d{i}.b"] = layer.b
-        return out
+        return collect(self._named_layers(), "params")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         h = standardize_apply(np.asarray(x), self.mu, self.sd).astype(self.dtype)
-        for layer in self.layers:
-            h = layer.forward(h, train=train)
-        return losses.softmax(self.head.forward(h, train=train))
+        for dense, act in zip(self.dense, self.acts):
+            h = act.forward(dense.forward(h, train=train), train=train)
+        return losses.softmax(self.dense[-1].forward(h, train=train))
 
     def backward(self, probs: np.ndarray, labels: np.ndarray) -> dict:
         g = losses.cross_entropy_grad_logits(probs, labels).astype(self.dtype)
-        g = self.head.backward(g)
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        grads = {}
-        dense = [l for l in self.layers if isinstance(l, Dense)] + [self.head]
-        for i, layer in enumerate(dense):
-            grads[f"d{i}.w"] = layer.gw
-            grads[f"d{i}.b"] = layer.gb
-        return grads
+        g = self.dense[-1].backward(g)
+        for dense, act in zip(self.dense[-2::-1], reversed(self.acts)):
+            g = dense.backward(act.backward(g))
+        return collect(self._named_layers(), "grads")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).argmax(axis=1)
@@ -340,3 +320,44 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
             grads = model.backward(probs, train_y[idx])
             adam_step(model.params(), grads, state, lr=lr)
     return model
+
+
+# ---------------------------------------------------------------------------
+# comparison runs
+
+
+METHODS = {
+    "knn": lambda tr, tr_y, te, seed: knn_predict(tr, tr_y, te, k=10),
+    "trees": lambda tr, tr_y, te, seed: predict_trees(
+        train_bagged_trees(tr, tr_y, seed=seed), te),
+    "mlp": lambda tr, tr_y, te, seed: mlp_baseline(
+        tr, tr_y, n_classes=len(dataio.CATEGORIES), seed=seed).predict(te),
+}
+
+
+def check_methods(methods) -> None:
+    """UsageError naming the first entry of methods that is not in METHODS."""
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(f"unknown baseline '{method}' "
+                             f"(choose from {', '.join(METHODS)})")
+
+
+def run_baselines(x, coarse_idx, folds, methods, seed: int = 0) -> dict:
+    """Coarse-posture accuracy (percent) of each method on each fold.
+
+    Features are standardized with each training fold's statistics. Returns
+    {method: {"accuracy_per_fold": [...], "accuracy_mean": ...}}; methods
+    must name entries of METHODS (see check_methods).
+    """
+    feats = extract_feature_matrix(x)
+    accs = {method: [] for method in methods}
+    for train_idx, test_idx in folds:
+        mu, sd = standardize_fit(feats[train_idx])
+        tr = standardize_apply(feats[train_idx], mu, sd)
+        te = standardize_apply(feats[test_idx], mu, sd)
+        for method, fold_accs in accs.items():
+            pred = METHODS[method](tr, coarse_idx[train_idx], te, seed)
+            fold_accs.append(float((pred == coarse_idx[test_idx]).mean()) * 100.0)
+    return {method: {"accuracy_per_fold": a, "accuracy_mean": float(np.mean(a))}
+            for method, a in accs.items()}

@@ -43,20 +43,6 @@ class Checkpoint:
     dtype: str
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "num_subjects": cfg.num_subjects,
-        "num_postures": cfg.num_postures,
-        "conv_channels": list(cfg.conv_channels),
-        "dense_width": cfg.dense_width,
-        "leaky_slope": cfg.leaky_slope,
-        "conv_dropout": list(cfg.conv_dropout),
-        "dense_dropout": cfg.dense_dropout,
-        "l2_sigma": cfg.l2_sigma,
-        "input_hw": list(cfg.input_hw),
-    }
-
-
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     le = arr.dtype.newbyteorder("<")
     dstr = le.str.encode()
@@ -72,7 +58,7 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 def save_checkpoint(path, net: PostureNet, adam: AdamState | None = None,
                     epoch: int = 0, seed: int = 0) -> None:
     header = {
-        "config": _config_to_dict(net.config),
+        "config": net.config.as_dict(),
         "epoch": int(epoch),
         "seed": int(seed),
         "dtype": np.dtype(net.dtype).name,

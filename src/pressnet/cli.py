@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from . import baselines, dataio, harness, signal, synthetic
 from .checkpoint import load_checkpoint, restore_net
 from .errors import PressnetError, UsageError
 from .harness import TrainConfig
-from .model import ModelConfig
 from .tensor import make_rng
 
 DATA_ROOT_ENV = "PRESSNET_DATA_ROOT"
@@ -57,6 +57,26 @@ def _load_cache(cache_dir, stride: int) -> harness.FlatDataset:
     sequences = signal.load_clean_sequences(manifest)
     return harness.flatten_sequences(sequences, manifest.taxonomy,
                                      stride=stride)
+
+
+def _lambda_list(text: str) -> list:
+    """argparse type of --lambda-sweep: comma-separated floats."""
+    try:
+        lams = [float(v) for v in text.split(",")]
+        harness.check_sweep(lams)
+    except (ValueError, UsageError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return lams
+
+
+def _method_list(text: str) -> list:
+    """argparse type of --baselines: comma-separated baselines.METHODS names."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    try:
+        baselines.check_methods(methods)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return methods
 
 
 ASCII_RAMP = " .:-=+*#%@"
@@ -96,124 +116,58 @@ def cmd_preprocess(args) -> int:
 
 
 def _train_config_from(args) -> TrainConfig:
+    """TrainConfig from the --config file, overridden by the flags given.
+
+    Unset values keep TrainConfig's defaults, except that lambda defaults
+    to 0.2 under leave-one-subject-out.
+    """
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+    keys = [f.name for f in fields(TrainConfig)]
+    unknown = sorted(set(file_cfg) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown key(s) in {args.config}: "
+                         + ", ".join(unknown))
+    # train flags are stored under their TrainConfig field names
+    flags = {key: getattr(args, key) for key in keys
+             if getattr(args, key, None) is not None}
+    merged = {**file_cfg, **flags}
+    if merged.get("scheme") == "loso":
+        merged.setdefault("lam", 0.2)
+    return TrainConfig(**merged)
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
 
-    return TrainConfig(
-        lam=pick(args.lam, "lam", 0.5 if pick(args.scheme, "scheme", "kfold") == "kfold" else 0.2),
-        base_lr=pick(args.lr, "base_lr", 2e-5),
-        epochs=pick(args.epochs, "epochs", 40),
-        batch_size=pick(args.batch_size, "batch_size", 64),
-        seed=pick(args.seed, "seed", 0),
-        augment=bool(pick(args.augment or None, "augment", False)),
-        augment_eval=bool(pick(args.augment_eval or None, "augment_eval", False)),
-        scheme=pick(args.scheme, "scheme", "kfold"),
-        k=pick(args.k, "k", 10),
-        split_level=pick(args.split_level, "split_level", "frame"),
-    )
+def _print_fold(fold_no, n_folds, report):
+    acc = report["posture_coarse"].accuracy
+    print(f"fold {fold_no + 1}/{n_folds}: "
+          f"coarse posture accuracy {acc:.2f}%", flush=True)
 
 
 def cmd_train(args) -> int:
-    data = _load_cache(args.cache_dir, args.stride)
     config = _train_config_from(args)
-
-    def progress(fold_no, n_folds, report):
-        acc = report["posture_coarse"].accuracy
-        print(f"fold {fold_no + 1}/{n_folds}: "
-              f"coarse posture accuracy {acc:.2f}%", flush=True)
+    data = _load_cache(args.cache_dir, args.stride)
 
     if args.lambda_sweep:
-        lams = [float(v) for v in args.lambda_sweep.split(",")]
-        if 0.0 not in lams:
-            raise UsageError("--lambda-sweep must include 0 "
-                             "(the single-task anchor for the t-test)")
-        return _run_sweep(data, config, lams, args.out_dir, progress)
+        sweep = harness.run_sweep(data, config, args.lambda_sweep,
+                                  args.out_dir, progress=_print_fold)
+        for lam, accs in sweep["accuracy_per_fold"].items():
+            print(f"lambda={lam}: fine posture accuracy {np.mean(accs):.2f}%")
+        for lam, t in sweep["welch_vs_zero"].items():
+            print(f"lambda={lam} vs 0: t={t['t']:.4f} p={t['p']:.4f} "
+                  f"(mean {t['mean_lambda']:.2f}% vs {t['mean_zero']:.2f}%)")
+        return 0
 
-    aggregate = harness.run_experiment(data, config, args.out_dir,
-                                       progress=progress)
-    _run_baselines(args, data, config)
-    print(open(os.path.join(args.out_dir, "summary.txt")).read(), end="")
-    return 0
-
-
-def _run_baselines(args, data, config) -> None:
-    if not args.baselines:
-        return
-    methods = [m.strip() for m in args.baselines.split(",") if m.strip()]
-    feats = baselines.extract_feature_matrix(data.x)
-    plan = harness.split_for(data, config)
-    results = {}
-    for method in methods:
-        accs = []
-        for train_idx, test_idx in plan.folds:
-            tr_f, te_f = feats[train_idx], feats[test_idx]
-            tr_y = data.coarse_idx[train_idx]
-            te_y = data.coarse_idx[test_idx]
-            mu, sd = baselines.standardize_fit(tr_f)
-            tr_s = baselines.standardize_apply(tr_f, mu, sd)
-            te_s = baselines.standardize_apply(te_f, mu, sd)
-            if method == "knn":
-                pred = baselines.knn_predict(tr_s, tr_y, te_s, k=10)
-            elif method == "trees":
-                ens = baselines.train_bagged_trees(tr_s, tr_y,
-                                                   seed=config.seed)
-                pred = baselines.predict_trees(ens, te_s)
-            elif method == "mlp":
-                model = baselines.mlp_baseline(tr_s, tr_y,
-                                               n_classes=len(dataio.CATEGORIES),
-                                               seed=config.seed)
-                pred = model.predict(te_s)
-            else:
-                raise UsageError(f"unknown baseline '{method}' "
-                                 "(choose from knn, trees, mlp)")
-            accs.append(float((pred == te_y).mean()) * 100.0)
-        results[method] = {"accuracy_per_fold": accs,
-                           "accuracy_mean": float(np.mean(accs))}
-        print(f"baseline {method}: coarse accuracy "
-              f"{results[method]['accuracy_mean']:.2f}%")
-    with open(os.path.join(args.out_dir, "baselines.json"), "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _run_sweep(data, base_config, lams, out_dir, progress) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    from dataclasses import replace
-
-    per_lam = {}
-    for lam in lams:
-        cfg = replace(base_config, lam=lam)
-        run_dir = os.path.join(out_dir, f"lam_{lam:g}")
-        aggregate = harness.run_experiment(data, cfg, run_dir,
-                                           progress=progress)
-        per_lam[lam] = aggregate["posture_fine"]["accuracy_per_fold"]
-        print(f"lambda={lam:g}: fine posture accuracy "
-              f"{aggregate['posture_fine']['accuracy_mean']:.2f}%")
-
-    tests = {}
-    anchor = per_lam[0.0]
-    for lam in lams:
-        if lam == 0.0:
-            continue
-        t, p, df = harness.welch_t_test(per_lam[lam], anchor)
-        tests[f"{lam:g}"] = {
-            "t": t, "p": p, "df": df,
-            "mean_lambda": float(np.mean(per_lam[lam])),
-            "mean_zero": float(np.mean(anchor)),
-        }
-        print(f"lambda={lam:g} vs 0: t={t:.4f} p={p:.4f} "
-              f"(mean {np.mean(per_lam[lam]):.2f}% vs {np.mean(anchor):.2f}%)")
-    with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
-        json.dump({"accuracy_per_fold": {f"{k:g}": v for k, v in per_lam.items()},
-                   "welch_vs_zero": tests}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    harness.run_experiment(data, config, args.out_dir, progress=_print_fold,
+                           baselines=args.baselines or ())
+    run = Path(args.out_dir)
+    if args.baselines:
+        results = json.loads((run / "baselines.json").read_text())
+        for method in args.baselines:
+            print(f"baseline {method}: coarse accuracy "
+                  f"{results[method]['accuracy_mean']:.2f}%")
+    print((run / "summary.txt").read_text(), end="")
     return 0
 
 
@@ -347,20 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--scheme", choices=("kfold", "loso"), default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-sweep", default=None,
-                   help="comma list of lambda values; must include 0")
+    comparison = p.add_mutually_exclusive_group()
+    comparison.add_argument("--lambda-sweep", type=_lambda_list, default=None,
+                            help="comma list of lambda values in [0,1]; "
+                            "must include 0")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="base_lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--stride", type=int, default=1,
                    help="keep every n-th frame (runtime bound)")
     p.add_argument("--split-level", choices=("frame", "sequence"), default=None)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--augment-eval", action="store_true")
-    p.add_argument("--baselines", default=None,
-                   help="comma list from {knn,trees,mlp} to run alongside")
+    p.add_argument("--augment", action="store_true", default=None)
+    p.add_argument("--augment-eval", action="store_true", default=None)
+    comparison.add_argument("--baselines", type=_method_list, default=None,
+                            help="comma list from {knn,trees,mlp} to run "
+                            "alongside")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a cache")
@@ -402,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

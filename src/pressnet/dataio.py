@@ -295,10 +295,3 @@ def read_manifest(path, taxonomy=None) -> DatasetManifest:
                                          frame_count=int(parts[3])))
     return DatasetManifest(entries=entries, taxonomy=taxonomy,
                            warnings=warnings)
-
-
-def load_sequences(manifest: DatasetManifest, delimiter=None) -> list:
-    """Parse every manifest entry, in manifest order."""
-    return [parse_frame_file(e.path, delimiter=delimiter,
-                             subject_id=e.subject_id, posture_id=e.posture_id)
-            for e in manifest.entries]

@@ -19,11 +19,12 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import special as _special
 
+from . import baselines as classical
 from . import dataio, signal
 from .checkpoint import Checkpoint, load_checkpoint, restore_net, save_checkpoint
 from .errors import (ConfigError, LabelError, NumericFault, TrainingFault,
@@ -36,7 +37,7 @@ __all__ = [
     "TrainConfig", "FoldPlan", "FlatDataset", "Metrics",
     "kfold_split", "loso_split", "flatten_sequences",
     "train_model", "evaluate_model", "confusion_matrix", "collapse_confusion",
-    "compute_metrics", "welch_t_test", "run_experiment",
+    "compute_metrics", "welch_t_test", "run_experiment", "run_sweep",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -507,12 +508,14 @@ def _fold_report_dict(report: dict) -> dict:
 def acquire_run_dir(out_dir) -> None:
     """Create the run directory and its lock marker; refuse a locked one."""
     os.makedirs(out_dir, exist_ok=True)
-    lock = os.path.join(out_dir, ".lock")
-    if os.path.exists(lock):
+    try:
+        fd = os.open(os.path.join(out_dir, ".lock"),
+                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
         raise UsageError(
             f"run directory '{out_dir}' is locked by another run "
-            "(remove .lock if that run is dead)")
-    with open(lock, "w") as fh:
+            "(remove .lock if that run is dead)") from None
+    with os.fdopen(fd, "w") as fh:
         fh.write(f"pid {os.getpid()}\n")
 
 
@@ -524,14 +527,18 @@ def release_run_dir(out_dir) -> None:
 
 def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
                    model_config: ModelConfig | None = None,
-                   progress=None) -> dict:
+                   progress=None, baselines=()) -> dict:
     """Cross-validated training and evaluation with persisted artifacts.
 
     Writes into out_dir: config.json, per-fold directories (metrics.json,
-    confusion grids, curves.tsv, model.ckpt), aggregate.json, summary.txt,
-    and timing.txt (kept separate so every other artifact is a
-    deterministic function of config + seed).
+    confusion grids, curves.tsv, model.ckpt), baselines.json when
+    `baselines` names methods from baselines.METHODS (fitted on the same
+    folds), aggregate.json, summary.txt, timing.txt (kept separate so every
+    other artifact is a deterministic function of config + seed) and,
+    last, DONE. Everything is checked before out_dir is created.
+    progress(fold_no, n_folds, report) runs after each fold.
     """
+    classical.check_methods(baselines)
     if model_config is None:
         model_config = ModelConfig(num_subjects=data.num_subjects,
                                    num_postures=data.num_postures)
@@ -541,7 +548,7 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
     acquire_run_dir(out_dir)
     try:
         _write_json(os.path.join(out_dir, "config.json"), {
-            "train": asdict(config), "model": _model_config_dict(model_config),
+            "train": asdict(config), "model": model_config.as_dict(),
             "samples": len(data), "folds": len(plan),
             "subject_ids": data.subject_ids, "posture_ids": data.posture_ids,
         })
@@ -581,6 +588,11 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
             if progress is not None:
                 progress(fold_no, len(plan), report)
 
+        if baselines:
+            _write_json(os.path.join(out_dir, "baselines.json"),
+                        classical.run_baselines(data.x, data.coarse_idx,
+                                                plan.folds, baselines,
+                                                seed=config.seed))
         aggregate = aggregate_reports(fold_reports)
         _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
@@ -596,12 +608,44 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         release_run_dir(out_dir)
 
 
-def _model_config_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["conv_channels"] = list(cfg.conv_channels)
-    d["conv_dropout"] = list(cfg.conv_dropout)
-    d["input_hw"] = list(cfg.input_hw)
-    return d
+def check_sweep(lams) -> None:
+    """A lambda sweep needs 0 (the t-test's single-task anchor) and values
+    in [0,1]; UsageError otherwise."""
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise UsageError(f"sweep lambda {lam:g} outside [0,1]")
+    if 0.0 not in lams:
+        raise UsageError("the lambda sweep must include 0 "
+                         "(the single-task anchor for the t-test)")
+
+
+def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
+              progress=None) -> dict:
+    """One run_experiment per lambda, each in out_dir/lam_<lambda>/, then a
+    Welch t-test of each nonzero lambda's per-fold fine-posture accuracy
+    against lambda=0's. Writes sweep.json into out_dir and returns its
+    contents.
+    """
+    check_sweep(lams)
+    per_lam = {}
+    for lam in lams:
+        aggregate = run_experiment(data, replace(config, lam=lam),
+                                   os.path.join(out_dir, f"lam_{lam:g}"),
+                                   progress=progress)
+        per_lam[lam] = aggregate["posture_fine"]["accuracy_per_fold"]
+    anchor = per_lam[0.0]
+    tests = {}
+    for lam, accs in per_lam.items():
+        if lam == 0.0:
+            continue
+        t, p, df = welch_t_test(accs, anchor)
+        tests[f"{lam:g}"] = {"t": t, "p": p, "df": df,
+                             "mean_lambda": float(np.mean(accs)),
+                             "mean_zero": float(np.mean(anchor))}
+    result = {"accuracy_per_fold": {f"{k:g}": v for k, v in per_lam.items()},
+              "welch_vs_zero": tests}
+    _write_json(os.path.join(out_dir, "sweep.json"), result)
+    return result
 
 
 def _nanmean(values):

@@ -1,9 +1,20 @@
 """Network layers with explicit forward and backward passes.
 
-Each layer owns its parameter arrays and, after a training-mode forward,
-the cached activations its backward pass needs. Backward methods consume
-the incoming gradient, store parameter gradients on the layer (gw, gb,
-ggamma, gbeta) and return the gradient w.r.t. their input.
+Each layer owns, after a training-mode forward, the cached activations its
+backward pass needs. Backward methods consume the incoming gradient and
+return the gradient w.r.t. their input.
+
+Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
+
+    params  trainable arrays, keyed w/b or gamma/beta
+    stats   running statistics (BatchNorm2D's running_mean/running_var;
+            empty for the others)
+    grads   parameter gradients, filled by backward under the keys of params
+
+The arrays in params and stats are also the layer's attributes and are only
+ever updated in place (by the optimizer, by set_params and by batch norm's
+running averages), so the dicts stay live. collect() flattens one of these
+dicts over a list of named layers.
 """
 
 from __future__ import annotations
@@ -12,6 +23,14 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigError, ShapeError, UsageError
+
+
+def collect(named_layers, attr: str) -> dict:
+    """Merge each layer's `attr` dict ("params", "stats" or "grads") into one
+    dict keyed "<layer name>.<key>", in layer order."""
+    return {f"{name}.{key}": value
+            for name, layer in named_layers
+            for key, value in getattr(layer, attr).items()}
 
 
 def init_std(fan_in: int, slope: float) -> float:
@@ -28,9 +47,10 @@ class Conv2D:
                                  init_std(cin * kernel * kernel, slope),
                                  rng, dtype)
         self.b = tensor.zeros((cout,), dtype)
+        self.params = {"w": self.w, "b": self.b}
+        self.stats = {}
+        self.grads = {}
         self._x = None
-        self.gw = None
-        self.gb = None
 
     def forward(self, x, train: bool):
         if train:
@@ -40,8 +60,8 @@ class Conv2D:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Conv2D.backward without a training forward")
-        gx, self.gw = tensor.conv2d_valid_backward(self._x, self.w, g)
-        self.gb = g.sum(axis=(0, 2, 3))
+        gx, self.grads["w"] = tensor.conv2d_valid_backward(self._x, self.w, g)
+        self.grads["b"] = g.sum(axis=(0, 2, 3))
         return gx
 
 
@@ -54,11 +74,13 @@ class BatchNorm2D:
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
+        self.params = {"gamma": self.gamma, "beta": self.beta}
+        self.stats = {"running_mean": self.running_mean,
+                      "running_var": self.running_var}
+        self.grads = {}
         self.eps = eps
         self.momentum = momentum
         self._cache = None
-        self.ggamma = None
-        self.gbeta = None
 
     def forward(self, x, train: bool):
         if train:
@@ -69,8 +91,10 @@ class BatchNorm2D:
             inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
             xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
             m = x.dtype.type(self.momentum)
-            self.running_mean = m * self.running_mean + (1 - m) * mean
-            self.running_var = m * self.running_var + (1 - m) * var
+            self.running_mean *= m
+            self.running_mean += (1 - m) * mean
+            self.running_var *= m
+            self.running_var += (1 - m) * var
             self._cache = (xhat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.eps))
@@ -85,10 +109,10 @@ class BatchNorm2D:
         xhat, inv_std = self._cache
         b, c, h, w = g.shape
         n = g.dtype.type(b * h * w)
-        self.ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        self.gbeta = g.sum(axis=(0, 2, 3))
-        sum_g = self.gbeta[None, :, None, None]
-        sum_gx = self.ggamma[None, :, None, None]
+        self.grads["gamma"] = (g * xhat).sum(axis=(0, 2, 3))
+        self.grads["beta"] = g.sum(axis=(0, 2, 3))
+        sum_g = self.grads["beta"][None, :, None, None]
+        sum_gx = self.grads["gamma"][None, :, None, None]
         coef = (self.gamma * inv_std)[None, :, None, None]
         return coef / n * (n * g - sum_g - xhat * sum_gx)
 
@@ -181,9 +205,10 @@ class Dense:
         self.w = tensor.gaussian((fan_in, units), 0.0,
                                  init_std(fan_in, slope), rng, dtype)
         self.b = tensor.zeros((units,), dtype)
+        self.params = {"w": self.w, "b": self.b}
+        self.stats = {}
+        self.grads = {}
         self._x = None
-        self.gw = None
-        self.gb = None
 
     def forward(self, x, train: bool):
         if x.shape[1] != self.w.shape[0]:
@@ -196,6 +221,6 @@ class Dense:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Dense.backward without a training forward")
-        self.gw = self._x.T @ g
-        self.gb = g.sum(axis=0)
+        self.grads["w"] = self._x.T @ g
+        self.grads["b"] = g.sum(axis=0)
         return g @ self.w.T

@@ -11,13 +11,14 @@ With the default config the feature maps run
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import losses, tensor
 from .errors import ConfigError, ShapeError, UsageError
-from .layers import BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU, MaxPool2D
+from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
+                     MaxPool2D, collect)
 
 
 @dataclass
@@ -69,6 +70,12 @@ class ModelConfig:
                 shapes.append((h, w))
         return shapes
 
+    def as_dict(self) -> dict:
+        """Every field, tuples as lists: the form config.json and checkpoint
+        headers store."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
+
     @property
     def flat_features(self) -> int:
         h, w = self.feature_shapes()[-1]
@@ -117,23 +124,10 @@ class PostureNet:
 
     def params(self) -> dict:
         """Trainable tensors, in a fixed deterministic order."""
-        out = {}
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2D):
-                out[f"{name}.gamma"] = layer.gamma
-                out[f"{name}.beta"] = layer.beta
-            else:
-                out[f"{name}.w"] = layer.w
-                out[f"{name}.b"] = layer.b
-        return out
+        return collect(self._named_layers(), "params")
 
     def bn_stats(self) -> dict:
-        out = {}
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2D):
-                out[f"{name}.running_mean"] = layer.running_mean
-                out[f"{name}.running_var"] = layer.running_var
-        return out
+        return collect(self._named_layers(), "stats")
 
     def set_params(self, values: dict, stats: dict | None = None):
         """Overwrite parameters (and optionally running stats) in place."""
@@ -151,8 +145,7 @@ class PostureNet:
 
     def l2_weight_keys(self):
         """Conv and dense weight tensors only: no biases, no batch norm."""
-        return [f"conv{i}.w" for i in range(1, 5)] + \
-            ["fc1.w", "fc2.w", "head_subject.w", "head_posture.w"]
+        return [k for k in self.params() if k.endswith(".w")]
 
     # ------------------------------------------------------------ forward
 
@@ -222,14 +215,7 @@ class PostureNet:
             g = self.bns[i].backward(g)
             g = self.convs[i].backward(g)
 
-        grads = {}
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2D):
-                grads[f"{name}.gamma"] = layer.ggamma
-                grads[f"{name}.beta"] = layer.gbeta
-            else:
-                grads[f"{name}.w"] = layer.gw
-                grads[f"{name}.b"] = layer.gb
+        grads = collect(self._named_layers(), "grads")
         sigma2 = dt(2.0 * self.config.l2_sigma)
         params = self.params()
         for key in self.l2_weight_keys():

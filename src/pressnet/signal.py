@@ -144,24 +144,6 @@ def _rotate_bilinear(frame: np.ndarray, angle_deg: float) -> np.ndarray:
     return out.astype(frame.dtype)
 
 
-def affine_transform(frame: np.ndarray, dx: int = 0, dy: int = 0,
-                     angle: float = 0.0) -> np.ndarray:
-    """Integer translation (zero fill) followed by rotation about center.
-
-    The augmentation policy only ever drives one of the three at a time;
-    composition order matters only for direct callers and is documented
-    here: translate first, then rotate.
-    """
-    frame = np.asarray(frame)
-    if frame.ndim != 2:
-        raise ShapeError(f"expected a 2-D frame, got {frame.shape}")
-    if dx or dy:
-        frame = _translate(frame, int(dx), int(dy))
-    if angle:
-        frame = _rotate_bilinear(frame, float(angle))
-    return frame
-
-
 @dataclass
 class AugmentPolicy:
     """Four-step augmentation schedule; steps fire independently, in order."""

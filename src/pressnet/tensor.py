@@ -1,9 +1,9 @@
 """Dense tensor kernels.
 
 Tensors are C-contiguous numpy arrays (row-major flat data plus shape
-metadata). Everything downstream — layers, losses, baselines — is built on
-the handful of kernels here: creation, matrix product, valid 3x3-style
-convolution, max-pooling with argmax maps, and reductions. All kernels are
+metadata). The layers are built on the handful of kernels here: seeded
+generators, tensor creation, valid 3x3-style convolution and max-pooling
+with argmax maps, each with its backward pass. All kernels are
 deterministic for identical inputs; randomness only enters through an
 explicitly passed generator.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericFault, ShapeError
+from .errors import ConfigError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
@@ -46,29 +46,10 @@ def zeros(shape, dtype=DEFAULT_DTYPE) -> np.ndarray:
     return np.zeros(_check_shape(shape), dtype=dtype)
 
 
-def constant(shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return np.full(_check_shape(shape), value, dtype=dtype)
-
-
 def gaussian(shape, mean: float, std: float, rng: np.random.Generator,
              dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Normal-initialized tensor; consumes rng state deterministically."""
     return rng.normal(mean, std, size=_check_shape(shape)).astype(dtype)
-
-
-def check_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise NumericFault(f"{context} contains NaN/Inf")
-    return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a [m,k] and b [k,n]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _as_batched(x: np.ndarray):
@@ -177,18 +158,3 @@ def maxpool2d_backward(grad_out: np.ndarray, argmax: np.ndarray,
     a2 = argmax.reshape(lead, -1)
     np.add.at(gx, (np.arange(lead)[:, None], a2), g2)
     return gx.reshape(input_shape)
-
-
-_REDUCE_OPS = {"sum": np.sum, "mean": np.mean, "max": np.max}
-
-
-def reduce(x: np.ndarray, op: str, axes=None) -> np.ndarray:
-    """Reduce x with op in {sum, mean, max} over axes (None = all)."""
-    if op not in _REDUCE_OPS:
-        raise ConfigError(f"unknown reduction '{op}'")
-    if axes is not None:
-        axes = tuple(int(a) for a in (axes if np.iterable(axes) else [axes]))
-        for a in axes:
-            if not -x.ndim <= a < x.ndim:
-                raise ShapeError(f"axis {a} invalid for shape {x.shape}")
-    return _REDUCE_OPS[op](x, axis=axes)

@@ -12,6 +12,8 @@ from pressnet.baselines import (FEATURE_NAMES, MLPBaseline, TreeEnsemble,
 from pressnet.errors import ConfigError, ShapeError
 from pressnet.tensor import make_rng
 
+from util import knn_classify
+
 
 def feature_oracle(frame):
     """Independent re-derivation of the 18-entry vector."""
@@ -136,12 +138,16 @@ def vote_oracle(train_x, train_y, q, k):
                key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
 
 
+def knn_one(train_x, train_y, query, k):
+    return int(baselines.knn_predict(train_x, train_y, [query], k=k)[0])
+
+
 class TestKnn:
     def test_nearest_single(self):
         x = np.array([[0.0], [10.0]])
         y = np.array([3, 8])
-        assert baselines.knn_classify(x, y, np.array([1.0]), k=1) == 3
-        assert baselines.knn_classify(x, y, np.array([9.0]), k=1) == 8
+        assert knn_one(x, y, np.array([1.0]), k=1) == 3
+        assert knn_one(x, y, np.array([9.0]), k=1) == 8
 
     def test_two_clusters(self):
         rng = make_rng(44)
@@ -149,19 +155,19 @@ class TestKnn:
         b = rng.normal(loc=5.0, scale=0.1, size=(20, 2))
         x = np.vstack([a, b])
         y = np.array([0] * 20 + [1] * 20)
-        assert baselines.knn_classify(x, y, [0.1, -0.1], k=10) == 0
-        assert baselines.knn_classify(x, y, [5.1, 4.9], k=10) == 1
+        assert knn_one(x, y, [0.1, -0.1], k=10) == 0
+        assert knn_one(x, y, [5.1, 4.9], k=10) == 1
 
     def test_count_tie_breaks_by_distance(self):
         # one vote each; label 7's neighbor is nearer
         x = np.array([[0.0], [3.0]])
         y = np.array([7, 2])
-        assert baselines.knn_classify(x, y, np.array([1.0]), k=2) == 7
+        assert knn_one(x, y, np.array([1.0]), k=2) == 7
 
     def test_full_tie_breaks_by_lowest_label(self):
         x = np.array([[0.0], [2.0]])
         y = np.array([5, 1])
-        assert baselines.knn_classify(x, y, np.array([1.0]), k=2) == 1
+        assert knn_one(x, y, np.array([1.0]), k=2) == 1
 
     def test_matches_vote_oracle(self):
         rng = make_rng(45)
@@ -178,8 +184,7 @@ class TestKnn:
         train_y = rng.integers(0, 3, size=30)
         queries = rng.random((7, 3))
         batch = baselines.knn_predict(train_x, train_y, queries, k=5, chunk=2)
-        singles = [baselines.knn_classify(train_x, train_y, q, k=5)
-                   for q in queries]
+        singles = [knn_classify(train_x, train_y, q, k=5) for q in queries]
         assert batch.tolist() == singles
 
     def test_training_order_irrelevant(self):
@@ -194,8 +199,8 @@ class TestKnn:
 
     def test_too_few_training_points(self):
         with pytest.raises(ConfigError):
-            baselines.knn_classify(np.zeros((3, 2)), np.zeros(3, int),
-                                   np.zeros(2), k=10)
+            baselines.knn_predict(np.zeros((3, 2)), np.zeros(3, int),
+                                  np.zeros((1, 2)), k=10)
 
 
 class TestTrees:

@@ -1,6 +1,8 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 
+import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,6 +89,13 @@ class TestRoundTrip:
         for k, v in net.params().items():
             assert ckpt.params[k].dtype == np.float64
             assert ckpt.params[k].tobytes() == v.tobytes()
+
+    def test_config_header_carries_every_field(self):
+        cfg = small_net().config
+        stored = cfg.as_dict()
+        assert set(stored) == {f.name for f in fields(ModelConfig)}
+        assert json.loads(json.dumps(stored)) == stored
+        assert ModelConfig(**stored) == cfg
 
 
 class TestCorruption:

@@ -93,7 +93,8 @@ class TestTrain:
         _, cache = corpus
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
-            {"epochs": 1, "seed": 3, "base_lr": 1e-3, "k": 2}))
+            {"epochs": 1, "seed": 3, "base_lr": 1e-3, "k": 2,
+             "lr_decay_rate": 0.5}))
         out = tmp_path / "run"
         rc = cli.main(["train", "--cache-dir", str(cache),
                        "--out-dir", str(out), "--config", str(cfg_file),
@@ -103,6 +104,20 @@ class TestTrain:
         assert stored["seed"] == 5      # flag beats file
         assert stored["epochs"] == 1    # file beats default
         assert stored["k"] == 2
+        assert stored["lr_decay_rate"] == 0.5
+        assert stored["lam"] == 0.5     # TrainConfig's default
+
+    def test_config_file_unknown_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"epochs": 1, "k": 2, "lr_decay_rate": 0.5, "bogus_key": 1}))
+        # the key is refused before the (missing) cache is looked at
+        rc = cli.main(["train", "--cache-dir", str(tmp_path / "nope"),
+                       "--out-dir", str(tmp_path / "run"),
+                       "--config", str(cfg_file)])
+        assert rc == 2
+        assert "bogus_key" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_same_seed_identical_aggregate(self, corpus, tmp_path):
         _, cache = corpus
@@ -128,6 +143,7 @@ class TestTrain:
                        "--epochs", "1", "--baselines", "svm"])
         assert rc == 2
         assert "svm" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_must_include_zero(self, corpus, tmp_path, capsys):
         _, cache = corpus
@@ -136,6 +152,20 @@ class TestTrain:
                        "--epochs", "1", "--lambda-sweep", "0.2,0.5"])
         assert rc == 2
         assert "include 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_sweep_refused_before_training(self, corpus, tmp_path, capsys):
+        _, cache = corpus
+        for extra, message in ((["--lambda-sweep", "0,0.5,1.5"], "1.5"),
+                               (["--lambda-sweep", "0,x"], "'x'"),
+                               (["--lambda-sweep", "0,0.5", "--baselines",
+                                 "knn"], "not allowed")):
+            rc = cli.main(["train", "--cache-dir", str(cache),
+                           "--out-dir", str(tmp_path / "run"), "--k", "2",
+                           "--epochs", "1", *extra])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
 
 class TestSweep:

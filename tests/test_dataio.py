@@ -197,11 +197,3 @@ class TestManifest:
         back = dataio.read_manifest(out)
         assert back.entries == manifest.entries
         assert back.warnings == manifest.warnings
-
-    def test_load_sequences_matches_counts(self, tmp_path):
-        self.make_tree(tmp_path, subjects=2, postures=2)
-        manifest = dataio.build_manifest(tmp_path)
-        seqs = dataio.load_sequences(manifest)
-        assert len(seqs) == 4
-        assert sum(len(s) for s in seqs) == manifest.total_frames()
-        assert all(s.frames.shape[1:] == (32, 64) for s in seqs)

@@ -449,6 +449,35 @@ class TestRunExperiment:
                        .read_text())
         assert m["subject"] is None
 
+    def test_baselines_written_under_lock_before_done(self, tmp_path,
+                                                      monkeypatch):
+        data = self.build_data()
+        out = tmp_path / "run"
+        seen = {}
+        fit = harness.classical.run_baselines
+
+        def spy(*args, **kwargs):
+            seen["lock"] = (out / ".lock").exists()
+            seen["done"] = (out / "DONE").exists()
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness.classical, "run_baselines", spy)
+        harness.run_experiment(data, self.config(), out,
+                               model_config=tiny_model(2, 2),
+                               baselines=["knn", "mlp"])
+        assert seen == {"lock": True, "done": False}
+        results = json.loads((out / "baselines.json").read_text())
+        assert sorted(results) == ["knn", "mlp"]
+        assert all(len(r["accuracy_per_fold"]) == 2 for r in results.values())
+
+    def test_unknown_baseline_creates_nothing(self, tmp_path):
+        with pytest.raises(UsageError, match="svm"):
+            harness.run_experiment(self.build_data(), self.config(),
+                                   tmp_path / "run",
+                                   model_config=tiny_model(2, 2),
+                                   baselines=["svm"])
+        assert not (tmp_path / "run").exists()
+
     def test_locked_directory_refused(self, tmp_path):
         data = self.build_data()
         out = tmp_path / "run"

@@ -88,7 +88,7 @@ class TestBatchNorm:
         gx = bn.backward(r)
         assert max_rel_err(gx, central_diff_grad(loss_x, x)) <= 1e-4
         # gamma / beta gradients against FD
-        for attr, got in (("gamma", bn.ggamma), ("beta", bn.gbeta)):
+        for attr, got in bn.grads.items():
             def loss_p(v, attr=attr):
                 b2 = BatchNorm2D(2, dtype=np.float64)
                 getattr(b2, attr)[...] = v
@@ -175,4 +175,4 @@ class TestDense:
         fd_x = central_diff_grad(lambda v: float(np.sum((v @ d.w + d.b) * r)), x)
         fd_w = central_diff_grad(lambda v: float(np.sum((x @ v + d.b) * r)), d.w.copy())
         assert max_rel_err(gx, fd_x) <= 1e-4
-        assert max_rel_err(d.gw, fd_w) <= 1e-4
+        assert max_rel_err(d.grads["w"], fd_w) <= 1e-4

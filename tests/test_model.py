@@ -181,6 +181,24 @@ class TestBackward:
         assert worst <= 1e-4
 
 
+    def test_grads_keyed_like_params_and_stats_stay_live(self):
+        cfg = tiny_config()
+        net = PostureNet(cfg, tensor.make_rng(8), dtype=np.float64)
+        stats = net.bn_stats()
+        before = {k: v.copy() for k, v in stats.items()}
+        x, yu, yp = make_batch(tensor.make_rng(9), cfg, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(10))
+        grads = net.backward(pu, pp, yu, yp, 0.5)
+        assert list(grads) == list(net.params())
+        assert net.l2_weight_keys() == [
+            "conv1.w", "conv2.w", "conv3.w", "conv4.w",
+            "fc1.w", "fc2.w", "head_subject.w", "head_posture.w"]
+        # running statistics are updated in place: earlier views see them
+        for k, v in net.bn_stats().items():
+            assert v is stats[k]
+            assert not np.array_equal(v, before[k]), k
+
+
 class TestLoss:
     def test_loss_includes_l2(self):
         cfg = tiny_config(l2_sigma=0.01)

@@ -185,41 +185,47 @@ def bilinear_oracle(frame, angle_deg):
     return out
 
 
+def shift_and_rotate(frame, dx=None, dy=None, angle=None):
+    """The augmentation's translate and rotate steps, without the half-turn."""
+    return signal.apply_plan(frame, {"rot180": False, "dx": dx, "dy": dy,
+                                     "angle": angle})
+
+
 class TestAffineTransform:
     def test_identity(self):
         frame = make_rng(3).uniform(size=(32, 64))
-        assert np.array_equal(signal.affine_transform(frame), frame)
+        assert np.array_equal(shift_and_rotate(frame), frame)
 
     def test_integer_shift_moves_hot_pixel(self):
         frame = np.zeros((32, 64))
         frame[10, 20] = 1.0
-        out = signal.affine_transform(frame, dx=3)
+        out = shift_and_rotate(frame, dx=3)
         assert out[10, 23] == 1.0 and out.sum() == 1.0
-        out = signal.affine_transform(frame, dy=-4)
+        out = shift_and_rotate(frame, dy=-4)
         assert out[6, 20] == 1.0 and out.sum() == 1.0
+        out = signal._translate(frame, 3, -4)
+        assert out[6, 23] == 1.0 and out.sum() == 1.0
 
     def test_shift_zero_fills(self):
         frame = np.ones((32, 64))
-        out = signal.affine_transform(frame, dx=5)
+        out = shift_and_rotate(frame, dx=5)
         assert np.all(out[:, :5] == 0.0) and np.all(out[:, 5:] == 1.0)
 
     def test_rotation_matches_bilinear_oracle(self):
         rng = make_rng(4)
         frame = rng.uniform(size=(32, 64))
         for angle in (-25.0, -10.0, 3.7, 10.0, 25.0):
-            out = signal.affine_transform(frame, angle=angle)
+            out = signal._rotate_bilinear(frame, angle)
             assert np.allclose(out, bilinear_oracle(frame, angle), atol=1e-12)
+            assert np.array_equal(shift_and_rotate(frame, angle=angle),
+                                  np.clip(out, 0.0, 1.0))
 
     def test_rotation_preserves_interior_mass(self):
         # mass away from the borders cannot leak out at 10 degrees
         frame = np.zeros((32, 64))
         frame[10:22, 20:44] = make_rng(5).uniform(size=(12, 24))
-        out = signal.affine_transform(frame, angle=10.0)
+        out = shift_and_rotate(frame, angle=10.0)
         assert abs(out.sum() - frame.sum()) / frame.sum() < 0.03
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ShapeError):
-            signal.affine_transform(np.zeros((2, 3, 4)))
 
 
 class TestAugmentation:

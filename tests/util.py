@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: finite differences and error norms."""
+"""Shared helpers for the test suite: finite differences, error norms and
+reference implementations that vectorized code is checked against."""
 
 import numpy as np
 
@@ -26,3 +27,18 @@ def max_rel_err(analytic, numeric, floor=1e-8):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def knn_classify(train_x, train_y, query, k=10):
+    """Single-query kNN: majority vote over the k Euclidean-nearest training
+    points (stable order on equal distances). Vote ties break by smallest
+    summed distance among the tied labels' neighbors, then by lowest label.
+    """
+    train_x = np.asarray(train_x, dtype=np.float64)
+    d = np.sqrt(((train_x - np.asarray(query, dtype=np.float64)) ** 2).sum(axis=1))
+    near = np.argsort(d, kind="stable")[:k]
+    votes = {}
+    for lab, dist in zip(np.asarray(train_y)[near].tolist(), d[near].tolist()):
+        cnt, total = votes.get(lab, (0, 0.0))
+        votes[lab] = (cnt + 1, total + dist)
+    return min(votes, key=lambda lab: (-votes[lab][0], votes[lab][1], lab))
