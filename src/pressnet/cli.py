@@ -28,7 +28,7 @@ import numpy as np
 
 from . import baselines, dataio, harness, signal, synthetic
 from .checkpoint import load_checkpoint, restore_net
-from .errors import PressnetError, UsageError
+from .errors import ConfigError, PressnetError, UsageError
 from .harness import TrainConfig
 from .tensor import make_rng
 
@@ -115,28 +115,48 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _read_config_file(path) -> dict:
+    """The --config file as a dict of TrainConfig fields; UsageError on a
+    file that cannot be read or parsed, an unknown key or a wrongly typed
+    value."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    unknown = sorted(set(file_cfg) - set(defaults))
+    if unknown:
+        raise UsageError(f"unknown key(s) in {path}: " + ", ".join(unknown))
+    for key, value in file_cfg.items():
+        want = type(defaults[key])
+        allowed = (int, float) if want is float else want
+        if isinstance(value, bool) is not (want is bool) \
+                or not isinstance(value, allowed):
+            raise UsageError(f"{key} in {path} must be a {want.__name__}, "
+                             f"got {json.dumps(value)}")
+    return file_cfg
+
+
 def _train_config_from(args) -> TrainConfig:
     """TrainConfig from the --config file, overridden by the flags given.
 
     Unset values keep TrainConfig's defaults, except that lambda defaults
     to 0.2 under leave-one-subject-out.
     """
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    keys = [f.name for f in fields(TrainConfig)]
-    unknown = sorted(set(file_cfg) - set(keys))
-    if unknown:
-        raise UsageError(f"unknown key(s) in {args.config}: "
-                         + ", ".join(unknown))
+    file_cfg = _read_config_file(args.config) if args.config else {}
     # train flags are stored under their TrainConfig field names
-    flags = {key: getattr(args, key) for key in keys
-             if getattr(args, key, None) is not None}
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+             if getattr(args, f.name, None) is not None}
     merged = {**file_cfg, **flags}
     if merged.get("scheme") == "loso":
         merged.setdefault("lam", 0.2)
-    return TrainConfig(**merged)
+    try:
+        return TrainConfig(**merged)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _print_fold(fold_no, n_folds, report):

@@ -75,6 +75,15 @@ class TrainConfig:
             raise ConfigError(f"unknown split_level '{self.split_level}'")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
+            raise ConfigError(f"base_lr must be finite and > 0, "
+                              f"got {self.base_lr}")
+        if not 0.0 < self.lr_decay_rate <= 1.0:
+            raise ConfigError(f"lr_decay_rate must be in (0,1], "
+                              f"got {self.lr_decay_rate}")
+        if self.lr_decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be >= 1, "
+                              f"got {self.lr_decay_every}")
 
 
 @dataclass

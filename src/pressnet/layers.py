@@ -2,7 +2,8 @@
 
 Each layer owns, after a training-mode forward, the cached activations its
 backward pass needs. Backward methods consume the incoming gradient and
-return the gradient w.r.t. their input.
+return the gradient w.r.t. their input (None from a Conv2D built with
+needs_input_grad=False). MaxPool2D builds its argmax map only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
@@ -39,10 +40,15 @@ def init_std(fan_in: int, slope: float) -> float:
 
 
 class Conv2D:
-    """3x3 valid convolution, stride 1, with bias."""
+    """3x3 valid convolution, stride 1, with bias.
+
+    With needs_input_grad false (a first layer, whose input is the data),
+    backward computes only the parameter gradients and returns None.
+    """
 
     def __init__(self, cin: int, cout: int, rng, slope: float,
-                 dtype=np.float32, kernel: int = 3):
+                 dtype=np.float32, kernel: int = 3,
+                 needs_input_grad: bool = True):
         self.w = tensor.gaussian((cout, cin, kernel, kernel), 0.0,
                                  init_std(cin * kernel * kernel, slope),
                                  rng, dtype)
@@ -50,6 +56,7 @@ class Conv2D:
         self.params = {"w": self.w, "b": self.b}
         self.stats = {}
         self.grads = {}
+        self.needs_input_grad = needs_input_grad
         self._x = None
 
     def forward(self, x, train: bool):
@@ -60,7 +67,8 @@ class Conv2D:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Conv2D.backward without a training forward")
-        gx, self.grads["w"] = tensor.conv2d_valid_backward(self._x, self.w, g)
+        gx, self.grads["w"] = tensor.conv2d_valid_backward(
+            self._x, self.w, g, need_x=self.needs_input_grad)
         self.grads["b"] = g.sum(axis=(0, 2, 3))
         return gx
 
@@ -125,7 +133,8 @@ class MaxPool2D:
         self._in_shape = None
 
     def forward(self, x, train: bool):
-        out, argmax = tensor.maxpool2d(x, window=self.window, stride=self.stride)
+        out, argmax = tensor.maxpool2d(x, window=self.window,
+                                       stride=self.stride, need_argmax=train)
         if train:
             self._argmax = argmax
             self._in_shape = x.shape

@@ -94,7 +94,9 @@ class PostureNet:
         self.convs, self.bns, self.pools = [], [], []
         self.conv_acts, self.conv_drops = [], []
         for i, cout in enumerate(config.conv_channels):
-            self.convs.append(Conv2D(cin, cout, rng, slope, dtype))
+            # conv1's input is the data: no gradient flows back into it
+            self.convs.append(Conv2D(cin, cout, rng, slope, dtype,
+                                     needs_input_grad=i > 0))
             self.bns.append(BatchNorm2D(cout, dtype))
             self.pools.append(MaxPool2D(3, 2) if i < 2 else None)
             self.conv_acts.append(LeakyReLU(slope))

@@ -2,10 +2,13 @@
 
 Tensors are C-contiguous numpy arrays (row-major flat data plus shape
 metadata). The layers are built on the handful of kernels here: seeded
-generators, tensor creation, valid 3x3-style convolution and max-pooling
-with argmax maps, each with its backward pass. All kernels are
-deterministic for identical inputs; randomness only enters through an
-explicitly passed generator.
+generators, tensor creation, valid 3x3-style convolution and max-pooling,
+each with its backward pass. Kernels compute only what their caller uses:
+the convolution backward skips the input gradient when asked (the first
+layer's input is the data), and max-pooling builds its argmax map only
+when asked (training, where the backward pass routes through it). All
+kernels are deterministic for identical inputs; randomness only enters
+through an explicitly passed generator.
 
 Training code runs these kernels in float32; gradient-check tests
 instantiate the exact same code paths in float64.
@@ -90,10 +93,11 @@ def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
 
 def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
-                          grad_out: np.ndarray):
+                          grad_out: np.ndarray, need_x: bool = True):
     """Gradients of conv2d_valid w.r.t. input and kernels.
 
-    Returns (grad_x, grad_kernels) shaped like x and kernels.
+    Returns (grad_x, grad_kernels) shaped like x and kernels; grad_x is None
+    when need_x is false.
     """
     xb, had_batch = _as_batched(x)
     gb, _ = _as_batched(grad_out)
@@ -103,6 +107,8 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     cols, ho, wo = _im2col(xb, kh, kw)
     g2 = gb.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     grad_k = (g2.T @ cols).reshape(cout, cin, kh, kw)
+    if not need_x:
+        return None, grad_k
 
     # grad w.r.t. input = full correlation of grad_out with flipped kernels
     gpad = np.zeros((b, cout, ho + 2 * (kh - 1), wo + 2 * (kw - 1)),
@@ -116,28 +122,53 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     return (grad_x if had_batch else grad_x[0]), grad_k
 
 
-def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2):
+def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
+              need_argmax: bool = True):
     """Max-pool over window x window patches.
 
     Returns (out, argmax) where argmax holds, per output cell, the flat
-    row-major index into that cell's HxW input plane. Ties go to the lowest
-    flat index, so the map (and the backward pass) is deterministic.
+    row-major index into that cell's HxW input plane, or None when
+    need_argmax is false. Ties go to the lowest flat index, so the map (and
+    the backward pass) is deterministic. A window holding NaN pools to NaN,
+    and its argmax is the first NaN's index.
+
+    The max is taken over strided views, columns first, then rows, so no
+    window is ever copied.
     """
     xb, had_batch = _as_batched(x)
-    b, c, h, w = xb.shape
+    h, w = xb.shape[2:]
     if h < window or w < window:
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    views = sliding_window_view(xb, (window, window), axis=(2, 3))
-    views = views[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,window,window)
-    ho, wo = views.shape[2], views.shape[3]
-    flat = views.reshape(b, c, ho, wo, window * window)
-    local = flat.argmax(axis=-1)  # first max = lowest in-window flat index
-    out = np.ascontiguousarray(flat.max(axis=-1))
-    rows = np.arange(ho)[:, None] * stride + local // window
-    cols = np.arange(wo)[None, :] * stride + local % window
-    argmax = rows * w + cols
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    colmax = xb[..., 0:span_w:stride]
+    for v in range(1, window):
+        colmax = np.maximum(colmax, xb[..., v:v + span_w:stride])
+    out = colmax[:, :, 0:span_h:stride]
+    for u in range(1, window):
+        out = np.maximum(out, colmax[:, :, u:u + span_h:stride])
+    out = np.ascontiguousarray(out)
+    if not need_argmax:
+        return (out if had_batch else out[0]), None
+
+    # In-window offset of the max, the lowest where several match, as
+    # flat.argmax picks it (a NaN counts as the max): walk the offsets
+    # downwards and overwrite. The store is arithmetic, because a masked
+    # store branches on every element and runs several times slower.
+    nan_seen = np.isnan(out).any()
+    local = np.zeros(out.shape, dtype=np.min_scalar_type(-window * window))
+    for off in reversed(range(window * window)):
+        u, v = divmod(off, window)
+        vals = xb[:, :, u:u + span_h:stride, v:v + span_w:stride]
+        hit = vals == out
+        if nan_seen:
+            hit |= vals != vals
+        local += hit * (off - local)  # local = off where hit
+    corner = (np.arange(ho)[:, None] * w + np.arange(wo)) * stride
+    offsets = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+    argmax = corner + offsets[local]
     if not had_batch:
         return out[0], argmax[0]
     return out, argmax

@@ -21,6 +21,8 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
+from util import pool_oracle
+
 DATA_ROOT = os.environ.get("PRESSNET_DATA_ROOT")
 dataset_required = pytest.mark.skipif(
     DATA_ROOT is None,
@@ -100,26 +102,6 @@ def _conv_oracle(x, k):
     return out
 
 
-def _pool_oracle(x, window, stride):
-    b, c, hh, ww = x.shape
-    ho = (hh - window) // stride + 1
-    wo = (ww - window) // stride + 1
-    out = np.zeros((b, c, ho, wo))
-    arg = np.zeros((b, c, ho, wo), dtype=np.int64)
-    for bi in range(b):
-        for ci in range(c):
-            for y in range(ho):
-                for xx in range(wo):
-                    win = x[bi, ci, y * stride:y * stride + window,
-                            xx * stride:xx * stride + window]
-                    m = win.max()
-                    loc = int(np.flatnonzero(win.ravel() == m)[0])
-                    out[bi, ci, y, xx] = m
-                    arg[bi, ci, y, xx] = ((y * stride + loc // window) * ww
-                                          + xx * stride + loc % window)
-    return out, arg
-
-
 def _median_oracle(vol):
     t, hh, ww = vol.shape
     out = np.empty_like(vol)
@@ -173,7 +155,7 @@ def test_criterion_02_kernel_oracles():
         hh, ww = int(rng.integers(window, 9)), int(rng.integers(window, 9))
         x = rng.integers(0, 4, size=(b, c, hh, ww)).astype(np.float64)
         out, arg = tensor.maxpool2d(x, window=window, stride=stride)
-        want_out, want_arg = _pool_oracle(x, window, stride)
+        want_out, want_arg = pool_oracle(x, window, stride)
         np.testing.assert_array_equal(out, want_out)
         np.testing.assert_array_equal(arg, want_arg)
 

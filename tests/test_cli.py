@@ -119,6 +119,33 @@ class TestTrain:
         assert "bogus_key" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ('{"epochs": 1,', "cannot read config"),
+        ('[1, 2]', "JSON object"),
+        ('{"epochs": "1"}', "epochs"),
+        ('{"epochs": 1.5}', "epochs"),
+        ('{"base_lr": true}', "base_lr"),
+        ('{"augment": 1}', "augment"),
+        ('{"scheme": null}', "scheme"),
+        ('{"base_lr": -1, "epochs": 1, "k": 2}', "base_lr"),
+        ('{"lr_decay_every": 0}', "lr_decay_every"),
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, content,
+                                            message):
+        cfg_file = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        # refused before the (missing) cache is looked at
+        rc = cli.main(["train", "--cache-dir", str(tmp_path / "nope"),
+                       "--out-dir", str(tmp_path / "run"),
+                       "--config", str(cfg_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_same_seed_identical_aggregate(self, corpus, tmp_path):
         _, cache = corpus
         args = ["--cache-dir", str(cache), "--k", "2", "--epochs", "1",

@@ -478,6 +478,19 @@ class TestRunExperiment:
                                    baselines=["svm"])
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("bad", [
+        {"base_lr": -1.0}, {"base_lr": 0.0}, {"base_lr": float("nan")},
+        {"base_lr": float("inf")}, {"lr_decay_rate": 0.0},
+        {"lr_decay_rate": 1.5}, {"lr_decay_every": 0}])
+    def test_bad_schedule_refused_before_out_dir(self, tmp_path, bad):
+        # base_lr -1 used to train by gradient ascent; lr_decay_every 0
+        # used to create the run directory, then divide by zero in fold 0
+        data = self.build_data()
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            harness.run_experiment(data, self.config(**bad), tmp_path / "run",
+                                   model_config=tiny_model(2, 2))
+        assert not (tmp_path / "run").exists()
+
     def test_locked_directory_refused(self, tmp_path):
         data = self.build_data()
         out = tmp_path / "run"

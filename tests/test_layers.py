@@ -1,11 +1,13 @@
-"""Layer-level contracts: activations, batch norm, dropout, dense."""
+"""Layer-level contracts: activations, batch norm, dropout, dense, conv and
+pooling."""
 
 import numpy as np
 import pytest
 
 from pressnet import tensor
 from pressnet.errors import ConfigError, UsageError
-from pressnet.layers import BatchNorm2D, Dense, Dropout, LeakyReLU
+from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
+                             MaxPool2D)
 
 from util import central_diff_grad, max_rel_err
 
@@ -176,3 +178,30 @@ class TestDense:
         fd_w = central_diff_grad(lambda v: float(np.sum((x @ v + d.b) * r)), d.w.copy())
         assert max_rel_err(gx, fd_x) <= 1e-4
         assert max_rel_err(d.grads["w"], fd_w) <= 1e-4
+
+
+class TestConvAndPool:
+    def test_conv_input_grad_only_when_needed(self):
+        rng = tensor.make_rng(30)
+        x = rng.normal(size=(2, 1, 6, 7)).astype(np.float32)
+        g = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        gx, grads = {}, {}
+        for needed in (True, False):
+            conv = Conv2D(1, 3, tensor.make_rng(31), 0.2,
+                          needs_input_grad=needed)
+            conv.forward(x, train=True)
+            gx[needed] = conv.backward(g)
+            grads[needed] = {k: v.tobytes() for k, v in conv.grads.items()}
+        assert gx[True].shape == x.shape
+        assert gx[False] is None
+        assert grads[True] == grads[False]
+
+    def test_pool_keeps_argmax_only_in_train_mode(self):
+        x = tensor.make_rng(32).normal(size=(2, 3, 7, 9)).astype(np.float32)
+        pool = MaxPool2D(3, 2)
+        out_eval = pool.forward(x, train=False)
+        with pytest.raises(UsageError):
+            pool.backward(np.ones_like(out_eval))
+        out_train = pool.forward(x, train=True)
+        assert out_eval.tobytes() == out_train.tobytes()
+        assert pool.backward(np.ones_like(out_train)).shape == x.shape

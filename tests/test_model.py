@@ -6,6 +6,7 @@ import pytest
 from pressnet import tensor
 from pressnet.errors import ConfigError, ShapeError, UsageError
 from pressnet.model import ModelConfig, PostureNet
+from pressnet.optim import AdamState, adam_step
 
 from util import max_rel_err
 
@@ -197,6 +198,29 @@ class TestBackward:
         for k, v in net.bn_stats().items():
             assert v is stats[k]
             assert not np.array_equal(v, before[k]), k
+
+    def test_conv1_input_grad_changes_no_bit(self):
+        # conv1's input is the data: skipping its gradient must leave every
+        # parameter gradient, and the Adam update built on them, unchanged
+        cfg = tiny_config(conv_channels=(2, 2, 2, 2), conv_dropout=(0.1,) * 4,
+                          dense_dropout=0.5)
+        x, yu, yp = make_batch(tensor.make_rng(21), cfg, 4)
+        x = x.astype(np.float32)
+        results = []
+        for needs_input_grad in (True, False):
+            net = PostureNet(cfg, tensor.make_rng(20))
+            assert net.convs[0].needs_input_grad is False
+            net.convs[0].needs_input_grad = needs_input_grad
+            pu, pp = net.forward(x, train=True, rng=tensor.make_rng(22))
+            grads = net.backward(pu, pp, yu, yp, 0.5)
+            state = AdamState(net.params(), base_lr=1e-3)
+            adam_step(net.params(), grads, state)
+            results.append((grads, net.params()))
+        (g_on, p_on), (g_off, p_off) = results
+        assert list(g_on) == list(g_off)
+        for key in g_on:
+            assert g_on[key].tobytes() == g_off[key].tobytes(), key
+            assert p_on[key].tobytes() == p_off[key].tobytes(), key
 
 
 class TestLoss:

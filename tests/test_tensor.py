@@ -11,7 +11,7 @@ import pytest
 from pressnet import tensor
 from pressnet.errors import ShapeError
 
-from util import central_diff_grad, max_rel_err
+from util import central_diff_grad, max_rel_err, pool_oracle
 
 
 # ---------------------------------------------------------------- oracles
@@ -30,29 +30,6 @@ def conv_oracle(x, kernels):
                             s += x[c, y + u, xx + v] * kernels[o, c, u, v]
                 out[o, y, xx] = s
     return out
-
-
-def pool_oracle(x, window, stride):
-    c, h, w = x.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    out = np.zeros((c, ho, wo), dtype=x.dtype)
-    arg = np.zeros((c, ho, wo), dtype=np.int64)
-    for ch in range(c):
-        for y in range(ho):
-            for xx in range(wo):
-                best = -np.inf
-                best_idx = -1
-                for u in range(window):
-                    for v in range(window):
-                        r, cc = y * stride + u, xx * stride + v
-                        val = x[ch, r, cc]
-                        if val > best:  # strict: ties keep lowest flat index
-                            best = val
-                            best_idx = r * w + cc
-                out[ch, y, xx] = best
-                arg[ch, y, xx] = best_idx
-    return out, arg
 
 
 # --------------------------------------------------------------- creation
@@ -172,6 +149,18 @@ class TestConvBackward:
         assert max_rel_err(gx, fd_x) <= 1e-4
         assert max_rel_err(gk, fd_k) <= 1e-4
 
+    def test_without_input_grad_same_kernel_grad(self):
+        rng = tensor.make_rng(12)
+        for shape in ((1, 6, 7), (3, 2, 5, 6)):
+            x = rng.normal(size=shape).astype(np.float32)
+            k = rng.normal(size=(4, shape[-3], 3, 3)).astype(np.float32)
+            r = rng.normal(size=(*shape[:-3], 4, shape[-2] - 2,
+                                 shape[-1] - 2)).astype(np.float32)
+            _, gk = tensor.conv2d_valid_backward(x, k, r)
+            gx_off, gk_off = tensor.conv2d_valid_backward(x, k, r, need_x=False)
+            assert gx_off is None
+            assert gk_off.tobytes() == gk.tobytes()
+
 
 # ---------------------------------------------------------------- pooling
 
@@ -200,6 +189,33 @@ class TestMaxpool2d:
             want_out, want_arg = pool_oracle(x, 3, stride)
             assert np.array_equal(out, want_out)
             assert np.array_equal(arg, want_arg)
+
+    def test_nan_pools_to_nan_at_first_nan(self):
+        rng = tensor.make_rng(13)
+        for _ in range(50):
+            x = rng.integers(0, 3, size=(2, 2, 7, 8)).astype(np.float32)
+            x[rng.random(x.shape) < 0.15] = np.nan
+            out, arg = tensor.maxpool2d(x, window=3, stride=2)
+            want_out, want_arg = pool_oracle(x, 3, 2)
+            assert np.array_equal(out, want_out, equal_nan=True)
+            assert np.array_equal(arg, want_arg)
+        x = np.zeros((1, 3, 3))
+        x[0, 1, 2] = x[0, 2, 0] = np.nan
+        out, arg = tensor.maxpool2d(x, window=3, stride=1)
+        assert np.isnan(out[0, 0, 0])
+        assert arg[0, 0, 0] == 1 * 3 + 2
+
+    def test_without_argmax_same_output(self):
+        rng = tensor.make_rng(14)
+        for shape, stride in (((2, 7, 9), 2), ((2, 3, 8, 8), 1),
+                              ((1, 2, 30, 62), 2)):
+            x = rng.normal(size=shape).astype(np.float32)
+            out, _ = tensor.maxpool2d(x, window=3, stride=stride)
+            out_only, arg = tensor.maxpool2d(x, window=3, stride=stride,
+                                             need_argmax=False)
+            assert arg is None
+            assert out_only.shape == out.shape
+            assert out_only.tobytes() == out.tobytes()
 
     def test_tie_breaks_to_lowest_flat_index(self):
         x = np.ones((1, 3, 3))

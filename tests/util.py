@@ -42,3 +42,31 @@ def knn_classify(train_x, train_y, query, k=10):
         cnt, total = votes.get(lab, (0, 0.0))
         votes[lab] = (cnt + 1, total + dist)
     return min(votes, key=lambda lab: (-votes[lab][0], votes[lab][1], lab))
+
+
+def pool_oracle(x, window, stride):
+    """Max-pool by scanning every window in row-major order; any leading
+    dims. The argmax is the flat index into the HxW plane of the first
+    maximum (strict >, so ties keep the lowest index) or of the first NaN,
+    which pools to NaN, as ndarray.argmax treats it."""
+    x = np.asarray(x)
+    h, w = x.shape[-2:]
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    out = np.zeros((*x.shape[:-2], ho, wo), dtype=x.dtype)
+    arg = np.zeros(out.shape, dtype=np.int64)
+    for lead in np.ndindex(*x.shape[:-2]):
+        plane = x[lead]
+        for y in range(ho):
+            for xx in range(wo):
+                best, best_idx = None, -1
+                for u in range(window):
+                    for v in range(window):
+                        r, c = y * stride + u, xx * stride + v
+                        val = plane[r, c]
+                        if best is None or (not np.isnan(best)
+                                            and (val > best or np.isnan(val))):
+                            best, best_idx = val, r * w + c
+                out[lead + (y, xx)] = best
+                arg[lead + (y, xx)] = best_idx
+    return out, arg
