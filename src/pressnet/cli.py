@@ -153,10 +153,7 @@ def _train_config_from(args) -> TrainConfig:
     merged = {**file_cfg, **flags}
     if merged.get("scheme") == "loso":
         merged.setdefault("lam", 0.2)
-    try:
-        return TrainConfig(**merged)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    return TrainConfig(**merged)
 
 
 def _print_fold(fold_no, n_folds, report):
@@ -385,7 +382,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PressnetError as exc:

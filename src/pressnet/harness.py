@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"unknown split_level '{self.split_level}'")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if self.k < 2:
+            raise ConfigError(f"k must be >= 2, got {self.k}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
             raise ConfigError(f"base_lr must be finite and > 0, "
                               f"got {self.base_lr}")

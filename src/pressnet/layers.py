@@ -74,7 +74,16 @@ class Conv2D:
 
 
 class BatchNorm2D:
-    """Per-channel batch normalization over batch and spatial dims."""
+    """Per-channel batch normalization over batch and spatial dims.
+
+    Each pass does its work in place on one fresh output array. The train
+    forward first sums the squared deviations for the variance in it, and
+    keeps x - mean, scaled in place, as the xhat that backward needs; the
+    backward reuses one scratch array for g * xhat and xhat * sum(g * xhat).
+    The input and the incoming gradient are never written. Each result
+    comes from the same operations, in the same order, as the plain
+    expressions, so it has the same bits.
+    """
 
     def __init__(self, channels: int, dtype=np.float32,
                  eps: float = 1e-5, momentum: float = 0.99):
@@ -91,25 +100,34 @@ class BatchNorm2D:
         self._cache = None
 
     def forward(self, x, train: bool):
-        if train:
-            if x.shape[0] < 2:
-                raise ConfigError("batch norm needs batch size >= 2 in train mode")
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-            xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-            m = x.dtype.type(self.momentum)
-            self.running_mean *= m
-            self.running_mean += (1 - m) * mean
-            self.running_var *= m
-            self.running_var += (1 - m) * var
-            self._cache = (xhat, inv_std)
-        else:
+        gamma = self.gamma[None, :, None, None]
+        beta = self.beta[None, :, None, None]
+        if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.eps))
-            xhat = (x - self.running_mean[None, :, None, None]) \
-                * inv_std[None, :, None, None]
-        return self.gamma[None, :, None, None] * xhat \
-            + self.beta[None, :, None, None]
+            out = x - self.running_mean[None, :, None, None]
+            out *= inv_std[None, :, None, None]
+            out *= gamma
+            out += beta
+            return out
+
+        if x.shape[0] < 2:
+            raise ConfigError("batch norm needs batch size >= 2 in train mode")
+        mean = x.mean(axis=(0, 2, 3))
+        xhat = x - mean[None, :, None, None]
+        # x.var squares x - mean and takes the mean of that: same bits
+        out = np.multiply(xhat, xhat)
+        var = out.mean(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
+        xhat *= inv_std[None, :, None, None]
+        m = x.dtype.type(self.momentum)
+        self.running_mean *= m
+        self.running_mean += (1 - m) * mean
+        self.running_var *= m
+        self.running_var += (1 - m) * var
+        self._cache = (xhat, inv_std)
+        np.multiply(xhat, gamma, out=out)
+        out += beta
+        return out
 
     def backward(self, g):
         if self._cache is None:
@@ -117,12 +135,18 @@ class BatchNorm2D:
         xhat, inv_std = self._cache
         b, c, h, w = g.shape
         n = g.dtype.type(b * h * w)
-        self.grads["gamma"] = (g * xhat).sum(axis=(0, 2, 3))
+        prod = g * xhat
+        self.grads["gamma"] = prod.sum(axis=(0, 2, 3))
         self.grads["beta"] = g.sum(axis=(0, 2, 3))
         sum_g = self.grads["beta"][None, :, None, None]
         sum_gx = self.grads["gamma"][None, :, None, None]
         coef = (self.gamma * inv_std)[None, :, None, None]
-        return coef / n * (n * g - sum_g - xhat * sum_gx)
+        # coef / n * (n * g - sum_g - xhat * sum_gx), step by step
+        gx = n * g
+        gx -= sum_g
+        gx -= np.multiply(xhat, sum_gx, out=prod)
+        gx *= coef / n
+        return gx
 
 
 class MaxPool2D:

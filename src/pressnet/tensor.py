@@ -5,9 +5,10 @@ metadata). The layers are built on the handful of kernels here: seeded
 generators, tensor creation, valid 3x3-style convolution and max-pooling,
 each with its backward pass. Kernels compute only what their caller uses:
 the convolution backward skips the input gradient when asked (the first
-layer's input is the data), and max-pooling builds its argmax map only
-when asked (training, where the backward pass routes through it). All
-kernels are deterministic for identical inputs; randomness only enters
+layer's input is the data) and otherwise builds it from one small GEMM per
+kernel offset, with no padded column matrix; max-pooling builds its argmax
+map only when asked (training, where the backward pass routes through it).
+All kernels are deterministic for identical inputs; randomness only enters
 through an explicitly passed generator.
 
 Training code runs these kernels in float32; gradient-check tests
@@ -97,7 +98,10 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     """Gradients of conv2d_valid w.r.t. input and kernels.
 
     Returns (grad_x, grad_kernels) shaped like x and kernels; grad_x is None
-    when need_x is false.
+    when need_x is false. grad_k is one GEMM of grad_out against the input's
+    column matrix. grad_x is one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per
+    kernel offset, each added into the Ho x Wo window of the input that the
+    offset reaches; no zero-padded column matrix of grad_out is built.
     """
     xb, had_batch = _as_batched(x)
     gb, _ = _as_batched(grad_out)
@@ -110,15 +114,14 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     if not need_x:
         return None, grad_k
 
-    # grad w.r.t. input = full correlation of grad_out with flipped kernels
-    gpad = np.zeros((b, cout, ho + 2 * (kh - 1), wo + 2 * (kw - 1)),
-                    dtype=grad_out.dtype)
-    gpad[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = gb
-    cols_g, gh, gw = _im2col(gpad, kh, kw)  # gh == h, gw == w
-    kflip = kernels[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
-        cout * kh * kw, cin)
-    grad_x = (cols_g @ kflip).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
-    grad_x = np.ascontiguousarray(grad_x)
+    # grad_x[:, c, y+u, x+v] += sum_o g[:, o, y, x] * kernels[o, c, u, v]:
+    # one GEMM per kernel offset, accumulated into an NHWC buffer.
+    gx = np.zeros((b, h, w, cin), dtype=np.result_type(g2, kernels))
+    for u in range(kh):
+        for v in range(kw):
+            gx[:, u:u + ho, v:v + wo, :] += (g2 @ kernels[:, :, u, v]).reshape(
+                b, ho, wo, cin)
+    grad_x = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
     return (grad_x if had_batch else grad_x[0]), grad_k
 
 

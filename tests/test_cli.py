@@ -194,6 +194,22 @@ class TestTrain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("k, message", [
+        ("1", "k must be >= 2"),
+        ("1000", "cannot make 1000 folds"),
+    ])
+    def test_bad_fold_count_is_usage_error(self, corpus, tmp_path, capsys,
+                                           k, message):
+        _, cache = corpus
+        rc = cli.main(["train", "--cache-dir", str(cache),
+                       "--out-dir", str(tmp_path / "run"), "--k", k,
+                       "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
 
 class TestSweep:
     def test_sweep_artifacts(self, corpus, tmp_path):

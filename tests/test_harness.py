@@ -51,6 +51,11 @@ class TestKFold:
         with pytest.raises(ConfigError):
             harness.kfold_split(9, k=10)
 
+    def test_config_refuses_fewer_than_two_folds(self):
+        for k in (1, 0, -3):
+            with pytest.raises(ConfigError, match="k must be >= 2"):
+                TrainConfig(k=k)
+
     def test_seed_changes_assignment(self):
         a = harness.kfold_split(50, k=5, seed=0)
         b = harness.kfold_split(50, k=5, seed=1)

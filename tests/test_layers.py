@@ -9,7 +9,8 @@ from pressnet.errors import ConfigError, UsageError
 from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
                              MaxPool2D)
 
-from util import central_diff_grad, max_rel_err
+from util import (bn_backward_oracle, bn_eval_oracle, bn_train_oracle,
+                  central_diff_grad, max_rel_err)
 
 
 class TestLeakyReLU:
@@ -103,6 +104,64 @@ class TestBatchNorm:
         bn.forward(np.ones((2, 1, 3, 3)), train=False)
         with pytest.raises(UsageError):
             bn.backward(np.ones((2, 1, 3, 3)))
+
+    @staticmethod
+    def _randomized(c, dtype, rng):
+        bn = BatchNorm2D(c, dtype=dtype)
+        bn.gamma[:] = rng.normal(1.0, 0.5, size=c)
+        bn.beta[:] = rng.normal(size=c)
+        bn.running_mean[:] = rng.normal(size=c)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=c)
+        return bn
+
+    def test_bit_identical_to_plain_expressions(self):
+        rng = tensor.make_rng(23)
+        for dtype in (np.float32, np.float64):
+            for shape in ((5, 2, 3, 3), (3, 32, 30, 62), (4, 64, 12, 28),
+                          (3, 128, 1, 9)):
+                bn = self._randomized(shape[1], dtype, rng)
+                rm0, rv0 = bn.running_mean.copy(), bn.running_var.copy()
+                x = rng.normal(1.0, 3.0, size=shape).astype(dtype)
+                g = rng.normal(size=shape).astype(dtype)
+
+                out = bn.forward(x, train=True)
+                want, mean, var, xhat, inv_std = bn_train_oracle(
+                    x, bn.gamma, bn.beta, bn.eps)
+                assert out.dtype == dtype
+                assert out.tobytes() == want.tobytes()
+                m = x.dtype.type(bn.momentum)
+                assert bn.running_mean.tobytes() == \
+                    (rm0 * m + (1 - m) * mean).tobytes()
+                assert bn.running_var.tobytes() == \
+                    (rv0 * m + (1 - m) * var).tobytes()
+
+                gx = bn.backward(g)
+                want_gx, want_gg, want_gb = bn_backward_oracle(
+                    g, xhat, inv_std, bn.gamma)
+                assert gx.tobytes() == want_gx.tobytes()
+                assert bn.grads["gamma"].tobytes() == want_gg.tobytes()
+                assert bn.grads["beta"].tobytes() == want_gb.tobytes()
+
+                ev = bn.forward(x, train=False)
+                want_ev = bn_eval_oracle(x, bn.gamma, bn.beta,
+                                         bn.running_mean, bn.running_var,
+                                         bn.eps)
+                assert ev.tobytes() == want_ev.tobytes()
+
+    def test_input_and_gradient_left_unmodified(self):
+        rng = tensor.make_rng(24)
+        bn = self._randomized(3, np.float32, rng)
+        x = rng.normal(size=(4, 3, 5, 6)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        x0, g0 = x.copy(), g.copy()
+        out = bn.forward(x, train=True)
+        gx = bn.backward(g)
+        ev = bn.forward(x, train=False)
+        assert x.tobytes() == x0.tobytes()
+        assert g.tobytes() == g0.tobytes()
+        for y in (out, gx, ev):
+            assert not np.shares_memory(y, x)
+            assert not np.shares_memory(y, g)
 
 
 class TestDropout:

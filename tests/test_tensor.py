@@ -11,7 +11,8 @@ import pytest
 from pressnet import tensor
 from pressnet.errors import ShapeError
 
-from util import central_diff_grad, max_rel_err, pool_oracle
+from util import (central_diff_grad, conv_input_grad_oracle, max_rel_err,
+                  pool_oracle)
 
 
 # ---------------------------------------------------------------- oracles
@@ -160,6 +161,24 @@ class TestConvBackward:
             gx_off, gk_off = tensor.conv2d_valid_backward(x, k, r, need_x=False)
             assert gx_off is None
             assert gk_off.tobytes() == gk.tobytes()
+
+    def test_input_grad_vs_padded_oracle(self):
+        # the default model's four conv layers, (cin, h, w, cout), batch 3;
+        # error relative to the oracle's largest entry, since single
+        # entries can cancel to near zero
+        rng = tensor.make_rng(15)
+        for cin, h, w, cout in ((1, 32, 64, 32), (32, 14, 30, 64),
+                                (64, 5, 13, 128), (128, 3, 11, 128)):
+            x = rng.normal(size=(3, cin, h, w))
+            k = rng.normal(size=(cout, cin, 3, 3))
+            r = rng.normal(size=(3, cout, h - 2, w - 2))
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                k_d, r_d = k.astype(dtype), r.astype(dtype)
+                gx, _ = tensor.conv2d_valid_backward(x.astype(dtype), k_d, r_d)
+                want = conv_input_grad_oracle(k_d, r_d)
+                assert gx.dtype == dtype and gx.shape == x.shape
+                assert gx.flags.c_contiguous
+                assert np.abs(gx - want).max() <= tol * np.abs(want).max()
 
 
 # ---------------------------------------------------------------- pooling

@@ -2,6 +2,7 @@
 reference implementations that vectorized code is checked against."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def central_diff_grad(f, x, h=1e-6):
@@ -70,3 +71,56 @@ def pool_oracle(x, window, stride):
                 out[lead + (y, xx)] = best
                 arg[lead + (y, xx)] = best_idx
     return out, arg
+
+
+def conv_input_grad_oracle(kernels, grad_out):
+    """Input gradient of a valid stride-1 cross-correlation, (B,Cin,H,W),
+    as the full correlation of grad_out (B,Cout,Ho,Wo) with the flipped
+    kernels: zero-pad grad_out by kh-1 / kw-1 on each side, build its
+    column matrix and multiply it once by the flipped kernels."""
+    b, cout, ho, wo = grad_out.shape
+    _, cin, kh, kw = kernels.shape
+    gpad = np.zeros((b, cout, ho + 2 * (kh - 1), wo + 2 * (kw - 1)),
+                    dtype=grad_out.dtype)
+    gpad[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = grad_out
+    windows = sliding_window_view(gpad, (kh, kw), axis=(2, 3))
+    h, w = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w,
+                                                      cout * kh * kw)
+    kflip = kernels[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
+        cout * kh * kw, cin)
+    return (cols @ kflip).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
+
+
+def _per_channel(v):
+    return v[None, :, None, None]
+
+
+def bn_train_oracle(x, gamma, beta, eps):
+    """Batch-norm train forward as plain expressions, each building a new
+    array: returns (out, mean, var, xhat, inv_std)."""
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - _per_channel(mean)) * _per_channel(inv_std)
+    return (_per_channel(gamma) * xhat + _per_channel(beta),
+            mean, var, xhat, inv_std)
+
+
+def bn_eval_oracle(x, gamma, beta, running_mean, running_var, eps):
+    """Batch-norm eval forward as plain expressions."""
+    inv_std = 1.0 / np.sqrt(running_var + x.dtype.type(eps))
+    xhat = (x - _per_channel(running_mean)) * _per_channel(inv_std)
+    return _per_channel(gamma) * xhat + _per_channel(beta)
+
+
+def bn_backward_oracle(g, xhat, inv_std, gamma):
+    """Batch-norm backward as plain expressions: (grad_x, grad_gamma,
+    grad_beta)."""
+    b, _, h, w = g.shape
+    n = g.dtype.type(b * h * w)
+    ggamma = (g * xhat).sum(axis=(0, 2, 3))
+    gbeta = g.sum(axis=(0, 2, 3))
+    coef = _per_channel(gamma * inv_std)
+    gx = coef / n * (n * g - _per_channel(gbeta) - xhat * _per_channel(ggamma))
+    return gx, ggamma, gbeta
