@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, PostureNet
 from .optim import AdamState
 
 MAGIC = b"PNET1"
 VERSION = 1
+HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam")
 
 
 @dataclass
@@ -119,10 +120,19 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
 
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"header lacks {', '.join(missing)}")
+
     groups = {"param": {}, "stat": {}, "adam.m": {}, "adam.v": {}}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode()
-        dtype = np.dtype(r.take(r.u8()).decode())
+        try:
+            name = r.take(r.u16()).decode()
+            dtype = np.dtype(r.take(r.u8()).decode())
+        except (UnicodeDecodeError, TypeError) as exc:
+            raise CheckpointError(f"corrupt tensor entry: {exc}") from exc
         shape = tuple(r.u32() for _ in range(r.u8()))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(r.take(count * dtype.itemsize), dtype=dtype)
@@ -132,17 +142,21 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"unknown tensor group '{prefix}'")
         groups[prefix][key] = arr
 
-    config = ModelConfig(**header["config"])
-    adam = None
-    if header["adam"] is not None:
-        a = header["adam"]
-        adam = AdamState(groups["param"], base_lr=a["base_lr"],
-                         beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-                         decay_rate=a["decay_rate"],
-                         decay_every=a["decay_every"])
-        adam.t = a["t"]
-        adam.m = groups["adam.m"]
-        adam.v = groups["adam.v"]
+    try:
+        config = ModelConfig(**header["config"])
+        np.dtype(header["dtype"])
+        adam = None
+        if header["adam"] is not None:
+            a = header["adam"]
+            adam = AdamState(groups["param"], base_lr=a["base_lr"],
+                             beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
+                             decay_rate=a["decay_rate"],
+                             decay_every=a["decay_every"])
+            adam.t = a["t"]
+            adam.m = groups["adam.m"]
+            adam.v = groups["adam.v"]
+    except (TypeError, KeyError, ConfigError) as exc:
+        raise CheckpointError(f"bad header: {exc!r}") from exc
     return Checkpoint(config=config, params=groups["param"],
                       bn_stats=groups["stat"], adam=adam,
                       epoch=header["epoch"], seed=header["seed"],
@@ -150,7 +164,12 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_net(ckpt: Checkpoint) -> PostureNet:
-    """Build a PostureNet carrying exactly the checkpoint's tensors."""
+    """Build a PostureNet carrying exactly the checkpoint's tensors.
+
+    CheckpointError if the checkpoint lacks one of the net's parameters or
+    running statistics, holds one the net does not have, or holds one of
+    another shape.
+    """
     from . import tensor
 
     net = PostureNet(ckpt.config, tensor.make_rng(0),

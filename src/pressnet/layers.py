@@ -1,5 +1,16 @@
 """Network layers with explicit forward and backward passes.
 
+Layout: 4-D activations and gradients have the NCHW shape (B, C, H, W)
+and, through the conv blocks, channels-last memory: the strides of a
+C-contiguous (B, H, W, C) buffer, so a.transpose(0, 2, 3, 1) is a free
+contiguous view. Layers accept inputs of any strides. Conv2D and
+BatchNorm2D return channels-last arrays, as does MaxPool2D's backward;
+MaxPool2D's forward, LeakyReLU and Dropout keep their input's layout. BatchNorm2D works on the (B*H, W*C) view with its
+per-channel vectors tiled W times, and sums per channel in two stages
+(_channel_sum). Dropout draws its mask in NCHW index order. Flatten copies
+the final map to NCHW order, so the dense features keep their meaning, and
+its backward hands the gradient back in its input's layout.
+
 Each layer owns, after a training-mode forward, the cached activations its
 backward pass needs. Backward methods consume the incoming gradient and
 return the gradient w.r.t. their input (None from a Conv2D built with
@@ -34,6 +45,28 @@ def collect(named_layers, attr: str) -> dict:
             for key, value in getattr(layer, attr).items()}
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(B,C,H,W) -> its (B*H, W*C) view; a copy only when a is not
+    channels-last."""
+    b, c, h, w = a.shape
+    return a.transpose(0, 2, 3, 1).reshape(b * h, w * c)
+
+
+def _unrows(a2: np.ndarray, shape) -> np.ndarray:
+    """Inverse of _rows: the (B,C,H,W)-shaped channels-last view of a2."""
+    b, c, h, w = shape
+    return a2.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+
+
+def _channel_sum(a2: np.ndarray, b: int, c: int) -> np.ndarray:
+    """Per-channel sums, in float64, of a (B*H, W*C) rows view: first over
+    the batch in a2's dtype (B terms per position), then over the H*W
+    positions in float64. A plain reduction over a channels-last array
+    would add all B*H*W rows one after another."""
+    part = a2.reshape(b, -1).sum(axis=0)
+    return part.reshape(-1, c).sum(axis=0, dtype=np.float64)
+
+
 def init_std(fan_in: int, slope: float) -> float:
     """Fan-in-scaled He std with the gain for a leaky rectifier."""
     return float(np.sqrt(2.0 / ((1.0 + slope * slope) * fan_in)))
@@ -62,27 +95,35 @@ class Conv2D:
     def forward(self, x, train: bool):
         if train:
             self._x = x
-        return tensor.conv2d_valid(x, self.w) + self.b[None, :, None, None]
+        out = tensor.conv2d_valid(x, self.w)
+        rows = _rows(out)  # a view, as the kernel returns channels-last
+        rows += np.tile(self.b, out.shape[3])
+        return _unrows(rows, out.shape)
 
     def backward(self, g):
         if self._x is None:
             raise UsageError("Conv2D.backward without a training forward")
         gx, self.grads["w"] = tensor.conv2d_valid_backward(
             self._x, self.w, g, need_x=self.needs_input_grad)
-        self.grads["b"] = g.sum(axis=(0, 2, 3))
+        b, c = g.shape[:2]
+        self.grads["b"] = _channel_sum(_rows(g), b, c).astype(g.dtype)
         return gx
 
 
 class BatchNorm2D:
     """Per-channel batch normalization over batch and spatial dims.
 
-    Each pass does its work in place on one fresh output array. The train
-    forward first sums the squared deviations for the variance in it, and
-    keeps x - mean, scaled in place, as the xhat that backward needs; the
-    backward reuses one scratch array for g * xhat and xhat * sum(g * xhat).
-    The input and the incoming gradient are never written. Each result
-    comes from the same operations, in the same order, as the plain
-    expressions, so it has the same bits.
+    Every pass works on the (B*H, W*C) rows view of a channels-last array,
+    with the per-channel vectors tiled W times, so each elementwise loop runs
+    W*C long rather than C long. Each pass does its work in place on one
+    fresh output array. The train forward first sums the squared deviations
+    for the variance in it, and keeps x - mean, scaled in place, as the xhat
+    that backward needs; the backward reuses one scratch array for g * xhat
+    and xhat * sum(g * xhat). The input and the incoming gradient are never
+    written. Per-channel sums (mean, variance, the gamma and beta gradients)
+    come from _channel_sum; the elementwise steps are the plain expressions'
+    operations in the same order, so eval mode has the plain expressions'
+    bits.
     """
 
     def __init__(self, channels: int, dtype=np.float32,
@@ -100,53 +141,53 @@ class BatchNorm2D:
         self._cache = None
 
     def forward(self, x, train: bool):
-        gamma = self.gamma[None, :, None, None]
-        beta = self.beta[None, :, None, None]
+        b, c, h, w = x.shape
+        x2 = _rows(x)
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.eps))
-            out = x - self.running_mean[None, :, None, None]
-            out *= inv_std[None, :, None, None]
-            out *= gamma
-            out += beta
-            return out
+            out = x2 - np.tile(self.running_mean, w)
+            out *= np.tile(inv_std, w)
+            out *= np.tile(self.gamma, w)
+            out += np.tile(self.beta, w)
+            return _unrows(out, x.shape)
 
-        if x.shape[0] < 2:
+        if b < 2:
             raise ConfigError("batch norm needs batch size >= 2 in train mode")
-        mean = x.mean(axis=(0, 2, 3))
-        xhat = x - mean[None, :, None, None]
-        # x.var squares x - mean and takes the mean of that: same bits
+        n = b * h * w
+        mean = (_channel_sum(x2, b, c) / n).astype(x.dtype)
+        xhat = x2 - np.tile(mean, w)
         out = np.multiply(xhat, xhat)
-        var = out.mean(axis=(0, 2, 3))
+        var = (_channel_sum(out, b, c) / n).astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xhat *= inv_std[None, :, None, None]
+        xhat *= np.tile(inv_std, w)
         m = x.dtype.type(self.momentum)
         self.running_mean *= m
         self.running_mean += (1 - m) * mean
         self.running_var *= m
         self.running_var += (1 - m) * var
         self._cache = (xhat, inv_std)
-        np.multiply(xhat, gamma, out=out)
-        out += beta
-        return out
+        np.multiply(xhat, np.tile(self.gamma, w), out=out)
+        out += np.tile(self.beta, w)
+        return _unrows(out, x.shape)
 
     def backward(self, g):
         if self._cache is None:
             raise UsageError("BatchNorm2D.backward without a training forward")
         xhat, inv_std = self._cache
         b, c, h, w = g.shape
+        g2 = _rows(g)
         n = g.dtype.type(b * h * w)
-        prod = g * xhat
-        self.grads["gamma"] = prod.sum(axis=(0, 2, 3))
-        self.grads["beta"] = g.sum(axis=(0, 2, 3))
-        sum_g = self.grads["beta"][None, :, None, None]
-        sum_gx = self.grads["gamma"][None, :, None, None]
-        coef = (self.gamma * inv_std)[None, :, None, None]
+        prod = g2 * xhat
+        sum_gx = _channel_sum(prod, b, c).astype(g.dtype)
+        sum_g = _channel_sum(g2, b, c).astype(g.dtype)
+        self.grads["gamma"], self.grads["beta"] = sum_gx, sum_g
+        coef = self.gamma * inv_std
         # coef / n * (n * g - sum_g - xhat * sum_gx), step by step
-        gx = n * g
-        gx -= sum_g
-        gx -= np.multiply(xhat, sum_gx, out=prod)
-        gx *= coef / n
-        return gx
+        gx = n * g2
+        gx -= np.tile(sum_g, w)
+        gx -= np.multiply(xhat, np.tile(sum_gx, w), out=prod)
+        gx *= np.tile(coef / n, w)
+        return _unrows(gx, g.shape)
 
 
 class MaxPool2D:
@@ -190,7 +231,11 @@ class LeakyReLU:
 
 
 class Dropout:
-    """Inverted dropout: survivors scaled by 1/(1-p), inference is identity."""
+    """Inverted dropout: survivors scaled by 1/(1-p), inference is identity.
+
+    The mask is drawn in x's index order, whatever x's memory layout, and
+    stored in that layout.
+    """
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -206,7 +251,7 @@ class Dropout:
             raise UsageError("Dropout needs an rng in train mode")
         keep = rng.random(x.shape) >= self.rate
         scale = x.dtype.type(1.0 / (1.0 - self.rate))
-        self._scaled_mask = keep.astype(x.dtype) * scale
+        self._scaled_mask = np.multiply(keep, scale, out=np.empty_like(x))
         return x * self._scaled_mask
 
     def backward(self, g):
@@ -216,18 +261,23 @@ class Dropout:
 
 
 class Flatten:
+    """(B, ...) -> (B, features) in row-major index order, a copy when x is
+    channels-last; backward returns the gradient in x's layout."""
+
     def __init__(self):
-        self._in_shape = None
+        self._x = None
 
     def forward(self, x, train: bool):
         if train:
-            self._in_shape = x.shape
+            self._x = x
         return x.reshape(x.shape[0], -1)
 
     def backward(self, g):
-        if self._in_shape is None:
+        if self._x is None:
             raise UsageError("Flatten.backward without a training forward")
-        return g.reshape(self._in_shape)
+        gx = np.empty_like(self._x, dtype=g.dtype)
+        gx[...] = g.reshape(self._x.shape)
+        return gx
 
 
 class Dense:

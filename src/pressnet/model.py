@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import losses, tensor
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
                      MaxPool2D, collect)
 
@@ -131,19 +131,29 @@ class PostureNet:
     def bn_stats(self) -> dict:
         return collect(self._named_layers(), "stats")
 
-    def set_params(self, values: dict, stats: dict | None = None):
-        """Overwrite parameters (and optionally running stats) in place."""
-        own = self.params()
-        for key, arr in values.items():
-            if key not in own:
-                raise UsageError(f"unknown parameter '{key}'")
-            if own[key].shape != arr.shape:
-                raise ShapeError(f"parameter '{key}' shape mismatch")
-            own[key][...] = arr
-        if stats is not None:
-            own_stats = self.bn_stats()
-            for key, arr in stats.items():
-                own_stats[key][...] = arr
+    def set_params(self, values: dict, stats: dict):
+        """Overwrite every parameter and running statistic in place.
+
+        values and stats must hold exactly this net's keys, each with this
+        net's shape; otherwise CheckpointError names the first key that does
+        not, and nothing is written.
+        """
+        pairs = ((self.params(), values, "parameter"),
+                 (self.bn_stats(), stats, "statistic"))
+        for own, given, kind in pairs:
+            for key in own:
+                if key not in given:
+                    raise CheckpointError(f"{kind} '{key}' is missing")
+            for key, arr in given.items():
+                if key not in own:
+                    raise CheckpointError(f"unknown {kind} '{key}'")
+                if arr.shape != own[key].shape:
+                    raise CheckpointError(
+                        f"{kind} '{key}' has shape {arr.shape}, "
+                        f"expected {own[key].shape}")
+        for own, given, _ in pairs:
+            for key, arr in given.items():
+                own[key][...] = arr
 
     def l2_weight_keys(self):
         """Conv and dense weight tensors only: no biases, no batch norm."""

@@ -1,15 +1,26 @@
 """Dense tensor kernels.
 
-Tensors are C-contiguous numpy arrays (row-major flat data plus shape
-metadata). The layers are built on the handful of kernels here: seeded
-generators, tensor creation, valid 3x3-style convolution and max-pooling,
-each with its backward pass. Kernels compute only what their caller uses:
-the convolution backward skips the input gradient when asked (the first
-layer's input is the data) and otherwise builds it from one small GEMM per
-kernel offset, with no padded column matrix; max-pooling builds its argmax
-map only when asked (training, where the backward pass routes through it).
-All kernels are deterministic for identical inputs; randomness only enters
-through an explicitly passed generator.
+The layers are built on the handful of kernels here: seeded generators,
+tensor creation, valid 3x3-style convolution and max-pooling, each with its
+backward pass.
+
+Layout: images have the NCHW shape (B, C, H, W), or (C, H, W) for one
+frame, and the kernels accept any strides. The convolution, its input
+gradient and the pooling backward return channels-last memory: the strides
+of a C-contiguous (B, H, W, C) buffer, so a.transpose(0, 2, 3, 1) is a free
+contiguous view. The pooling forward keeps its input's layout. Kernel
+weights stay (Cout, Cin, kh, kw). The convolution reads its column matrix
+from the input's NHWC view, offset-major and channel-minor, so a
+channels-last input is copied in runs of C contiguous values, and its GEMM
+output already is the channels-last result.
+
+Kernels compute only what their caller uses: the convolution backward
+skips the input gradient when asked (the first layer's input is the data)
+and otherwise builds it from one small GEMM per kernel offset, with no
+padded column matrix; max-pooling builds its argmax map only when asked
+(training, where the backward pass routes through it). All kernels are
+deterministic for identical inputs; randomness only enters through an
+explicitly passed generator.
 
 Training code runs these kernels in float32; gradient-check tests
 instantiate the exact same code paths in float64.
@@ -66,18 +77,24 @@ def _as_batched(x: np.ndarray):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int):
-    """(B,C,H,W) -> column matrix (B*Ho*Wo, C*kh*kw) plus (Ho, Wo)."""
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))  # (B,C,Ho,Wo,kh,kw)
-    b, c, ho, wo = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
+    """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
+    (Ho, Wo). Columns are offset-major and channel-minor: each window row
+    is read from the NHWC view, a run of C contiguous floats per offset
+    when x is channels-last."""
+    windows = sliding_window_view(x.transpose(0, 2, 3, 1), (kh, kw),
+                                  axis=(1, 2))  # (B,Ho,Wo,C,kh,kw)
+    b, ho, wo, c = windows.shape[:4]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo,
+                                                       kh * kw * c)
+    return cols, ho, wo
 
 
 def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Valid (no padding) stride-1 cross-correlation.
 
-    x: (Cin,H,W) or (B,Cin,H,W); kernels: (Cout,Cin,kh,kw).
+    x: (Cin,H,W) or (B,Cin,H,W), any strides; kernels: (Cout,Cin,kh,kw).
     out[o,y,x] = sum_{c,u,v} in[c,y+u,x+v] * kernels[o,c,u,v]
+    The result is channels-last: a view of the GEMM's (B,Ho,Wo,Cout) output.
     """
     xb, had_batch = _as_batched(x)
     cout, cin, kh, kw = kernels.shape
@@ -87,9 +104,9 @@ def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if h < kh or w < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
     cols, ho, wo = _im2col(xb, kh, kw)
-    kflat = kernels.reshape(cout, cin * kh * kw)
-    out = (cols @ kflat.T).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    # kernel rows in the columns' (kh, kw, Cin) order
+    kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
+    out = (cols @ kmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
     return out if had_batch else out[0]
 
 
@@ -98,10 +115,11 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     """Gradients of conv2d_valid w.r.t. input and kernels.
 
     Returns (grad_x, grad_kernels) shaped like x and kernels; grad_x is None
-    when need_x is false. grad_k is one GEMM of grad_out against the input's
-    column matrix. grad_x is one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per
-    kernel offset, each added into the Ho x Wo window of the input that the
-    offset reaches; no zero-padded column matrix of grad_out is built.
+    when need_x is false, and channels-last otherwise. grad_k is one GEMM of
+    grad_out's NHWC view against the input's column matrix. grad_x is one
+    (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per kernel offset, each added into
+    the Ho x Wo window of an NHWC buffer that the offset reaches; no
+    zero-padded column matrix of grad_out is built.
     """
     xb, had_batch = _as_batched(x)
     gb, _ = _as_batched(grad_out)
@@ -110,7 +128,8 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
 
     cols, ho, wo = _im2col(xb, kh, kw)
     g2 = gb.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
-    grad_k = (g2.T @ cols).reshape(cout, cin, kh, kw)
+    grad_k = np.ascontiguousarray(
+        (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     if not need_x:
         return None, grad_k
 
@@ -121,7 +140,7 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
         for v in range(kw):
             gx[:, u:u + ho, v:v + wo, :] += (g2 @ kernels[:, :, u, v]).reshape(
                 b, ho, wo, cin)
-    grad_x = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+    grad_x = gx.transpose(0, 3, 1, 2)
     return (grad_x if had_batch else grad_x[0]), grad_k
 
 
@@ -135,8 +154,9 @@ def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
     the backward pass) is deterministic. A window holding NaN pools to NaN,
     and its argmax is the first NaN's index.
 
-    The max is taken over strided views, columns first, then rows, so no
-    window is ever copied.
+    The max is taken over strided views, columns first, then rows, into
+    buffers laid out like x, so no window is ever copied and a channels-last
+    input gives a channels-last output.
     """
     xb, had_batch = _as_batched(x)
     h, w = xb.shape[2:]
@@ -146,13 +166,14 @@ def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
         raise ConfigError(f"stride must be >= 1, got {stride}")
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    colmax = xb[..., 0:span_w:stride]
+    colmax = np.empty_like(xb[..., 0:span_w:stride])
+    np.copyto(colmax, xb[..., 0:span_w:stride])
     for v in range(1, window):
-        colmax = np.maximum(colmax, xb[..., v:v + span_w:stride])
-    out = colmax[:, :, 0:span_h:stride]
+        np.maximum(colmax, xb[..., v:v + span_w:stride], out=colmax)
+    out = np.empty_like(colmax[:, :, 0:span_h:stride])
+    np.copyto(out, colmax[:, :, 0:span_h:stride])
     for u in range(1, window):
-        out = np.maximum(out, colmax[:, :, u:u + span_h:stride])
-    out = np.ascontiguousarray(out)
+        np.maximum(out, colmax[:, :, u:u + span_h:stride], out=out)
     if not need_argmax:
         return (out if had_batch else out[0]), None
 
@@ -161,7 +182,7 @@ def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
     # downwards and overwrite. The store is arithmetic, because a masked
     # store branches on every element and runs several times slower.
     nan_seen = np.isnan(out).any()
-    local = np.zeros(out.shape, dtype=np.min_scalar_type(-window * window))
+    local = np.zeros_like(out, dtype=np.min_scalar_type(-window * window))
     for off in reversed(range(window * window)):
         u, v = divmod(off, window)
         vals = xb[:, :, u:u + span_h:stride, v:v + span_w:stride]
@@ -181,14 +202,19 @@ def maxpool2d_backward(grad_out: np.ndarray, argmax: np.ndarray,
                        input_shape) -> np.ndarray:
     """Route pooled gradients back to their argmax positions.
 
-    Overlapping windows may select the same input cell, so contributions
-    accumulate.
+    input_shape is (C,H,W) or (B,C,H,W); the result has that shape and is
+    channels-last. Overlapping windows may select the same input cell, so
+    contributions accumulate, in output order, by one scatter-add on flat
+    NHWC indices.
     """
     input_shape = tuple(input_shape)
-    h, w = input_shape[-2], input_shape[-1]
-    lead = int(np.prod(input_shape[:-2], dtype=np.int64))
-    gx = np.zeros((lead, h * w), dtype=grad_out.dtype)
-    g2 = grad_out.reshape(lead, -1)
-    a2 = argmax.reshape(lead, -1)
-    np.add.at(gx, (np.arange(lead)[:, None], a2), g2)
-    return gx.reshape(input_shape)
+    b, c, h, w = (1, *input_shape) if len(input_shape) == 3 else input_shape
+    g4 = grad_out.reshape(b, c, *grad_out.shape[-2:])
+    a4 = argmax.reshape(g4.shape)
+    # flat NHWC index of plane cell a of (n, ch): (n*H*W + a)*C + ch
+    base = np.arange(b)[:, None, None, None] * (h * w)
+    flat = (a4 + base) * c + np.arange(c)[:, None, None]
+    gx = np.zeros((b, h, w, c), dtype=grad_out.dtype)
+    np.add.at(gx.reshape(-1), flat.transpose(0, 2, 3, 1).reshape(-1),
+              g4.transpose(0, 2, 3, 1).reshape(-1))
+    return gx.transpose(0, 3, 1, 2).reshape(input_shape)

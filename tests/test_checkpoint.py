@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from pressnet import tensor
-from pressnet.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
-                                 restore_net, save_checkpoint)
+from pressnet.checkpoint import (HEADER_KEYS, MAGIC, Checkpoint,
+                                 load_checkpoint, restore_net, save_checkpoint)
 from pressnet.errors import CheckpointError
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
+
+from util import pack_checkpoint
 
 
 def small_net(dtype=np.float32):
@@ -138,3 +140,86 @@ class TestCorruption:
         p.write_bytes(blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+class TestIncompleteContents:
+    """A file that parses but does not hold exactly the net's tensors, or
+    whose header lacks a field, is refused with the offending name."""
+
+    @staticmethod
+    def parts(net):
+        header = {"config": net.config.as_dict(), "epoch": 0, "seed": 0,
+                  "dtype": "float32", "adam": None}
+        tensors = [(f"param:{k}", v) for k, v in net.params().items()]
+        tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
+        return header, tensors
+
+    def test_packer_writes_save_checkpoint_bytes(self, tmp_path):
+        net = small_net()
+        save_checkpoint(tmp_path / "n.ckpt", net)
+        assert pack_checkpoint(*self.parts(net)) == \
+            (tmp_path / "n.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda t: [e for e in t if e[0] != "param:conv1.w"], "conv1.w"),
+        (lambda t: [e for e in t if e[0] != "stat:bn2.running_mean"],
+         "bn2.running_mean"),
+        (lambda t: [(n, np.ones(1, np.float32)
+                     if n == "stat:bn3.running_var" else v) for n, v in t],
+         "bn3.running_var"),
+        (lambda t: [(n, v.reshape(-1) if n == "param:conv3.w" else v)
+                    for n, v in t], "conv3.w"),
+        (lambda t: t + [("stat:bn9.running_mean", np.zeros(2, np.float32))],
+         "bn9.running_mean"),
+        (lambda t: t + [("param:fc3.w", np.zeros((4, 4), np.float32))],
+         "fc3.w"),
+    ], ids=["missing-param", "missing-stat", "stat-shape", "param-shape",
+            "unknown-stat", "unknown-param"])
+    def test_restore_refuses(self, tmp_path, edit, key):
+        header, tensors = self.parts(small_net())
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(pack_checkpoint(header, edit(tensors)))
+        ckpt = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=key):
+            restore_net(ckpt)
+
+    def test_refused_set_params_writes_nothing(self):
+        net = small_net()
+        before = {k: v.copy() for k, v in net.params().items()}
+        params = {k: v + 1 for k, v in net.params().items()}
+        stats = dict(net.bn_stats())
+        del stats["bn4.running_var"]
+        with pytest.raises(CheckpointError, match="bn4.running_var"):
+            net.set_params(params, stats)
+        for k, v in net.params().items():
+            assert v.tobytes() == before[k].tobytes()
+
+    @pytest.mark.parametrize("field", HEADER_KEYS)
+    def test_header_field_missing(self, tmp_path, field):
+        header, tensors = self.parts(small_net())
+        del header[field]
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["config"].update(bogus=1), "bogus"),
+        (lambda h: h["config"].update(conv_channels=[1, 2]), "conv_channels"),
+        (lambda h: h.update(dtype="no-such-type"), "no-such-type"),
+        (lambda h: h.update(adam={"t": 1}), "base_lr"),
+    ], ids=["unknown-config-field", "bad-config-value", "bad-dtype",
+            "partial-adam"])
+    def test_bad_header_values(self, tmp_path, edit, match):
+        header, tensors = self.parts(small_net())
+        edit(header)
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "l.ckpt"
+        path.write_bytes(pack_checkpoint([1, 2], []))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

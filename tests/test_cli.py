@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from pressnet import cli
+from pressnet.checkpoint import load_checkpoint
+
+from util import pack_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +243,27 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "posture_fine: accuracy" in out
         assert "subject: accuracy" in out
+
+    def test_incomplete_checkpoint_is_one_error_line(self, corpus, trained_run,
+                                                     tmp_path, capsys):
+        _, cache = corpus
+        ckpt = load_checkpoint(trained_run / "fold_00" / "model.ckpt")
+        header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
+                  "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": None}
+        tensors = [(f"param:{k}", v) for k, v in ckpt.params.items()
+                   if k != "conv1.w"]
+        tensors += [(f"stat:{k}", v) for k, v in ckpt.bn_stats.items()]
+        bad = tmp_path / "incomplete.ckpt"
+        bad.write_bytes(pack_checkpoint(header, tensors))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(bad),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "conv1.w" in lines[0]
+        assert "accuracy" not in captured.out
 
 
 class TestReport:

@@ -10,7 +10,8 @@ from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
                              MaxPool2D)
 
 from util import (bn_backward_oracle, bn_eval_oracle, bn_train_oracle,
-                  central_diff_grad, max_rel_err)
+                  central_diff_grad, channels_last, is_channels_last,
+                  max_rel_err)
 
 
 class TestLeakyReLU:
@@ -147,6 +148,36 @@ class TestBatchNorm:
                                          bn.running_mean, bn.running_var,
                                          bn.eps)
                 assert ev.tobytes() == want_ev.tobytes()
+                # a channels-last input, as conv outputs are, changes no bit
+                ev_cl = bn.forward(channels_last(x), train=False)
+                assert is_channels_last(ev_cl)
+                assert ev_cl.tobytes() == want_ev.tobytes()
+
+    @pytest.mark.parametrize("batch", [64, 256])
+    @pytest.mark.parametrize("chw", [(32, 30, 62), (64, 12, 28)])
+    def test_batch_statistics_precision(self, batch, chw):
+        # bn1's and bn2's input shapes, channels-last as conv outputs are:
+        # the float32 batch mean and variance against float64 ones. With
+        # momentum 0 the running statistics are the batch statistics.
+        c, h, w = chw
+        rng = tensor.make_rng(25, batch, c)
+        mu = rng.normal(0.0, 0.5, size=c).astype(np.float32)
+        sd = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+        nhwc = rng.standard_normal((batch, h, w, c), dtype=np.float32)
+        nhwc *= sd
+        nhwc += mu
+        bn = BatchNorm2D(c, momentum=0.0)
+        bn.forward(nhwc.transpose(0, 3, 1, 2), train=True)
+
+        n = batch * h * w
+        mean = nhwc.sum(axis=(0, 1, 2), dtype=np.float64) / n
+        var = np.zeros(c)
+        for part in np.split(nhwc, batch // 16):  # float64, a slice at a time
+            var += ((part - mean) ** 2).sum(axis=(0, 1, 2))
+        var /= n
+        assert np.abs(bn.running_mean - mean).max() <= \
+            2.5e-7 * np.sqrt(var).max()
+        assert np.abs(bn.running_var - var).max() <= 1e-6 * var.max()
 
     def test_input_and_gradient_left_unmodified(self):
         rng = tensor.make_rng(24)
@@ -189,6 +220,19 @@ class TestDropout:
         out = d.forward(x, train=True, rng=tensor.make_rng(24))
         g = d.backward(np.ones_like(x))
         assert np.array_equal(g != 0, out != 0)
+
+    def test_mask_draws_independent_of_layout(self):
+        # the mask is drawn in NCHW index order and stored in x's layout
+        x = tensor.make_rng(29).normal(size=(3, 4, 5, 6)).astype(np.float32)
+        outs, masks = [], []
+        for x_in in (x, channels_last(x)):
+            d = Dropout(0.3)
+            outs.append(d.forward(x_in, train=True, rng=tensor.make_rng(30)))
+            masks.append(d._scaled_mask)
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert masks[0].tobytes() == masks[1].tobytes()
+        assert masks[0].flags.c_contiguous and outs[0].flags.c_contiguous
+        assert is_channels_last(masks[1]) and is_channels_last(outs[1])
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):

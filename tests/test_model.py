@@ -8,7 +8,7 @@ from pressnet.errors import ConfigError, ShapeError, UsageError
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import max_rel_err
+from util import is_channels_last, max_rel_err
 
 
 def tiny_config(**overrides):
@@ -221,6 +221,56 @@ class TestBackward:
         for key in g_on:
             assert g_on[key].tobytes() == g_off[key].tobytes(), key
             assert p_on[key].tobytes() == p_off[key].tobytes(), key
+
+
+class TestLayout:
+    def test_conv_blocks_stay_channels_last(self):
+        # every 4-D array into and out of a conv-block layer, from the data
+        # to Flatten, forward and backward, has its NCHW shape and is
+        # channels-last: a fallback copy to NCHW anywhere fails here
+        cfg = ModelConfig(num_subjects=3, num_postures=4,
+                          conv_channels=(3, 4, 5, 6), dense_width=8)
+        net = PostureNet(cfg, tensor.make_rng(70))
+        shapes = iter(cfg.feature_shapes())
+        allowed = {(1, *cfg.input_hw)}
+        for i, ch in enumerate(cfg.conv_channels):
+            allowed.add((ch, *next(shapes)))
+            if i < 2:
+                allowed.add((ch, *next(shapes)))
+        layers = {"flatten": net.flatten}
+        for i in range(4):
+            layers.update({f"conv{i + 1}": net.convs[i], f"bn{i + 1}": net.bns[i],
+                           f"act{i + 1}": net.conv_acts[i],
+                           f"drop{i + 1}": net.conv_drops[i]})
+            if net.pools[i] is not None:
+                layers[f"pool{i + 1}"] = net.pools[i]
+        seen = []
+
+        def wrap(name, phase, fn):
+            def call(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                seen.extend((name, phase, arr) for arr in (a, out)
+                            if arr is not None and arr.ndim == 4)
+                return out
+            return call
+
+        for name, layer in layers.items():
+            layer.forward = wrap(name, "fwd", layer.forward)
+            layer.backward = wrap(name, "bwd", layer.backward)
+
+        x, yu, yp = make_batch(tensor.make_rng(71), cfg, 4)
+        x = x.astype(np.float32)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(72))
+        net.backward(pu, pp, yu, yp, 0.5)
+        net.forward(x)
+        assert {(n, p) for n, p, _ in seen} == {
+            (n, p) for n in layers for p in ("fwd", "bwd")}
+        # in and out of three calls per layer, less conv1's None input
+        # gradient and Flatten's 2-D side (two forwards, one backward)
+        assert len(seen) == 2 * 3 * len(layers) - 1 - 3
+        for name, phase, arr in seen:
+            assert arr.shape[0] == 4 and arr.shape[1:] in allowed, (name, phase)
+            assert is_channels_last(arr), (name, phase, arr.shape)
 
 
 class TestLoss:

@@ -11,8 +11,13 @@ import pytest
 from pressnet import tensor
 from pressnet.errors import ShapeError
 
-from util import (central_diff_grad, conv_input_grad_oracle, max_rel_err,
-                  pool_oracle)
+from util import (central_diff_grad, channels_last, conv_forward_oracle,
+                  conv_input_grad_oracle, conv_kernel_grad_oracle,
+                  is_channels_last, max_rel_err, pool_oracle)
+
+# the default model's four conv layers: (cin, h, w, cout)
+MODEL_CONVS = ((1, 32, 64, 32), (32, 14, 30, 64), (64, 5, 13, 128),
+               (128, 3, 11, 128))
 
 
 # ---------------------------------------------------------------- oracles
@@ -119,6 +124,26 @@ class TestConv2dValid:
         with pytest.raises(ShapeError):
             tensor.conv2d_valid(np.ones((2, 5, 5)), np.ones((1, 3, 3, 3)))
 
+    def test_model_shapes_vs_chw_oracle(self):
+        # batch 3, NCHW-contiguous and channels-last inputs; error relative
+        # to the oracle's largest entry. The column order differs from the
+        # oracle's, so only the GEMM's summation order may move bits, and
+        # the input's layout moves none.
+        rng = tensor.make_rng(16)
+        for cin, h, w, cout in MODEL_CONVS:
+            x = rng.normal(size=(3, cin, h, w))
+            k = rng.normal(size=(cout, cin, 3, 3))
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                x_d, k_d = x.astype(dtype), k.astype(dtype)
+                want = conv_forward_oracle(x_d, k_d)
+                outs = [tensor.conv2d_valid(xin, k_d)
+                        for xin in (x_d, channels_last(x_d))]
+                for out in outs:
+                    assert out.dtype == dtype and out.shape == want.shape
+                    assert is_channels_last(out)
+                    assert np.abs(out - want).max() <= tol * np.abs(want).max()
+                assert outs[0].tobytes() == outs[1].tobytes()
+
     def test_deterministic(self):
         rng = tensor.make_rng(6)
         x = rng.normal(size=(2, 5, 5)).astype(np.float32)
@@ -162,6 +187,23 @@ class TestConvBackward:
             assert gx_off is None
             assert gk_off.tobytes() == gk.tobytes()
 
+    def test_kernel_grad_vs_chw_oracle(self):
+        rng = tensor.make_rng(17)
+        for cin, h, w, cout in MODEL_CONVS:
+            x = rng.normal(size=(3, cin, h, w))
+            k = rng.normal(size=(cout, cin, 3, 3))
+            r = rng.normal(size=(3, cout, h - 2, w - 2))
+            for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                x_d, k_d, r_d = (a.astype(dtype) for a in (x, k, r))
+                want = conv_kernel_grad_oracle(x_d, k_d, r_d)
+                for xin, rin in ((x_d, r_d),
+                                 (channels_last(x_d), channels_last(r_d))):
+                    _, gk = tensor.conv2d_valid_backward(xin, k_d, rin,
+                                                         need_x=False)
+                    assert gk.dtype == dtype and gk.shape == k.shape
+                    assert gk.flags.c_contiguous
+                    assert np.abs(gk - want).max() <= tol * np.abs(want).max()
+
     def test_input_grad_vs_padded_oracle(self):
         # the default model's four conv layers, (cin, h, w, cout), batch 3;
         # error relative to the oracle's largest entry, since single
@@ -177,7 +219,7 @@ class TestConvBackward:
                 gx, _ = tensor.conv2d_valid_backward(x.astype(dtype), k_d, r_d)
                 want = conv_input_grad_oracle(k_d, r_d)
                 assert gx.dtype == dtype and gx.shape == x.shape
-                assert gx.flags.c_contiguous
+                assert gx.transpose(0, 2, 3, 1).flags.c_contiguous
                 assert np.abs(gx - want).max() <= tol * np.abs(want).max()
 
 
@@ -235,6 +277,30 @@ class TestMaxpool2d:
             assert arg is None
             assert out_only.shape == out.shape
             assert out_only.tobytes() == out.tobytes()
+
+    def test_channels_last_layout_kept(self):
+        # the output follows the input's layout with the same bits; the
+        # backward returns channels-last whatever grad_out's layout, and adds
+        # shared cells in output order, as a plain loop does
+        rng = tensor.make_rng(18)
+        for stride in (1, 2):
+            x = rng.normal(size=(2, 3, 9, 11)).astype(np.float32)
+            out, arg = tensor.maxpool2d(x, window=3, stride=stride)
+            out_cl, arg_cl = tensor.maxpool2d(channels_last(x), window=3,
+                                              stride=stride)
+            assert out.flags.c_contiguous and is_channels_last(out_cl)
+            assert out_cl.tobytes() == out.tobytes()
+            assert np.array_equal(arg_cl, arg)
+            g = rng.normal(size=out.shape).astype(np.float32)
+            want = np.zeros(x.shape, dtype=np.float32)
+            for lead in np.ndindex(*x.shape[:2]):
+                plane = want[lead].reshape(-1)
+                for a, v in zip(arg[lead].ravel(), g[lead].ravel()):
+                    plane[a] += v
+            for g_in in (g, channels_last(g)):
+                gx = tensor.maxpool2d_backward(g_in, arg, x.shape)
+                assert gx.shape == x.shape and is_channels_last(gx)
+                assert gx.tobytes() == want.tobytes()
 
     def test_tie_breaks_to_lowest_flat_index(self):
         x = np.ones((1, 3, 3))

@@ -1,6 +1,9 @@
 """Shared helpers for the test suite: finite differences, error norms and
 reference implementations that vectorized code is checked against."""
 
+import json
+import struct
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -73,6 +76,46 @@ def pool_oracle(x, window, stride):
     return out, arg
 
 
+def channels_last(a):
+    """Copy of a (B,C,H,W) array with the same shape and values, stored
+    channels-last: the strides of a C-contiguous (B,H,W,C) buffer."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def is_channels_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _chw_columns(x, kh, kw):
+    """(B,C,H,W) -> (B*Ho*Wo, C*kh*kw) columns, channel-major: each row is
+    the window's C planes in turn, as an NCHW gather reads them."""
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    b, c, ho, wo = windows.shape[:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo,
+                                                      c * kh * kw)
+    return cols, ho, wo
+
+
+def conv_forward_oracle(x, kernels):
+    """Valid stride-1 cross-correlation of (B,Cin,H,W) with (Cout,Cin,kh,kw)
+    kernels as one GEMM over (C, kh, kw)-ordered columns; NCHW-contiguous
+    (B,Cout,Ho,Wo) result."""
+    cout, _, kh, kw = kernels.shape
+    cols, ho, wo = _chw_columns(x, kh, kw)
+    out = (cols @ kernels.reshape(cout, -1).T).reshape(x.shape[0], ho, wo,
+                                                        cout)
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def conv_kernel_grad_oracle(x, kernels, grad_out):
+    """Kernel gradient of that cross-correlation: grad_out's (B*Ho*Wo, Cout)
+    rows against the (C, kh, kw)-ordered columns of x."""
+    cout = kernels.shape[0]
+    cols, _, _ = _chw_columns(x, *kernels.shape[2:])
+    g2 = grad_out.transpose(0, 2, 3, 1).reshape(-1, cout)
+    return (g2.T @ cols).reshape(kernels.shape)
+
+
 def conv_input_grad_oracle(kernels, grad_out):
     """Input gradient of a valid stride-1 cross-correlation, (B,Cin,H,W),
     as the full correlation of grad_out (B,Cout,Ho,Wo) with the flipped
@@ -83,10 +126,7 @@ def conv_input_grad_oracle(kernels, grad_out):
     gpad = np.zeros((b, cout, ho + 2 * (kh - 1), wo + 2 * (kw - 1)),
                     dtype=grad_out.dtype)
     gpad[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = grad_out
-    windows = sliding_window_view(gpad, (kh, kw), axis=(2, 3))
-    h, w = windows.shape[2:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w,
-                                                      cout * kh * kw)
+    cols, h, w = _chw_columns(gpad, kh, kw)
     kflip = kernels[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(
         cout * kh * kw, cin)
     return (cols @ kflip).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
@@ -96,11 +136,23 @@ def _per_channel(v):
     return v[None, :, None, None]
 
 
+def channel_sum(a):
+    """Per-channel float64 sums of a (B,C,H,W) array, in BatchNorm2D's
+    order: over the batch in a's dtype, then over the H*W positions in
+    float64."""
+    nhwc = np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+    return nhwc.sum(axis=0).reshape(-1, a.shape[1]).sum(axis=0,
+                                                        dtype=np.float64)
+
+
 def bn_train_oracle(x, gamma, beta, eps):
     """Batch-norm train forward as plain expressions, each building a new
-    array: returns (out, mean, var, xhat, inv_std)."""
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    array, with the batch statistics from channel_sum: returns
+    (out, mean, var, xhat, inv_std)."""
+    n = x.size // x.shape[1]
+    mean = (channel_sum(x) / n).astype(x.dtype)
+    dev = x - _per_channel(mean)
+    var = (channel_sum(dev * dev) / n).astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = (x - _per_channel(mean)) * _per_channel(inv_std)
     return (_per_channel(gamma) * xhat + _per_channel(beta),
@@ -115,12 +167,28 @@ def bn_eval_oracle(x, gamma, beta, running_mean, running_var, eps):
 
 
 def bn_backward_oracle(g, xhat, inv_std, gamma):
-    """Batch-norm backward as plain expressions: (grad_x, grad_gamma,
-    grad_beta)."""
+    """Batch-norm backward as plain expressions, with the sums from
+    channel_sum: (grad_x, grad_gamma, grad_beta)."""
     b, _, h, w = g.shape
     n = g.dtype.type(b * h * w)
-    ggamma = (g * xhat).sum(axis=(0, 2, 3))
-    gbeta = g.sum(axis=(0, 2, 3))
+    ggamma = channel_sum(g * xhat).astype(g.dtype)
+    gbeta = channel_sum(g).astype(g.dtype)
     coef = _per_channel(gamma * inv_std)
     gx = coef / n * (n * g - _per_channel(gbeta) - xhat * _per_channel(ggamma))
     return gx, ggamma, gbeta
+
+
+def pack_checkpoint(header, tensors):
+    """Bytes of a PNET1 version-1 checkpoint holding `header` (a JSON-able
+    object) and the (name, array) pairs in `tensors`, with no check of
+    either: the container layout spelled out for corrupt-file tests."""
+    body = json.dumps(header, sort_keys=True).encode()
+    parts = [b"PNET1", struct.pack("<HI", 1, len(body)), body,
+             struct.pack("<I", len(tensors))]
+    for name, arr in tensors:
+        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        nb, db = name.encode(), arr.dtype.str.encode()
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", len(db)),
+                  db, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(parts)
