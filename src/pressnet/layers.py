@@ -5,11 +5,12 @@ and, through the conv blocks, channels-last memory: the strides of a
 C-contiguous (B, H, W, C) buffer, so a.transpose(0, 2, 3, 1) is a free
 contiguous view. Layers accept inputs of any strides. Conv2D and
 BatchNorm2D return channels-last arrays, as does MaxPool2D's backward;
-MaxPool2D's forward, LeakyReLU and Dropout keep their input's layout. BatchNorm2D works on the (B*H, W*C) view with its
-per-channel vectors tiled W times, and sums per channel in two stages
-(_channel_sum). Dropout draws its mask in NCHW index order. Flatten copies
-the final map to NCHW order, so the dense features keep their meaning, and
-its backward hands the gradient back in its input's layout.
+MaxPool2D's forward, LeakyReLU and Dropout keep their input's layout.
+BatchNorm2D works on the (B*H, W*C) view with its per-channel vectors tiled
+W times, and sums per channel in two stages (_channel_sum). Dropout draws
+its mask in NCHW index order. Flatten copies the final map to NCHW order,
+so the dense features keep their meaning, and its backward hands the
+gradient back in its input's layout.
 
 Each layer owns, after a training-mode forward, the cached activations its
 backward pass needs. Backward methods consume the incoming gradient and

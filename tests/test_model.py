@@ -239,7 +239,8 @@ class TestLayout:
                 allowed.add((ch, *next(shapes)))
         layers = {"flatten": net.flatten}
         for i in range(4):
-            layers.update({f"conv{i + 1}": net.convs[i], f"bn{i + 1}": net.bns[i],
+            layers.update({f"conv{i + 1}": net.convs[i],
+                           f"bn{i + 1}": net.bns[i],
                            f"act{i + 1}": net.conv_acts[i],
                            f"drop{i + 1}": net.conv_drops[i]})
             if net.pools[i] is not None:
@@ -269,7 +270,8 @@ class TestLayout:
         # gradient and Flatten's 2-D side (two forwards, one backward)
         assert len(seen) == 2 * 3 * len(layers) - 1 - 3
         for name, phase, arr in seen:
-            assert arr.shape[0] == 4 and arr.shape[1:] in allowed, (name, phase)
+            assert arr.shape[0] == 4, (name, phase)
+            assert arr.shape[1:] in allowed, (name, phase)
             assert is_channels_last(arr), (name, phase, arr.shape)
 
 
