@@ -256,43 +256,42 @@ class MLPBaseline:
     """Five hidden dense layers (128/256/256/128/64), leaky activations.
 
     Features are standardized with training-fold statistics before the
-    first layer. Reuses the same dense/activation/optimizer kernels as the
-    convolutional model.
+    first layer. The layers are one ordered list of (name, layer) stages,
+    d0 act0 d1 act1 ... d4 act4 d5, run by the same dense/activation/
+    optimizer kernels as the convolutional model.
     """
 
     WIDTHS = (128, 256, 256, 128, 64)
 
     def __init__(self, in_features: int, n_classes: int, rng,
                  slope: float = 0.2, dtype=np.float32):
-        self.dense = []
+        self.stages = []
         prev = in_features
-        for w in (*self.WIDTHS, n_classes):
-            self.dense.append(Dense(prev, w, rng, slope=slope, dtype=dtype))
+        for i, w in enumerate(self.WIDTHS):
+            self.stages += [(f"d{i}", Dense(prev, w, rng, slope, dtype)),
+                            (f"act{i}", LeakyReLU(slope))]
             prev = w
-        self.acts = [LeakyReLU(slope) for _ in self.WIDTHS]
+        self.stages.append((f"d{len(self.WIDTHS)}",
+                            Dense(prev, n_classes, rng, slope, dtype)))
         self.n_classes = n_classes
         self.mu = np.zeros(in_features)
         self.sd = np.ones(in_features)
         self.dtype = dtype
 
-    def _named_layers(self):
-        return [(f"d{i}", layer) for i, layer in enumerate(self.dense)]
-
     def params(self) -> dict:
-        return collect(self._named_layers(), "params")
+        return collect(self.stages, "params")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         h = standardize_apply(np.asarray(x), self.mu, self.sd).astype(self.dtype)
-        for dense, act in zip(self.dense, self.acts):
-            h = act.forward(dense.forward(h, train=train), train=train)
-        return losses.softmax(self.dense[-1].forward(h, train=train))
+        for _, layer in self.stages:
+            h = layer.forward(h, train)
+        return losses.softmax(h)
 
     def backward(self, probs: np.ndarray, labels: np.ndarray) -> dict:
         g = losses.cross_entropy_grad_logits(probs, labels).astype(self.dtype)
-        g = self.dense[-1].backward(g)
-        for dense, act in zip(self.dense[-2::-1], reversed(self.acts)):
-            g = dense.backward(act.backward(g))
-        return collect(self._named_layers(), "grads")
+        for _, layer in reversed(self.stages):
+            g = layer.backward(g)
+        return collect(self.stages, "grads")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).argmax(axis=1)

@@ -38,6 +38,8 @@ NUM_POSTURES = 17
 
 # coarse posture categories; tuple order fixes the 0/1/2 label encoding
 CATEGORIES = ("supine", "right", "left")
+# a preprocessed cache's taxonomy, kept beside its manifest.tsv
+TAXONOMY_FILE = "taxonomy.txt"
 
 _SUBJECT_DIR = re.compile(r"^S(\d+)$")
 _POSTURE_FILE = re.compile(r"^(\d+)$")
@@ -275,8 +277,14 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def read_manifest(path, taxonomy=None) -> DatasetManifest:
+    """Read a manifest written by write_manifest.
+
+    taxonomy None takes the TAXONOMY_FILE beside the manifest, which a
+    preprocessed cache keeps, or the built-in default where there is none.
+    """
     if taxonomy is None:
-        taxonomy = default_taxonomy()
+        own = Path(path).with_name(TAXONOMY_FILE)
+        taxonomy = load_taxonomy(own) if own.exists() else default_taxonomy()
     entries = []
     warnings = []
     with open(path) as fh:

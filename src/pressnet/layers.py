@@ -12,10 +12,13 @@ its mask in NCHW index order. Flatten copies the final map to NCHW order,
 so the dense features keep their meaning, and its backward hands the
 gradient back in its input's layout.
 
-Each layer owns, after a training-mode forward, the cached activations its
+Every layer has the same call form, forward(x, train, rng=None); only
+Dropout reads rng, so a network runs any list of layers in one loop. Each
+layer owns, after a training-mode forward, the cached activations its
 backward pass needs. Backward methods consume the incoming gradient and
 return the gradient w.r.t. their input (None from a Conv2D built with
-needs_input_grad=False). MaxPool2D builds its argmax map only in train mode.
+needs_input_grad=False). MaxPool2D builds its argmax map, and LeakyReLU its
+sign mask, only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
@@ -27,7 +30,7 @@ Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 The arrays in params and stats are also the layer's attributes and are only
 ever updated in place (by the optimizer, by set_params and by batch norm's
 running averages), so the dicts stay live. collect() flattens one of these
-dicts over a list of named layers.
+dicts over a list of (name, layer) stages; the other layers add nothing.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from . import tensor
 from .errors import ConfigError, ShapeError, UsageError
 
 
-def collect(named_layers, attr: str) -> dict:
-    """Merge each layer's `attr` dict ("params", "stats" or "grads") into one
-    dict keyed "<layer name>.<key>", in layer order."""
+def collect(stages, attr: str) -> dict:
+    """Merge each layer's `attr` dict ("params", "stats" or "grads") over a
+    list of (name, layer) stages into one dict keyed "<name>.<key>", in stage
+    order; a layer without the dict adds nothing."""
     return {f"{name}.{key}": value
-            for name, layer in named_layers
-            for key, value in getattr(layer, attr).items()}
+            for name, layer in stages
+            for key, value in getattr(layer, attr, {}).items()}
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -93,7 +97,7 @@ class Conv2D:
         self.needs_input_grad = needs_input_grad
         self._x = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, rng=None):
         if train:
             self._x = x
         out = tensor.conv2d_valid(x, self.w)
@@ -141,7 +145,7 @@ class BatchNorm2D:
         self.momentum = momentum
         self._cache = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, rng=None):
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
@@ -198,7 +202,7 @@ class MaxPool2D:
         self._argmax = None
         self._in_shape = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, rng=None):
         out, argmax = tensor.maxpool2d(x, window=self.window,
                                        stride=self.stride, need_argmax=train)
         if train:
@@ -219,11 +223,12 @@ class LeakyReLU:
         self.slope = slope
         self._pos = None
 
-    def forward(self, x, train: bool):
-        pos = x > 0
+    def forward(self, x, train: bool, rng=None):
+        # for 0 < slope < 1 the larger of x and slope * x is x where x > 0
+        # and slope * x elsewhere, ±0 and ±inf included
         if train:
-            self._pos = pos
-        return np.where(pos, x, x.dtype.type(self.slope) * x)
+            self._pos = x > 0
+        return np.maximum(x, x.dtype.type(self.slope) * x)
 
     def backward(self, g):
         if self._pos is None:
@@ -268,7 +273,7 @@ class Flatten:
     def __init__(self):
         self._x = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, rng=None):
         if train:
             self._x = x
         return x.reshape(x.shape[0], -1)
@@ -294,7 +299,7 @@ class Dense:
         self.grads = {}
         self._x = None
 
-    def forward(self, x, train: bool):
+    def forward(self, x, train: bool, rng=None):
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"dense expects {self.w.shape[0]} features, got {x.shape[1]}")

@@ -5,6 +5,13 @@ which branch into two parallel softmax heads: one over subjects, one over
 postures. Training minimizes lam * user_loss + (1 - lam) * posture_loss
 plus an L2 penalty on convolution and dense weights.
 
+The shared trunk is PostureNet.stages, one ordered list of (name, layer)
+pairs: conv1 bn1 pool1 act1 drop1 ... conv4 bn4 act4 drop4 flatten fc1
+act_fc1 drop_fc1 fc2 act_fc2 drop_fc2. The two heads, PostureNet.heads,
+both read its output. Forward runs the stages in order, backward in
+reverse, and parameters, statistics and gradients are keyed "<stage>.<key>"
+in stage order, heads last.
+
 With the default config the feature maps run
 32x64 -> 30x62 -> pool 14x30 -> 12x28 -> pool 5x13 -> 3x11 -> 1x9.
 """
@@ -15,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import losses, tensor
+from . import losses
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
                      MaxPool2D, collect)
@@ -89,47 +96,53 @@ class PostureNet:
         self.config = config
         self.dtype = dtype
         config.feature_shapes()  # shape arithmetic must close at build time
-        slope = config.leaky_slope
+        slope, width = config.leaky_slope, config.dense_width
+        # layers are built in stage order, so the weights draw from rng in it
+        self.stages = []
         cin = 1
-        self.convs, self.bns, self.pools = [], [], []
-        self.conv_acts, self.conv_drops = [], []
-        for i, cout in enumerate(config.conv_channels):
+        for i, cout in enumerate(config.conv_channels, start=1):
             # conv1's input is the data: no gradient flows back into it
-            self.convs.append(Conv2D(cin, cout, rng, slope, dtype,
-                                     needs_input_grad=i > 0))
-            self.bns.append(BatchNorm2D(cout, dtype))
-            self.pools.append(MaxPool2D(3, 2) if i < 2 else None)
-            self.conv_acts.append(LeakyReLU(slope))
-            self.conv_drops.append(Dropout(config.conv_dropout[i]))
+            self.stages += [(f"conv{i}", Conv2D(cin, cout, rng, slope, dtype,
+                                                needs_input_grad=i > 1)),
+                            (f"bn{i}", BatchNorm2D(cout, dtype))]
+            if i <= 2:
+                self.stages.append((f"pool{i}", MaxPool2D(3, 2)))
+            self.stages += [(f"act{i}", LeakyReLU(slope)),
+                            (f"drop{i}", Dropout(config.conv_dropout[i - 1]))]
             cin = cout
-        self.flatten = Flatten()
-        self.fc1 = Dense(config.flat_features, config.dense_width, rng, slope, dtype)
-        self.fc1_act = LeakyReLU(slope)
-        self.fc1_drop = Dropout(config.dense_dropout)
-        self.fc2 = Dense(config.dense_width, config.dense_width, rng, slope, dtype)
-        self.fc2_act = LeakyReLU(slope)
-        self.fc2_drop = Dropout(config.dense_dropout)
-        self.head_subject = Dense(config.dense_width, config.num_subjects, rng, slope, dtype)
-        self.head_posture = Dense(config.dense_width, config.num_postures, rng, slope, dtype)
+        self.stages.append(("flatten", Flatten()))
+        fan_in = config.flat_features
+        for fc in ("fc1", "fc2"):
+            self.stages += [(fc, Dense(fan_in, width, rng, slope, dtype)),
+                            (f"act_{fc}", LeakyReLU(slope)),
+                            (f"drop_{fc}", Dropout(config.dense_dropout))]
+            fan_in = width
+        self.heads = [(name, Dense(width, n, rng, slope, dtype))
+                      for name, n in (("head_subject", config.num_subjects),
+                                      ("head_posture", config.num_postures))]
         self._cached_train = False
+
+        # Per-kind aliases of the stages, read only by bench/spans.py
+        # (Tracer._label_net) to name its timing spans.
+        s = dict(self.stages + self.heads)
+        self.convs, self.bns, self.pools, self.conv_acts, self.conv_drops = (
+            [s.get(f"{kind}{i}") for i in range(1, 5)]
+            for kind in ("conv", "bn", "pool", "act", "drop"))
+        self.fc1, self.fc1_act, self.fc1_drop = (
+            s["fc1"], s["act_fc1"], s["drop_fc1"])
+        self.fc2, self.fc2_act, self.fc2_drop = (
+            s["fc2"], s["act_fc2"], s["drop_fc2"])
+        self.head_subject, self.head_posture = (
+            s["head_subject"], s["head_posture"])
 
     # ------------------------------------------------------------- params
 
-    def _named_layers(self):
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns), start=1):
-            yield f"conv{i}", conv
-            yield f"bn{i}", bn
-        yield "fc1", self.fc1
-        yield "fc2", self.fc2
-        yield "head_subject", self.head_subject
-        yield "head_posture", self.head_posture
-
     def params(self) -> dict:
         """Trainable tensors, in a fixed deterministic order."""
-        return collect(self._named_layers(), "params")
+        return collect(self.stages + self.heads, "params")
 
     def bn_stats(self) -> dict:
-        return collect(self._named_layers(), "stats")
+        return collect(self.stages + self.heads, "stats")
 
     def set_params(self, values: dict, stats: dict):
         """Overwrite every parameter and running statistic in place.
@@ -173,20 +186,9 @@ class PostureNet:
                 f"expected input [B,1,{self.config.input_hw[0]},"
                 f"{self.config.input_hw[1]}], got {x.shape}")
         h = x.astype(self.dtype, copy=False)
-        for i in range(4):
-            h = self.convs[i].forward(h, train)
-            h = self.bns[i].forward(h, train)
-            if self.pools[i] is not None:
-                h = self.pools[i].forward(h, train)
-            h = self.conv_acts[i].forward(h, train)
-            h = self.conv_drops[i].forward(h, train, rng)
-        h = self.flatten.forward(h, train)
-        h = self.fc1_drop.forward(self.fc1_act.forward(
-            self.fc1.forward(h, train), train), train, rng)
-        h = self.fc2_drop.forward(self.fc2_act.forward(
-            self.fc2.forward(h, train), train), train, rng)
-        logits_u = self.head_subject.forward(h, train)
-        logits_p = self.head_posture.forward(h, train)
+        for _, layer in self.stages:
+            h = layer.forward(h, train, rng)
+        logits_u, logits_p = (head.forward(h, train) for _, head in self.heads)
         self._cached_train = train
         return losses.softmax(logits_u), losses.softmax(logits_p)
 
@@ -216,18 +218,12 @@ class PostureNet:
         dt = self.dtype
         g_u = dt(lam) * losses.cross_entropy_grad_logits(probs_u, labels_u)
         g_p = dt(1.0 - lam) * losses.cross_entropy_grad_logits(probs_p, labels_p)
-        g = self.head_subject.backward(g_u) + self.head_posture.backward(g_p)
-        g = self.fc2.backward(self.fc2_act.backward(self.fc2_drop.backward(g)))
-        g = self.fc1.backward(self.fc1_act.backward(self.fc1_drop.backward(g)))
-        g = self.flatten.backward(g)
-        for i in reversed(range(4)):
-            g = self.conv_acts[i].backward(self.conv_drops[i].backward(g))
-            if self.pools[i] is not None:
-                g = self.pools[i].backward(g)
-            g = self.bns[i].backward(g)
-            g = self.convs[i].backward(g)
+        (_, head_u), (_, head_p) = self.heads
+        g = head_u.backward(g_u) + head_p.backward(g_p)
+        for _, layer in reversed(self.stages):
+            g = layer.backward(g)  # conv1's is None: its input is the data
 
-        grads = collect(self._named_layers(), "grads")
+        grads = collect(self.stages + self.heads, "grads")
         sigma2 = dt(2.0 * self.config.l2_sigma)
         params = self.params()
         for key in self.l2_weight_keys():

@@ -219,9 +219,12 @@ def cache_path(cache_dir, subject_id: int, posture_id: int) -> Path:
 
 def dataset_fingerprint(manifest: dataio.DatasetManifest, trim: int,
                         empty_threshold: float, delimiter) -> str:
-    """Content hash of the raw files plus the preprocessing parameters."""
+    """Content hash of the raw files plus the preprocessing parameters and
+    the manifest's taxonomy."""
     h = hashlib.sha256()
     h.update(f"trim={trim};thr={empty_threshold};delim={delimiter!r}".encode())
+    taxonomy = manifest.taxonomy
+    h.update(f";tax={[(p, taxonomy[p]) for p in sorted(taxonomy)]}".encode())
     for e in manifest.entries:
         h.update(f"\n{e.subject_id}/{e.posture_id}\n".encode())
         with open(e.path, "rb") as fh:
@@ -236,10 +239,12 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     """Run the full pipeline over a dataset tree and cache the results.
 
     Writes one .npy file per surviving sequence into cache_dir, plus
-    'manifest.tsv' (paths pointing at the cache), 'removed.txt' (the
-    removal report and any too-short-after-trim warnings), and a
-    fingerprint of the raw inputs. When the fingerprint already matches,
-    the cached manifest is returned untouched. Returns (manifest, hit).
+    'manifest.tsv' (paths pointing at the cache), the taxonomy the coarse
+    labels follow (dataio.TAXONOMY_FILE, which read_manifest picks up),
+    'removed.txt' (the removal report and any too-short-after-trim
+    warnings), and a fingerprint of the raw inputs and the taxonomy. When
+    the fingerprint already matches, the cached manifest is returned
+    untouched. Returns (manifest, hit).
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -250,7 +255,8 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     marker = cache_dir / "fingerprint.txt"
     if (not force and marker.exists()
             and marker.read_text().strip() == fingerprint
-            and (cache_dir / "manifest.tsv").exists()):
+            and (cache_dir / "manifest.tsv").exists()
+            and (cache_dir / dataio.TAXONOMY_FILE).exists()):
         cached = dataio.read_manifest(cache_dir / "manifest.tsv",
                                       taxonomy=manifest.taxonomy)
         return cached, True
@@ -283,6 +289,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
                                  taxonomy=manifest.taxonomy,
                                  warnings=manifest.warnings + short_warnings)
     dataio.write_manifest(cache_dir / "manifest.tsv", out)
+    dataio.write_taxonomy(cache_dir / dataio.TAXONOMY_FILE, manifest.taxonomy)
     with open(cache_dir / "removed.txt", "w") as fh:
         for line in short_warnings:
             fh.write(f"short: {line}\n")

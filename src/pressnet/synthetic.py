@@ -65,26 +65,6 @@ def synthetic_sequence(subject_id: int, posture_id: int, n_frames: int,
                           posture_id=posture_id)
 
 
-def synthetic_batch(n: int, num_subjects: int, num_postures: int,
-                    seed: int = 0, noise: float = 0.01):
-    """n labeled frames cycling over (subject, posture) pairs.
-
-    Returns (x, subject_labels, posture_labels) with x shaped (n, 1, 32, 64)
-    and 0-based labels, ready for the training loop.
-    """
-    rng = make_rng(seed, 91)
-    x = np.empty((n, 1, GRID_ROWS, GRID_COLS), dtype=np.float32)
-    ys = np.empty(n, dtype=np.int64)
-    yp = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        s = i % num_subjects
-        p = (i * 7 + i // num_subjects) % num_postures
-        x[i, 0] = synthetic_frame(s + 1, p + 1, rng, noise)
-        ys[i] = s
-        yp[i] = p
-    return x, ys, yp
-
-
 def write_synthetic_dataset(root, subjects=3, postures=4, frames_per_seq=12,
                             seed: int = 0, noise: float = 0.01) -> Path:
     """Materialize a raw-count dataset tree: root/S<k>/<p>.txt.

@@ -21,7 +21,7 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
-from util import pool_oracle
+from util import pool_oracle, synthetic_batch
 
 DATA_ROOT = os.environ.get("PRESSNET_DATA_ROOT")
 dataset_required = pytest.mark.skipif(
@@ -265,7 +265,7 @@ MEMO_SEED = 5
 
 
 def _memo_setup():
-    x, yu, yp = synthetic.synthetic_batch(64, 4, 4, seed=MEMO_SEED)
+    x, yu, yp = synthetic_batch(64, 4, 4, seed=MEMO_SEED)
     mc = ModelConfig(num_subjects=4, num_postures=4)
     cfg = TrainConfig(lam=0.5, epochs=100, batch_size=16, base_lr=1e-3,
                       seed=MEMO_SEED)

@@ -278,6 +278,14 @@ class TestMlp:
         assert shapes == [(18, 128), (128, 256), (256, 256), (256, 128),
                           (128, 64), (64, 17)]
 
+    def test_stage_names_and_param_order(self):
+        model = MLPBaseline(18, 17, make_rng(54))
+        assert [n for n, _ in model.stages] == [
+            "d0", "act0", "d1", "act1", "d2", "act2", "d3", "act3", "d4",
+            "act4", "d5"]
+        assert list(model.params()) == [f"d{i}.{k}" for i in range(6)
+                                        for k in ("w", "b")]
+
     def test_memorizes_small_feature_set(self):
         rng = make_rng(55)
         x = rng.normal(size=(32, 18))

@@ -1,0 +1,50 @@
+"""The network names the benchmark's span tracer relies on.
+
+bench/spans.py labels each layer's timing spans by the stage it belongs to
+(catalog.STAGES), through attributes of PostureNet. A layer it cannot place
+falls back to a catch-all label and its stage's metrics go missing, so one
+traced train step and eval forward must give every stage its spans.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from pressnet import optim, tensor
+from pressnet.model import ModelConfig, PostureNet
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_tracer_labels_every_stage(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import catalog
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cfg = ModelConfig(num_subjects=2, num_postures=3,
+                          conv_channels=(2, 2, 2, 2), dense_width=4,
+                          input_hw=(29, 29))
+        net = PostureNet(cfg, tensor.make_rng(90))
+        rng = tensor.make_rng(91)
+        x = rng.random((4, 1, *cfg.input_hw)).astype(np.float32)
+        yu, yp = rng.integers(0, 2, 4), rng.integers(0, 3, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(92))
+        grads = net.backward(pu, pp, yu, yp, 0.5)
+        optim.adam_step(net.params(), grads,
+                        optim.AdamState(net.params(), base_lr=1e-3))
+        net.forward(x)
+    finally:
+        tracer.uninstall()
+
+    names = {s[spans.NAME] for s in tracer.spans}
+    want = {f"layers.{stage}.{phase}" for stage in catalog.STAGES
+            for phase in ("fwd", "bwd", "eval")}
+    assert not want - names, sorted(want - names)
+    # the defaults a layer gets when no stage is found for it
+    fallback = sorted(n for n in names
+                      if n.startswith("layers.")
+                      and n.split(".")[1].endswith(("_other", "dense_small")))
+    assert not fallback, fallback

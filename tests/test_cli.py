@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressnet import cli
+from pressnet import cli, dataio
 from pressnet.checkpoint import load_checkpoint
 
 from util import pack_checkpoint
@@ -78,6 +78,50 @@ class TestSynthAndPreprocess:
         cache = tmp_path / "envcache"
         assert cli.main(["preprocess", "--cache-dir", str(cache)]) == 0
         assert (cache / "manifest.tsv").exists()
+
+
+
+class TestTaxonomy:
+    @staticmethod
+    def swapped(path):
+        """A taxonomy file with supine and left swapped: 1-9 are left."""
+        tax = dataio.default_taxonomy()
+        tax = {pid: {"supine": "left", "left": "supine"}.get(cat, cat)
+               for pid, cat in tax.items()}
+        dataio.write_taxonomy(path, tax)
+        return path
+
+    def test_train_coarse_labels_follow_custom_taxonomy(self, corpus,
+                                                        tmp_path):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        assert cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache), "--taxonomy",
+                         str(self.swapped(tmp_path / "tax.txt"))]) == 0
+        manifest = dataio.read_manifest(cache / "manifest.tsv")
+        assert manifest.taxonomy[1] == "left"
+        # the loader train and evaluate share: postures 1-3 are all left now
+        data = cli._load_cache(cache, 1)
+        assert set(data.coarse_idx.tolist()) == {
+            dataio.CATEGORIES.index("left")}
+        # a cache written before caches kept their taxonomy reads as default
+        (cache / dataio.TAXONOMY_FILE).unlink()
+        assert dataio.read_manifest(cache / "manifest.tsv").taxonomy == (
+            dataio.default_taxonomy())
+
+    def test_changed_taxonomy_is_not_a_cache_hit(self, corpus, tmp_path,
+                                                 capsys):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        args = ["preprocess", "--data-root", str(root), "--cache-dir",
+                str(cache)]
+        assert cli.main(args) == 0
+        assert cli.main(args) == 0
+        assert "cache hit" in capsys.readouterr().out
+        assert cli.main(args + ["--taxonomy",
+                                str(self.swapped(tmp_path / "tax.txt"))]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert dataio.read_manifest(cache / "manifest.tsv").taxonomy[1] == "left"
 
 
 class TestTrain:

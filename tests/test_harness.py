@@ -14,6 +14,8 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig
 from pressnet.tensor import make_rng
 
+from util import synthetic_batch
+
 
 def tiny_model(num_subjects=2, num_postures=3, **kw):
     defaults = dict(conv_channels=(1, 1, 2, 2), dense_width=8,
@@ -249,7 +251,7 @@ class TestWelch:
 
 
 def small_training_set(n=24, subjects=2, postures=3, seed=0):
-    return synthetic.synthetic_batch(n, subjects, postures, seed=seed)
+    return synthetic_batch(n, subjects, postures, seed=seed)
 
 
 class TestTrainModel:

@@ -38,6 +38,30 @@ class TestLeakyReLU:
         with pytest.raises(ConfigError):
             LeakyReLU(1.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_select_form(self, dtype):
+        # forward is max(x, slope * x); it must give np.where's bits, signed
+        # zeros, subnormals and infinities included, in the input's layout
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, info.smallest_subnormal,
+                            -info.smallest_subnormal, info.tiny / 3,
+                            -info.tiny / 3, np.inf, -np.inf, info.max,
+                            -info.max], dtype=dtype)
+        rng = tensor.make_rng(3)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+        x.reshape(-1)[:special.size] = special
+        x = channels_last(x)
+        for slope in (0.2, 0.01, 0.999):
+            act = LeakyReLU(slope)
+            want = np.where(x > 0, x, dtype(slope) * x)
+            for train in (False, True):
+                out = act.forward(x, train=train)
+                assert out.dtype == want.dtype and out.strides == x.strides
+                assert out.tobytes() == want.tobytes(), (slope, train)
+            g = rng.normal(size=x.shape).astype(dtype)
+            assert act.backward(g).tobytes() == np.where(
+                x > 0, g, dtype(slope) * g).tobytes()
+
 
 class TestBatchNorm:
     def test_zero_variance_channel_gives_beta(self):

@@ -5,6 +5,8 @@ import pytest
 
 from pressnet import tensor
 from pressnet.errors import ConfigError, ShapeError, UsageError
+from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
+                             LeakyReLU, MaxPool2D)
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
@@ -209,8 +211,9 @@ class TestBackward:
         results = []
         for needs_input_grad in (True, False):
             net = PostureNet(cfg, tensor.make_rng(20))
-            assert net.convs[0].needs_input_grad is False
-            net.convs[0].needs_input_grad = needs_input_grad
+            conv1 = dict(net.stages)["conv1"]
+            assert conv1.needs_input_grad is False
+            conv1.needs_input_grad = needs_input_grad
             pu, pp = net.forward(x, train=True, rng=tensor.make_rng(22))
             grads = net.backward(pu, pp, yu, yp, 0.5)
             state = AdamState(net.params(), base_lr=1e-3)
@@ -221,6 +224,34 @@ class TestBackward:
         for key in g_on:
             assert g_on[key].tobytes() == g_off[key].tobytes(), key
             assert p_on[key].tobytes() == p_off[key].tobytes(), key
+
+
+
+class TestStages:
+    def test_stage_names_types_and_param_order(self):
+        cfg = tiny_config()
+        net = PostureNet(cfg, tensor.make_rng(80))
+        assert [name for name, _ in net.stages] == (
+            "conv1 bn1 pool1 act1 drop1 conv2 bn2 pool2 act2 drop2 "
+            "conv3 bn3 act3 drop3 conv4 bn4 act4 drop4 flatten "
+            "fc1 act_fc1 drop_fc1 fc2 act_fc2 drop_fc2").split()
+        kinds = {"conv": Conv2D, "bn": BatchNorm2D, "pool": MaxPool2D,
+                 "act": LeakyReLU, "drop": Dropout, "flatten": Flatten,
+                 "fc": Dense}
+        for name, layer in net.stages:
+            kind = name.rstrip("0123456789").split("_")[0]
+            assert type(layer) is kinds[kind], name
+        assert [(n, type(layer)) for n, layer in net.heads] == [
+            ("head_subject", Dense), ("head_posture", Dense)]
+        keys = [k for i in range(1, 5)
+                for k in (f"conv{i}.w", f"conv{i}.b",
+                          f"bn{i}.gamma", f"bn{i}.beta")]
+        keys += [f"{n}.{k}" for n in ("fc1", "fc2", "head_subject",
+                                      "head_posture") for k in ("w", "b")]
+        assert list(net.params()) == keys
+        assert list(net.bn_stats()) == [
+            f"bn{i}.{k}" for i in range(1, 5)
+            for k in ("running_mean", "running_var")]
 
 
 class TestLayout:
@@ -237,14 +268,9 @@ class TestLayout:
             allowed.add((ch, *next(shapes)))
             if i < 2:
                 allowed.add((ch, *next(shapes)))
-        layers = {"flatten": net.flatten}
-        for i in range(4):
-            layers.update({f"conv{i + 1}": net.convs[i],
-                           f"bn{i + 1}": net.bns[i],
-                           f"act{i + 1}": net.conv_acts[i],
-                           f"drop{i + 1}": net.conv_drops[i]})
-            if net.pools[i] is not None:
-                layers[f"pool{i + 1}"] = net.pools[i]
+        # the conv-block stages and flatten: everything before fc1
+        names = [name for name, _ in net.stages]
+        layers = dict(net.stages[:names.index("fc1")])
         seen = []
 
         def wrap(name, phase, fn):

@@ -7,6 +7,10 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pressnet.dataio import GRID_COLS, GRID_ROWS
+from pressnet.synthetic import synthetic_frame
+from pressnet.tensor import make_rng
+
 
 def central_diff_grad(f, x, h=1e-6):
     """Gradient of scalar f at x by central finite differences (float64)."""
@@ -192,3 +196,20 @@ def pack_checkpoint(header, tensors):
                   db, struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
     return b"".join(parts)
+
+
+def synthetic_batch(n, num_subjects, num_postures, seed=0, noise=0.01):
+    """n labeled synthetic frames cycling over (subject, posture) pairs:
+    (x, subject_labels, posture_labels), x shaped (n, 1, 32, 64) and the
+    labels 0-based, ready for the training loop."""
+    rng = make_rng(seed, 91)
+    x = np.empty((n, 1, GRID_ROWS, GRID_COLS), dtype=np.float32)
+    ys = np.empty(n, dtype=np.int64)
+    yp = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        s = i % num_subjects
+        p = (i * 7 + i // num_subjects) % num_postures
+        x[i, 0] = synthetic_frame(s + 1, p + 1, rng, noise)
+        ys[i] = s
+        yp[i] = p
+    return x, ys, yp
