@@ -309,7 +309,7 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
         n_classes = int(train_y.max()) + 1
     model = MLPBaseline(train_x.shape[1], n_classes, make_rng(seed, 85))
     model.mu, model.sd = standardize_fit(train_x)
-    state = AdamState(model.params(), base_lr=lr)
+    state = AdamState(model.params())
     n = train_x.shape[0]
     for epoch in range(epochs):
         order = make_rng(seed, 86, epoch).permutation(n)
@@ -317,7 +317,7 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
             idx = order[s:s + batch_size]
             probs = model.forward(train_x[idx], train=True)
             grads = model.backward(probs, train_y[idx])
-            adam_step(model.params(), grads, state, lr=lr)
+            adam_step(model.params(), grads, state, lr)
     return model
 
 

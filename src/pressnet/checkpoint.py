@@ -3,9 +3,9 @@
 Layout (all integers little-endian):
 
     magic   b"PNET1"
-    version u16 (currently 1)
+    version u16 (currently 2)
     header  u32 length + UTF-8 JSON: model config, epoch, seed, dtype,
-            Adam scalar state (or null)
+            adam: {t, beta1, beta2, eps} (or null)
     tensors u32 count, then per tensor:
             u16 name length + UTF-8 name (prefixed param:/stat:/adam.m:/adam.v:)
             u8 dtype-string length + dtype (numpy little-endian str, e.g. "<f4")
@@ -13,7 +13,8 @@ Layout (all integers little-endian):
             raw payload bytes
 
 Round-trips are bit-exact: payloads are written and read as raw
-little-endian scalars with no re-encoding.
+little-endian scalars with no re-encoding. Any other version is refused;
+version 1 also held conv biases and the LR schedule, and has no migration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import ModelConfig, PostureNet
 from .optim import AdamState
 
 MAGIC = b"PNET1"
-VERSION = 1
+VERSION = 2
 HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam")
 
 
@@ -64,9 +65,8 @@ def save_checkpoint(path, net: PostureNet, adam: AdamState | None = None,
         "seed": int(seed),
         "dtype": np.dtype(net.dtype).name,
         "adam": None if adam is None else {
-            "t": adam.t, "base_lr": adam.base_lr,
-            "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
-            "decay_rate": adam.decay_rate, "decay_every": adam.decay_every,
+            "t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2,
+            "eps": adam.eps,
         },
     }
     tensors = [(f"param:{k}", v) for k, v in net.params().items()]
@@ -114,7 +114,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("bad magic: not a PNET1 checkpoint")
     version = r.u16()
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"checkpoint version {version} cannot be read "
+                              f"(this code reads {VERSION}); train again")
     try:
         header = json.loads(r.take(r.u32()).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -148,10 +149,8 @@ def load_checkpoint(path) -> Checkpoint:
         adam = None
         if header["adam"] is not None:
             a = header["adam"]
-            adam = AdamState(groups["param"], base_lr=a["base_lr"],
-                             beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-                             decay_rate=a["decay_rate"],
-                             decay_every=a["decay_every"])
+            adam = AdamState(groups["param"], beta1=a["beta1"],
+                             beta2=a["beta2"], eps=a["eps"])
             adam.t = a["t"]
             adam.m = groups["adam.m"]
             adam.v = groups["adam.v"]

@@ -30,7 +30,6 @@ from . import baselines, dataio, harness, signal, synthetic
 from .checkpoint import load_checkpoint, restore_net
 from .errors import ConfigError, PressnetError, UsageError
 from .harness import TrainConfig
-from .tensor import make_rng
 
 DATA_ROOT_ENV = "PRESSNET_DATA_ROOT"
 
@@ -265,12 +264,7 @@ def cmd_frame_dump(args) -> int:
 
 def cmd_augment_stats(args) -> int:
     policy = signal.AugmentPolicy()
-    rng = make_rng(args.seed, 95)
-    counts = np.zeros(4, dtype=np.int64)
-    for _ in range(args.draws):
-        plan = signal.augment_plan(policy, rng)
-        counts += [plan["rot180"], plan["dx"] is not None,
-                   plan["dy"] is not None, plan["angle"] is not None]
+    counts = signal.plan_firing_counts(policy, args.draws, args.seed)
     names = ("rotate-180", "translate-x", "translate-y", "rotate-free")
     expected = policy.probabilities()
     print(f"{args.draws} draws, seed {args.seed}:")

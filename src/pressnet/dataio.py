@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, ParseError
+from .errors import ConfigError, LabelError, ParseError, UsageError
 
 # canonical in-memory grid
 GRID_ROWS = 32
@@ -280,11 +280,15 @@ def read_manifest(path, taxonomy=None) -> DatasetManifest:
     """Read a manifest written by write_manifest.
 
     taxonomy None takes the TAXONOMY_FILE beside the manifest, which a
-    preprocessed cache keeps, or the built-in default where there is none.
+    preprocessed cache keeps; UsageError when there is none (a cache
+    written before caches kept their taxonomy).
     """
     if taxonomy is None:
         own = Path(path).with_name(TAXONOMY_FILE)
-        taxonomy = load_taxonomy(own) if own.exists() else default_taxonomy()
+        if not own.exists():
+            raise UsageError(f"cache {Path(path).parent} has no {TAXONOMY_FILE}"
+                             "; run 'preprocess' on it again")
+        taxonomy = load_taxonomy(own)
     entries = []
     warnings = []
     with open(path) as fh:

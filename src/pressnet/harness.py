@@ -26,7 +26,7 @@ from scipy import special as _special
 
 from . import baselines as classical
 from . import dataio, signal
-from .checkpoint import Checkpoint, load_checkpoint, restore_net, save_checkpoint
+from .checkpoint import Checkpoint, restore_net, save_checkpoint
 from .errors import (ConfigError, LabelError, NumericFault, TrainingFault,
                      UsageError)
 from .model import ModelConfig, PostureNet
@@ -38,7 +38,6 @@ __all__ = [
     "kfold_split", "loso_split", "flatten_sequences",
     "train_model", "evaluate_model", "confusion_matrix", "collapse_confusion",
     "compute_metrics", "welch_t_test", "run_experiment", "run_sweep",
-    "save_checkpoint", "load_checkpoint",
 ]
 
 STREAM_INIT = 0
@@ -271,9 +270,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
         start_epoch = resume.epoch
     else:
         net = PostureNet(model_config, make_rng(config.seed, STREAM_INIT))
-        state = AdamState(net.params(), base_lr=config.base_lr,
-                          decay_rate=config.lr_decay_rate,
-                          decay_every=config.lr_decay_every)
+        state = AdamState(net.params())
         start_epoch = 0
 
     if policy is None:
@@ -283,8 +280,8 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
                               "l2", "acc_user", "acc_posture")}
     params = net.params()
     for epoch in range(start_epoch, config.epochs):
-        lr = lr_schedule(config.base_lr, epoch, rate=config.lr_decay_rate,
-                         every=config.lr_decay_every)
+        lr = lr_schedule(config.base_lr, epoch, config.lr_decay_rate,
+                         config.lr_decay_every)
         order = make_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
         drop_rng = make_rng(config.seed, STREAM_DROPOUT, epoch)
         aug_rng = make_rng(config.seed, STREAM_AUGMENT, epoch)
@@ -305,7 +302,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
                     f"user={lu} posture={lp} l2={l2}")
 
             grads = net.backward(probs_u, probs_p, yu, yp, config.lam)
-            adam_step(params, grads, state, lr=lr)
+            adam_step(params, grads, state, lr)
 
             b = idx.size
             sums["loss_user"] += lu * b

@@ -22,7 +22,7 @@ sign mask, only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
-    params  trainable arrays, keyed w/b or gamma/beta
+    params  trainable arrays, keyed w (Conv2D), w/b (Dense) or gamma/beta
     stats   running statistics (BatchNorm2D's running_mean/running_var;
             empty for the others)
     grads   parameter gradients, filled by backward under the keys of params
@@ -78,7 +78,8 @@ def init_std(fan_in: int, slope: float) -> float:
 
 
 class Conv2D:
-    """3x3 valid convolution, stride 1, with bias.
+    """3x3 valid convolution, stride 1, no bias: a BatchNorm follows every
+    conv, and its batch-mean subtraction would cancel one.
 
     With needs_input_grad false (a first layer, whose input is the data),
     backward computes only the parameter gradients and returns None.
@@ -90,8 +91,7 @@ class Conv2D:
         self.w = tensor.gaussian((cout, cin, kernel, kernel), 0.0,
                                  init_std(cin * kernel * kernel, slope),
                                  rng, dtype)
-        self.b = tensor.zeros((cout,), dtype)
-        self.params = {"w": self.w, "b": self.b}
+        self.params = {"w": self.w}
         self.stats = {}
         self.grads = {}
         self.needs_input_grad = needs_input_grad
@@ -100,18 +100,13 @@ class Conv2D:
     def forward(self, x, train: bool, rng=None):
         if train:
             self._x = x
-        out = tensor.conv2d_valid(x, self.w)
-        rows = _rows(out)  # a view, as the kernel returns channels-last
-        rows += np.tile(self.b, out.shape[3])
-        return _unrows(rows, out.shape)
+        return tensor.conv2d_valid(x, self.w)
 
     def backward(self, g):
         if self._x is None:
             raise UsageError("Conv2D.backward without a training forward")
         gx, self.grads["w"] = tensor.conv2d_valid_backward(
             self._x, self.w, g, need_x=self.needs_input_grad)
-        b, c = g.shape[:2]
-        self.grads["b"] = _channel_sum(_rows(g), b, c).astype(g.dtype)
         return gx
 
 

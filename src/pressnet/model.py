@@ -2,8 +2,9 @@
 
 Four conv blocks (the first two with max-pooling) feed two dense layers,
 which branch into two parallel softmax heads: one over subjects, one over
-postures. Training minimizes lam * user_loss + (1 - lam) * posture_loss
-plus an L2 penalty on convolution and dense weights.
+postures. A batch norm follows each (bias-free) conv. Training minimizes
+lam * user_loss + (1 - lam) * posture_loss plus an L2 penalty on
+convolution and dense weights.
 
 The shared trunk is PostureNet.stages, one ordered list of (name, layer)
 pairs: conv1 bn1 pool1 act1 drop1 ... conv4 bn4 act4 drop4 flatten fc1

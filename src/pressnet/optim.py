@@ -1,4 +1,6 @@
-"""Adam with bias correction and the step-decay learning-rate schedule."""
+"""Adam with bias correction, and the step-decay learning-rate schedule
+whose settings the caller (TrainConfig) owns: each adam_step is given its lr.
+"""
 
 from __future__ import annotations
 
@@ -8,35 +10,28 @@ from .errors import UsageError
 
 
 class AdamState:
-    """Per-parameter moment estimates plus the schedule constants."""
+    """Per-parameter moment estimates, the step count and Adam's constants."""
 
-    def __init__(self, params: dict, base_lr: float = 2e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 decay_rate: float = 0.95, decay_every: int = 10):
+    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        self.base_lr = base_lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.decay_rate = decay_rate
-        self.decay_every = decay_every
 
 
-def lr_schedule(base_lr: float, epoch: int, rate: float = 0.95,
-                every: int = 10) -> float:
+def lr_schedule(base_lr: float, epoch: int, rate: float, every: int) -> float:
     """base_lr * rate ** floor(epoch / every)."""
     return base_lr * rate ** (epoch // every)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
-              lr: float | None = None) -> None:
-    """One Adam update, in place on the parameter arrays."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One Adam update with learning rate lr, in place on the parameter
+    arrays."""
     if set(grads) != set(params):
         raise UsageError("gradient keys do not match parameter keys")
-    if lr is None:
-        lr = state.base_lr
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t

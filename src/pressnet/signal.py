@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import dataio
 from .dataio import SENSOR_MAX, SampleSequence
 from .errors import ShapeError
+from .tensor import make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,18 @@ def apply_plan(frame: np.ndarray, plan: dict) -> np.ndarray:
 def augment_sample(frame: np.ndarray, policy: AugmentPolicy, rng) -> np.ndarray:
     """Apply one random realization of the policy to a single frame."""
     return apply_plan(frame, augment_plan(policy, rng, shape=frame.shape))
+
+
+def plan_firing_counts(policy: AugmentPolicy, draws: int, seed: int):
+    """Firings of rotate-180, translate-x, translate-y and free rotation in
+    `draws` plans drawn from stream (seed, 95)."""
+    rng = make_rng(seed, 95)
+    counts = np.zeros(4, dtype=np.int64)
+    for _ in range(draws):
+        plan = augment_plan(policy, rng)
+        counts += [plan["rot180"], plan["dx"] is not None,
+                   plan["dy"] is not None, plan["angle"] is not None]
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ def test_tracer_labels_every_stage(monkeypatch):
         yu, yp = rng.integers(0, 2, 4), rng.integers(0, 3, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(92))
         grads = net.backward(pu, pp, yu, yp, 0.5)
-        optim.adam_step(net.params(), grads,
-                        optim.AdamState(net.params(), base_lr=1e-3))
+        optim.adam_step(net.params(), grads, optim.AdamState(net.params()),
+                        lr=1e-3)
         net.forward(x)
     finally:
         tracer.uninstall()

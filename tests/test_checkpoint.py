@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from pressnet import tensor
-from pressnet.checkpoint import (HEADER_KEYS, MAGIC, Checkpoint,
+from pressnet.checkpoint import (HEADER_KEYS, MAGIC, VERSION, Checkpoint,
                                  load_checkpoint, restore_net, save_checkpoint)
 from pressnet.errors import CheckpointError
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import pack_checkpoint
+from util import pack_checkpoint, pack_version1_checkpoint
 
 
 def small_net(dtype=np.float32):
@@ -50,7 +50,7 @@ class TestRoundTrip:
 
     def test_adam_state_survives(self, tmp_path):
         net = small_net()
-        state = AdamState(net.params(), base_lr=3e-4)
+        state = AdamState(net.params(), beta1=0.8, beta2=0.99, eps=1e-7)
         # take a couple of steps so moments are non-trivial
         rng = tensor.make_rng(5)
         x = rng.normal(size=(4, 1, 29, 29)).astype(np.float32)
@@ -59,12 +59,13 @@ class TestRoundTrip:
         for _ in range(2):
             pu, pp = net.forward(x, train=True)
             grads = net.backward(pu, pp, lu, lp, lam=0.5)
-            adam_step(net.params(), grads, state)
+            adam_step(net.params(), grads, state, lr=3e-4)
         save_checkpoint(tmp_path / "a.ckpt", net, adam=state, epoch=2, seed=9)
         ckpt = load_checkpoint(tmp_path / "a.ckpt")
         assert ckpt.adam is not None
         assert ckpt.adam.t == state.t
-        assert ckpt.adam.base_lr == state.base_lr
+        for name in ("beta1", "beta2", "eps"):
+            assert getattr(ckpt.adam, name) == getattr(state, name)
         for k in state.m:
             assert ckpt.adam.m[k].tobytes() == state.m[k].tobytes()
             assert ckpt.adam.v[k].tobytes() == state.v[k].tobytes()
@@ -113,6 +114,19 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_version_1_is_refused(self, tmp_path, with_adam):
+        net = small_net()
+        save_checkpoint(tmp_path / "v2.ckpt", net,
+                        adam=AdamState(net.params()) if with_adam else None)
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(pack_version1_checkpoint(
+            load_checkpoint(tmp_path / "v2.ckpt")))
+        with pytest.raises(CheckpointError, match="version 1") as info:
+            load_checkpoint(old)
+        assert "\n" not in str(info.value)
+        assert "train" in str(info.value)
+
     def test_truncated_file(self, tmp_path):
         net = small_net()
         full = tmp_path / "full.ckpt"
@@ -133,7 +147,7 @@ class TestCorruption:
 
     def test_garbage_header_json(self, tmp_path):
         body = b"{not json"
-        blob = (MAGIC + struct.pack("<H", 1)
+        blob = (MAGIC + struct.pack("<H", VERSION)
                 + struct.pack("<I", len(body)) + body
                 + struct.pack("<I", 0))
         p = tmp_path / "g.ckpt"
@@ -207,7 +221,7 @@ class TestIncompleteContents:
         (lambda h: h["config"].update(bogus=1), "bogus"),
         (lambda h: h["config"].update(conv_channels=[1, 2]), "conv_channels"),
         (lambda h: h.update(dtype="no-such-type"), "no-such-type"),
-        (lambda h: h.update(adam={"t": 1}), "base_lr"),
+        (lambda h: h.update(adam={"t": 1}), "beta1"),
     ], ids=["unknown-config-field", "bad-config-value", "bad-dtype",
             "partial-adam"])
     def test_bad_header_values(self, tmp_path, edit, match):

@@ -9,8 +9,9 @@ import pytest
 
 from pressnet import cli, dataio
 from pressnet.checkpoint import load_checkpoint
+from pressnet.errors import UsageError
 
-from util import pack_checkpoint
+from util import pack_checkpoint, pack_version1_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestTaxonomy:
         return path
 
     def test_train_coarse_labels_follow_custom_taxonomy(self, corpus,
-                                                        tmp_path):
+                                                        tmp_path, capsys):
         root, _ = corpus
         cache = tmp_path / "cache"
         assert cli.main(["preprocess", "--data-root", str(root),
@@ -104,10 +105,22 @@ class TestTaxonomy:
         data = cli._load_cache(cache, 1)
         assert set(data.coarse_idx.tolist()) == {
             dataio.CATEGORIES.index("left")}
-        # a cache written before caches kept their taxonomy reads as default
+        # a cache written before caches kept their taxonomy is refused,
+        # and train and evaluate exit 2 before anything trains
         (cache / dataio.TAXONOMY_FILE).unlink()
-        assert dataio.read_manifest(cache / "manifest.tsv").taxonomy == (
-            dataio.default_taxonomy())
+        with pytest.raises(UsageError, match="preprocess"):
+            dataio.read_manifest(cache / "manifest.tsv")
+        out = tmp_path / "run"
+        for argv in (["train", "--cache-dir", str(cache), "--out-dir",
+                      str(out), "--k", "2", "--epochs", "1"],
+                     ["evaluate", "--cache-dir", str(cache),
+                      "--checkpoint", str(tmp_path / "none.ckpt")]):
+            capsys.readouterr()
+            assert cli.main(argv) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert str(cache) in lines[0] and "preprocess" in lines[0]
+        assert not out.exists()
 
     def test_changed_taxonomy_is_not_a_cache_hit(self, corpus, tmp_path,
                                                  capsys):
@@ -307,6 +320,22 @@ class TestEvaluate:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "conv1.w" in lines[0]
+        assert "accuracy" not in captured.out
+
+    def test_version_1_checkpoint_is_one_error_line(self, corpus, trained_run,
+                                                    tmp_path, capsys):
+        _, cache = corpus
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(pack_version1_checkpoint(
+            load_checkpoint(trained_run / "fold_00" / "model.ckpt")))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(old),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "version 1" in lines[0]
         assert "accuracy" not in captured.out
 
 

@@ -194,6 +194,6 @@ class TestManifest:
         manifest = dataio.build_manifest(tmp_path)
         out = tmp_path / "manifest.tsv"
         dataio.write_manifest(out, manifest)
-        back = dataio.read_manifest(out)
+        back = dataio.read_manifest(out, taxonomy=manifest.taxonomy)
         assert back.entries == manifest.entries
         assert back.warnings == manifest.warnings

@@ -124,6 +124,24 @@ class TestBatchNorm:
             base = np.ones(2) if attr == "gamma" else np.zeros(2)
             assert max_rel_err(got, central_diff_grad(loss_p, base)) <= 1e-4
 
+    def test_train_mode_cancels_a_per_channel_shift(self):
+        # why Conv2D has no bias: a per-channel constant added before a
+        # train-mode batch norm changes neither its output nor any gradient
+        rng = tensor.make_rng(23)
+        x = rng.normal(size=(4, 3, 5, 6))
+        g = rng.normal(size=x.shape)
+        c = np.array([0.75, -3.0, 40.0])
+        runs = []
+        for inp in (x, x + c[None, :, None, None]):
+            bn = BatchNorm2D(3, dtype=np.float64)
+            bn.gamma[:] = [0.5, 2.0, -1.5]
+            bn.beta[:] = [0.1, -0.2, 0.3]
+            out = bn.forward(inp, train=True)
+            runs.append((out, bn.backward(g), bn.grads["gamma"],
+                         bn.grads["beta"]))
+        for a, b in zip(*runs):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+
     def test_backward_requires_train_forward(self):
         bn = BatchNorm2D(1)
         bn.forward(np.ones((2, 1, 3, 3)), train=False)

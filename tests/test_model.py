@@ -142,8 +142,7 @@ class TestBackward:
         g1 = grads_for(x, yu, yp)
         g2 = grads_for(x2, yu2, yp2)
         for key in g1:
-            # conv biases under train-mode batch norm have true gradient 0,
-            # so compare with an absolute floor at roundoff scale
+            # an absolute floor at roundoff scale, for entries near 0
             scale = max(np.max(np.abs(g1[key])), np.max(np.abs(g2[key])))
             diff = np.max(np.abs(g1[key] - g2[key]))
             assert diff <= 1e-12 + 1e-8 * scale, key
@@ -177,8 +176,7 @@ class TestBackward:
                 fd = (fp - fm) / (2 * h)
                 a = grads[key].reshape(-1)[i]
                 # floor 1e-5: central differences on an O(1) float64 loss
-                # carry ~1e-10 noise, and conv-bias gradients under batch
-                # norm are exactly zero
+                # carry ~1e-10 noise
                 err = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
                 worst = max(worst, err)
         assert worst <= 1e-4
@@ -216,8 +214,8 @@ class TestBackward:
             conv1.needs_input_grad = needs_input_grad
             pu, pp = net.forward(x, train=True, rng=tensor.make_rng(22))
             grads = net.backward(pu, pp, yu, yp, 0.5)
-            state = AdamState(net.params(), base_lr=1e-3)
-            adam_step(net.params(), grads, state)
+            state = AdamState(net.params())
+            adam_step(net.params(), grads, state, lr=1e-3)
             results.append((grads, net.params()))
         (g_on, p_on), (g_off, p_off) = results
         assert list(g_on) == list(g_off)
@@ -244,8 +242,7 @@ class TestStages:
         assert [(n, type(layer)) for n, layer in net.heads] == [
             ("head_subject", Dense), ("head_posture", Dense)]
         keys = [k for i in range(1, 5)
-                for k in (f"conv{i}.w", f"conv{i}.b",
-                          f"bn{i}.gamma", f"bn{i}.beta")]
+                for k in (f"conv{i}.w", f"bn{i}.gamma", f"bn{i}.beta")]
         keys += [f"{n}.{k}" for n in ("fc1", "fc2", "head_subject",
                                       "head_posture") for k in ("w", "b")]
         assert list(net.params()) == keys

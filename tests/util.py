@@ -7,6 +7,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pressnet.checkpoint import VERSION
 from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
@@ -182,12 +183,12 @@ def bn_backward_oracle(g, xhat, inv_std, gamma):
     return gx, ggamma, gbeta
 
 
-def pack_checkpoint(header, tensors):
-    """Bytes of a PNET1 version-1 checkpoint holding `header` (a JSON-able
-    object) and the (name, array) pairs in `tensors`, with no check of
-    either: the container layout spelled out for corrupt-file tests."""
+def pack_checkpoint(header, tensors, version=VERSION):
+    """Bytes of a PNET1 checkpoint of the given version holding `header` (a
+    JSON-able object) and the (name, array) pairs in `tensors`, with no check
+    of either: the container layout spelled out for corrupt-file tests."""
     body = json.dumps(header, sort_keys=True).encode()
-    parts = [b"PNET1", struct.pack("<HI", 1, len(body)), body,
+    parts = [b"PNET1", struct.pack("<HI", version, len(body)), body,
              struct.pack("<I", len(tensors))]
     for name, arr in tensors:
         arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
@@ -196,6 +197,33 @@ def pack_checkpoint(header, tensors):
                   db, struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
     return b"".join(parts)
+
+
+def pack_version1_checkpoint(ckpt):
+    """Bytes of the version-1 file the format-1 writer made for the net and
+    Adam state of `ckpt` (a loaded Checkpoint): each conv<i>.w is followed
+    by a zero bias conv<i>.b, with zero Adam moments, and the adam header
+    also holds the default learning-rate schedule."""
+    def with_biases(tensors):
+        out = {}
+        for key, arr in tensors.items():
+            out[key] = arr
+            if key.startswith("conv") and key.endswith(".w"):
+                out[key[:-1] + "b"] = np.zeros(arr.shape[0], arr.dtype)
+        return out
+
+    header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
+              "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": None}
+    tensors = [(f"param:{k}", v) for k, v in with_biases(ckpt.params).items()]
+    tensors += [(f"stat:{k}", v) for k, v in ckpt.bn_stats.items()]
+    if ckpt.adam is not None:
+        a = ckpt.adam
+        header["adam"] = {"t": a.t, "base_lr": 2e-5, "beta1": a.beta1,
+                          "beta2": a.beta2, "eps": a.eps, "decay_rate": 0.95,
+                          "decay_every": 10}
+        tensors += [(f"adam.m:{k}", v) for k, v in with_biases(a.m).items()]
+        tensors += [(f"adam.v:{k}", v) for k, v in with_biases(a.v).items()]
+    return pack_checkpoint(header, tensors, version=1)
 
 
 def synthetic_batch(n, num_subjects, num_postures, seed=0, noise=0.01):
