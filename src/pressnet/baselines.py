@@ -161,7 +161,6 @@ class TreeNode:
 class TreeEnsemble:
     trees: list
     n_classes: int
-    seed: int
 
 
 def _majority(y: np.ndarray) -> int:
@@ -230,7 +229,7 @@ def train_bagged_trees(x: np.ndarray, y: np.ndarray, n_trees: int = 50,
         rng = make_rng(seed, 80, t)
         idx = rng.integers(0, x.shape[0], size=x.shape[0])
         trees.append(_grow(x[idx], y[idx], n_classes, 0, max_depth))
-    return TreeEnsemble(trees=trees, n_classes=n_classes, seed=seed)
+    return TreeEnsemble(trees=trees, n_classes=n_classes)
 
 
 def _tree_predict_one(node: TreeNode, q: np.ndarray) -> int:
@@ -262,9 +261,11 @@ class MLPBaseline:
     """
 
     WIDTHS = (128, 256, 256, 128, 64)
+    SLOPE = 0.2
+    DTYPE = np.float32
 
-    def __init__(self, in_features: int, n_classes: int, rng,
-                 slope: float = 0.2, dtype=np.float32):
+    def __init__(self, in_features: int, n_classes: int, rng):
+        slope, dtype = self.SLOPE, self.DTYPE
         self.stages = []
         prev = in_features
         for i, w in enumerate(self.WIDTHS):
@@ -276,19 +277,18 @@ class MLPBaseline:
         self.n_classes = n_classes
         self.mu = np.zeros(in_features)
         self.sd = np.ones(in_features)
-        self.dtype = dtype
 
     def params(self) -> dict:
         return collect(self.stages, "params")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        h = standardize_apply(np.asarray(x), self.mu, self.sd).astype(self.dtype)
+        h = standardize_apply(np.asarray(x), self.mu, self.sd).astype(self.DTYPE)
         for _, layer in self.stages:
             h = layer.forward(h, train)
         return losses.softmax(h)
 
     def backward(self, probs: np.ndarray, labels: np.ndarray) -> dict:
-        g = losses.cross_entropy_grad_logits(probs, labels).astype(self.dtype)
+        g = losses.cross_entropy_grad_logits(probs, labels).astype(self.DTYPE)
         for _, layer in reversed(self.stages):
             g = layer.backward(g)
         return collect(self.stages, "grads")

@@ -248,8 +248,7 @@ def cmd_report(args) -> int:
 
 def cmd_frame_dump(args) -> int:
     seq = dataio.parse_frame_file(args.file, delimiter=args.delimiter,
-                                  subject_id=args.subject or 0,
-                                  posture_id=args.posture or 0)
+                                  subject_id=0, posture_id=0)
     if not 0 <= args.index < len(seq):
         raise UsageError(f"frame index {args.index} out of range "
                          f"(sequence has {len(seq)} frames)")
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--delimiter", default=None)
-    p.add_argument("--subject", type=int, default=None)
-    p.add_argument("--posture", type=int, default=None)
     p.set_defaults(func=cmd_frame_dump)
 
     p = sub.add_parser("augment-stats",

@@ -79,14 +79,6 @@ class DatasetManifest:
     taxonomy: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
-    @property
-    def subjects(self):
-        return sorted({e.subject_id for e in self.entries})
-
-    @property
-    def postures(self):
-        return sorted({e.posture_id for e in self.entries})
-
     def total_frames(self):
         return sum(e.frame_count for e in self.entries)
 

@@ -90,8 +90,6 @@ class TrainConfig:
 @dataclass
 class FoldPlan:
     folds: list   # of (train_indices, test_indices) int arrays
-    scheme: str
-    seed: int
 
     def __len__(self):
         return len(self.folds)
@@ -117,10 +115,10 @@ def kfold_split(n: int, k: int = 10, seed: int = 0) -> FoldPlan:
         train = np.sort(np.concatenate([order[:start], order[start + size:]]))
         folds.append((train, test))
         start += size
-    return FoldPlan(folds=folds, scheme="kfold", seed=seed)
+    return FoldPlan(folds)
 
 
-def loso_split(subject_idx: np.ndarray, seed: int = 0) -> FoldPlan:
+def loso_split(subject_idx: np.ndarray) -> FoldPlan:
     """One fold per subject: its samples test, everyone else's train."""
     subject_idx = np.asarray(subject_idx)
     subjects = np.unique(subject_idx)
@@ -131,7 +129,7 @@ def loso_split(subject_idx: np.ndarray, seed: int = 0) -> FoldPlan:
     for s in subjects:
         mask = subject_idx == s
         folds.append((all_idx[~mask], all_idx[mask]))
-    return FoldPlan(folds=folds, scheme="loso", seed=seed)
+    return FoldPlan(folds)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def flatten_sequences(sequences, taxonomy, stride: int = 1) -> FlatDataset:
 def split_for(data: FlatDataset, config: TrainConfig) -> FoldPlan:
     """Build the FoldPlan a TrainConfig asks for over a flat dataset."""
     if config.scheme == "loso":
-        return loso_split(data.subject_idx, seed=config.seed)
+        return loso_split(data.subject_idx)
     if config.split_level == "sequence":
         n_seq = int(data.seq_id.max()) + 1
         plan = kfold_split(n_seq, k=config.k, seed=config.seed)
@@ -209,7 +207,7 @@ def split_for(data: FlatDataset, config: TrainConfig) -> FoldPlan:
             train_mask = np.isin(data.seq_id, train_s)
             idx = np.arange(len(data))
             folds.append((idx[train_mask], idx[~train_mask]))
-        return FoldPlan(folds=folds, scheme="kfold", seed=config.seed)
+        return FoldPlan(folds)
     return kfold_split(len(data), k=config.k, seed=config.seed)
 
 
@@ -225,7 +223,8 @@ def _iter_batches(n: int, batch_size: int, order: np.ndarray):
             yield chunk
 
 
-def _augment_batch(xb: np.ndarray, policy, rng) -> np.ndarray:
+def _augment_batch(xb: np.ndarray, rng) -> np.ndarray:
+    policy = signal.AugmentPolicy()
     out = np.empty_like(xb)
     for i in range(xb.shape[0]):
         out[i, 0] = signal.augment_sample(xb[i, 0], policy, rng)
@@ -234,7 +233,7 @@ def _augment_batch(xb: np.ndarray, policy, rng) -> np.ndarray:
 
 def train_model(x, y_user, y_posture, config: TrainConfig,
                 model_config: ModelConfig, resume: Checkpoint | None = None,
-                policy=None, epoch_hook=None):
+                epoch_hook=None):
     """Train the dual-head network; returns (net, adam_state, curves).
 
     curves maps each of loss_user/loss_posture/loss_total/l2/acc_user/
@@ -273,9 +272,6 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
         state = AdamState(net.params())
         start_epoch = 0
 
-    if policy is None:
-        policy = signal.AugmentPolicy()
-
     curves = {k: [] for k in ("loss_user", "loss_posture", "loss_total",
                               "l2", "acc_user", "acc_posture")}
     params = net.params()
@@ -291,7 +287,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
         for batch_no, idx in enumerate(_iter_batches(n, config.batch_size, order)):
             xb = x[idx]
             if config.augment:
-                xb = _augment_batch(xb, policy, aug_rng)
+                xb = _augment_batch(xb, aug_rng)
             yu, yp = y_user[idx], y_posture[idx]
 
             probs_u, probs_p = net.forward(xb, train=True, rng=drop_rng)
@@ -398,8 +394,7 @@ def _forward_in_chunks(net: PostureNet, x: np.ndarray, chunk: int = 256):
 
 
 def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
-                   include_subject: bool = True, augment_rng=None,
-                   policy=None) -> dict:
+                   include_subject: bool = True, augment_rng=None) -> dict:
     """Inference-mode evaluation on one test split.
 
     Returns a dict with 'posture_fine', 'posture_coarse', and (unless
@@ -412,9 +407,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
         raise UsageError("empty test split")
     x = data.x[test_idx]
     if augment_rng is not None:
-        if policy is None:
-            policy = signal.AugmentPolicy()
-        x = _augment_batch(x, policy, augment_rng)
+        x = _augment_batch(x, augment_rng)
     yu = data.subject_idx[test_idx]
     yp = data.posture_idx[test_idx]
     yc = data.coarse_idx[test_idx]

@@ -86,11 +86,9 @@ class Conv2D:
     """
 
     def __init__(self, cin: int, cout: int, rng, slope: float,
-                 dtype=np.float32, kernel: int = 3,
-                 needs_input_grad: bool = True):
-        self.w = tensor.gaussian((cout, cin, kernel, kernel), 0.0,
-                                 init_std(cin * kernel * kernel, slope),
-                                 rng, dtype)
+                 dtype=np.float32, needs_input_grad: bool = True):
+        self.w = tensor.gaussian((cout, cin, 3, 3), 0.0,
+                                 init_std(cin * 9, slope), rng, dtype)
         self.params = {"w": self.w}
         self.stats = {}
         self.grads = {}

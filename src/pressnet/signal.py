@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .dataio import SENSOR_MAX, SampleSequence
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import make_rng
 
 
@@ -213,7 +213,9 @@ def augment_sample(frame: np.ndarray, policy: AugmentPolicy, rng) -> np.ndarray:
 
 def plan_firing_counts(policy: AugmentPolicy, draws: int, seed: int):
     """Firings of rotate-180, translate-x, translate-y and free rotation in
-    `draws` plans drawn from stream (seed, 95)."""
+    `draws` (at least 1) plans drawn from stream (seed, 95)."""
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
     rng = make_rng(seed, 95)
     counts = np.zeros(4, dtype=np.int64)
     for _ in range(draws):
@@ -257,8 +259,14 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     'removed.txt' (the removal report and any too-short-after-trim
     warnings), and a fingerprint of the raw inputs and the taxonomy. When
     the fingerprint already matches, the cached manifest is returned
-    untouched. Returns (manifest, hit).
+    untouched. Returns (manifest, hit). ConfigError, before cache_dir is
+    created, unless trim >= 0 and empty_threshold is finite and >= 0.
     """
+    if trim < 0:
+        raise ConfigError(f"trim must be >= 0, got {trim}")
+    if not (math.isfinite(empty_threshold) and empty_threshold >= 0.0):
+        raise ConfigError(f"empty threshold must be finite and >= 0, "
+                          f"got {empty_threshold}")
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     manifest = dataio.build_manifest(root, taxonomy=taxonomy)

@@ -15,17 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (FILE_COLS, FILE_ROWS, GRID_COLS, GRID_ROWS, SENSOR_MAX,
-                     SampleSequence)
+from .dataio import (FILE_COLS, FILE_ROWS, GRID_COLS, GRID_ROWS, NUM_POSTURES,
+                     SENSOR_MAX, SampleSequence)
+from .errors import ConfigError
 from .tensor import make_rng
+
+NOISE = 0.01  # std of the Gaussian sensor noise on a [0,1] frame
 
 
 def _blob(rows, cols, cr, cc, sr, sc, amp):
     return amp * np.exp(-(((rows - cr) / sr) ** 2 + ((cols - cc) / sc) ** 2))
 
 
-def synthetic_frame(subject_id: int, posture_id: int, rng,
-                    noise: float = 0.01) -> np.ndarray:
+def synthetic_frame(subject_id: int, posture_id: int, rng) -> np.ndarray:
     """One normalized frame in [0,1] with subject- and posture-coded blobs."""
     rows, cols = np.meshgrid(np.arange(GRID_ROWS), np.arange(GRID_COLS),
                              indexing="ij")
@@ -52,33 +54,40 @@ def synthetic_frame(subject_id: int, posture_id: int, rng,
     frame = _blob(rows, cols, torso_r + jr, torso_c + jc, width, length, amp)
     frame += _blob(rows, cols, head_r + jr, np.clip(head_c + jc, 0, 63),
                    width * 0.5, width * 0.5, amp * 0.75)
-    frame += rng.normal(scale=noise, size=frame.shape)
+    frame += rng.normal(scale=NOISE, size=frame.shape)
     return np.clip(frame, 0.0, 1.0).astype(np.float32)
 
 
 def synthetic_sequence(subject_id: int, posture_id: int, n_frames: int,
-                       seed: int = 0, noise: float = 0.01) -> SampleSequence:
+                       seed: int = 0) -> SampleSequence:
     rng = make_rng(seed, 90, subject_id, posture_id)
-    frames = np.stack([synthetic_frame(subject_id, posture_id, rng, noise)
+    frames = np.stack([synthetic_frame(subject_id, posture_id, rng)
                        for _ in range(n_frames)])
     return SampleSequence(frames=frames, subject_id=subject_id,
                           posture_id=posture_id)
 
 
 def write_synthetic_dataset(root, subjects=3, postures=4, frames_per_seq=12,
-                            seed: int = 0, noise: float = 0.01) -> Path:
+                            seed: int = 0) -> Path:
     """Materialize a raw-count dataset tree: root/S<k>/<p>.txt.
 
     Values are scaled back to the sensor's 0-10000 range and written in the
-    on-disk 64x32 row-major record layout.
+    on-disk 64x32 row-major record layout. ConfigError, before anything is
+    written, unless there is at least one subject and one frame per
+    sequence and the postures are 1..n of the taxonomy's NUM_POSTURES.
     """
+    if subjects < 1 or frames_per_seq < 1:
+        raise ConfigError(f"need at least 1 subject and 1 frame, got "
+                          f"{subjects} subjects x {frames_per_seq} frames")
+    if not 1 <= postures <= NUM_POSTURES:
+        raise ConfigError(f"postures must be in [1,{NUM_POSTURES}], "
+                          f"got {postures}")
     root = Path(root)
     for s in range(1, subjects + 1):
         d = root / f"S{s}"
         d.mkdir(parents=True, exist_ok=True)
         for p in range(1, postures + 1):
-            seq = synthetic_sequence(s, p, frames_per_seq, seed=seed,
-                                     noise=noise)
+            seq = synthetic_sequence(s, p, frames_per_seq, seed=seed)
             with open(d / f"{p}.txt", "w") as fh:
                 for frame in seq.frames:
                     raw = np.rint(frame * SENSOR_MAX).astype(np.int64)

@@ -4,8 +4,8 @@ The layers are built on the handful of kernels here: seeded generators,
 tensor creation, valid 3x3-style convolution and max-pooling, each with its
 backward pass.
 
-Layout: images have the NCHW shape (B, C, H, W), or (C, H, W) for one
-frame, and the kernels accept any strides. The convolution, its input
+Layout: images have the NCHW shape (B, C, H, W), one frame being a batch
+of one, and the kernels accept any strides. The convolution, its input
 gradient and the pooling backward return channels-last memory: the strides
 of a C-contiguous (B, H, W, C) buffer, so a.transpose(0, 2, 3, 1) is a free
 contiguous view. The pooling forward keeps its input's layout. Kernel
@@ -67,15 +67,6 @@ def gaussian(shape, mean: float, std: float, rng: np.random.Generator,
     return rng.normal(mean, std, size=_check_shape(shape)).astype(dtype)
 
 
-def _as_batched(x: np.ndarray):
-    """Promote (C,H,W) to (1,C,H,W); return (array, had_batch flag)."""
-    if x.ndim == 3:
-        return x[None], False
-    if x.ndim == 4:
-        return x, True
-    raise ShapeError(f"expected 3-D or 4-D input, got shape {x.shape}")
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int):
     """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
     (Ho, Wo). Columns are offset-major and channel-minor: each window row
@@ -92,42 +83,39 @@ def _im2col(x: np.ndarray, kh: int, kw: int):
 def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Valid (no padding) stride-1 cross-correlation.
 
-    x: (Cin,H,W) or (B,Cin,H,W), any strides; kernels: (Cout,Cin,kh,kw).
-    out[o,y,x] = sum_{c,u,v} in[c,y+u,x+v] * kernels[o,c,u,v]
+    x: (B,Cin,H,W), any strides; kernels: (Cout,Cin,kh,kw).
+    out[b,o,y,x] = sum_{c,u,v} x[b,c,y+u,x+v] * kernels[o,c,u,v]
     The result is channels-last: a view of the GEMM's (B,Ho,Wo,Cout) output.
     """
-    xb, had_batch = _as_batched(x)
     cout, cin, kh, kw = kernels.shape
-    b, c, h, w = xb.shape
+    b, c, h, w = x.shape
     if c != cin:
         raise ShapeError(f"input has {c} channels, kernels expect {cin}")
     if h < kh or w < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    cols, ho, wo = _im2col(xb, kh, kw)
+    cols, ho, wo = _im2col(x, kh, kw)
     # kernel rows in the columns' (kh, kw, Cin) order
     kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
-    out = (cols @ kmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
-    return out if had_batch else out[0]
+    return (cols @ kmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
 
 
 def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
                           grad_out: np.ndarray, need_x: bool = True):
     """Gradients of conv2d_valid w.r.t. input and kernels.
 
-    Returns (grad_x, grad_kernels) shaped like x and kernels; grad_x is None
-    when need_x is false, and channels-last otherwise. grad_k is one GEMM of
-    grad_out's NHWC view against the input's column matrix. grad_x is one
-    (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per kernel offset, each added into
-    the Ho x Wo window of an NHWC buffer that the offset reaches; no
-    zero-padded column matrix of grad_out is built.
+    x and grad_out are (B,C,H,W). Returns (grad_x, grad_kernels) shaped like
+    x and kernels; grad_x is None when need_x is false, and channels-last
+    otherwise. grad_k is one GEMM of grad_out's NHWC view against the
+    input's column matrix. grad_x is one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM
+    per kernel offset, each added into the Ho x Wo window of an NHWC buffer
+    that the offset reaches; no zero-padded column matrix of grad_out is
+    built.
     """
-    xb, had_batch = _as_batched(x)
-    gb, _ = _as_batched(grad_out)
     cout, cin, kh, kw = kernels.shape
-    b, c, h, w = xb.shape
+    b, c, h, w = x.shape
 
-    cols, ho, wo = _im2col(xb, kh, kw)
-    g2 = gb.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
+    cols, ho, wo = _im2col(x, kh, kw)
+    g2 = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     grad_k = np.ascontiguousarray(
         (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     if not need_x:
@@ -140,13 +128,12 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
         for v in range(kw):
             gx[:, u:u + ho, v:v + wo, :] += (g2 @ kernels[:, :, u, v]).reshape(
                 b, ho, wo, cin)
-    grad_x = gx.transpose(0, 3, 1, 2)
-    return (grad_x if had_batch else grad_x[0]), grad_k
+    return gx.transpose(0, 3, 1, 2), grad_k
 
 
 def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
               need_argmax: bool = True):
-    """Max-pool over window x window patches.
+    """Max-pool a (B,C,H,W) array over window x window patches.
 
     Returns (out, argmax) where argmax holds, per output cell, the flat
     row-major index into that cell's HxW input plane, or None when
@@ -158,24 +145,23 @@ def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
     buffers laid out like x, so no window is ever copied and a channels-last
     input gives a channels-last output.
     """
-    xb, had_batch = _as_batched(x)
-    h, w = xb.shape[2:]
+    h, w = x.shape[2:]
     if h < window or w < window:
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    colmax = np.empty_like(xb[..., 0:span_w:stride])
-    np.copyto(colmax, xb[..., 0:span_w:stride])
+    colmax = np.empty_like(x[..., 0:span_w:stride])
+    np.copyto(colmax, x[..., 0:span_w:stride])
     for v in range(1, window):
-        np.maximum(colmax, xb[..., v:v + span_w:stride], out=colmax)
+        np.maximum(colmax, x[..., v:v + span_w:stride], out=colmax)
     out = np.empty_like(colmax[:, :, 0:span_h:stride])
     np.copyto(out, colmax[:, :, 0:span_h:stride])
     for u in range(1, window):
         np.maximum(out, colmax[:, :, u:u + span_h:stride], out=out)
     if not need_argmax:
-        return (out if had_batch else out[0]), None
+        return out, None
 
     # In-window offset of the max, the lowest where several match, as
     # flat.argmax picks it (a NaN counts as the max): walk the offsets
@@ -185,36 +171,30 @@ def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
     local = np.zeros_like(out, dtype=np.min_scalar_type(-window * window))
     for off in reversed(range(window * window)):
         u, v = divmod(off, window)
-        vals = xb[:, :, u:u + span_h:stride, v:v + span_w:stride]
+        vals = x[:, :, u:u + span_h:stride, v:v + span_w:stride]
         hit = vals == out
         if nan_seen:
             hit |= vals != vals
         local += hit * (off - local)  # local = off where hit
     corner = (np.arange(ho)[:, None] * w + np.arange(wo)) * stride
     offsets = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
-    argmax = corner + offsets[local]
-    if not had_batch:
-        return out[0], argmax[0]
-    return out, argmax
+    return out, corner + offsets[local]
 
 
 def maxpool2d_backward(grad_out: np.ndarray, argmax: np.ndarray,
                        input_shape) -> np.ndarray:
     """Route pooled gradients back to their argmax positions.
 
-    input_shape is (C,H,W) or (B,C,H,W); the result has that shape and is
-    channels-last. Overlapping windows may select the same input cell, so
-    contributions accumulate, in output order, by one scatter-add on flat
-    NHWC indices.
+    input_shape is the pooled input's (B,C,H,W); the result has that shape
+    and is channels-last. Overlapping windows may select the same input
+    cell, so contributions accumulate, in output order, by one scatter-add
+    on flat NHWC indices.
     """
-    input_shape = tuple(input_shape)
-    b, c, h, w = (1, *input_shape) if len(input_shape) == 3 else input_shape
-    g4 = grad_out.reshape(b, c, *grad_out.shape[-2:])
-    a4 = argmax.reshape(g4.shape)
+    b, c, h, w = input_shape
     # flat NHWC index of plane cell a of (n, ch): (n*H*W + a)*C + ch
     base = np.arange(b)[:, None, None, None] * (h * w)
-    flat = (a4 + base) * c + np.arange(c)[:, None, None]
+    flat = (argmax + base) * c + np.arange(c)[:, None, None]
     gx = np.zeros((b, h, w, c), dtype=grad_out.dtype)
     np.add.at(gx.reshape(-1), flat.transpose(0, 2, 3, 1).reshape(-1),
-              g4.transpose(0, 2, 3, 1).reshape(-1))
-    return gx.transpose(0, 3, 1, 2).reshape(input_shape)
+              grad_out.transpose(0, 2, 3, 1).reshape(-1))
+    return gx.transpose(0, 3, 1, 2)

@@ -254,7 +254,7 @@ class TestTrees:
 
     def test_vote_tie_prefers_lowest_label(self):
         ens = TreeEnsemble(trees=[TreeNode(label=2), TreeNode(label=0)],
-                           n_classes=3, seed=0)
+                           n_classes=3)
         pred = baselines.predict_trees(ens, np.zeros((1, 4)))
         assert pred[0] == 0
 
@@ -268,6 +268,7 @@ class TestTrees:
 
 class TinyMLP(MLPBaseline):
     WIDTHS = (5, 4)
+    DTYPE = np.float64
 
 
 class TestMlp:
@@ -298,7 +299,7 @@ class TestMlp:
         rng = make_rng(56)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
-        model = TinyMLP(3, 2, make_rng(57), dtype=np.float64)
+        model = TinyMLP(3, 2, make_rng(57))
         model.mu, model.sd = baselines.standardize_fit(x)
 
         probs = model.forward(x, train=True)

@@ -73,6 +73,41 @@ class TestSynthAndPreprocess:
         assert rc == 2
         assert cli.DATA_ROOT_ENV in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--subjects", "0", "at least 1 subject"),
+        ("--frames", "0", "at least 1 subject and 1 frame"),
+        ("--postures", "0", "postures must be in [1,17]"),
+        ("--postures", "18", "postures must be in [1,17]"),
+    ])
+    def test_bad_synth_count_writes_nothing(self, tmp_path, capsys, flag,
+                                            value, message):
+        out = tmp_path / "raw"
+        rc = cli.main(["synth", "--out", str(out), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trim", "-1", "trim must be >= 0"),
+        ("--empty-threshold", "nan", "threshold must be finite"),
+        ("--empty-threshold", "inf", "threshold must be finite"),
+        ("--empty-threshold", "-0.5", "threshold must be finite and >= 0"),
+    ])
+    def test_bad_preprocess_value_creates_no_cache(self, corpus, tmp_path,
+                                                   capsys, flag, value,
+                                                   message):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        rc = cli.main(["preprocess", "--data-root", str(root),
+                       "--cache-dir", str(cache), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not cache.exists()
+
     def test_env_var_supplies_root(self, corpus, monkeypatch, tmp_path):
         root, _ = corpus
         monkeypatch.setenv(cli.DATA_ROOT_ENV, str(root))
@@ -401,3 +436,11 @@ class TestAugmentStats:
         assert len(freqs) == 4
         for got, want in zip(freqs, (0.5, 0.2, 0.2, 0.2)):
             assert abs(got - want) < 0.05
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_below_one_is_usage_error(self, capsys, draws):
+        rc = cli.main(["augment-stats", "--draws", draws])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: draws must be >= 1, got {draws}\n"
+        assert captured.out == ""

@@ -1,6 +1,7 @@
 """Splits, metrics, Welch test, training loop, and experiment artifacts."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,6 +350,32 @@ class TestTrainModel:
             assert state_full.v[k].tobytes() == state_res.v[k].tobytes(), k
         assert state_full.t == state_res.t
         assert curves_res["loss_total"][-1] == curves_full["loss_total"][-1]
+
+    def test_epoch_hook_contract(self, tmp_path):
+        # once per epoch, in order, with the curves so far; resumed from a
+        # checkpoint at epoch 1 it starts there, and the curves hold the
+        # epochs run since then, equal to the uninterrupted run's
+        x, yu, yp = small_training_set(n=16)
+        mc = tiny_model()
+        cfg = TrainConfig(epochs=3, batch_size=8, base_lr=1e-3, seed=4)
+        calls = []
+
+        def hook(epoch, curves):
+            calls.append((epoch, {k: list(v) for k, v in curves.items()}))
+
+        _, _, full = harness.train_model(x, yu, yp, cfg, mc, epoch_hook=hook)
+        assert calls == [(e, {k: v[:e + 1] for k, v in full.items()})
+                         for e in range(3)]
+
+        net, state, _ = harness.train_model(x, yu, yp,
+                                            replace(cfg, epochs=1), mc)
+        save_checkpoint(tmp_path / "c.ckpt", net, adam=state, epoch=1, seed=4)
+        calls.clear()
+        harness.train_model(x, yu, yp, cfg, mc,
+                            resume=load_checkpoint(tmp_path / "c.ckpt"),
+                            epoch_hook=hook)
+        assert calls == [(e, {k: v[1:e + 1] for k, v in full.items()})
+                         for e in (1, 2)]
 
     def test_resume_demands_matching_seed(self, tmp_path):
         x, yu, yp = small_training_set(n=8)

@@ -73,18 +73,18 @@ class TestRng:
 
 class TestConv2dValid:
     def test_all_ones(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         k = np.ones((1, 1, 3, 3))
         out = tensor.conv2d_valid(x, k)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 9.0
 
     def test_delta_kernel_is_interior(self):
         rng = tensor.make_rng(2)
         x = rng.normal(size=(1, 6, 7))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = tensor.conv2d_valid(x, k)
+        out = tensor.conv2d_valid(x[None], k)[0]
         assert np.allclose(out[0], x[0, 1:-1, 1:-1])
 
     def test_random_vs_oracle(self):
@@ -96,13 +96,13 @@ class TestConv2dValid:
             w = int(rng.integers(3, 8))
             x = rng.normal(size=(cin, h, w))
             k = rng.normal(size=(cout, cin, 3, 3))
-            got = tensor.conv2d_valid(x, k)
+            got = tensor.conv2d_valid(x[None], k)[0]
             assert max_rel_err(got, conv_oracle(x, k)) <= 1e-12
 
     def test_linearity(self):
         rng = tensor.make_rng(4)
-        x = rng.normal(size=(2, 5, 5))
-        y = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(1, 2, 5, 5))
+        y = rng.normal(size=(1, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         lhs = tensor.conv2d_valid(2.5 * x - 1.5 * y, k)
         rhs = 2.5 * tensor.conv2d_valid(x, k) - 1.5 * tensor.conv2d_valid(y, k)
@@ -114,15 +114,15 @@ class TestConv2dValid:
         k = rng.normal(size=(4, 2, 3, 3))
         out = tensor.conv2d_valid(xb, k)
         for i in range(3):
-            assert np.allclose(out[i], tensor.conv2d_valid(xb[i], k))
+            assert np.allclose(out[i], tensor.conv2d_valid(xb[i:i + 1], k)[0])
 
     def test_too_small_input(self):
         with pytest.raises(ShapeError):
-            tensor.conv2d_valid(np.ones((1, 2, 5)), np.ones((1, 1, 3, 3)))
+            tensor.conv2d_valid(np.ones((1, 1, 2, 5)), np.ones((1, 1, 3, 3)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            tensor.conv2d_valid(np.ones((2, 5, 5)), np.ones((1, 3, 3, 3)))
+            tensor.conv2d_valid(np.ones((1, 2, 5, 5)), np.ones((1, 3, 3, 3)))
 
     def test_model_shapes_vs_chw_oracle(self):
         # batch 3, NCHW-contiguous and channels-last inputs; error relative
@@ -146,7 +146,7 @@ class TestConv2dValid:
 
     def test_deterministic(self):
         rng = tensor.make_rng(6)
-        x = rng.normal(size=(2, 5, 5)).astype(np.float32)
+        x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
         k = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         assert tensor.conv2d_valid(x, k).tobytes() == tensor.conv2d_valid(x, k).tobytes()
 
@@ -154,9 +154,9 @@ class TestConv2dValid:
 class TestConvBackward:
     def test_finite_differences(self):
         rng = tensor.make_rng(7)
-        x = rng.normal(size=(2, 5, 6))
+        x = rng.normal(size=(1, 2, 5, 6))
         k = rng.normal(size=(3, 2, 3, 3))
-        r = rng.normal(size=(3, 3, 4))  # fixed cotangent
+        r = rng.normal(size=(1, 3, 3, 4))  # fixed cotangent
 
         gx, gk = tensor.conv2d_valid_backward(x, k, r)
         fd_x = central_diff_grad(lambda v: float(np.sum(tensor.conv2d_valid(v, k) * r)), x)
@@ -177,11 +177,11 @@ class TestConvBackward:
 
     def test_without_input_grad_same_kernel_grad(self):
         rng = tensor.make_rng(12)
-        for shape in ((1, 6, 7), (3, 2, 5, 6)):
+        for shape in ((1, 1, 6, 7), (3, 2, 5, 6)):
             x = rng.normal(size=shape).astype(np.float32)
-            k = rng.normal(size=(4, shape[-3], 3, 3)).astype(np.float32)
-            r = rng.normal(size=(*shape[:-3], 4, shape[-2] - 2,
-                                 shape[-1] - 2)).astype(np.float32)
+            k = rng.normal(size=(4, shape[1], 3, 3)).astype(np.float32)
+            r = rng.normal(size=(shape[0], 4, shape[2] - 2,
+                                 shape[3] - 2)).astype(np.float32)
             _, gk = tensor.conv2d_valid_backward(x, k, r)
             gx_off, gk_off = tensor.conv2d_valid_backward(x, k, r, need_x=False)
             assert gx_off is None
@@ -227,14 +227,15 @@ class TestConvBackward:
 
 class TestMaxpool2d:
     def test_constant_input(self):
-        out, _ = tensor.maxpool2d(np.full((1, 5, 5), 3.25), window=3, stride=2)
+        out, _ = tensor.maxpool2d(np.full((1, 1, 5, 5), 3.25), window=3,
+                                  stride=2)
         assert np.all(out == 3.25)
 
     def test_single_peak_everywhere(self):
-        x = np.zeros((1, 5, 5))
-        x[0, 2, 2] = 9.0
+        x = np.zeros((1, 1, 5, 5))
+        x[0, 0, 2, 2] = 9.0
         out, arg = tensor.maxpool2d(x, window=3, stride=2)
-        assert out.shape == (1, 2, 2)
+        assert out.shape == (1, 1, 2, 2)
         assert np.all(out == 9.0)
         assert np.all(arg == 2 * 5 + 2)
 
@@ -246,10 +247,10 @@ class TestMaxpool2d:
             w = int(rng.integers(3, 10))
             stride = int(rng.integers(1, 4))
             x = rng.normal(size=(c, h, w))
-            out, arg = tensor.maxpool2d(x, window=3, stride=stride)
+            out, arg = tensor.maxpool2d(x[None], window=3, stride=stride)
             want_out, want_arg = pool_oracle(x, 3, stride)
-            assert np.array_equal(out, want_out)
-            assert np.array_equal(arg, want_arg)
+            assert np.array_equal(out[0], want_out)
+            assert np.array_equal(arg[0], want_arg)
 
     def test_nan_pools_to_nan_at_first_nan(self):
         rng = tensor.make_rng(13)
@@ -260,15 +261,15 @@ class TestMaxpool2d:
             want_out, want_arg = pool_oracle(x, 3, 2)
             assert np.array_equal(out, want_out, equal_nan=True)
             assert np.array_equal(arg, want_arg)
-        x = np.zeros((1, 3, 3))
-        x[0, 1, 2] = x[0, 2, 0] = np.nan
+        x = np.zeros((1, 1, 3, 3))
+        x[0, 0, 1, 2] = x[0, 0, 2, 0] = np.nan
         out, arg = tensor.maxpool2d(x, window=3, stride=1)
-        assert np.isnan(out[0, 0, 0])
-        assert arg[0, 0, 0] == 1 * 3 + 2
+        assert np.isnan(out[0, 0, 0, 0])
+        assert arg[0, 0, 0, 0] == 1 * 3 + 2
 
     def test_without_argmax_same_output(self):
         rng = tensor.make_rng(14)
-        for shape, stride in (((2, 7, 9), 2), ((2, 3, 8, 8), 1),
+        for shape, stride in (((1, 2, 7, 9), 2), ((2, 3, 8, 8), 1),
                               ((1, 2, 30, 62), 2)):
             x = rng.normal(size=shape).astype(np.float32)
             out, _ = tensor.maxpool2d(x, window=3, stride=stride)
@@ -303,23 +304,23 @@ class TestMaxpool2d:
                 assert gx.tobytes() == want.tobytes()
 
     def test_tie_breaks_to_lowest_flat_index(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         _, arg = tensor.maxpool2d(x, window=3, stride=1)
-        assert arg[0, 0, 0] == 0
+        assert arg[0, 0, 0, 0] == 0
 
     def test_never_exceeds_input_max(self):
         rng = tensor.make_rng(10)
-        x = rng.normal(size=(2, 7, 9))
+        x = rng.normal(size=(1, 2, 7, 9))
         out, _ = tensor.maxpool2d(x, window=3, stride=2)
         assert out.max() <= x.max()
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
-            tensor.maxpool2d(np.ones((1, 2, 2)), window=3, stride=1)
+            tensor.maxpool2d(np.ones((1, 1, 2, 2)), window=3, stride=1)
 
     def test_backward_finite_differences(self):
         rng = tensor.make_rng(11)
-        x = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(1, 2, 6, 6))
         out, arg = tensor.maxpool2d(x, window=3, stride=2)
         r = rng.normal(size=out.shape)
         gx = tensor.maxpool2d_backward(r, arg, x.shape)
@@ -332,9 +333,9 @@ class TestMaxpool2d:
 
     def test_backward_accumulates_shared_argmax(self):
         # stride 1 windows all share the single peak
-        x = np.zeros((1, 4, 4))
-        x[0, 1, 1] = 5.0
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 1, 1] = 5.0
         out, arg = tensor.maxpool2d(x, window=3, stride=1)
         gx = tensor.maxpool2d_backward(np.ones_like(out), arg, x.shape)
-        assert gx[0, 1, 1] == 4.0
+        assert gx[0, 0, 1, 1] == 4.0
         assert gx.sum() == 4.0

@@ -226,7 +226,7 @@ def pack_version1_checkpoint(ckpt):
     return pack_checkpoint(header, tensors, version=1)
 
 
-def synthetic_batch(n, num_subjects, num_postures, seed=0, noise=0.01):
+def synthetic_batch(n, num_subjects, num_postures, seed=0):
     """n labeled synthetic frames cycling over (subject, posture) pairs:
     (x, subject_labels, posture_labels), x shaped (n, 1, 32, 64) and the
     labels 0-based, ready for the training loop."""
@@ -237,7 +237,7 @@ def synthetic_batch(n, num_subjects, num_postures, seed=0, noise=0.01):
     for i in range(n):
         s = i % num_subjects
         p = (i * 7 + i // num_subjects) % num_postures
-        x[i, 0] = synthetic_frame(s + 1, p + 1, rng, noise)
+        x[i, 0] = synthetic_frame(s + 1, p + 1, rng)
         ys[i] = s
         yp[i] = p
     return x, ys, yp
