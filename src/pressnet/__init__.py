@@ -18,7 +18,7 @@ from .harness import (FlatDataset, FoldPlan, Metrics, TrainConfig,
                       kfold_split, loso_split, run_experiment, train_model,
                       welch_t_test)
 from .model import ModelConfig, PostureNet
-from .signal import (AugmentPolicy, augment_sample, drop_empty_samples,
+from .signal import (AUGMENT_STEPS, augment_sample, drop_empty_samples,
                      median_filter_3d, normalize_frames, preprocess_sequence,
                      trim_sequence)
 
@@ -35,7 +35,7 @@ __all__ = [
     "evaluate_model", "flatten_sequences", "kfold_split", "loso_split",
     "run_experiment", "train_model", "welch_t_test",
     "ModelConfig", "PostureNet",
-    "AugmentPolicy", "augment_sample", "drop_empty_samples",
+    "AUGMENT_STEPS", "augment_sample", "drop_empty_samples",
     "median_filter_3d", "normalize_frames", "preprocess_sequence",
     "trim_sequence",
     "__version__",

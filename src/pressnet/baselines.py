@@ -254,10 +254,10 @@ def predict_trees(ensemble: TreeEnsemble, queries: np.ndarray) -> np.ndarray:
 class MLPBaseline:
     """Five hidden dense layers (128/256/256/128/64), leaky activations.
 
-    Features are standardized with training-fold statistics before the
-    first layer. The layers are one ordered list of (name, layer) stages,
-    d0 act0 d1 act1 ... d4 act4 d5, run by the same dense/activation/
-    optimizer kernels as the convolutional model.
+    It takes features already standardized with the training fold's
+    statistics, as run_baselines passes them. The layers are one ordered
+    list of (name, layer) stages, d0 act0 d1 act1 ... d4 act4 d5, run by
+    the same dense/activation/optimizer kernels as the convolutional model.
     """
 
     WIDTHS = (128, 256, 256, 128, 64)
@@ -275,14 +275,12 @@ class MLPBaseline:
         self.stages.append((f"d{len(self.WIDTHS)}",
                             Dense(prev, n_classes, rng, slope, dtype)))
         self.n_classes = n_classes
-        self.mu = np.zeros(in_features)
-        self.sd = np.ones(in_features)
 
     def params(self) -> dict:
         return collect(self.stages, "params")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        h = standardize_apply(np.asarray(x), self.mu, self.sd).astype(self.DTYPE)
+        h = np.asarray(x, dtype=self.DTYPE)
         for _, layer in self.stages:
             h = layer.forward(h, train)
         return losses.softmax(h)
@@ -300,7 +298,8 @@ class MLPBaseline:
 def mlp_baseline(train_x, train_y, n_classes: int | None = None,
                  epochs: int = 40, batch_size: int = 64, lr: float = 1e-3,
                  seed: int = 0) -> MLPBaseline:
-    """Train the MLP comparator on feature vectors; returns the model."""
+    """Train the MLP comparator on standardized feature vectors; returns
+    the model."""
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
     if train_x.ndim != 2 or train_x.shape[0] != train_y.shape[0]:
@@ -308,7 +307,6 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
     if n_classes is None:
         n_classes = int(train_y.max()) + 1
     model = MLPBaseline(train_x.shape[1], n_classes, make_rng(seed, 85))
-    model.mu, model.sd = standardize_fit(train_x)
     state = AdamState(model.params())
     n = train_x.shape[0]
     for epoch in range(epochs):

@@ -262,14 +262,11 @@ def cmd_frame_dump(args) -> int:
 
 
 def cmd_augment_stats(args) -> int:
-    policy = signal.AugmentPolicy()
-    counts = signal.plan_firing_counts(policy, args.draws, args.seed)
-    names = ("rotate-180", "translate-x", "translate-y", "rotate-free")
-    expected = policy.probabilities()
+    counts = signal.plan_firing_counts(args.draws, args.seed)
     print(f"{args.draws} draws, seed {args.seed}:")
-    for name, c, e in zip(names, counts, expected):
+    for (name, p), c in zip(signal.AUGMENT_STEPS, counts):
         print(f"  {name:12s} fired {c:6d} times "
-              f"({c / args.draws:.4f}; configured {e:.2f})")
+              f"({c / args.draws:.4f}; configured {p:.2f})")
     return 0
 
 

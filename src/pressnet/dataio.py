@@ -100,7 +100,8 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
 
     delimiter=None means any whitespace (the default file format); pass ","
     for comma-separated exports. Every record must contain exactly 2048
-    numeric fields. Labels default to the path convention.
+    numeric fields, each finite as a float32 (NaN, +-inf and values beyond
+    float32's range are refused). Labels default to the path convention.
     """
     path = Path(path)
     if subject_id is None or posture_id is None:
@@ -109,7 +110,8 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
         posture_id = inf_p if posture_id is None else posture_id
 
     frames = []
-    with open(path) as fh:
+    # a value beyond float32's range parses to inf, refused below
+    with open(path) as fh, np.errstate(over="ignore"):
         for recno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -123,6 +125,9 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
             except ValueError:
                 raise ParseError(
                     f"{path}: record {recno} contains a non-numeric field")
+            if not np.isfinite(flat).all():
+                raise ParseError(
+                    f"{path}: record {recno} contains a non-finite field")
             # on-disk rows become columns of the canonical 32x64 grid
             frames.append(flat.reshape(FILE_ROWS, FILE_COLS).T)
     if not frames:
@@ -268,19 +273,16 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             fh.write(f"# warning: {w}\n")
 
 
-def read_manifest(path, taxonomy=None) -> DatasetManifest:
-    """Read a manifest written by write_manifest.
-
-    taxonomy None takes the TAXONOMY_FILE beside the manifest, which a
-    preprocessed cache keeps; UsageError when there is none (a cache
-    written before caches kept their taxonomy).
+def read_manifest(path) -> DatasetManifest:
+    """Read a manifest written by write_manifest, with the taxonomy of the
+    TAXONOMY_FILE beside it, which a preprocessed cache keeps; UsageError
+    when there is none (a cache written before caches kept their taxonomy).
     """
-    if taxonomy is None:
-        own = Path(path).with_name(TAXONOMY_FILE)
-        if not own.exists():
-            raise UsageError(f"cache {Path(path).parent} has no {TAXONOMY_FILE}"
-                             "; run 'preprocess' on it again")
-        taxonomy = load_taxonomy(own)
+    own = Path(path).with_name(TAXONOMY_FILE)
+    if not own.exists():
+        raise UsageError(f"cache {Path(path).parent} has no {TAXONOMY_FILE}"
+                         "; run 'preprocess' on it again")
+    taxonomy = load_taxonomy(own)
     entries = []
     warnings = []
     with open(path) as fh:

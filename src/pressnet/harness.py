@@ -22,7 +22,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import special as _special
 
 from . import baselines as classical
 from . import dataio, signal
@@ -36,8 +35,8 @@ from .tensor import make_rng
 __all__ = [
     "TrainConfig", "FoldPlan", "FlatDataset", "Metrics",
     "kfold_split", "loso_split", "flatten_sequences",
-    "train_model", "evaluate_model", "confusion_matrix", "collapse_confusion",
-    "compute_metrics", "welch_t_test", "run_experiment", "run_sweep",
+    "train_model", "evaluate_model", "confusion_matrix", "compute_metrics",
+    "welch_t_test", "run_experiment", "run_sweep",
 ]
 
 STREAM_INIT = 0
@@ -76,6 +75,8 @@ class TrainConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
             raise ConfigError(f"base_lr must be finite and > 0, "
                               f"got {self.base_lr}")
@@ -196,19 +197,23 @@ def flatten_sequences(sequences, taxonomy, stride: int = 1) -> FlatDataset:
 
 
 def split_for(data: FlatDataset, config: TrainConfig) -> FoldPlan:
-    """Build the FoldPlan a TrainConfig asks for over a flat dataset."""
+    """Build the FoldPlan a TrainConfig asks for over a flat dataset.
+
+    k-fold splits partition groups of frames: whole recordings at sequence
+    level, single frames at frame level.
+    """
     if config.scheme == "loso":
         return loso_split(data.subject_idx)
+    idx = np.arange(len(data))
     if config.split_level == "sequence":
-        n_seq = int(data.seq_id.max()) + 1
-        plan = kfold_split(n_seq, k=config.k, seed=config.seed)
-        folds = []
-        for train_s, test_s in plan.folds:
-            train_mask = np.isin(data.seq_id, train_s)
-            idx = np.arange(len(data))
-            folds.append((idx[train_mask], idx[~train_mask]))
-        return FoldPlan(folds)
-    return kfold_split(len(data), k=config.k, seed=config.seed)
+        group, n_groups = data.seq_id, int(data.seq_id.max()) + 1
+    else:
+        group, n_groups = idx, len(data)
+    folds = []
+    for _, test_groups in kfold_split(n_groups, config.k, config.seed).folds:
+        test = np.isin(group, test_groups)
+        folds.append((idx[~test], idx[test]))
+    return FoldPlan(folds)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +229,9 @@ def _iter_batches(n: int, batch_size: int, order: np.ndarray):
 
 
 def _augment_batch(xb: np.ndarray, rng) -> np.ndarray:
-    policy = signal.AugmentPolicy()
     out = np.empty_like(xb)
     for i in range(xb.shape[0]):
-        out[i, 0] = signal.augment_sample(xb[i, 0], policy, rng)
+        out[i, 0] = signal.augment_sample(xb[i, 0], rng)
     return out
 
 
@@ -333,15 +337,6 @@ def confusion_matrix(y_true, y_pred, k: int) -> np.ndarray:
     return cm
 
 
-def collapse_confusion(cm: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
-    """Block-sum a fine confusion matrix through a class->group map."""
-    group = np.asarray(group)
-    out = np.zeros((n_groups, n_groups), dtype=cm.dtype)
-    np.add.at(out, (group[:, None].repeat(cm.shape[1], axis=1),
-                    group[None, :].repeat(cm.shape[0], axis=0)), cm)
-    return out
-
-
 @dataclass
 class Metrics:
     """Per-class rates in percent; NaN marks an undefined entry."""
@@ -417,8 +412,8 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     pred_p = probs_p.argmax(axis=1)
 
     fine_cm = confusion_matrix(yp, pred_p, net.config.num_postures)
-    coarse_cm = collapse_confusion(fine_cm, posture_group(data),
-                                   len(dataio.CATEGORIES))
+    coarse_cm = confusion_matrix(yc, posture_group(data)[pred_p],
+                                 len(dataio.CATEGORIES))
 
     report = {"posture_fine": compute_metrics(fine_cm),
               "posture_coarse": compute_metrics(coarse_cm),
@@ -470,8 +465,10 @@ def welch_t_test(sample_a, sample_b):
     t = (a.mean() - b.mean()) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa ** 2 / (a.size - 1) + sb ** 2 / (b.size - 1))
     # two-sided tail P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2); the incomplete
-    # beta form stays accurate far into the tail where 1-CDF underflows
-    p = float(_special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+    # beta form stays accurate far into the tail where 1-CDF underflows.
+    # scipy is imported here, its only use, to keep it out of package import
+    from scipy import special
+    p = float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
     return float(t), float(p), float(df)
 
 

@@ -189,15 +189,18 @@ class BatchNorm2D:
 
 
 class MaxPool2D:
-    def __init__(self, window: int = 3, stride: int = 2):
-        self.window = window
-        self.stride = stride
+    """3x3 max-pooling with stride 2, the network's only pool geometry."""
+
+    WINDOW = 3
+    STRIDE = 2
+
+    def __init__(self):
         self._argmax = None
         self._in_shape = None
 
     def forward(self, x, train: bool, rng=None):
-        out, argmax = tensor.maxpool2d(x, window=self.window,
-                                       stride=self.stride, need_argmax=train)
+        out, argmax = tensor.maxpool2d(x, window=self.WINDOW,
+                                       stride=self.STRIDE, need_argmax=train)
         if train:
             self._argmax = argmax
             self._in_shape = x.shape

@@ -63,6 +63,7 @@ class ModelConfig:
         """Spatial size after each conv/pool stage; ConfigError if any conv
         would see a map smaller than its kernel."""
         h, w = self.input_hw
+        win, stride = MaxPool2D.WINDOW, MaxPool2D.STRIDE
         shapes = []
         for i in range(4):
             if h < 3 or w < 3:
@@ -71,10 +72,10 @@ class ModelConfig:
             h, w = h - 2, w - 2
             shapes.append((h, w))
             if i < 2:
-                if h < 3 or w < 3:
+                if h < win or w < win:
                     raise ConfigError(
                         f"feature map {h}x{w} too small for pool in block {i + 1}")
-                h, w = (h - 3) // 2 + 1, (w - 3) // 2 + 1
+                h, w = (h - win) // stride + 1, (w - win) // stride + 1
                 shapes.append((h, w))
         return shapes
 
@@ -107,7 +108,7 @@ class PostureNet:
                                                 needs_input_grad=i > 1)),
                             (f"bn{i}", BatchNorm2D(cout, dtype))]
             if i <= 2:
-                self.stages.append((f"pool{i}", MaxPool2D(3, 2)))
+                self.stages.append((f"pool{i}", MaxPool2D()))
             self.stages += [(f"act{i}", LeakyReLU(slope)),
                             (f"drop{i}", Dropout(config.conv_dropout[i - 1]))]
             cin = cout

@@ -2,22 +2,21 @@
 
 Preprocessing pipeline (fixed order): 3x3x3 spatio-temporal median filter ->
 normalize to [0,1] -> trim sequence ends -> drop all-empty sequences.
-Augmentation is a four-step pipeline applied per frame, each step firing
-independently with its own probability.
+Augmentation is the paper's four-step pipeline (AUGMENT_STEPS) applied per
+frame, each step firing independently with its own fixed probability.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
-from .dataio import SENSOR_MAX, SampleSequence
+from .dataio import GRID_COLS, GRID_ROWS, SENSOR_MAX, SampleSequence
 from .errors import ConfigError, ShapeError
 from .tensor import make_rng
 
@@ -145,83 +144,70 @@ def _rotate_bilinear(frame: np.ndarray, angle_deg: float) -> np.ndarray:
     return out.astype(frame.dtype)
 
 
-@dataclass
-class AugmentPolicy:
-    """Four-step augmentation schedule; steps fire independently, in order."""
-
-    p_rot180: float = 0.5
-    p_shift_x: float = 0.2
-    p_shift_y: float = 0.2
-    p_rotate: float = 0.2
-    max_shift_frac: float = 0.1   # of the axis length, rounded down
-    max_angle: float = 25.0       # degrees
-
-    def __post_init__(self):
-        for name in ("p_rot180", "p_shift_x", "p_shift_y", "p_rotate"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {p}")
-
-    def probabilities(self):
-        return (self.p_rot180, self.p_shift_x, self.p_shift_y, self.p_rotate)
+# The paper's augmentation: (step, probability) in application order.
+AUGMENT_STEPS = (("rotate-180", 0.5), ("translate-x", 0.2),
+                 ("translate-y", 0.2), ("rotate-free", 0.2))
+MAX_SHIFT_FRAC = 0.1  # largest shift, as a fraction of the axis length
+MAX_ANGLE = 25.0      # largest free rotation, degrees
 
 
-def augment_plan(policy: AugmentPolicy, rng, shape=(32, 64)):
-    """Draw one realization of the policy: fire flags plus magnitudes.
+def augment_plan(rng, shape=(GRID_ROWS, GRID_COLS)):
+    """Draw one realization of AUGMENT_STEPS: (rot180, dx, dy, angle).
 
+    rot180 is a bool; each magnitude is None unless its step fired. Shifts
+    are whole pixels up to MAX_SHIFT_FRAC of the axis, rounded down.
     Separating the draw from the application keeps the randomness auditable
     (the augment-stats command counts plans without touching any frames).
     Draw order is fixed: one uniform per step, then magnitudes for the steps
     that fired, in step order.
     """
     h, w = shape
-    fires = [bool(rng.random() < p) for p in policy.probabilities()]
-    dx = dy = 0
-    angle = 0.0
-    if fires[1]:
-        mx = int(policy.max_shift_frac * w)
+    rot180, fx, fy, fr = (bool(rng.random() < p) for _, p in AUGMENT_STEPS)
+    dx = dy = angle = None
+    if fx:
+        mx = int(MAX_SHIFT_FRAC * w)
         dx = int(rng.integers(-mx, mx + 1))
-    if fires[2]:
-        my = int(policy.max_shift_frac * h)
+    if fy:
+        my = int(MAX_SHIFT_FRAC * h)
         dy = int(rng.integers(-my, my + 1))
-    if fires[3]:
-        angle = float(rng.uniform(-policy.max_angle, policy.max_angle))
-    return {"rot180": fires[0], "dx": dx if fires[1] else None,
-            "dy": dy if fires[2] else None,
-            "angle": angle if fires[3] else None}
+    if fr:
+        angle = float(rng.uniform(-MAX_ANGLE, MAX_ANGLE))
+    return rot180, dx, dy, angle
 
 
-def apply_plan(frame: np.ndarray, plan: dict) -> np.ndarray:
+def apply_plan(frame: np.ndarray, plan) -> np.ndarray:
+    """Apply an augment_plan tuple to one frame; always a new array."""
+    rot180, dx, dy, angle = plan
     out = frame
-    if plan["rot180"]:
+    if rot180:
         out = rotate180(out)
-    if plan["dx"] is not None:
-        out = _translate(out, plan["dx"], 0)
-    if plan["dy"] is not None:
-        out = _translate(out, 0, plan["dy"])
-    if plan["angle"] is not None:
-        out = _rotate_bilinear(out, plan["angle"])
+    if dx is not None or dy is not None:
+        # zero-fill shifts compose exactly, so x and y move in one pass
+        out = _translate(out, dx or 0, dy or 0)
+    if angle is not None:
+        out = _rotate_bilinear(out, angle)
     # bilinear weights are a convex combination of in-range values, but
     # float arithmetic can overshoot by an ulp; clamp to the invariant
     return np.clip(out, 0.0, 1.0) if out is not frame else frame.copy()
 
 
-def augment_sample(frame: np.ndarray, policy: AugmentPolicy, rng) -> np.ndarray:
-    """Apply one random realization of the policy to a single frame."""
-    return apply_plan(frame, augment_plan(policy, rng, shape=frame.shape))
+def augment_sample(frame: np.ndarray, rng) -> np.ndarray:
+    """Apply one random realization of AUGMENT_STEPS to a single frame."""
+    return apply_plan(frame, augment_plan(rng, shape=frame.shape))
 
 
-def plan_firing_counts(policy: AugmentPolicy, draws: int, seed: int):
-    """Firings of rotate-180, translate-x, translate-y and free rotation in
-    `draws` (at least 1) plans drawn from stream (seed, 95)."""
+def plan_firing_counts(draws: int, seed: int):
+    """Firings of each AUGMENT_STEPS step in `draws` (at least 1) plans
+    drawn from stream (seed, 95); ConfigError on a negative seed."""
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = make_rng(seed, 95)
-    counts = np.zeros(4, dtype=np.int64)
+    counts = np.zeros(len(AUGMENT_STEPS), dtype=np.int64)
     for _ in range(draws):
-        plan = augment_plan(policy, rng)
-        counts += [plan["rot180"], plan["dx"] is not None,
-                   plan["dy"] is not None, plan["angle"] is not None]
+        rot180, dx, dy, angle = augment_plan(rng)
+        counts += [rot180, dx is not None, dy is not None, angle is not None]
     return counts
 
 
@@ -257,7 +243,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     'manifest.tsv' (paths pointing at the cache), the taxonomy the coarse
     labels follow (dataio.TAXONOMY_FILE, which read_manifest picks up),
     'removed.txt' (the removal report and any too-short-after-trim
-    warnings), and a fingerprint of the raw inputs and the taxonomy. When
+    notes, which stay out of the manifest's warnings), and a fingerprint of the raw inputs and the taxonomy. When
     the fingerprint already matches, the cached manifest is returned
     untouched. Returns (manifest, hit). ConfigError, before cache_dir is
     created, unless trim >= 0 and empty_threshold is finite and >= 0.
@@ -278,9 +264,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
             and marker.read_text().strip() == fingerprint
             and (cache_dir / "manifest.tsv").exists()
             and (cache_dir / dataio.TAXONOMY_FILE).exists()):
-        cached = dataio.read_manifest(cache_dir / "manifest.tsv",
-                                      taxonomy=manifest.taxonomy)
-        return cached, True
+        return dataio.read_manifest(cache_dir / "manifest.tsv"), True
 
     cleaned = []
     short_warnings = []
@@ -308,7 +292,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
 
     out = dataio.DatasetManifest(entries=out_entries,
                                  taxonomy=manifest.taxonomy,
-                                 warnings=manifest.warnings + short_warnings)
+                                 warnings=manifest.warnings)
     dataio.write_manifest(cache_dir / "manifest.tsv", out)
     dataio.write_taxonomy(cache_dir / dataio.TAXONOMY_FILE, manifest.taxonomy)
     with open(cache_dir / "removed.txt", "w") as fh:

@@ -74,7 +74,8 @@ def write_synthetic_dataset(root, subjects=3, postures=4, frames_per_seq=12,
     Values are scaled back to the sensor's 0-10000 range and written in the
     on-disk 64x32 row-major record layout. ConfigError, before anything is
     written, unless there is at least one subject and one frame per
-    sequence and the postures are 1..n of the taxonomy's NUM_POSTURES.
+    sequence, the postures are 1..n of the taxonomy's NUM_POSTURES and the
+    seed is >= 0.
     """
     if subjects < 1 or frames_per_seq < 1:
         raise ConfigError(f"need at least 1 subject and 1 frame, got "
@@ -82,6 +83,8 @@ def write_synthetic_dataset(root, subjects=3, postures=4, frames_per_seq=12,
     if not 1 <= postures <= NUM_POSTURES:
         raise ConfigError(f"postures must be in [1,{NUM_POSTURES}], "
                           f"got {postures}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     root = Path(root)
     for s in range(1, subjects + 1):
         d = root / f"S{s}"

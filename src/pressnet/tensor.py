@@ -131,7 +131,7 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     return gx.transpose(0, 3, 1, 2), grad_k
 
 
-def maxpool2d(x: np.ndarray, window: int = 3, stride: int = 2,
+def maxpool2d(x: np.ndarray, window: int, stride: int,
               need_argmax: bool = True):
     """Max-pool a (B,C,H,W) array over window x window patches.
 

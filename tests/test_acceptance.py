@@ -201,14 +201,12 @@ def test_criterion_02_kernel_oracles():
 
 
 def test_criterion_03_augmentation_statistics():
-    policy = signal.AugmentPolicy()
     rng = make_rng(2024, 3)
     draws = 10_000
     counts = np.zeros(4)
     for _ in range(draws):
-        plan = signal.augment_plan(policy, rng)
-        counts += [plan["rot180"], plan["dx"] is not None,
-                   plan["dy"] is not None, plan["angle"] is not None]
+        rot180, dx, dy, angle = signal.augment_plan(rng)
+        counts += [rot180, dx is not None, dy is not None, angle is not None]
     freqs = counts / draws
     for got, want in zip(freqs, (0.50, 0.20, 0.20, 0.20)):
         assert abs(got - want) <= 0.02, f"fired {got:.4f}, configured {want}"

@@ -300,7 +300,6 @@ class TestMlp:
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6)
         model = TinyMLP(3, 2, make_rng(57))
-        model.mu, model.sd = baselines.standardize_fit(x)
 
         probs = model.forward(x, train=True)
         grads = model.backward(probs, y)

@@ -1,7 +1,10 @@
 """End-to-end command-line flows on a small synthetic corpus."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,7 @@ class TestSynthAndPreprocess:
         ("--frames", "0", "at least 1 subject and 1 frame"),
         ("--postures", "0", "postures must be in [1,17]"),
         ("--postures", "18", "postures must be in [1,17]"),
+        ("--seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_synth_count_writes_nothing(self, tmp_path, capsys, flag,
                                             value, message):
@@ -107,6 +111,46 @@ class TestSynthAndPreprocess:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert not cache.exists()
+
+    def test_non_finite_raw_field_fails_at_parse(self, tmp_path, capsys):
+        # a NaN used to be cached, spread by the median filter, and only
+        # stop train at epoch 0 with a non-finite loss
+        root = tmp_path / "raw"
+        assert cli.main(["synth", "--out", str(root), "--subjects", "1",
+                         "--postures", "2", "--frames", "6"]) == 0
+        bad = root / "S1" / "2.txt"
+        lines = bad.read_text().splitlines()
+        fields = lines[3].split()
+        fields[100] = "nan"
+        lines[3] = " ".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["preprocess", "--data-root", str(root),
+                       "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2.txt: record 4 contains a non-finite field" in err
+
+    def test_warning_count_is_missing_combinations(self, tmp_path, capsys):
+        root = tmp_path / "raw"
+        assert cli.main(["synth", "--out", str(root), "--subjects", "2",
+                         "--postures", "2", "--frames", "12"]) == 0
+        short = root / "S1" / "2.txt"
+        short.write_text("".join(short.read_text().splitlines(True)[:5]))
+        capsys.readouterr()
+        cache = tmp_path / "cache"
+        assert cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        # 2 subjects x 15 of 17 postures missing; the sequence that is
+        # empty after trimming is reported once, as a removal
+        assert "warnings: 30 (missing" in out
+        assert "removed/short sequences: 1" in out
+        assert "short: subject 1 posture 2" in out
+        manifest = dataio.read_manifest(cache / "manifest.tsv")
+        assert len(manifest.warnings) == 30
+        assert all(w.endswith(" missing") for w in manifest.warnings)
 
     def test_env_var_supplies_root(self, corpus, monkeypatch, tmp_path):
         root, _ = corpus
@@ -225,6 +269,7 @@ class TestTrain:
         ('{"scheme": null}', "scheme"),
         ('{"base_lr": -1, "epochs": 1, "k": 2}', "base_lr"),
         ('{"lr_decay_every": 0}', "lr_decay_every"),
+        ('{"seed": -1}', "seed must be >= 0"),
     ])
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, content,
                                             message):
@@ -303,6 +348,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_is_usage_error(self, corpus, tmp_path, capsys):
+        _, cache = corpus
+        rc = cli.main(["train", "--cache-dir", str(cache),
+                       "--out-dir", str(tmp_path / "run"), "--seed", "-1",
+                       "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "run").exists()
 
 
@@ -444,3 +498,20 @@ class TestAugmentStats:
         captured = capsys.readouterr()
         assert captured.err == f"error: draws must be >= 1, got {draws}\n"
         assert captured.out == ""
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        rc = cli.main(["augment-stats", "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the lambda sweep's t-test, and dominates import time
+    code = ("import sys, pressnet, pressnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -47,6 +47,23 @@ class TestParseFrameFile:
         with pytest.raises(ParseError, match="non-numeric"):
             dataio.parse_frame_file(f, subject_id=1, posture_id=1)
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e40",
+                                       "-1e39"])
+    def test_non_finite_field_names_record(self, tmp_path, value):
+        # 1e40 and -1e39 are numbers, but overflow float32 to +-inf
+        f = tmp_path / "seq.txt"
+        fields = ["1"] * 2048
+        fields[7] = value
+        f.write_text(" ".join(["2"] * 2048) + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(ParseError, match=r"seq\.txt: record 2 .*non-finite"):
+            dataio.parse_frame_file(f, subject_id=1, posture_id=1)
+
+    def test_float32_max_is_finite(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        f.write_text(" ".join(["3.4e38"] + ["0"] * 2047) + "\n")
+        frame = dataio.parse_frame_file(f, subject_id=1, posture_id=1).frames[0]
+        assert frame[0, 0] == np.float32(3.4e38)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "seq.txt"
         f.write_text("\n\n")
@@ -194,6 +211,9 @@ class TestManifest:
         manifest = dataio.build_manifest(tmp_path)
         out = tmp_path / "manifest.tsv"
         dataio.write_manifest(out, manifest)
-        back = dataio.read_manifest(out, taxonomy=manifest.taxonomy)
+        dataio.write_taxonomy(tmp_path / dataio.TAXONOMY_FILE,
+                              manifest.taxonomy)
+        back = dataio.read_manifest(out)
         assert back.entries == manifest.entries
         assert back.warnings == manifest.warnings
+        assert back.taxonomy == manifest.taxonomy

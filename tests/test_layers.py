@@ -343,7 +343,7 @@ class TestConvAndPool:
 
     def test_pool_keeps_argmax_only_in_train_mode(self):
         x = tensor.make_rng(32).normal(size=(2, 3, 7, 9)).astype(np.float32)
-        pool = MaxPool2D(3, 2)
+        pool = MaxPool2D()
         out_eval = pool.forward(x, train=False)
         with pytest.raises(UsageError):
             pool.backward(np.ones_like(out_eval))

@@ -187,8 +187,7 @@ def bilinear_oracle(frame, angle_deg):
 
 def shift_and_rotate(frame, dx=None, dy=None, angle=None):
     """The augmentation's translate and rotate steps, without the half-turn."""
-    return signal.apply_plan(frame, {"rot180": False, "dx": dx, "dy": dy,
-                                     "angle": angle})
+    return signal.apply_plan(frame, (False, dx, dy, angle))
 
 
 class TestAffineTransform:
@@ -211,6 +210,13 @@ class TestAffineTransform:
         out = shift_and_rotate(frame, dx=5)
         assert np.all(out[:, :5] == 0.0) and np.all(out[:, 5:] == 1.0)
 
+    def test_both_shifts_equal_one_after_the_other(self):
+        frame = make_rng(8).uniform(size=(32, 64))
+        for dx, dy in ((3, -2), (-6, 3), (0, 1), (6, 0)):
+            one_pass = shift_and_rotate(frame, dx=dx, dy=dy)
+            two_pass = shift_and_rotate(shift_and_rotate(frame, dx=dx), dy=dy)
+            assert np.array_equal(one_pass, two_pass)
+
     def test_rotation_matches_bilinear_oracle(self):
         rng = make_rng(4)
         frame = rng.uniform(size=(32, 64))
@@ -229,58 +235,49 @@ class TestAffineTransform:
 
 
 class TestAugmentation:
-    def test_zero_probability_policy_is_identity(self):
-        policy = signal.AugmentPolicy(p_rot180=0, p_shift_x=0, p_shift_y=0,
-                                      p_rotate=0)
+    def test_unfired_plan_returns_equal_copy(self):
         frame = make_rng(6).uniform(size=(32, 64))
-        out = signal.augment_sample(frame, policy, make_rng(0))
+        out = signal.apply_plan(frame, (False, None, None, None))
         assert np.array_equal(out, frame)
+        assert out is not frame
 
     def test_same_seed_same_output(self):
-        policy = signal.AugmentPolicy()
         frame = make_rng(7).uniform(size=(32, 64)).astype(np.float32)
-        a = signal.augment_sample(frame, policy, make_rng(123))
-        b = signal.augment_sample(frame, policy, make_rng(123))
+        a = signal.augment_sample(frame, make_rng(123))
+        b = signal.augment_sample(frame, make_rng(123))
         assert np.array_equal(a, b)
 
     def test_firing_frequencies_10000_draws(self):
-        policy = signal.AugmentPolicy()
         rng = make_rng(99)
         counts = np.zeros(4)
         n = 10000
         for _ in range(n):
-            plan = signal.augment_plan(policy, rng)
-            counts += [plan["rot180"], plan["dx"] is not None,
-                       plan["dy"] is not None, plan["angle"] is not None]
+            rot180, dx, dy, angle = signal.augment_plan(rng)
+            counts += [rot180, dx is not None, dy is not None,
+                       angle is not None]
         freq = counts / n
         assert abs(freq[0] - 0.50) <= 0.02
         for i in (1, 2, 3):
             assert abs(freq[i] - 0.20) <= 0.02
 
     def test_magnitudes_stay_in_range(self):
-        policy = signal.AugmentPolicy()
         rng = make_rng(11)
         for _ in range(2000):
-            plan = signal.augment_plan(policy, rng)
-            if plan["dx"] is not None:
-                assert -6 <= plan["dx"] <= 6   # 10% of 64 columns
-            if plan["dy"] is not None:
-                assert -3 <= plan["dy"] <= 3   # 10% of 32 rows
-            if plan["angle"] is not None:
-                assert -25.0 <= plan["angle"] <= 25.0
+            _, dx, dy, angle = signal.augment_plan(rng)
+            if dx is not None:
+                assert -6 <= dx <= 6   # 10% of 64 columns
+            if dy is not None:
+                assert -3 <= dy <= 3   # 10% of 32 rows
+            if angle is not None:
+                assert -25.0 <= angle <= 25.0
 
     def test_outputs_stay_normalized(self):
-        policy = signal.AugmentPolicy()
         rng = make_rng(12)
         frame = make_rng(13).uniform(size=(32, 64)).astype(np.float32)
         for _ in range(50):
-            out = signal.augment_sample(frame, policy, rng)
+            out = signal.augment_sample(frame, rng)
             assert out.shape == (32, 64)
             assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            signal.AugmentPolicy(p_rot180=1.5)
 
 
 class TestPipeline:

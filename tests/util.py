@@ -53,6 +53,15 @@ def knn_classify(train_x, train_y, query, k=10):
     return min(votes, key=lambda lab: (-votes[lab][0], votes[lab][1], lab))
 
 
+def collapse_confusion(cm, group, n_groups):
+    """Block-sum a fine confusion matrix through a class -> group map."""
+    out = np.zeros((n_groups, n_groups), dtype=cm.dtype)
+    for i in range(cm.shape[0]):
+        for j in range(cm.shape[1]):
+            out[group[i], group[j]] += cm[i, j]
+    return out
+
+
 def pool_oracle(x, window, stride):
     """Max-pool by scanning every window in row-major order; any leading
     dims. The argmax is the flat index into the HxW plane of the first
