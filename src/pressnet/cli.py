@@ -48,11 +48,7 @@ def _data_root(args) -> str:
 
 
 def _load_cache(cache_dir, stride: int) -> harness.FlatDataset:
-    manifest_path = Path(cache_dir) / "manifest.tsv"
-    if not manifest_path.exists():
-        raise UsageError(
-            f"no preprocessed cache at {cache_dir} (run 'preprocess' first)")
-    manifest = dataio.read_manifest(manifest_path)
+    manifest = dataio.read_manifest(Path(cache_dir) / dataio.MANIFEST_FILE)
     sequences = signal.load_clean_sequences(manifest)
     return harness.flatten_sequences(sequences, manifest.taxonomy,
                                      stride=stride)
@@ -253,7 +249,7 @@ def cmd_frame_dump(args) -> int:
         raise UsageError(f"frame index {args.index} out of range "
                          f"(sequence has {len(seq)} frames)")
     raw = seq.frames[args.index]
-    cleaned = signal.normalize_frames(signal.median_filter_3d(seq.frames))
+    cleaned = signal.preprocess_sequence(seq, trim=0).frames
     print(f"frame {args.index} of {args.file} (raw, scaled to sensor range):")
     print(render_frame(np.clip(raw / dataio.SENSOR_MAX, 0, 1)))
     print("\nsame frame after median filter + normalization (no trim):")

@@ -16,6 +16,7 @@ known recording.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,8 +39,11 @@ NUM_POSTURES = 17
 
 # coarse posture categories; tuple order fixes the 0/1/2 label encoding
 CATEGORIES = ("supine", "right", "left")
-# a preprocessed cache's taxonomy, kept beside its manifest.tsv
+# a preprocessed cache's files (and cache_path); bump CACHE_FORMAT, which
+# the fingerprint hashes, whenever the cache's bytes or layout change
+MANIFEST_FILE = "manifest.tsv"
 TAXONOMY_FILE = "taxonomy.txt"
+CACHE_FORMAT = 2
 
 _SUBJECT_DIR = re.compile(r"^S(\d+)$")
 _POSTURE_FILE = re.compile(r"^(\d+)$")
@@ -52,7 +56,6 @@ class SampleSequence:
     frames: np.ndarray  # (T, 32, 64)
     subject_id: int
     posture_id: int
-    path: str = ""
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
@@ -70,7 +73,8 @@ class ManifestEntry:
     path: str
     subject_id: int
     posture_id: int
-    frame_count: int
+    # frames in a cached array; None for a raw file, which is listed unread
+    frame_count: int | None = None
 
 
 @dataclass
@@ -132,8 +136,7 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
             frames.append(flat.reshape(FILE_ROWS, FILE_COLS).T)
     if not frames:
         raise ParseError(f"{path}: file contains no frames")
-    return SampleSequence(frames=np.stack(frames), subject_id=subject_id,
-                          posture_id=posture_id, path=str(path))
+    return SampleSequence(np.stack(frames), subject_id, posture_id)
 
 
 def default_taxonomy() -> dict:
@@ -147,20 +150,6 @@ def default_taxonomy() -> dict:
     taxonomy.update({pid: "right" for pid in range(10, 14)})
     taxonomy.update({pid: "left" for pid in range(14, 18)})
     return taxonomy
-
-
-def _validate_taxonomy(taxonomy: dict) -> dict:
-    missing = [pid for pid in range(1, NUM_POSTURES + 1) if pid not in taxonomy]
-    if missing:
-        raise ConfigError(f"taxonomy leaves posture ids unmapped: {missing}")
-    extra = [pid for pid in taxonomy if not 1 <= pid <= NUM_POSTURES]
-    if extra:
-        raise ConfigError(f"taxonomy maps unknown posture ids: {sorted(extra)}")
-    bad = {pid: cat for pid, cat in taxonomy.items() if cat not in CATEGORIES}
-    if bad:
-        raise ConfigError(
-            f"taxonomy categories must be one of {CATEGORIES}, got {bad}")
-    return dict(taxonomy)
 
 
 def load_taxonomy(path) -> dict:
@@ -182,11 +171,20 @@ def load_taxonomy(path) -> dict:
             if pid in taxonomy:
                 raise ConfigError(f"{path}: line {lineno}: duplicate id {pid}")
             taxonomy[pid] = parts[1]
-    return _validate_taxonomy(taxonomy)
+    missing = [pid for pid in range(1, NUM_POSTURES + 1) if pid not in taxonomy]
+    if missing:
+        raise ConfigError(f"taxonomy leaves posture ids unmapped: {missing}")
+    extra = [pid for pid in taxonomy if not 1 <= pid <= NUM_POSTURES]
+    if extra:
+        raise ConfigError(f"taxonomy maps unknown posture ids: {sorted(extra)}")
+    bad = {pid: cat for pid, cat in taxonomy.items() if cat not in CATEGORIES}
+    if bad:
+        raise ConfigError(
+            f"taxonomy categories must be one of {CATEGORIES}, got {bad}")
+    return taxonomy
 
 
 def write_taxonomy(path, taxonomy: dict) -> None:
-    taxonomy = _validate_taxonomy(taxonomy)
     with open(path, "w") as fh:
         fh.write("# posture_id category\n")
         for pid in sorted(taxonomy):
@@ -205,29 +203,20 @@ def coarse_label(posture_id: int, taxonomy: dict) -> int:
     return CATEGORIES.index(map_posture_category(posture_id, taxonomy))
 
 
-def _count_records(path) -> int:
-    n = 0
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                n += 1
-    return n
+def cache_path(cache_dir, subject_id: int, posture_id: int) -> str:
+    return os.path.join(cache_dir, f"S{subject_id}_{posture_id}.npy")
 
 
 def build_manifest(root, taxonomy=None) -> DatasetManifest:
     """Scan a dataset tree into a deterministic, validated manifest.
 
-    taxonomy may be a mapping, a path to a taxonomy file, or None for the
-    built-in default. Missing subject/posture combinations produce warning
-    strings; a malformed taxonomy is fatal.
+    The raw files are listed, not read: each entry's frame_count is None.
+    taxonomy is a path to a taxonomy file, or None for the built-in
+    default. Missing subject/posture combinations produce warning strings;
+    a malformed taxonomy is fatal.
     """
     root = Path(root)
-    if taxonomy is None:
-        taxonomy = default_taxonomy()
-    elif isinstance(taxonomy, (str, Path)):
-        taxonomy = load_taxonomy(taxonomy)
-    else:
-        taxonomy = _validate_taxonomy(taxonomy)
+    taxonomy = default_taxonomy() if taxonomy is None else load_taxonomy(taxonomy)
 
     if not root.is_dir():
         raise ParseError(f"dataset root '{root}' is not a directory")
@@ -245,8 +234,7 @@ def build_manifest(root, taxonomy=None) -> DatasetManifest:
             if mp is None:
                 continue
             entries.append(ManifestEntry(path=str(f), subject_id=sid,
-                                         posture_id=int(mp.group(1)),
-                                         frame_count=_count_records(f)))
+                                         posture_id=int(mp.group(1))))
     if not entries:
         raise ParseError(
             f"no dataset files found under '{root}' "
@@ -266,21 +254,26 @@ def build_manifest(root, taxonomy=None) -> DatasetManifest:
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
     with open(path, "w") as fh:
-        fh.write("# path\tsubject\tposture\tframes\n")
+        fh.write("# subject\tposture\tframes\n")
         for e in manifest.entries:
-            fh.write(f"{e.path}\t{e.subject_id}\t{e.posture_id}\t{e.frame_count}\n")
+            fh.write(f"{e.subject_id}\t{e.posture_id}\t{e.frame_count}\n")
         for w in manifest.warnings:
             fh.write(f"# warning: {w}\n")
 
 
 def read_manifest(path) -> DatasetManifest:
-    """Read a manifest written by write_manifest, with the taxonomy of the
-    TAXONOMY_FILE beside it, which a preprocessed cache keeps; UsageError
-    when there is none (a cache written before caches kept their taxonomy).
+    """Read a cache manifest written by write_manifest, with the taxonomy of
+    the TAXONOMY_FILE beside it; each entry's path is the cache_path beside
+    it, so a cache reads the same from anywhere and after a move. UsageError
+    when the manifest or the taxonomy is missing, or of an older format.
     """
-    own = Path(path).with_name(TAXONOMY_FILE)
+    cache = Path(path).parent
+    if not Path(path).exists():
+        raise UsageError(
+            f"no preprocessed cache at {cache} (run 'preprocess' first)")
+    own = cache / TAXONOMY_FILE
     if not own.exists():
-        raise UsageError(f"cache {Path(path).parent} has no {TAXONOMY_FILE}"
+        raise UsageError(f"cache {cache} has no {TAXONOMY_FILE}"
                          "; run 'preprocess' on it again")
     taxonomy = load_taxonomy(own)
     entries = []
@@ -294,10 +287,12 @@ def read_manifest(path) -> DatasetManifest:
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 4:
+            if len(parts) == 4:  # format 1 stored each array's path
+                raise UsageError(f"cache {cache} has an older format"
+                                 "; run 'preprocess' on it again")
+            if len(parts) != 3:
                 raise ParseError(f"{path}: bad manifest line: {line!r}")
-            entries.append(ManifestEntry(path=parts[0], subject_id=int(parts[1]),
-                                         posture_id=int(parts[2]),
-                                         frame_count=int(parts[3])))
+            s, p, n = (int(v) for v in parts)
+            entries.append(ManifestEntry(cache_path(cache, s, p), s, p, n))
     return DatasetManifest(entries=entries, taxonomy=taxonomy,
                            warnings=warnings)

@@ -46,6 +46,8 @@ STREAM_DROPOUT = 3
 STREAM_AUGMENT = 4
 STREAM_EVAL_AUGMENT = 5
 
+EVAL_CHUNK = 256  # frames per inference forward in evaluate_model
+
 
 @dataclass
 class TrainConfig:
@@ -379,10 +381,10 @@ def compute_metrics(cm: np.ndarray) -> Metrics:
                    recall=recall, specificity=specificity, accuracy=accuracy)
 
 
-def _forward_in_chunks(net: PostureNet, x: np.ndarray, chunk: int = 256):
+def _forward_in_chunks(net: PostureNet, x: np.ndarray):
     pu, pp = [], []
-    for s in range(0, x.shape[0], chunk):
-        u, p = net.forward(x[s:s + chunk], train=False)
+    for s in range(0, x.shape[0], EVAL_CHUNK):
+        u, p = net.forward(x[s:s + EVAL_CHUNK], train=False)
         pu.append(u)
         pp.append(p)
     return np.concatenate(pu), np.concatenate(pp)

@@ -124,8 +124,10 @@ class BatchNorm2D:
     bits.
     """
 
-    def __init__(self, channels: int, dtype=np.float32,
-                 eps: float = 1e-5, momentum: float = 0.99):
+    EPS = 1e-5       # added to the variance before the square root
+    MOMENTUM = 0.99  # running statistics keep this share of their old value
+
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -134,15 +136,13 @@ class BatchNorm2D:
         self.stats = {"running_mean": self.running_mean,
                       "running_var": self.running_var}
         self.grads = {}
-        self.eps = eps
-        self.momentum = momentum
         self._cache = None
 
     def forward(self, x, train: bool, rng=None):
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
-            inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.eps))
+            inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.EPS))
             out = x2 - np.tile(self.running_mean, w)
             out *= np.tile(inv_std, w)
             out *= np.tile(self.gamma, w)
@@ -156,9 +156,9 @@ class BatchNorm2D:
         xhat = x2 - np.tile(mean, w)
         out = np.multiply(xhat, xhat)
         var = (_channel_sum(out, b, c) / n).astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
+        inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.EPS))
         xhat *= np.tile(inv_std, w)
-        m = x.dtype.type(self.momentum)
+        m = x.dtype.type(self.MOMENTUM)
         self.running_mean *= m
         self.running_mean += (1 - m) * mean
         self.running_var *= m

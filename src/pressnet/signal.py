@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .dataio import GRID_COLS, GRID_ROWS, SENSOR_MAX, SampleSequence
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, UsageError
 from .tensor import make_rng
 
 
@@ -88,8 +89,7 @@ def preprocess_sequence(seq: SampleSequence, trim: int = 3) -> SampleSequence:
     frames = median_filter_3d(seq.frames)
     frames = normalize_frames(frames)
     frames = trim_sequence(frames, n=trim)
-    return SampleSequence(frames=frames, subject_id=seq.subject_id,
-                          posture_id=seq.posture_id, path=seq.path)
+    return SampleSequence(frames, seq.subject_id, seq.posture_id)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +214,13 @@ def plan_firing_counts(draws: int, seed: int):
 # ---------------------------------------------------------------------------
 # preprocessed cache
 
-def cache_path(cache_dir, subject_id: int, posture_id: int) -> Path:
-    return Path(cache_dir) / f"S{subject_id}_{posture_id}.npy"
-
 
 def dataset_fingerprint(manifest: dataio.DatasetManifest, trim: int,
                         empty_threshold: float, delimiter) -> str:
-    """Content hash of the raw files plus the preprocessing parameters and
-    the manifest's taxonomy."""
+    """Content hash of the cache format (dataio.CACHE_FORMAT), the
+    preprocessing parameters, the manifest's taxonomy and the raw files."""
     h = hashlib.sha256()
+    h.update(f"format={dataio.CACHE_FORMAT};".encode())
     h.update(f"trim={trim};thr={empty_threshold};delim={delimiter!r}".encode())
     taxonomy = manifest.taxonomy
     h.update(f";tax={[(p, taxonomy[p]) for p in sorted(taxonomy)]}".encode())
@@ -239,12 +237,12 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
                        force: bool = False):
     """Run the full pipeline over a dataset tree and cache the results.
 
-    Writes one .npy file per surviving sequence into cache_dir, plus
-    'manifest.tsv' (paths pointing at the cache), the taxonomy the coarse
-    labels follow (dataio.TAXONOMY_FILE, which read_manifest picks up),
-    'removed.txt' (the removal report and any too-short-after-trim
-    notes, which stay out of the manifest's warnings), and a fingerprint of the raw inputs and the taxonomy. When
-    the fingerprint already matches, the cached manifest is returned
+    Writes into cache_dir one array per surviving sequence (at
+    dataio.cache_path), the manifest (subject, posture and frame count of
+    each array), the taxonomy the coarse labels follow, 'removed.txt' (the
+    removal report and too-short-after-trim notes, which stay out of the
+    manifest's warnings) and the dataset_fingerprint. When the fingerprint
+    matches and every listed array exists, the cached manifest is returned
     untouched. Returns (manifest, hit). ConfigError, before cache_dir is
     created, unless trim >= 0 and empty_threshold is finite and >= 0.
     """
@@ -260,11 +258,14 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     fingerprint = dataset_fingerprint(manifest, trim, empty_threshold,
                                       delimiter)
     marker = cache_dir / "fingerprint.txt"
+    manifest_file = cache_dir / dataio.MANIFEST_FILE
     if (not force and marker.exists()
             and marker.read_text().strip() == fingerprint
-            and (cache_dir / "manifest.tsv").exists()
+            and manifest_file.exists()
             and (cache_dir / dataio.TAXONOMY_FILE).exists()):
-        return dataio.read_manifest(cache_dir / "manifest.tsv"), True
+        cached = dataio.read_manifest(manifest_file)
+        if all(os.path.exists(e.path) for e in cached.entries):
+            return cached, True
 
     cleaned = []
     short_warnings = []
@@ -284,16 +285,15 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
 
     out_entries = []
     for seq in kept:
-        path = cache_path(cache_dir, seq.subject_id, seq.posture_id)
+        path = dataio.cache_path(cache_dir, seq.subject_id, seq.posture_id)
         np.save(path, seq.frames.astype(np.float32))
-        out_entries.append(dataio.ManifestEntry(
-            path=str(path), subject_id=seq.subject_id,
-            posture_id=seq.posture_id, frame_count=len(seq)))
+        out_entries.append(dataio.ManifestEntry(path, seq.subject_id,
+                                                seq.posture_id, len(seq)))
 
     out = dataio.DatasetManifest(entries=out_entries,
                                  taxonomy=manifest.taxonomy,
                                  warnings=manifest.warnings)
-    dataio.write_manifest(cache_dir / "manifest.tsv", out)
+    dataio.write_manifest(manifest_file, out)
     dataio.write_taxonomy(cache_dir / dataio.TAXONOMY_FILE, manifest.taxonomy)
     with open(cache_dir / "removed.txt", "w") as fh:
         for line in short_warnings:
@@ -305,10 +305,14 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
 
 
 def load_clean_sequences(manifest: dataio.DatasetManifest) -> list:
-    """Load cached sequences (written by preprocess_dataset) in order."""
+    """Load cached sequences (written by preprocess_dataset) in order;
+    UsageError naming the first listed array that is missing."""
     out = []
     for e in manifest.entries:
-        frames = np.load(e.path)
-        out.append(SampleSequence(frames=frames, subject_id=e.subject_id,
-                                  posture_id=e.posture_id, path=e.path))
+        try:
+            frames = np.load(e.path)
+        except FileNotFoundError:
+            raise UsageError(f"cache array {e.path} is missing"
+                             "; run 'preprocess' again") from None
+        out.append(SampleSequence(frames, e.subject_id, e.posture_id))
     return out

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressnet import cli, dataio
+from pressnet import cli, dataio, signal
 from pressnet.checkpoint import load_checkpoint
 from pressnet.errors import UsageError
 
@@ -214,6 +215,88 @@ class TestTaxonomy:
                                 str(self.swapped(tmp_path / "tax.txt"))]) == 0
         assert "cache hit" not in capsys.readouterr().out
         assert dataio.read_manifest(cache / "manifest.tsv").taxonomy[1] == "left"
+
+
+class TestCacheLayout:
+    """A cache stores no paths: it reads the same from any directory or
+    after a move, and an older or damaged cache is one error line."""
+
+    @staticmethod
+    def preprocess(root, cache):
+        return cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache)])
+
+    @staticmethod
+    def train(cache, out):
+        return cli.main(["train", "--cache-dir", str(cache), "--out-dir",
+                         str(out), "--k", "2", "--epochs", "1"])
+
+    def test_relative_cache_trains_from_anywhere_and_after_a_move(
+            self, corpus, tmp_path, monkeypatch):
+        root, _ = corpus
+        monkeypatch.chdir(tmp_path)
+        assert self.preprocess(root, "cache") == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert self.train(tmp_path / "cache", tmp_path / "run1") == 0
+        shutil.move(tmp_path / "cache", tmp_path / "moved")
+        assert self.train(tmp_path / "moved", tmp_path / "run2") == 0
+        assert ((tmp_path / "run1" / "aggregate.json").read_bytes()
+                == (tmp_path / "run2" / "aggregate.json").read_bytes())
+
+    def test_manifest_bytes_do_not_depend_on_the_cache_dir(self, corpus,
+                                                           tmp_path):
+        root, _ = corpus
+        a, b = tmp_path / "a" / "cache", tmp_path / "b" / "deeper" / "cache"
+        assert self.preprocess(root, a) == 0
+        assert self.preprocess(root, b) == 0
+        text = (a / "manifest.tsv").read_bytes()
+        assert text == (b / "manifest.tsv").read_bytes()
+        assert b".npy" not in text and str(tmp_path).encode() not in text
+
+    def test_older_format_is_one_line_and_rebuilt(self, corpus, tmp_path,
+                                                  monkeypatch, capsys):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        # a format-1 cache: its fingerprint and a path column in its manifest
+        monkeypatch.setattr(dataio, "CACHE_FORMAT", 1)
+        assert self.preprocess(root, cache) == 0
+        monkeypatch.undo()
+        manifest = cache / "manifest.tsv"
+        manifest.write_text("".join(
+            f"{e.path}\t{e.subject_id}\t{e.posture_id}\t{e.frame_count}\n"
+            for e in dataio.read_manifest(manifest).entries))
+        out = tmp_path / "run"
+        for argv in (["train", "--cache-dir", str(cache), "--out-dir",
+                      str(out), "--k", "2", "--epochs", "1"],
+                     ["evaluate", "--cache-dir", str(cache),
+                      "--checkpoint", str(tmp_path / "none.ckpt")]):
+            capsys.readouterr()
+            assert cli.main(argv) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "older format" in lines[0] and "preprocess" in lines[0]
+        assert not out.exists()
+        assert self.preprocess(root, cache) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert self.train(cache, out) == 0
+
+    def test_missing_array_is_one_line_and_rebuilt(self, corpus, tmp_path,
+                                                   capsys):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        assert self.preprocess(root, cache) == 0
+        gone = cache / "S1_1.npy"
+        gone.unlink()
+        capsys.readouterr()
+        assert self.train(cache, tmp_path / "run") == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(gone) in lines[0] and "preprocess" in lines[0]
+        assert not (tmp_path / "run").exists()
+        assert self.preprocess(root, cache) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert gone.exists()
 
 
 class TestTrain:
@@ -472,6 +555,10 @@ class TestFrameDump:
         grids = [ln for ln in out.splitlines()
                  if len(ln) == 64 and set(ln) <= set(cli.ASCII_RAMP)]
         assert len(grids) == 64  # two 32-row frames
+        # the second grid is the preprocessing pipeline's frame, untrimmed
+        seq = dataio.parse_frame_file(root / "S1" / "1.txt")
+        clean = signal.preprocess_sequence(seq, trim=0).frames
+        assert "\n".join(grids[32:]) == cli.render_frame(clean[2])
 
     def test_index_out_of_range(self, corpus, capsys):
         root, _ = corpus

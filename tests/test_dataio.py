@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pressnet import dataio, synthetic
+from pressnet import dataio, signal, synthetic
 from pressnet.errors import ConfigError, LabelError, ParseError
 
 
@@ -174,8 +174,8 @@ class TestManifest:
         assert len(manifest.entries) == 12
         keys = [(e.subject_id, e.posture_id) for e in manifest.entries]
         assert keys == sorted(keys)
-        assert all(e.frame_count == 5 for e in manifest.entries)
-        assert manifest.total_frames() == 60
+        # raw files are listed, not read; the cache manifest holds counts
+        assert all(e.frame_count is None for e in manifest.entries)
 
     def test_missing_combination_warns(self, tmp_path):
         self.make_tree(tmp_path, subjects=2, postures=4)
@@ -203,17 +203,19 @@ class TestManifest:
 
     def test_malformed_taxonomy_is_fatal(self, tmp_path):
         self.make_tree(tmp_path)
+        tax = tmp_path / "tax.txt"
+        tax.write_text("1 supine\n")
         with pytest.raises(ConfigError):
-            dataio.build_manifest(tmp_path, taxonomy={1: "supine"})
+            dataio.build_manifest(tmp_path, taxonomy=tax)
 
     def test_write_read_round_trip(self, tmp_path):
-        self.make_tree(tmp_path)
-        manifest = dataio.build_manifest(tmp_path)
-        out = tmp_path / "manifest.tsv"
-        dataio.write_manifest(out, manifest)
-        dataio.write_taxonomy(tmp_path / dataio.TAXONOMY_FILE,
-                              manifest.taxonomy)
-        back = dataio.read_manifest(out)
+        self.make_tree(tmp_path / "raw")
+        cache = tmp_path / "cache"
+        manifest, _ = signal.preprocess_dataset(tmp_path / "raw", cache,
+                                                trim=1)
+        assert len(manifest.entries) == 12 and manifest.warnings
+        back = dataio.read_manifest(cache / dataio.MANIFEST_FILE)
+        # paths included: read_manifest derives each one beside the manifest
         assert back.entries == manifest.entries
         assert back.warnings == manifest.warnings
         assert back.taxonomy == manifest.taxonomy

@@ -169,10 +169,10 @@ class TestBatchNorm:
 
                 out = bn.forward(x, train=True)
                 want, mean, var, xhat, inv_std = bn_train_oracle(
-                    x, bn.gamma, bn.beta, bn.eps)
+                    x, bn.gamma, bn.beta, bn.EPS)
                 assert out.dtype == dtype
                 assert out.tobytes() == want.tobytes()
-                m = x.dtype.type(bn.momentum)
+                m = x.dtype.type(bn.MOMENTUM)
                 assert bn.running_mean.tobytes() == \
                     (rm0 * m + (1 - m) * mean).tobytes()
                 assert bn.running_var.tobytes() == \
@@ -188,7 +188,7 @@ class TestBatchNorm:
                 ev = bn.forward(x, train=False)
                 want_ev = bn_eval_oracle(x, bn.gamma, bn.beta,
                                          bn.running_mean, bn.running_var,
-                                         bn.eps)
+                                         bn.EPS)
                 assert ev.tobytes() == want_ev.tobytes()
                 # a channels-last input, as conv outputs are, changes no bit
                 ev_cl = bn.forward(channels_last(x), train=False)
@@ -208,7 +208,8 @@ class TestBatchNorm:
         nhwc = rng.standard_normal((batch, h, w, c), dtype=np.float32)
         nhwc *= sd
         nhwc += mu
-        bn = BatchNorm2D(c, momentum=0.0)
+        bn = BatchNorm2D(c)
+        bn.MOMENTUM = 0.0
         bn.forward(nhwc.transpose(0, 3, 1, 2), train=True)
 
         n = batch * h * w
