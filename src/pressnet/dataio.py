@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +48,7 @@ CACHE_FORMAT = 2
 
 _SUBJECT_DIR = re.compile(r"^S(\d+)$")
 _POSTURE_FILE = re.compile(r"^(\d+)$")
+_CACHE_ARRAY = re.compile(r"^S\d+_\d+\.npy$")  # a cache_path file name
 
 
 @dataclass
@@ -113,12 +115,36 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
         subject_id = inf_s if subject_id is None else subject_id
         posture_id = inf_p if posture_id is None else posture_id
 
-    frames = []
-    # a value beyond float32's range parses to inf, refused below
+    with open(path) as fh, warnings.catch_warnings():
+        # an empty file is refused below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            # loadtxt skips only empty lines; whitespace is blank here too
+            flat = np.loadtxt((line for line in fh if line.strip()),
+                              dtype=np.float32, delimiter=delimiter,
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            _refuse_records(path, delimiter, str(exc))
+    # a value beyond float32's range parses to inf, refused here
+    if flat.shape[1] != FRAME_FIELDS or not np.isfinite(flat).all():
+        _refuse_records(path, delimiter)
+    # on-disk rows become columns of the canonical 32x64 grid; the view's
+    # strides reach the cache, as np.save stores a one-frame array of them
+    # in Fortran order
+    frames = flat.reshape(-1, FILE_ROWS, FILE_COLS).transpose(0, 2, 1)
+    return SampleSequence(frames, subject_id, posture_id)
+
+
+def _refuse_records(path, delimiter, reason="records of an unknown form"):
+    """Rescan a file parse_frame_file cannot take and raise ParseError for
+    its first bad record, numbered by line (blank lines count), for a file
+    with no records, or else with reason (loadtxt's complaint)."""
+    found = False
     with open(path) as fh, np.errstate(over="ignore"):
         for recno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            found = True
             fields = line.split(delimiter)
             if len(fields) != FRAME_FIELDS:
                 raise ParseError(
@@ -132,11 +158,9 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
             if not np.isfinite(flat).all():
                 raise ParseError(
                     f"{path}: record {recno} contains a non-finite field")
-            # on-disk rows become columns of the canonical 32x64 grid
-            frames.append(flat.reshape(FILE_ROWS, FILE_COLS).T)
-    if not frames:
+    if not found:
         raise ParseError(f"{path}: file contains no frames")
-    return SampleSequence(np.stack(frames), subject_id, posture_id)
+    raise ParseError(f"{path}: {reason}")
 
 
 def default_taxonomy() -> dict:
@@ -205,6 +229,15 @@ def coarse_label(posture_id: int, taxonomy: dict) -> int:
 
 def cache_path(cache_dir, subject_id: int, posture_id: int) -> str:
     return os.path.join(cache_dir, f"S{subject_id}_{posture_id}.npy")
+
+
+def remove_unlisted_arrays(cache_dir, manifest: DatasetManifest) -> None:
+    """Delete each file in cache_dir named like a cache_path array that
+    manifest does not list; no other file is touched."""
+    listed = {os.path.basename(e.path) for e in manifest.entries}
+    for name in os.listdir(cache_dir):
+        if _CACHE_ARRAY.match(name) and name not in listed:
+            os.remove(os.path.join(cache_dir, name))
 
 
 def build_manifest(root, taxonomy=None) -> DatasetManifest:
@@ -279,7 +312,7 @@ def read_manifest(path) -> DatasetManifest:
     entries = []
     warnings = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.startswith("# warning: "):
                 warnings.append(line[len("# warning: "):])
@@ -292,7 +325,11 @@ def read_manifest(path) -> DatasetManifest:
                                  "; run 'preprocess' on it again")
             if len(parts) != 3:
                 raise ParseError(f"{path}: bad manifest line: {line!r}")
-            s, p, n = (int(v) for v in parts)
+            try:
+                s, p, n = (int(v) for v in parts)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-integer field "
+                                 f"in {line!r}") from None
             entries.append(ManifestEntry(cache_path(cache, s, p), s, p, n))
     return DatasetManifest(entries=entries, taxonomy=taxonomy,
                            warnings=warnings)

@@ -14,7 +14,7 @@ class ConfigError(PressnetError):
 
 
 class NumericFault(PressnetError):
-    """A computation produced NaN/Inf from finite inputs."""
+    """A computation met or would produce a NaN/Inf or undefined value."""
 
 
 class ParseError(PressnetError):

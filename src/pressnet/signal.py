@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .dataio import GRID_COLS, GRID_ROWS, SENSOR_MAX, SampleSequence
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, NumericFault, ShapeError, UsageError
 from .tensor import make_rng
 
 
@@ -31,18 +31,27 @@ def median_filter_3d(frames: np.ndarray) -> np.ndarray:
 
     Output has the same shape as the input; a single frame degenerates to a
     purely spatial 3x3 median (the time axis sees three copies of it).
+    NumericFault on a NaN or infinite input, which a partition would hide.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ShapeError(f"expected (T, H, W) frames, got {frames.shape}")
+    if not np.isfinite(frames).all():
+        raise NumericFault("median filter input holds a non-finite value")
     padded = np.pad(frames, 1, mode="edge")
     out = np.empty_like(frames)
     # block over time so the 27-wide window buffer stays modest
     block = 128
     for s in range(0, frames.shape[0], block):
         e = min(frames.shape[0], s + block)
-        windows = sliding_window_view(padded[s:e + 2], (3, 3, 3))
-        out[s:e] = np.median(windows, axis=(-3, -2, -1))
+        windows = sliding_window_view(padded[s:e + 2], (3, 3, 3)).reshape(
+            e - s, *frames.shape[1:], 27)
+        # the reshape copies, except for 1x1 frames, where it is a view of
+        # the read-only windows; the 14th of 27 in order is the median
+        if not windows.flags.writeable:
+            windows = windows.copy()
+        windows.partition(13, axis=-1)
+        out[s:e] = windows[..., 13]
     return out
 
 
@@ -241,7 +250,8 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     dataio.cache_path), the manifest (subject, posture and frame count of
     each array), the taxonomy the coarse labels follow, 'removed.txt' (the
     removal report and too-short-after-trim notes, which stay out of the
-    manifest's warnings) and the dataset_fingerprint. When the fingerprint
+    manifest's warnings) and the dataset_fingerprint; a rebuild deletes the
+    arrays of sequences it no longer lists. When the fingerprint
     matches and every listed array exists, the cached manifest is returned
     untouched. Returns (manifest, hit). ConfigError, before cache_dir is
     created, unless trim >= 0 and empty_threshold is finite and >= 0.
@@ -293,6 +303,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     out = dataio.DatasetManifest(entries=out_entries,
                                  taxonomy=manifest.taxonomy,
                                  warnings=manifest.warnings)
+    dataio.remove_unlisted_arrays(cache_dir, out)
     dataio.write_manifest(manifest_file, out)
     dataio.write_taxonomy(cache_dir / dataio.TAXONOMY_FILE, manifest.taxonomy)
     with open(cache_dir / "removed.txt", "w") as fh:

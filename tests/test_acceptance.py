@@ -21,7 +21,7 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
-from util import pool_oracle, synthetic_batch
+from util import median_oracle, pool_oracle, synthetic_batch
 
 DATA_ROOT = os.environ.get("PRESSNET_DATA_ROOT")
 dataset_required = pytest.mark.skipif(
@@ -102,23 +102,6 @@ def _conv_oracle(x, k):
     return out
 
 
-def _median_oracle(vol):
-    t, hh, ww = vol.shape
-    out = np.empty_like(vol)
-    for k in range(t):
-        for i in range(hh):
-            for j in range(ww):
-                vals = []
-                for dk in (-1, 0, 1):
-                    for di in (-1, 0, 1):
-                        for dj in (-1, 0, 1):
-                            vals.append(vol[min(max(k + dk, 0), t - 1),
-                                            min(max(i + di, 0), hh - 1),
-                                            min(max(j + dj, 0), ww - 1)])
-                out[k, i, j] = sorted(vals)[13]
-    return out
-
-
 def _metrics_oracle(cm):
     k = cm.shape[0]
     total = cm.sum()
@@ -164,7 +147,7 @@ def test_criterion_02_kernel_oracles():
         hh, ww = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         vol = rng.integers(0, 50, size=(t, hh, ww)).astype(np.float32)
         np.testing.assert_array_equal(signal.median_filter_3d(vol),
-                                      _median_oracle(vol))
+                                      median_oracle(vol))
 
     for _ in range(100):  # confusion-matrix derived rates
         k = int(rng.integers(2, 7))

@@ -1,16 +1,18 @@
-"""The network names the benchmark's span tracer relies on.
+"""The names the benchmark's span tracer relies on.
 
 bench/spans.py labels each layer's timing spans by the stage it belongs to
 (catalog.STAGES), through attributes of PostureNet. A layer it cannot place
 falls back to a catch-all label and its stage's metrics go missing, so one
-traced train step and eval forward must give every stage its spans.
+traced train step and eval forward must give every stage its spans. It
+times preprocessing through module functions it patches by name, so a
+traced preprocess must call them.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from pressnet import optim, tensor
+from pressnet import optim, signal, synthetic, tensor
 from pressnet.model import ModelConfig, PostureNet
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -48,3 +50,24 @@ def test_tracer_labels_every_stage(monkeypatch):
                       if n.startswith("layers.")
                       and n.split(".")[1].endswith(("_other", "dense_small")))
     assert not fallback, fallback
+
+
+def test_tracer_times_parse_and_median(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    synthetic.write_synthetic_dataset(tmp_path / "raw", subjects=1,
+                                      postures=2, frames_per_seq=8, seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        signal.preprocess_dataset(tmp_path / "raw", tmp_path / "cache")
+    finally:
+        tracer.uninstall()
+
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("signal.median_filter_3d") == 2
+    assert names.count("dataio.parse_frame_file") == 2
+    metrics, _ = spans.layer_metrics(tracer.spans)
+    assert {"signal.median_filter_ms_per_frame",
+            "dataio.parse_ms_per_frame"} <= set(metrics)

@@ -281,6 +281,20 @@ class TestCacheLayout:
         assert "cache hit" not in capsys.readouterr().out
         assert self.train(cache, out) == 0
 
+    def test_non_integer_manifest_field_is_one_line(self, corpus, tmp_path,
+                                                    capsys):
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        assert self.preprocess(root, cache) == 0
+        manifest = cache / "manifest.tsv"
+        manifest.write_text(manifest.read_text() + "1\t2\tx\n")
+        capsys.readouterr()
+        assert self.train(cache, tmp_path / "run") == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(manifest) in lines[0] and "'1\\t2\\tx'" in lines[0]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_array_is_one_line_and_rebuilt(self, corpus, tmp_path,
                                                    capsys):
         root, _ = corpus

@@ -6,6 +6,8 @@ import pytest
 from pressnet import dataio, signal, synthetic
 from pressnet.errors import ConfigError, LabelError, ParseError
 
+from util import parse_oracle
+
 
 def write_records(path, records):
     with open(path, "w") as fh:
@@ -83,6 +85,83 @@ class TestParseFrameFile:
         seq = dataio.parse_frame_file(f, delimiter=",", subject_id=1,
                                       posture_id=1)
         assert seq.frames.shape == (1, 32, 64)
+
+    def parse_error(self, f, delimiter=None):
+        with pytest.raises(ParseError) as info:
+            dataio.parse_frame_file(f, delimiter=delimiter, subject_id=1,
+                                    posture_id=1)
+        return str(info.value)
+
+    def test_only_record_short(self, tmp_path):
+        # one record parses to a (1, 3) table without complaint
+        f = tmp_path / "seq.txt"
+        write_records(f, [range(3)])
+        assert self.parse_error(f) == (f"{f}: record 1 has 3 fields, "
+                                       "expected 2048")
+
+    def test_short_last_record_counts_blank_lines(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        body = " ".join(["1"] * 2048)
+        f.write_text(f"{body}\n\n{body}\n{' '.join(['1'] * 2000)}\n")
+        assert self.parse_error(f) == (f"{f}: record 4 has 2000 fields, "
+                                       "expected 2048")
+
+    def test_hash_is_a_field_not_a_comment(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        fields = ["1"] * 2048
+        fields[10] = "1#0"
+        f.write_text(" ".join(["1"] * 2048) + "\n" + " ".join(fields) + "\n")
+        assert self.parse_error(f) == (f"{f}: record 2 contains a "
+                                       "non-numeric field")
+
+    def test_crlf_line_endings(self, tmp_path):
+        rng = np.random.default_rng(5)
+        records = rng.integers(0, 10000, size=(3, 2048))
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        write_records(lf, records)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert np.array_equal(
+            dataio.parse_frame_file(crlf, subject_id=1, posture_id=1).frames,
+            dataio.parse_frame_file(lf, subject_id=1, posture_id=1).frames)
+
+    def test_comma_delimiter_whitespace_line_is_blank(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        body = ",".join(str(v) for v in range(2048))
+        f.write_text(f"{body}\n  \t\n{body}\n")
+        seq = dataio.parse_frame_file(f, delimiter=",", subject_id=1,
+                                      posture_id=1)
+        assert len(seq) == 2
+
+    def test_comma_delimiter_ragged_record(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        f.write_text(",".join(["1"] * 2048) + "\n"
+                     + ",".join(["1"] * 2047) + "\n")
+        assert self.parse_error(f, ",") == (f"{f}: record 2 has 2047 "
+                                            "fields, expected 2048")
+
+    def test_float32_overflow_is_refused_without_warning(self, tmp_path):
+        # warnings are errors under pytest, so a warning would fail here
+        f = tmp_path / "seq.txt"
+        f.write_text(" ".join(["1e40"] + ["1"] * 2047) + "\n")
+        assert self.parse_error(f) == (f"{f}: record 1 contains a "
+                                       "non-finite field")
+
+    @pytest.mark.parametrize("delimiter", [None, ","])
+    def test_decimal_fields_match_per_line_parse(self, tmp_path, delimiter):
+        rng = np.random.default_rng(6)
+        digits = rng.integers(1, 10, size=(4, 2048))
+        values = rng.uniform(0, 10000, size=(4, 2048))
+        f = tmp_path / "seq.txt"
+        f.write_text("".join(
+            (delimiter or " ").join(f"{v:.{d}f}" for v, d in zip(vs, ds))
+            + "\n" for vs, ds in zip(values, digits)))
+        frames = dataio.parse_frame_file(f, delimiter=delimiter,
+                                         subject_id=1, posture_id=1).frames
+        want = parse_oracle(f, delimiter)
+        assert np.array_equal(frames.view(np.uint32), want.view(np.uint32))
+        # np.save writes a one-frame array with these strides in Fortran
+        # order, so they are part of the cache's bytes
+        assert frames.strides == want.strides
 
     def test_labels_inferred_from_path(self, tmp_path):
         d = tmp_path / "S7"

@@ -7,28 +7,10 @@ import pytest
 
 from pressnet import signal
 from pressnet.dataio import SampleSequence
-from pressnet.errors import ShapeError
+from pressnet.errors import NumericFault, ShapeError
 from pressnet.tensor import make_rng
 
-
-def median_oracle(volume):
-    """Sort-the-27-neighbors median with clamp-to-edge, straight from the
-    definition (no padding tricks)."""
-    t_n, h, w = volume.shape
-    out = np.empty_like(volume)
-    for t in range(t_n):
-        for r in range(h):
-            for c in range(w):
-                vals = []
-                for dt in (-1, 0, 1):
-                    for dr in (-1, 0, 1):
-                        for dc in (-1, 0, 1):
-                            tt = min(max(t + dt, 0), t_n - 1)
-                            rr = min(max(r + dr, 0), h - 1)
-                            cc = min(max(c + dc, 0), w - 1)
-                            vals.append(volume[tt, rr, cc])
-                out[t, r, c] = sorted(vals)[13]  # middle of 27
-    return out
+from util import median_oracle, np_median_oracle
 
 
 class TestMedianFilter:
@@ -66,6 +48,44 @@ class TestMedianFilter:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             signal.median_filter_3d(np.zeros((4, 4)))
+
+    @staticmethod
+    def assert_both_oracles(vol):
+        out = signal.median_filter_3d(vol)
+        assert out.dtype == vol.dtype
+        assert np.array_equal(out, median_oracle(vol))
+        assert np.array_equal(out, np_median_oracle(vol))
+
+    def test_sparse_counts_with_ties(self):
+        # mostly-zero integer counts: most windows hold many equal values
+        rng = make_rng(11)
+        counts = rng.integers(0, 40, size=(20, 32, 64))
+        counts[rng.random(counts.shape) < 0.7] = 0
+        self.assert_both_oracles(counts.astype(np.float32))
+
+    def test_full_frames_cross_the_time_block(self):
+        vol = make_rng(12).integers(0, 10000, size=(300, 32, 64))
+        self.assert_both_oracles(vol.astype(np.float32))
+
+    def test_float32_decimals(self):
+        vol = make_rng(13).uniform(0, 1, size=(9, 32, 64)).round(3)
+        self.assert_both_oracles(vol.astype(np.float32))
+
+    def test_int_input(self):
+        self.assert_both_oracles(
+            make_rng(14).integers(0, 50, size=(6, 32, 64)))
+
+    def test_one_pixel_frames(self):
+        # windows of a 1x1 frame reshape to a view, not a copy
+        self.assert_both_oracles(
+            make_rng(15).integers(0, 9, size=(7, 1, 1)).astype(np.float32))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        vol = np.ones((4, 32, 64), dtype=np.float32)
+        vol[2, 5, 7] = value
+        with pytest.raises(NumericFault, match="non-finite"):
+            signal.median_filter_3d(vol)
 
 
 class TestNormalize:
@@ -351,6 +371,25 @@ class TestCache:
         f.write_text(f.read_text() + " ".join(["0"] * 2048) + "\n")
         _, hit = signal.preprocess_dataset(root, cache)
         assert not hit
+
+    def test_rebuild_deletes_arrays_it_no_longer_lists(self, tmp_path):
+        from pressnet import synthetic
+        root = tmp_path / "raw"
+        cache = tmp_path / "cache"
+        synthetic.write_synthetic_dataset(root, subjects=2, postures=2,
+                                          frames_per_seq=8, seed=7)
+        signal.preprocess_dataset(root, cache)
+        others = [cache / "notes.txt", cache / "S1_1.npy.bak",
+                  cache / "S1_x.npy"]
+        for f in others:
+            f.write_text("not an array of this cache\n")
+        (root / "S1" / "1.txt").unlink()
+        manifest, hit = signal.preprocess_dataset(root, cache)
+        assert not hit and len(manifest.entries) == 3
+        assert not (cache / "S1_1.npy").exists()
+        assert all((cache / f"S{s}_{p}.npy").exists()
+                   for s, p in ((1, 2), (2, 1), (2, 2)))
+        assert all(f.exists() for f in others)
 
     def test_too_short_sequence_reported_not_cached(self, tmp_path):
         from pressnet import synthetic

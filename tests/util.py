@@ -90,6 +90,40 @@ def pool_oracle(x, window, stride):
     return out, arg
 
 
+def median_oracle(volume):
+    """3x3x3 median with clamp-to-edge, straight from the definition: the
+    27 neighbours of each voxel by clamped index (no padding), fully
+    sorted, the 14th taken; same dtype as volume."""
+    t, h, w = volume.shape
+    tt, rr, cc = np.meshgrid(np.arange(t), np.arange(h), np.arange(w),
+                             indexing="ij")
+    offsets = (-1, 0, 1)
+    neighbours = [volume[np.clip(tt + dt, 0, t - 1),
+                         np.clip(rr + dr, 0, h - 1),
+                         np.clip(cc + dc, 0, w - 1)]
+                  for dt in offsets for dr in offsets for dc in offsets]
+    return np.sort(np.stack(neighbours), axis=0)[13]
+
+
+def np_median_oracle(volume):
+    """The same median as np.median over the 27-wide windows of the
+    edge-padded volume, cast back to volume's dtype."""
+    windows = sliding_window_view(np.pad(volume, 1, mode="edge"), (3, 3, 3))
+    return np.median(windows, axis=(-3, -2, -1)).astype(volume.dtype)
+
+
+def parse_oracle(path, delimiter=None):
+    """(T, 32, 64) frames of a well-formed recording file, one np.array per
+    non-blank line, each on-disk 64x32 record transposed."""
+    frames = []
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                flat = np.array(line.split(delimiter), dtype=np.float32)
+                frames.append(flat.reshape(GRID_COLS, GRID_ROWS).T)
+    return np.stack(frames)
+
+
 def channels_last(a):
     """Copy of a (B,C,H,W) array with the same shape and values, stored
     channels-last: the strides of a C-contiguous (B,H,W,C) buffer."""
