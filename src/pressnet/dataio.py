@@ -44,7 +44,7 @@ CATEGORIES = ("supine", "right", "left")
 # the fingerprint hashes, whenever the cache's bytes or layout change
 MANIFEST_FILE = "manifest.tsv"
 TAXONOMY_FILE = "taxonomy.txt"
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 _SUBJECT_DIR = re.compile(r"^S(\d+)$")
 _POSTURE_FILE = re.compile(r"^(\d+)$")
@@ -128,9 +128,7 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
     # a value beyond float32's range parses to inf, refused here
     if flat.shape[1] != FRAME_FIELDS or not np.isfinite(flat).all():
         _refuse_records(path, delimiter)
-    # on-disk rows become columns of the canonical 32x64 grid; the view's
-    # strides reach the cache, as np.save stores a one-frame array of them
-    # in Fortran order
+    # on-disk rows become columns of the canonical 32x64 grid
     frames = flat.reshape(-1, FILE_ROWS, FILE_COLS).transpose(0, 2, 1)
     return SampleSequence(frames, subject_id, posture_id)
 

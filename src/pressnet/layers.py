@@ -119,9 +119,14 @@ class BatchNorm2D:
     that backward needs; the backward reuses one scratch array for g * xhat
     and xhat * sum(g * xhat). The input and the incoming gradient are never
     written. Per-channel sums (mean, variance, the gamma and beta gradients)
-    come from _channel_sum; the elementwise steps are the plain expressions'
-    operations in the same order, so eval mode has the plain expressions'
-    bits.
+    come from _channel_sum; the train steps are the plain expressions'
+    operations in the same order, and so have their bits.
+
+    Eval mode is the affine map of Ioffe & Szegedy (2015, §3.2): two passes,
+    x * scale + shift, with scale = gamma * inv_std and shift = beta -
+    running_mean * scale computed per call from the running statistics.
+    Its bits are those of that scale/shift form, which differ from
+    (x - mean) * inv_std * gamma + beta by a few ulps.
     """
 
     EPS = 1e-5       # added to the variance before the square root
@@ -143,10 +148,10 @@ class BatchNorm2D:
         x2 = _rows(x)
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.EPS))
-            out = x2 - np.tile(self.running_mean, w)
-            out *= np.tile(inv_std, w)
-            out *= np.tile(self.gamma, w)
-            out += np.tile(self.beta, w)
+            scale = self.gamma * inv_std
+            shift = self.beta - self.running_mean * scale
+            out = x2 * np.tile(scale, w)
+            out += np.tile(shift, w)
             return _unrows(out, x.shape)
 
         if b < 2:

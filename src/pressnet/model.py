@@ -13,6 +13,12 @@ both read its output. Forward runs the stages in order, backward in
 reverse, and parameters, statistics and gradients are keyed "<stage>.<key>"
 in stage order, heads last.
 
+Inference runs the same stage loop over blocks of at most
+PostureNet.EVAL_BLOCK frames and concatenates their probabilities, so its
+working set is one block's activations whatever the batch; each frame's
+probabilities are those of its block's pass. Training runs each batch in
+one pass.
+
 With the default config the feature maps run
 32x64 -> 30x62 -> pool 14x30 -> 12x28 -> pool 5x13 -> 3x11 -> 1x9.
 """
@@ -93,6 +99,12 @@ class ModelConfig:
 
 class PostureNet:
     """Fig.-2-style network instance: parameters, forward, backward."""
+
+    # Frames per stage-loop pass at inference. At 32 frames of the default
+    # config the largest arrays, conv1's output and conv2's column matrix,
+    # are 7.6 and 12.4 MB (61 and 99 MB in a 256-frame pass); 32 ran
+    # faster than 16, 64 and 256.
+    EVAL_BLOCK = 32
 
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
@@ -179,19 +191,31 @@ class PostureNet:
     def forward(self, x: np.ndarray, train: bool = False, rng=None):
         """Run the network; returns (subject_probs, posture_probs).
 
-        Train mode caches everything backward needs and draws dropout masks
-        from rng; inference is deterministic and uses running batch-norm
-        statistics.
+        Train mode runs the whole batch in one pass, caches everything
+        backward needs and draws dropout masks from rng. Inference is
+        deterministic, uses running batch-norm statistics and runs blocks of
+        at most EVAL_BLOCK frames, whose probabilities it concatenates.
         """
-        if x.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != self.config.input_hw:
+        if (x.ndim != 4 or x.shape[0] < 1 or x.shape[1] != 1
+                or x.shape[2:] != self.config.input_hw):
             raise ShapeError(
                 f"expected input [B,1,{self.config.input_hw[0]},"
-                f"{self.config.input_hw[1]}], got {x.shape}")
+                f"{self.config.input_hw[1]}] with B >= 1, got {x.shape}")
         h = x.astype(self.dtype, copy=False)
+        if train:
+            probs = self._run_stages(h, True, rng)
+        else:
+            step = self.EVAL_BLOCK
+            blocks = [self._run_stages(h[s:s + step], False, None)
+                      for s in range(0, len(h), step)]
+            probs = tuple(np.concatenate(p) for p in zip(*blocks))
+        self._cached_train = train
+        return probs
+
+    def _run_stages(self, h, train: bool, rng):
         for _, layer in self.stages:
             h = layer.forward(h, train, rng)
         logits_u, logits_p = (head.forward(h, train) for _, head in self.heads)
-        self._cached_train = train
         return losses.softmax(logits_u), losses.softmax(logits_p)
 
     # ------------------------------------------------------------- losses

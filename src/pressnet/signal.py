@@ -296,7 +296,9 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     out_entries = []
     for seq in kept:
         path = dataio.cache_path(cache_dir, seq.subject_id, seq.posture_id)
-        np.save(path, seq.frames.astype(np.float32))
+        # C order whatever the pipeline's strides: a one-frame view would
+        # otherwise be stored in Fortran order
+        np.save(path, np.ascontiguousarray(seq.frames, dtype=np.float32))
         out_entries.append(dataio.ManifestEntry(path, seq.subject_id,
                                                 seq.posture_id, len(seq)))
 

@@ -71,3 +71,46 @@ def test_tracer_times_parse_and_median(monkeypatch, tmp_path):
     metrics, _ = spans.layer_metrics(tracer.spans)
     assert {"signal.median_filter_ms_per_frame",
             "dataio.parse_ms_per_frame"} <= set(metrics)
+
+
+def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch):
+    # a chunk of harness._forward_in_chunks is one model.forward_eval span
+    # whatever blocks the network runs it in, so the per-chunk metrics sum
+    # every block's layer spans and count one chunk's im2col bytes
+    monkeypatch.syspath_prepend(str(BENCH))
+    import catalog
+    import spans
+
+    n = spans.CHUNK
+    assert n > PostureNet.EVAL_BLOCK
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cfg = ModelConfig(num_subjects=2, num_postures=3,
+                          conv_channels=(2, 2, 2, 2), dense_width=4,
+                          input_hw=(29, 29))
+        net = PostureNet(cfg, tensor.make_rng(93))
+        net.forward(tensor.make_rng(94).random(
+            (n, 1, *cfg.input_hw)).astype(np.float32))
+    finally:
+        tracer.uninstall()
+
+    evals = [i for i, s in enumerate(tracer.spans)
+             if s[spans.NAME] == "model.forward_eval"]
+    assert len(evals) == 1
+    assert tracer.spans[evals[0]][spans.ATTRS]["batch"] == n
+    for stage in catalog.STAGES:
+        calls = [s for s in tracer.spans
+                 if s[spans.NAME] == f"layers.{stage}.eval"]
+        assert calls and all(s[spans.PARENT] == evals[0] for s in calls), stage
+    blocks = [s for s in tracer.spans if s[spans.NAME] == "layers.conv1.eval"]
+    assert len(blocks) == -(-n // PostureNet.EVAL_BLOCK)
+
+    metrics, problems = spans.layer_metrics(tracer.spans)
+    assert not problems
+    assert {f"layers.{st}.eval_fwd_ms" for st in catalog.STAGES} <= set(metrics)
+    shapes = cfg.feature_shapes()
+    one_pass = sum(n * h * w * 9 * cin * 4 for (h, w), cin in zip(
+        (shapes[0], shapes[2], shapes[4], shapes[5]),
+        (1, *cfg.conv_channels[:3])))
+    assert metrics["tensor.im2col_mb_per_eval_chunk"] == one_pass / 1e6

@@ -159,8 +159,7 @@ class TestParseFrameFile:
                                          subject_id=1, posture_id=1).frames
         want = parse_oracle(f, delimiter)
         assert np.array_equal(frames.view(np.uint32), want.view(np.uint32))
-        # np.save writes a one-frame array with these strides in Fortran
-        # order, so they are part of the cache's bytes
+        # the oracle's layout too; the cache stores C order whatever it is
         assert frames.strides == want.strides
 
     def test_labels_inferred_from_path(self, tmp_path):

@@ -9,9 +9,9 @@ from pressnet.errors import ConfigError, UsageError
 from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
                              MaxPool2D)
 
-from util import (bn_backward_oracle, bn_eval_oracle, bn_train_oracle,
-                  central_diff_grad, channels_last, is_channels_last,
-                  max_rel_err)
+from util import (bn_backward_oracle, bn_eval_oracle, bn_eval_textbook,
+                  bn_train_oracle, central_diff_grad, channels_last,
+                  is_channels_last, max_rel_err)
 
 
 class TestLeakyReLU:
@@ -194,6 +194,32 @@ class TestBatchNorm:
                 ev_cl = bn.forward(channels_last(x), train=False)
                 assert is_channels_last(ev_cl)
                 assert ev_cl.tobytes() == want_ev.tobytes()
+
+    def test_eval_within_few_ulps_of_textbook_form(self):
+        # x * scale + shift against (x - mean) * inv_std * gamma + beta: each
+        # element within 4 ulps of the magnitudes of the terms it sums, the
+        # bound a reordering of a few roundings can reach (outputs that
+        # cancel to near 0 have no tighter relative bound)
+        rng = tensor.make_rng(26)
+        for dtype in (np.float32, np.float64):
+            for shape in ((5, 2, 3, 3), (3, 32, 30, 62), (4, 64, 12, 28),
+                          (3, 128, 1, 9)):
+                bn = self._randomized(shape[1], dtype, rng)
+                x = rng.normal(1.0, 3.0, size=shape).astype(dtype)
+                want = bn_eval_textbook(x, bn.gamma, bn.beta, bn.running_mean,
+                                        bn.running_var, bn.EPS)
+                scale = (bn.gamma / np.sqrt(bn.running_var + bn.EPS)).astype(
+                    np.float64)[None, :, None, None]
+                terms = (np.abs(x * scale)
+                         + np.abs(bn.running_mean[None, :, None, None] * scale)
+                         + np.abs(bn.beta[None, :, None, None]))
+                bound = 4 * np.finfo(dtype).eps * terms
+                for inp in (x, channels_last(x)):
+                    got = bn.forward(inp, train=False)
+                    assert got.dtype == dtype
+                    err = np.abs(got.astype(np.float64) - want)
+                    assert (err <= bound).all(), (dtype, shape,
+                                                  (err / terms).max())
 
     @pytest.mark.parametrize("batch", [64, 256])
     @pytest.mark.parametrize("chw", [(32, 30, 62), (64, 12, 28)])

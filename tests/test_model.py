@@ -1,5 +1,7 @@
 """End-to-end model contracts: shapes, determinism, gradients, loss algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import is_channels_last, max_rel_err
+from util import is_channels_last, max_rel_err, one_pass_forward
 
 
 def tiny_config(**overrides):
@@ -75,6 +77,92 @@ class TestForward:
         net = PostureNet(tiny_config(), tensor.make_rng(44))
         with pytest.raises(ShapeError):
             net.forward(np.ones((2, 1, 16, 16)))
+
+
+class TestBlockedInference:
+    B = PostureNet.EVAL_BLOCK
+
+    @staticmethod
+    def _net(seed, cfg=None):
+        # running statistics away from their initial 0 and 1, so that every
+        # batch norm does work
+        cfg = cfg or tiny_config()
+        net = PostureNet(cfg, tensor.make_rng(seed))
+        rng = tensor.make_rng(seed, 1)
+        for bn in (layer for _, layer in net.stages
+                   if isinstance(layer, BatchNorm2D)):
+            bn.running_mean[:] = rng.normal(0.0, 0.2, size=bn.gamma.size)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.gamma.size)
+        return net
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_blocks_concatenate_and_keep_the_argmax(self, n):
+        cfg = tiny_config()
+        net = self._net(46, cfg)
+        x = make_batch(tensor.make_rng(47, n), cfg, n)[0].astype(np.float32)
+        got = net.forward(x)
+        blocks = [net.forward(x[s:s + self.B]) for s in range(0, n, self.B)]
+        whole = one_pass_forward(net, x)
+        for head, probs in enumerate(got):
+            assert probs.shape == (n, (cfg.num_subjects, cfg.num_postures)[head])
+            want = np.concatenate([b[head] for b in blocks])
+            assert probs.tobytes() == want.tobytes()
+            assert (probs.argmax(axis=1) == whole[head].argmax(axis=1)).all()
+            assert np.abs(probs - whole[head]).max() <= 1e-6
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_empty_batch_is_refused(self, train):
+        net = self._net(45)
+        with pytest.raises(ShapeError, match="B >= 1"):
+            net.forward(np.ones((0, 1, 29, 29), dtype=np.float32), train=train,
+                        rng=tensor.make_rng(45))
+
+    def test_train_forward_is_one_pass(self):
+        # every stage sees all n > B frames once, and the probabilities and
+        # the running statistics are those of one unblocked pass
+        cfg = tiny_config(conv_dropout=(0.1, 0.1, 0.1, 0.1), dense_dropout=0.2)
+        n = self.B + 3
+        x, yu, yp = make_batch(tensor.make_rng(48), cfg, n)
+        x = x.astype(np.float32)
+        net, ref = self._net(49, cfg), self._net(49, cfg)
+        batches = []
+        for _, layer in net.stages + net.heads:
+            def call(h, *args, fn=layer.forward, **kwargs):
+                batches.append(len(h))
+                return fn(h, *args, **kwargs)
+            layer.forward = call
+        got = net.forward(x, train=True, rng=tensor.make_rng(50))
+        want = one_pass_forward(ref, x, train=True, rng=tensor.make_rng(50))
+        assert batches == [n] * len(net.stages + net.heads)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        for key, stat in net.bn_stats().items():
+            assert stat.tobytes() == ref.bn_stats()[key].tobytes(), key
+        grads = net.backward(*got, yu, yp, 0.5)
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_eval_memory_is_one_block(self):
+        # peak traced allocation of a 512-frame default-config inference,
+        # against twice the largest column matrix plus output any conv
+        # builds for one block (conv2's); an unblocked pass needs
+        # 512 / EVAL_BLOCK times that block's arrays
+        cfg = ModelConfig(num_subjects=13, num_postures=17)
+        net = PostureNet(cfg, tensor.make_rng(51))
+        x = tensor.make_rng(52).random((512, 1, *cfg.input_hw),
+                                       dtype=np.float32)
+        shapes = cfg.feature_shapes()
+        conv_hw = (shapes[0], shapes[2], shapes[4], shapes[5])
+        cins = (1, *cfg.conv_channels[:3])
+        largest = max(self.B * h * w * (9 * cin + cout) * 4
+                      for (h, w), cin, cout in zip(conv_hw, cins,
+                                                   cfg.conv_channels))
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * largest, (peak, largest)
 
 
 class TestBackward:

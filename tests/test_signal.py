@@ -391,6 +391,36 @@ class TestCache:
                    for s, p in ((1, 2), (2, 1), (2, 2)))
         assert all(f.exists() for f in others)
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                        np.asfortranarray])
+    def test_cache_bytes_do_not_depend_on_parse_strides(self, tmp_path,
+                                                        monkeypatch, layout):
+        # 7 raw frames trim to 1, whose parsed (transposed) view is
+        # Fortran-contiguous: np.save of it as is would write Fortran order
+        from pressnet import dataio, synthetic
+        root = tmp_path / "raw"
+        synthetic.write_synthetic_dataset(root, subjects=2, postures=2,
+                                          frames_per_seq=7, seed=8)
+        manifest, _ = signal.preprocess_dataset(root, tmp_path / "a")
+        for e in manifest.entries:
+            frames = np.load(e.path)
+            assert frames.shape == (1, 32, 64) and frames.flags.c_contiguous
+
+        parse = dataio.parse_frame_file
+
+        def relaid(*args, **kwargs):
+            seq = parse(*args, **kwargs)
+            return SampleSequence(layout(seq.frames), seq.subject_id,
+                                  seq.posture_id)
+
+        monkeypatch.setattr(dataio, "parse_frame_file", relaid)
+        signal.preprocess_dataset(root, tmp_path / "b")
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
     def test_too_short_sequence_reported_not_cached(self, tmp_path):
         from pressnet import synthetic
         root = tmp_path / "raw"

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from pressnet.checkpoint import VERSION
 from pressnet.dataio import GRID_COLS, GRID_ROWS
+from pressnet.losses import softmax
 from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
 
@@ -208,10 +209,20 @@ def bn_train_oracle(x, gamma, beta, eps):
 
 
 def bn_eval_oracle(x, gamma, beta, running_mean, running_var, eps):
-    """Batch-norm eval forward as plain expressions."""
+    """Batch-norm eval forward as plain expressions: one per-channel scale
+    and one shift, both from the running statistics."""
+    inv_std = 1.0 / np.sqrt(running_var + x.dtype.type(eps))
+    scale = gamma * inv_std
+    shift = beta - running_mean * scale
+    return x * _per_channel(scale) + _per_channel(shift)
+
+
+def bn_eval_textbook(x, gamma, beta, running_mean, running_var, eps):
+    """Batch-norm eval forward in the textbook order,
+    (x - mean) * inv_std * gamma + beta."""
     inv_std = 1.0 / np.sqrt(running_var + x.dtype.type(eps))
     xhat = (x - _per_channel(running_mean)) * _per_channel(inv_std)
-    return _per_channel(gamma) * xhat + _per_channel(beta)
+    return xhat * _per_channel(gamma) + _per_channel(beta)
 
 
 def bn_backward_oracle(g, xhat, inv_std, gamma):
@@ -224,6 +235,15 @@ def bn_backward_oracle(g, xhat, inv_std, gamma):
     coef = _per_channel(gamma * inv_std)
     gx = coef / n * (n * g - _per_channel(gbeta) - xhat * _per_channel(ggamma))
     return gx, ggamma, gbeta
+
+
+def one_pass_forward(net, x, train=False, rng=None):
+    """net's stage loop and heads over the whole batch in one pass, with no
+    blocking: (subject_probs, posture_probs)."""
+    h = x.astype(net.dtype, copy=False)
+    for _, layer in net.stages:
+        h = layer.forward(h, train, rng)
+    return tuple(softmax(head.forward(h, train)) for _, head in net.heads)
 
 
 def pack_checkpoint(header, tensors, version=VERSION):
