@@ -543,6 +543,7 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         model_config = ModelConfig(num_subjects=data.num_subjects,
                                    num_postures=data.num_postures)
     plan = split_for(data, config)
+    classical.check_folds(baselines, plan.folds)
     include_subject = config.scheme != "loso"
 
     acquire_run_dir(out_dir)

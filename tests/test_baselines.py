@@ -1,6 +1,7 @@
 """Feature extraction and the three classical comparators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pressnet.baselines import (FEATURE_NAMES, MLPBaseline, TreeEnsemble,
 from pressnet.errors import ConfigError, ShapeError
 from pressnet.tensor import make_rng
 
-from util import knn_classify
+from util import best_split_oracle, knn_classify
 
 
 def feature_oracle(frame):
@@ -259,11 +260,105 @@ class TestTrees:
         assert pred[0] == 0
 
     def test_majority_tie_prefers_lowest_label(self):
-        assert baselines._majority(np.array([2, 2, 1, 1])) == 1
+        # a depth-0 tree is the majority label of its bootstrap sample;
+        # at seed 0 the one tree's sample holds two of each label
+        y = np.array([2, 2, 1, 1])
+        draw = make_rng(0, 80, 0).integers(0, 4, size=4)
+        assert np.bincount(y[draw]).tolist() == [0, 2, 2]
+        ens = baselines.train_bagged_trees(np.zeros((4, 2)), y, n_trees=1,
+                                           max_depth=0, seed=0)
+        assert baselines.predict_trees(ens, np.zeros((1, 2)))[0] == 1
 
     def test_empty_training_set(self):
         with pytest.raises(ConfigError):
             baselines.train_bagged_trees(np.zeros((0, 3)), np.zeros(0, int))
+
+
+def split_case(n, f, k, seed, levels=None):
+    """Random (x, y): float features, or integers in [0, levels) when levels
+    is given, so that many values tie."""
+    rng = make_rng(seed)
+    if levels is None:
+        x = rng.normal(size=(n, f))
+    else:
+        x = rng.integers(0, levels, size=(n, f)).astype(np.float64)
+    return x, rng.integers(0, k, size=n)
+
+
+def tree_nodes(node):
+    """(feature, threshold, label) of every node, depth first."""
+    out = [(node.feature, node.threshold, node.label)]
+    if not node.is_leaf:
+        out += tree_nodes(node.left) + tree_nodes(node.right)
+    return out
+
+
+class TestBestSplit:
+    """_best_split against the per-feature loop, compared with ==."""
+
+    @pytest.mark.parametrize("k", [2, 3, 17])
+    @pytest.mark.parametrize("levels", [None, 2, 5])
+    def test_matches_oracle(self, k, levels):
+        for seed in range(6):
+            x, y = split_case(40, 7, k, seed, levels)
+            got = baselines._best_split(x, y, k)
+            assert got == best_split_oracle(x, y, k)
+            assert got is not None and isinstance(got[0], int)
+
+    def test_constant_columns_are_skipped(self):
+        x, y = split_case(30, 6, 3, 7, levels=4)
+        x[:, [0, 2, 5]] = 1.5
+        got = baselines._best_split(x, y, 3)
+        assert got == best_split_oracle(x, y, 3)
+        assert got[0] in (1, 3, 4)
+
+    def test_all_columns_constant(self):
+        x = np.full((12, 4), -0.25)
+        y = np.arange(12) % 3
+        assert baselines._best_split(x, y, 3) is None
+        assert best_split_oracle(x, y, 3) is None
+
+    def test_two_rows(self):
+        x = np.array([[0.5, 3.0, 1.0], [0.5, -1.0, 2.0]])
+        y = np.array([1, 0])
+        got = baselines._best_split(x, y, 2)
+        assert got == best_split_oracle(x, y, 2) == (1, 1.0, 0.0)
+
+    def test_equal_scores_take_the_lowest_feature_then_cut(self):
+        # column 2 is column 1 reversed, so both score alike; under the
+        # second labelling each column has two best cuts, after 0 and 2
+        col = np.arange(4.0)
+        x = np.stack([np.zeros(4), col, col[::-1]], axis=1)
+        for labels, threshold in (([0, 0, 1, 1], 1.5), ([0, 1, 0, 1], 0.5)):
+            y = np.array(labels)
+            got = baselines._best_split(x, y, 2)
+            assert got == best_split_oracle(x, y, 2)
+            assert got[:2] == (1, threshold)
+
+    def test_trees_equal_oracle_grown_trees(self, monkeypatch):
+        # a bench-shaped fold: about 110 standardized rows of 18 features
+        # and 3 coarse classes
+        x, y = split_case(110, 18, 3, 60)
+        x[:, 4] = np.round(x[:, 4] * 3)  # a count-like column with ties
+        fast = baselines.train_bagged_trees(x, y, n_trees=12, seed=1)
+        monkeypatch.setattr(baselines, "_best_split", best_split_oracle)
+        slow = baselines.train_bagged_trees(x, y, n_trees=12, seed=1)
+        assert ([tree_nodes(t) for t in fast.trees]
+                == [tree_nodes(t) for t in slow.trees])
+        assert sum(len(tree_nodes(t)) for t in fast.trees) > 12 * 9
+
+    def test_temporary_memory_is_a_few_copies_of_the_counts(self):
+        # n*F*K float64 class counts at a real-corpus size are 8.64 MB;
+        # the split's peak measured 34.9 MB (4.04 times that)
+        n, f, k = 20000, 18, 3
+        x, y = split_case(n, f, k, 61)
+        tracemalloc.start()
+        try:
+            baselines._best_split(x, y, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * f * k * 8
 
 
 class TinyMLP(MLPBaseline):

@@ -457,6 +457,25 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
 
+    def test_knn_fold_too_small_refused_before_training(self, tmp_path,
+                                                        capsys):
+        # 2x2x9 raw frames keep 3 per sequence after trimming: 12 frames,
+        # so each of 2 folds trains on 6, fewer than kNN's 10 neighbours
+        root, cache = tmp_path / "raw", tmp_path / "cache"
+        assert cli.main(["synth", "--out", str(root), "--subjects", "2",
+                         "--postures", "2", "--frames", "9", "--seed",
+                         "1"]) == 0
+        assert cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--cache-dir", str(cache),
+                       "--out-dir", str(tmp_path / "run"), "--k", "2",
+                       "--epochs", "1", "--seed", "1", "--baselines", "knn"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: need at least k=10 training points, got 6\n")
+        assert not (tmp_path / "run").exists()
+
 class TestSweep:
     def test_sweep_artifacts(self, corpus, tmp_path):
         _, cache = corpus

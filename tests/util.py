@@ -54,6 +54,41 @@ def knn_classify(train_x, train_y, query, k=10):
     return min(votes, key=lambda lab: (-votes[lab][0], votes[lab][1], lab))
 
 
+def best_split_oracle(x, y, n_classes):
+    """Greedy Gini split as one loop over the features, each feature's cuts
+    scored on its own stable sort: (feature, threshold, score) of the lowest
+    score, the lowest feature and then the lowest cut among equal scores, or
+    None when no feature's value changes."""
+    n = y.size
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    best = None
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        cum = np.cumsum(onehot[order], axis=0)  # class counts left of cut
+        total = cum[-1]
+        # cut after position i (1..n-1), only where the value changes
+        valid = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        if valid.size == 0:
+            continue
+        nl = valid.astype(np.float64)
+        nr = n - nl
+        left = cum[valid - 1]
+        right = total - left
+        gini_l = 1.0 - (left ** 2).sum(axis=1) / nl ** 2
+        gini_r = 1.0 - (right ** 2).sum(axis=1) / nr ** 2
+        score = (nl * gini_l + nr * gini_r) / n
+        j = int(np.argmin(score))
+        cand = (float(score[j]), f,
+                float((xs[valid[j] - 1] + xs[valid[j]]) / 2.0))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
 def collapse_confusion(cm, group, n_groups):
     """Block-sum a fine confusion matrix through a class -> group map."""
     out = np.zeros((n_groups, n_groups), dtype=cm.dtype)
