@@ -98,7 +98,7 @@ def cmd_preprocess(args) -> int:
         print(f"cache hit: {args.cache_dir} already matches the raw data "
               f"({len(manifest.entries)} sequences)")
         return 0
-    removed = (Path(args.cache_dir) / "removed.txt").read_text().splitlines()
+    removed = Path(args.cache_dir, dataio.REMOVED_FILE).read_text().splitlines()
     print(f"cached {len(manifest.entries)} sequences "
           f"({manifest.total_frames()} frames) into {args.cache_dir}")
     print(f"removed/short sequences: {len(removed)}")
@@ -173,13 +173,11 @@ def cmd_train(args) -> int:
 
     harness.run_experiment(data, config, args.out_dir, progress=_print_fold,
                            baselines=args.baselines or ())
-    run = Path(args.out_dir)
-    if args.baselines:
-        results = json.loads((run / "baselines.json").read_text())
-        for method in args.baselines:
-            print(f"baseline {method}: coarse accuracy "
-                  f"{results[method]['accuracy_mean']:.2f}%")
-    print((run / "summary.txt").read_text(), end="")
+    summary, results, _ = harness.read_run(args.out_dir)
+    for method in args.baselines or ():
+        print(f"baseline {method}: coarse accuracy "
+              f"{results[method]['accuracy_mean']:.2f}%")
+    print(summary, end="")
     return 0
 
 
@@ -204,41 +202,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run = Path(args.run_dir)
-    cfg_path = run / "config.json"
-    if not cfg_path.exists():
-        raise UsageError(f"{run} is not a run directory (no config.json)")
-    cfg = json.loads(cfg_path.read_text())
-    n_folds = cfg["folds"]
-    missing = [i for i in range(n_folds)
-               if not (run / f"fold_{i:02d}" / "metrics.json").exists()]
-    if missing or not (run / "DONE").exists():
-        print(f"incomplete run: missing folds {missing}" if missing
-              else "incomplete run: no DONE marker", file=sys.stderr)
-        return 2
-
-    print((run / "summary.txt").read_text(), end="")
-    print()
+    summary, _, folds = harness.read_run(args.run_dir)
+    print(summary)
     print("fold  fine-acc  coarse-acc  subject-acc")
-    for i in range(n_folds):
-        m = json.loads((run / f"fold_{i:02d}" / "metrics.json").read_text())
+    for i, (m, _) in enumerate(folds):
         subj = (f"{m['subject']['accuracy']:9.2f}"
                 if m.get("subject") else "        -")
         print(f"{i:4d}  {m['posture_fine']['accuracy']:8.2f}  "
               f"{m['posture_coarse']['accuracy']:10.2f}  {subj}")
     if args.confusion:
-        total = None
-        for i in range(n_folds):
-            cm = np.loadtxt(run / f"fold_{i:02d}" / "cm_coarse.txt",
-                            dtype=np.int64, ndmin=2)
-            total = cm if total is None else total + cm
+        total = sum(np.array(m["posture_coarse"]["confusion"], dtype=np.int64)
+                    for m, _ in folds)
         print("\npooled coarse confusion (rows true, cols predicted):")
         for r, name in zip(total, dataio.CATEGORIES):
             print(f"  {name:>7s} " + " ".join(f"{v:7d}" for v in r))
     if args.curves:
-        for i in range(n_folds):
+        for i, (_, curves) in enumerate(folds):
             print(f"\nfold {i} curves:")
-            print((run / f"fold_{i:02d}" / "curves.tsv").read_text(), end="")
+            print(curves, end="")
     return 0
 
 

@@ -44,6 +44,8 @@ CATEGORIES = ("supine", "right", "left")
 # the fingerprint hashes, whenever the cache's bytes or layout change
 MANIFEST_FILE = "manifest.tsv"
 TAXONOMY_FILE = "taxonomy.txt"
+REMOVED_FILE = "removed.txt"
+FINGERPRINT_FILE = "fingerprint.txt"
 CACHE_FORMAT = 3
 
 _SUBJECT_DIR = re.compile(r"^S(\d+)$")

@@ -19,7 +19,9 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +38,8 @@ __all__ = [
     "TrainConfig", "FoldPlan", "FlatDataset", "Metrics",
     "kfold_split", "loso_split", "flatten_sequences",
     "train_model", "evaluate_model", "confusion_matrix", "compute_metrics",
-    "welch_t_test", "run_experiment", "run_sweep",
+    "welch_t_test", "run_fold", "write_fold", "read_run", "run_experiment",
+    "run_sweep",
 ]
 
 STREAM_INIT = 0
@@ -478,6 +481,13 @@ def welch_t_test(sample_a, sample_b):
 # experiment runner
 
 
+# the run directory's files; no other module names them
+CONFIG_FILE, BASELINES_FILE = "config.json", "baselines.json"
+AGGREGATE_FILE, SUMMARY_FILE = "aggregate.json", "summary.txt"
+TIMING_FILE, DONE_FILE = "timing.txt", "DONE"
+METRICS_FILE, CURVES_FILE, MODEL_FILE = "metrics.json", "curves.tsv", "model.ckpt"
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -493,36 +503,90 @@ def _write_curves(path, curves: dict):
             fh.write(f"{e}\t{row}\n")
 
 
-def _fold_report_dict(report: dict) -> dict:
-    out = {}
-    for name, metrics in report.items():
-        if metrics is None:
-            out[name] = None
-        elif isinstance(metrics, Metrics):
-            out[name] = metrics.as_dict()
-        else:
-            out[name] = metrics
-    return out
-
-
-def acquire_run_dir(out_dir) -> None:
-    """Create the run directory and its lock marker; refuse a locked one."""
-    os.makedirs(out_dir, exist_ok=True)
+@contextmanager
+def _locked_run_dir(out: Path):
+    """Create the run directory and its .lock, refusing a locked one, and
+    drop an earlier run's DONE before anything else is written."""
+    out.mkdir(parents=True, exist_ok=True)
+    lock = out / ".lock"
     try:
-        fd = os.open(os.path.join(out_dir, ".lock"),
-                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise UsageError(
-            f"run directory '{out_dir}' is locked by another run "
-            "(remove .lock if that run is dead)") from None
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"pid {os.getpid()}\n")
+            f"run directory '{out}' is locked by another run "
+            f"(remove {lock.name} if that run is dead)") from None
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"pid {os.getpid()}\n")
+        (out / DONE_FILE).unlink(missing_ok=True)
+        yield
+    finally:
+        lock.unlink(missing_ok=True)
 
 
-def release_run_dir(out_dir) -> None:
-    lock = os.path.join(out_dir, ".lock")
-    if os.path.exists(lock):
-        os.remove(lock)
+def fold_dir(run_dir, fold_no: int) -> Path:
+    return Path(run_dir, f"fold_{fold_no:02d}")
+
+
+def run_fold(data: FlatDataset, train_idx, test_idx, config: TrainConfig,
+             model_config: ModelConfig, fold_no: int):
+    """Train and evaluate one fold without any I/O; returns (net,
+    adam_state, curves, report), or raises TrainingFault naming the fold."""
+    try:
+        net, state, curves = train_model(
+            data.x[train_idx], data.subject_idx[train_idx],
+            data.posture_idx[train_idx], config, model_config)
+        aug_rng = (make_rng(config.seed, STREAM_EVAL_AUGMENT, fold_no)
+                   if config.augment_eval else None)
+        report = evaluate_model(net, data, test_idx,
+                                include_subject=config.scheme != "loso",
+                                augment_rng=aug_rng)
+    except Exception as exc:
+        raise TrainingFault(f"fold {fold_no} failed: {exc}") from exc
+    return net, state, curves, report
+
+
+def write_fold(run_dir, fold_no: int, fold, config: TrainConfig) -> None:
+    """Write a run_fold result into fold_dir: metrics.json (every task's
+    metrics and confusion matrix), curves.tsv and a resumable model.ckpt."""
+    net, state, curves, report = fold
+    fdir = fold_dir(run_dir, fold_no)
+    fdir.mkdir(parents=True, exist_ok=True)
+    _write_json(fdir / METRICS_FILE, {
+        name: m.as_dict() if isinstance(m, Metrics) else m
+        for name, m in report.items()})
+    _write_curves(fdir / CURVES_FILE, curves)
+    save_checkpoint(fdir / MODEL_FILE, net, adam=state, epoch=config.epochs,
+                    seed=config.seed)
+
+
+def _read(path: Path, parse=str):
+    try:
+        return parse(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def read_run(run_dir):
+    """A finished run directory as (summary text, baselines dict or None,
+    [(metrics dict, curves text) per fold]); UsageError if it is not a run
+    directory, is incomplete, or holds a file that cannot be parsed."""
+    run = Path(run_dir)
+    if not (run / CONFIG_FILE).exists():
+        raise UsageError(f"{run} is not a run directory (no {CONFIG_FILE})")
+    cfg = _read(run / CONFIG_FILE, json.loads)
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("folds"), int):
+        raise UsageError(f"{run / CONFIG_FILE} holds no fold count")
+    folds = [fold_dir(run, i) for i in range(cfg["folds"])]
+    missing = [i for i, f in enumerate(folds) if not (f / METRICS_FILE).exists()]
+    if missing or not (run / DONE_FILE).exists():
+        raise UsageError(f"incomplete run: missing folds {missing}" if missing
+                         else f"incomplete run: no {DONE_FILE} marker")
+    baselines = run / BASELINES_FILE
+    return (_read(run / SUMMARY_FILE),
+            _read(baselines, json.loads) if baselines.exists() else None,
+            [(_read(f / METRICS_FILE, json.loads), _read(f / CURVES_FILE))
+             for f in folds])
 
 
 def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
@@ -530,13 +594,13 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
                    progress=None, baselines=()) -> dict:
     """Cross-validated training and evaluation with persisted artifacts.
 
-    Writes into out_dir: config.json, per-fold directories (metrics.json,
-    confusion grids, curves.tsv, model.ckpt), baselines.json when
-    `baselines` names methods from baselines.METHODS (fitted on the same
-    folds), aggregate.json, summary.txt, timing.txt (kept separate so every
-    other artifact is a deterministic function of config + seed) and,
-    last, DONE. Everything is checked before out_dir is created.
-    progress(fold_no, n_folds, report) runs after each fold.
+    Everything is checked before out_dir is created. Under out_dir's lock
+    it removes an earlier run's DONE, then writes config.json, one
+    write_fold per run_fold (progress(fold_no, n_folds, report) runs after
+    each), baselines.json when `baselines` names methods from
+    baselines.METHODS (fitted on the same folds), aggregate.json,
+    summary.txt, timing.txt (kept separate so every other artifact is a
+    deterministic function of config + seed) and, last, DONE.
     """
     classical.check_methods(baselines)
     if model_config is None:
@@ -544,69 +608,38 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
                                    num_postures=data.num_postures)
     plan = split_for(data, config)
     classical.check_folds(baselines, plan.folds)
-    include_subject = config.scheme != "loso"
 
-    acquire_run_dir(out_dir)
-    try:
-        _write_json(os.path.join(out_dir, "config.json"), {
+    out = Path(out_dir)
+    with _locked_run_dir(out):
+        _write_json(out / CONFIG_FILE, {
             "train": asdict(config), "model": model_config.as_dict(),
             "samples": len(data), "folds": len(plan),
             "subject_ids": data.subject_ids, "posture_ids": data.posture_ids,
         })
-
-        fold_reports = []
-        timings = []
+        reports, timings = [], []
         for fold_no, (train_idx, test_idx) in enumerate(plan.folds):
             t0 = time.time()
-            try:
-                net, state, curves = train_model(
-                    data.x[train_idx], data.subject_idx[train_idx],
-                    data.posture_idx[train_idx], config, model_config)
-                aug_rng = (make_rng(config.seed, STREAM_EVAL_AUGMENT, fold_no)
-                           if config.augment_eval else None)
-                report = evaluate_model(net, data, test_idx,
-                                        include_subject=include_subject,
-                                        augment_rng=aug_rng)
-            except Exception as exc:
-                raise TrainingFault(f"fold {fold_no} failed: {exc}") from exc
+            fold = run_fold(data, train_idx, test_idx, config, model_config,
+                            fold_no)
             timings.append(time.time() - t0)
-
-            fdir = os.path.join(out_dir, f"fold_{fold_no:02d}")
-            os.makedirs(fdir, exist_ok=True)
-            _write_json(os.path.join(fdir, "metrics.json"),
-                        _fold_report_dict(report))
-            np.savetxt(os.path.join(fdir, "cm_fine.txt"),
-                       report["posture_fine"].confusion, fmt="%d")
-            np.savetxt(os.path.join(fdir, "cm_coarse.txt"),
-                       report["posture_coarse"].confusion, fmt="%d")
-            if report["subject"] is not None:
-                np.savetxt(os.path.join(fdir, "cm_subject.txt"),
-                           report["subject"].confusion, fmt="%d")
-            _write_curves(os.path.join(fdir, "curves.tsv"), curves)
-            save_checkpoint(os.path.join(fdir, "model.ckpt"), net, adam=state,
-                            epoch=config.epochs, seed=config.seed)
-            fold_reports.append(report)
+            write_fold(out, fold_no, fold, config)
+            reports.append(fold[3])
             if progress is not None:
-                progress(fold_no, len(plan), report)
+                progress(fold_no, len(plan), fold[3])
 
         if baselines:
-            _write_json(os.path.join(out_dir, "baselines.json"),
+            _write_json(out / BASELINES_FILE,
                         classical.run_baselines(data.x, data.coarse_idx,
                                                 plan.folds, baselines,
                                                 seed=config.seed))
-        aggregate = aggregate_reports(fold_reports)
-        _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write(render_summary(aggregate, config))
-        with open(os.path.join(out_dir, "timing.txt"), "w") as fh:
-            for i, dt in enumerate(timings):
-                fh.write(f"fold {i}: {dt:.2f} s\n")
-            fh.write(f"total: {sum(timings):.2f} s\n")
-        with open(os.path.join(out_dir, "DONE"), "w") as fh:
-            fh.write("ok\n")
+        aggregate = aggregate_reports(reports)
+        _write_json(out / AGGREGATE_FILE, aggregate)
+        (out / SUMMARY_FILE).write_text(render_summary(aggregate, config))
+        (out / TIMING_FILE).write_text("".join(
+            f"fold {i}: {dt:.2f} s\n" for i, dt in enumerate(timings))
+            + f"total: {sum(timings):.2f} s\n")
+        (out / DONE_FILE).write_text("ok\n")
         return aggregate
-    finally:
-        release_run_dir(out_dir)
 
 
 def check_sweep(lams) -> None:

@@ -267,7 +267,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
 
     fingerprint = dataset_fingerprint(manifest, trim, empty_threshold,
                                       delimiter)
-    marker = cache_dir / "fingerprint.txt"
+    marker = cache_dir / dataio.FINGERPRINT_FILE
     manifest_file = cache_dir / dataio.MANIFEST_FILE
     if (not force and marker.exists()
             and marker.read_text().strip() == fingerprint
@@ -308,7 +308,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
     dataio.remove_unlisted_arrays(cache_dir, out)
     dataio.write_manifest(manifest_file, out)
     dataio.write_taxonomy(cache_dir / dataio.TAXONOMY_FILE, manifest.taxonomy)
-    with open(cache_dir / "removed.txt", "w") as fh:
+    with open(cache_dir / dataio.REMOVED_FILE, "w") as fh:
         for line in short_warnings:
             fh.write(f"short: {line}\n")
         for line in removal_report:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressnet import cli, dataio, signal
+from pressnet import cli, dataio, harness, signal
 from pressnet.checkpoint import load_checkpoint
 from pressnet.errors import UsageError
 
@@ -570,7 +570,50 @@ class TestReport:
         (run / "config.json").write_text(json.dumps({"folds": 2}))
         rc = cli.main(["report", "--run-dir", str(run)])
         assert rc == 2
-        assert "missing folds" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: incomplete run: missing folds")
+
+    def test_rerun_that_dies_is_not_reported_complete(self, corpus, tmp_path,
+                                                      capsys, monkeypatch):
+        # the earlier run's DONE, summary and third fold must not make a
+        # failed rerun into the same directory look finished
+        _, cache = corpus
+        run = tmp_path / "run"
+        train = ["train", "--cache-dir", str(cache), "--out-dir", str(run),
+                 "--epochs", "1", "--seed", "1"]
+        assert cli.main(train + ["--k", "3"]) == 0
+        real, calls = harness.train_model, []
+
+        def dies_in_fold_1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("killed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_model", dies_in_fold_1)
+        assert cli.main(train + ["--k", "2"]) == 1
+        capsys.readouterr()
+        assert cli.main(["report", "--run-dir", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: incomplete run: no DONE marker\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, content", [
+        ("config.json", '{"folds": 2'),          # truncated
+        ("config.json", '{"samples": 12}'),      # no fold count
+        ("fold_01/metrics.json", "not json"),
+    ])
+    def test_unreadable_run_file_is_one_error_line(self, trained_run, tmp_path,
+                                                   capsys, name, content):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        (run / name).write_text(content)
+        assert cli.main(["report", "--run-dir", str(run)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert name in lines[0]
+        assert captured.out == ""
 
     def test_not_a_run_dir(self, tmp_path, capsys):
         rc = cli.main(["report", "--run-dir", str(tmp_path)])

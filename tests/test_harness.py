@@ -460,13 +460,53 @@ class TestRunExperiment:
         assert (out / "DONE").exists()
         assert not (out / ".lock").exists()
         for i in range(2):
-            fdir = out / f"fold_{i:02d}"
-            for name in ("metrics.json", "cm_fine.txt", "cm_coarse.txt",
-                         "curves.tsv", "model.ckpt"):
-                assert (fdir / name).exists(), name
+            # each confusion matrix lives only in metrics.json
+            assert sorted(p.name for p in (out / f"fold_{i:02d}").iterdir()) \
+                == ["curves.tsv", "metrics.json", "model.ckpt"]
         accs = aggregate["posture_fine"]["accuracy_per_fold"]
         assert aggregate["posture_fine"]["accuracy_mean"] == pytest.approx(
             np.mean(accs))
+        assert harness.read_run(out)[1] is None  # no baselines were fitted
+
+    def test_run_fold_does_no_io_and_matches_written_fold(self, tmp_path,
+                                                          monkeypatch):
+        data = self.build_data()
+        config = self.config(augment=True, augment_eval=True)
+        train_idx, test_idx = harness.split_for(data, config).folds[1]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        net, state, curves, report = harness.run_fold(
+            data, train_idx, test_idx, config, tiny_model(2, 2), 1)
+        assert list(cwd.iterdir()) == []
+        assert state.t > 0 and len(curves["loss_total"]) == config.epochs
+        harness.run_experiment(data, config, tmp_path / "run",
+                               model_config=tiny_model(2, 2))
+        written = json.loads((harness.fold_dir(tmp_path / "run", 1)
+                              / "metrics.json").read_text())
+        assert {k: v.as_dict() if isinstance(v, harness.Metrics) else v
+                for k, v in report.items()} == written
+
+    def test_read_run_returns_every_fold(self, tmp_path):
+        data = self.build_data()
+        out = tmp_path / "run"
+        reports = []
+        harness.run_experiment(data, self.config(k=3), out,
+                               model_config=tiny_model(2, 2),
+                               progress=lambda i, n, r: reports.append(r),
+                               baselines=["knn"])
+        summary, baselines, folds = harness.read_run(out)
+        assert summary == (out / "summary.txt").read_text()
+        assert baselines == json.loads((out / "baselines.json").read_text())
+        assert len(folds) == len(reports) == 3
+        for i, (metrics, curves) in enumerate(folds):
+            fdir = harness.fold_dir(out, i)
+            assert metrics == json.loads((fdir / "metrics.json").read_text())
+            assert curves == (fdir / "curves.tsv").read_text()
+        pooled = sum(np.array(m["posture_coarse"]["confusion"])
+                     for m, _ in folds)
+        assert np.array_equal(
+            pooled, sum(r["posture_coarse"].confusion for r in reports))
 
     def test_deterministic_artifacts(self, tmp_path):
         data = self.build_data()
