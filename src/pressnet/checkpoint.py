@@ -1,37 +1,34 @@
-"""Versioned binary checkpoint container.
-
-Layout (all integers little-endian):
+"""Versioned binary checkpoint container, all integers little-endian:
 
     magic   b"PNET1"
-    version u16 (currently 2)
-    header  u32 length + UTF-8 JSON: model config, epoch, seed, dtype,
-            adam: {t, beta1, beta2, eps} (or null)
-    tensors u32 count, then per tensor:
-            u16 name length + UTF-8 name (prefixed param:/stat:/adam.m:/adam.v:)
-            u8 dtype-string length + dtype (numpy little-endian str, e.g. "<f4")
-            u8 ndim + u32 dims
-            raw payload bytes
+    version u16 (currently 3)
+    header  u32 length + UTF-8 JSON: config, epoch, seed, dtype, adam
+            ({t, beta1, beta2, eps} or null) and tensors, the table of
+            contents: one [name, dtype str, shape] per tensor in file
+            order, each name prefixed param:/stat:/adam.m:/adam.v:
+    tensors each entry's raw little-endian bytes, and nothing after
 
-Round-trips are bit-exact: payloads are written and read as raw
-little-endian scalars with no re-encoding. Any other version is refused;
-version 1 also held conv biases and the LR schedule, and has no migration.
+Round-trips are bit-exact. Versions 1 and 2, which kept a binary record
+per tensor, are refused, with no migration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, UsageError
 from .model import ModelConfig, PostureNet
 from .optim import AdamState
+from .tensor import make_rng
 
 MAGIC = b"PNET1"
-VERSION = 2
-HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam")
+VERSION = 3
+HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam", "tensors")
 
 
 @dataclass
@@ -45,121 +42,87 @@ class Checkpoint:
     dtype: str
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    le = arr.dtype.newbyteorder("<")
-    dstr = le.str.encode()
-    nb = name.encode()
-    parts = [struct.pack("<H", len(nb)), nb,
-             struct.pack("<B", len(dstr)), dstr,
-             struct.pack("<B", arr.ndim)]
-    parts += [struct.pack("<I", d) for d in arr.shape]
-    parts.append(np.ascontiguousarray(arr, dtype=le).tobytes())
-    return b"".join(parts)
-
-
 def save_checkpoint(path, net: PostureNet, adam: AdamState | None = None,
                     epoch: int = 0, seed: int = 0) -> None:
-    header = {
-        "config": net.config.as_dict(),
-        "epoch": int(epoch),
-        "seed": int(seed),
-        "dtype": np.dtype(net.dtype).name,
-        "adam": None if adam is None else {
-            "t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2,
-            "eps": adam.eps,
-        },
-    }
-    tensors = [(f"param:{k}", v) for k, v in net.params().items()]
-    tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
+    groups = {"param": net.params(), "stat": net.bn_stats()}
     if adam is not None:
-        tensors += [(f"adam.m:{k}", v) for k, v in adam.m.items()]
-        tensors += [(f"adam.v:{k}", v) for k, v in adam.v.items()]
+        groups.update({"adam.m": adam.m, "adam.v": adam.v})
+    tensors = [(f"{g}:{k}", np.ascontiguousarray(v, v.dtype.newbyteorder("<")))
+               for g, d in groups.items() for k, v in d.items()]
+    header = {"config": net.config.as_dict(), "epoch": int(epoch),
+              "seed": int(seed), "dtype": np.dtype(net.dtype).name,
+              "adam": None if adam is None else {
+                  k: getattr(adam, k) for k in ("t", "beta1", "beta2", "eps")},
+              "tensors": [[n, v.dtype.str, list(v.shape)] for n, v in tensors]}
     hjson = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(hjson)))
-        fh.write(hjson)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            fh.write(_pack_tensor(name, arr))
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError("checkpoint truncated")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        fh.write(MAGIC + struct.pack("<HI", VERSION, len(hjson)) + hjson)
+        fh.writelines(v.data for _, v in tensors)  # no copies
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(len(MAGIC)) != MAGIC:
+    """UsageError if path cannot be read, CheckpointError if it is corrupt."""
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    if buf[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic: not a PNET1 checkpoint")
-    version = r.u16()
+    try:
+        (version,) = struct.unpack_from("<H", buf, len(MAGIC))
+        if version == VERSION:
+            (hlen,) = struct.unpack_from("<I", buf, len(MAGIC) + 2)
+    except struct.error:
+        raise CheckpointError("checkpoint truncated") from None
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version} cannot be read "
                               f"(this code reads {VERSION}); train again")
+    offset = len(MAGIC) + 6 + hlen
     try:
-        header = json.loads(r.take(r.u32()).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(buf[len(MAGIC) + 6:offset])
+    except ValueError as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
-
-    if not isinstance(header, dict):
-        raise CheckpointError("corrupt header: not a JSON object")
+    if not (isinstance(header, dict)
+            and isinstance(header.get("tensors", []), list)):
+        raise CheckpointError("corrupt header: not an object with a table")
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"header lacks {', '.join(missing)}")
-
     groups = {"param": {}, "stat": {}, "adam.m": {}, "adam.v": {}}
-    for _ in range(r.u32()):
+    for entry in header["tensors"]:
         try:
-            name = r.take(r.u16()).decode()
-            dtype = np.dtype(r.take(r.u8()).decode())
-        except (UnicodeDecodeError, TypeError) as exc:
-            raise CheckpointError(f"corrupt tensor entry: {exc}") from exc
-        shape = tuple(r.u32() for _ in range(r.u8()))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(r.take(count * dtype.itemsize), dtype=dtype)
-        arr = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
-        prefix, _, key = name.partition(":")
-        if prefix not in groups:
-            raise CheckpointError(f"unknown tensor group '{prefix}'")
-        groups[prefix][key] = arr
+            name, dstr, shape = entry
+            group, _, key = name.partition(":")
+            dtype = np.dtype(dstr)
+            if (not isinstance(dstr, str) or dtype.kind not in "biuf"
+                    or not all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError
+        except (AttributeError, TypeError, ValueError):
+            raise CheckpointError(f"bad tensor entry {entry!r}") from None
+        if group not in groups:
+            raise CheckpointError(f"unknown tensor group '{group}'")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(buf):
+            raise CheckpointError(f"checkpoint truncated in tensor '{name}'")
+        arr = np.frombuffer(buf, dtype, count, offset).reshape(shape)
+        groups[group][key] = arr.astype(dtype.newbyteorder("="))
+        offset += arr.nbytes
+    if offset != len(buf):
+        raise CheckpointError(f"{len(buf) - offset} bytes after the tensors")
 
     try:
         config = ModelConfig(**header["config"])
         np.dtype(header["dtype"])
-        adam = None
-        if header["adam"] is not None:
-            a = header["adam"]
+        adam, a = None, header["adam"]
+        if a is not None:
             adam = AdamState(groups["param"], beta1=a["beta1"],
                              beta2=a["beta2"], eps=a["eps"])
-            adam.t = a["t"]
-            adam.m = groups["adam.m"]
-            adam.v = groups["adam.v"]
+            adam.t, adam.m, adam.v = a["t"], groups["adam.m"], groups["adam.v"]
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"bad header: {exc!r}") from exc
-    return Checkpoint(config=config, params=groups["param"],
-                      bn_stats=groups["stat"], adam=adam,
-                      epoch=header["epoch"], seed=header["seed"],
-                      dtype=header["dtype"])
+    return Checkpoint(config, groups["param"], groups["stat"], adam,
+                      header["epoch"], header["seed"], header["dtype"])
 
 
 def restore_net(ckpt: Checkpoint) -> PostureNet:
@@ -169,9 +132,7 @@ def restore_net(ckpt: Checkpoint) -> PostureNet:
     running statistics, holds one the net does not have, or holds one of
     another shape.
     """
-    from . import tensor
-
-    net = PostureNet(ckpt.config, tensor.make_rng(0),
+    net = PostureNet(ckpt.config, make_rng(0),
                      dtype=np.dtype(ckpt.dtype).type)
     net.set_params(ckpt.params, ckpt.bn_stats)
     return net

@@ -167,7 +167,9 @@ def cmd_train(args) -> int:
         for lam, accs in sweep["accuracy_per_fold"].items():
             print(f"lambda={lam}: fine posture accuracy {np.mean(accs):.2f}%")
         for lam, t in sweep["welch_vs_zero"].items():
-            print(f"lambda={lam} vs 0: t={t['t']:.4f} p={t['p']:.4f} "
+            test = ("t undefined" if t["t"] is None
+                    else f"t={t['t']:.4f} p={t['p']:.4f}")
+            print(f"lambda={lam} vs 0: {test} "
                   f"(mean {t['mean_lambda']:.2f}% vs {t['mean_zero']:.2f}%)")
         return 0
 
@@ -183,8 +185,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data = _load_cache(args.cache_dir, args.stride)
-    ckpt = load_checkpoint(args.checkpoint)
-    net = restore_net(ckpt)
+    net = restore_net(load_checkpoint(args.checkpoint))
     if net.config.num_postures != data.num_postures:
         raise UsageError(
             f"checkpoint expects {net.config.num_postures} postures, "

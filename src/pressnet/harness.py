@@ -486,6 +486,7 @@ CONFIG_FILE, BASELINES_FILE = "config.json", "baselines.json"
 AGGREGATE_FILE, SUMMARY_FILE = "aggregate.json", "summary.txt"
 TIMING_FILE, DONE_FILE = "timing.txt", "DONE"
 METRICS_FILE, CURVES_FILE, MODEL_FILE = "metrics.json", "curves.tsv", "model.ckpt"
+SWEEP_FILE, LAMBDA_DIR = "sweep.json", "lam_{:g}"  # a sweep's root, per lambda
 
 
 def _write_json(path, obj):
@@ -567,6 +568,20 @@ def _read(path: Path, parse=str):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _read_metrics(path: Path) -> dict:
+    """A fold's metrics.json; UsageError unless posture_fine, posture_coarse
+    and subject (or a null subject) each hold accuracy and confusion."""
+    def holds(task):
+        return (isinstance(task, dict) and isinstance(task.get("confusion"), list)
+                and type(task.get("accuracy")) in (int, float))
+    m = _read(path, json.loads)
+    if not (isinstance(m, dict) and holds(m.get("posture_fine"))
+            and holds(m.get("posture_coarse")) and "subject" in m
+            and (m["subject"] is None or holds(m["subject"]))):
+        raise UsageError(f"{path} lacks a task's accuracy or confusion")
+    return m
+
+
 def read_run(run_dir):
     """A finished run directory as (summary text, baselines dict or None,
     [(metrics dict, curves text) per fold]); UsageError if it is not a run
@@ -585,7 +600,7 @@ def read_run(run_dir):
     baselines = run / BASELINES_FILE
     return (_read(run / SUMMARY_FILE),
             _read(baselines, json.loads) if baselines.exists() else None,
-            [(_read(f / METRICS_FILE, json.loads), _read(f / CURVES_FILE))
+            [(_read_metrics(f / METRICS_FILE), _read(f / CURVES_FILE))
              for f in folds])
 
 
@@ -657,14 +672,14 @@ def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
               progress=None) -> dict:
     """One run_experiment per lambda, each in out_dir/lam_<lambda>/, then a
     Welch t-test of each nonzero lambda's per-fold fine-posture accuracy
-    against lambda=0's. Writes sweep.json into out_dir and returns its
-    contents.
+    against lambda=0's; t, p and df are None where both samples have zero
+    variance. Writes sweep.json into out_dir and returns its contents.
     """
     check_sweep(lams)
     per_lam = {}
     for lam in lams:
-        aggregate = run_experiment(data, replace(config, lam=lam),
-                                   os.path.join(out_dir, f"lam_{lam:g}"),
+        run_dir = os.path.join(out_dir, LAMBDA_DIR.format(lam))
+        aggregate = run_experiment(data, replace(config, lam=lam), run_dir,
                                    progress=progress)
         per_lam[lam] = aggregate["posture_fine"]["accuracy_per_fold"]
     anchor = per_lam[0.0]
@@ -672,13 +687,16 @@ def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
     for lam, accs in per_lam.items():
         if lam == 0.0:
             continue
-        t, p, df = welch_t_test(accs, anchor)
+        try:
+            t, p, df = welch_t_test(accs, anchor)
+        except NumericFault:  # both samples constant: t is undefined
+            t = p = df = None
         tests[f"{lam:g}"] = {"t": t, "p": p, "df": df,
                              "mean_lambda": float(np.mean(accs)),
                              "mean_zero": float(np.mean(anchor))}
     result = {"accuracy_per_fold": {f"{k:g}": v for k, v in per_lam.items()},
               "welch_vs_zero": tests}
-    _write_json(os.path.join(out_dir, "sweep.json"), result)
+    _write_json(os.path.join(out_dir, SWEEP_FILE), result)
     return result
 
 

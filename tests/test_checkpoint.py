@@ -14,7 +14,7 @@ from pressnet.errors import CheckpointError
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import pack_checkpoint, pack_version1_checkpoint
+from util import pack_checkpoint, tensor_table
 
 
 def small_net(dtype=np.float32):
@@ -114,18 +114,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("with_adam", [False, True])
-    def test_version_1_is_refused(self, tmp_path, with_adam):
-        net = small_net()
-        save_checkpoint(tmp_path / "v2.ckpt", net,
-                        adam=AdamState(net.params()) if with_adam else None)
-        old = tmp_path / "v1.ckpt"
-        old.write_bytes(pack_version1_checkpoint(
-            load_checkpoint(tmp_path / "v2.ckpt")))
-        with pytest.raises(CheckpointError, match="version 1") as info:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_is_refused(self, tmp_path, version):
+        # the magic and the version number are all a refusal reads
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(MAGIC + struct.pack("<H", version))
+        with pytest.raises(CheckpointError,
+                           match=f"version {version} .*train again") as info:
             load_checkpoint(old)
         assert "\n" not in str(info.value)
-        assert "train" in str(info.value)
 
     def test_truncated_file(self, tmp_path):
         net = small_net()
@@ -147,9 +144,7 @@ class TestCorruption:
 
     def test_garbage_header_json(self, tmp_path):
         body = b"{not json"
-        blob = (MAGIC + struct.pack("<H", VERSION)
-                + struct.pack("<I", len(body)) + body
-                + struct.pack("<I", 0))
+        blob = MAGIC + struct.pack("<HI", VERSION, len(body)) + body
         p = tmp_path / "g.ckpt"
         p.write_bytes(blob)
         with pytest.raises(CheckpointError):
@@ -166,6 +161,7 @@ class TestIncompleteContents:
                   "dtype": "float32", "adam": None}
         tensors = [(f"param:{k}", v) for k, v in net.params().items()]
         tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
+        header["tensors"] = tensor_table(tensors)
         return header, tensors
 
     def test_packer_writes_save_checkpoint_bytes(self, tmp_path):
@@ -191,8 +187,10 @@ class TestIncompleteContents:
             "unknown-stat", "unknown-param"])
     def test_restore_refuses(self, tmp_path, edit, key):
         header, tensors = self.parts(small_net())
+        tensors = edit(tensors)
+        header["tensors"] = tensor_table(tensors)
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(pack_checkpoint(header, edit(tensors)))
+        path.write_bytes(pack_checkpoint(header, tensors))
         ckpt = load_checkpoint(path)
         with pytest.raises(CheckpointError, match=key):
             restore_net(ckpt)
@@ -237,3 +235,57 @@ class TestIncompleteContents:
         path.write_bytes(pack_checkpoint([1, 2], []))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        ["param:conv1.w", "<x9", [1]],
+        ["param:conv1.w", "|O", [1]],
+        ["param:conv1.w", "<f4", [2, -1]],
+        ["param:conv1.w", "<f4", [1.5]],
+        ["param:conv1.w", "<f4"],
+        [7, "<f4", [1]],
+    ], ids=["unknown-dtype", "object-dtype", "negative-dim", "float-dim",
+            "no-shape", "name-not-a-string"])
+    def test_bad_table_entry(self, tmp_path, entry):
+        header, tensors = self.parts(small_net())
+        header["tensors"][0] = entry
+        path = tmp_path / "e.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match="bad tensor entry"):
+            load_checkpoint(path)
+
+    def test_table_past_end_of_file(self, tmp_path):
+        header, tensors = self.parts(small_net())
+        name, dtype, shape = header["tensors"][-1]
+        header["tensors"][-1] = [name, dtype, [shape[0] + 1, *shape[1:]]]
+        path = tmp_path / "p.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match=f"truncated.*{name}"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        header, tensors = self.parts(small_net())
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors) + b"\0" * 3)
+        with pytest.raises(CheckpointError, match="3 bytes after"):
+            load_checkpoint(path)
+
+    def test_unknown_group_prefix(self, tmp_path):
+        header, tensors = self.parts(small_net())
+        tensors[0] = ("grad:" + tensors[0][0].partition(":")[2], tensors[0][1])
+        header["tensors"] = tensor_table(tensors)
+        path = tmp_path / "u.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match="unknown tensor group 'grad'"):
+            load_checkpoint(path)
+
+    def test_size_is_prefix_header_and_table(self, tmp_path):
+        net = small_net()
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, net, adam=AdamState(net.params()))
+        blob = path.read_bytes()
+        start = len(MAGIC) + 6
+        (hlen,) = struct.unpack_from("<I", blob, start - 4)
+        table = json.loads(blob[start:start + hlen])["tensors"]
+        assert any(name.startswith("adam.v:") for name, _, _ in table)
+        assert len(blob) == start + hlen + sum(
+            np.dtype(d).itemsize * int(np.prod(s)) for _, d, s in table)

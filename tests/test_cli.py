@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 from pressnet import cli, dataio, harness, signal
-from pressnet.checkpoint import load_checkpoint
+from pressnet.checkpoint import MAGIC, load_checkpoint
 from pressnet.errors import UsageError
 
-from util import pack_checkpoint, pack_version1_checkpoint
+from util import pack_checkpoint, tensor_table
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +495,30 @@ class TestSweep:
         entry = sweep["welch_vs_zero"]["0.6"]
         assert 0.0 <= entry["p"] <= 1.0
 
+    def test_zero_variance_sweep_keeps_its_training(self, tmp_path, capsys):
+        # on this corpus both lambdas score 0% fine-posture accuracy in both
+        # folds, so the Welch t-test is undefined
+        raw, cache, out = tmp_path / "raw", tmp_path / "cache", tmp_path / "sw"
+        assert cli.main(["synth", "--out", str(raw), "--subjects", "3",
+                         "--postures", "4", "--frames", "12",
+                         "--seed", "1"]) == 0
+        assert cli.main(["preprocess", "--data-root", str(raw),
+                         "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--cache-dir", str(cache), "--out-dir",
+                       str(out), "--k", "2", "--epochs", "1", "--seed", "3",
+                       "--lambda-sweep", "0,0.5"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        sweep = json.loads((out / harness.SWEEP_FILE).read_text())
+        assert sweep["accuracy_per_fold"] == {"0": [0.0, 0.0],
+                                              "0.5": [0.0, 0.0]}
+        assert sweep["welch_vs_zero"] == {"0.5": {
+            "t": None, "p": None, "df": None,
+            "mean_lambda": 0.0, "mean_zero": 0.0}}
+        assert "lambda=0.5 vs 0: t undefined (mean 0.00% vs 0.00%)" \
+            in captured.out
+
 
 class TestEvaluate:
     def test_checkpoint_roundtrip(self, corpus, trained_run, capsys):
@@ -515,6 +540,7 @@ class TestEvaluate:
         tensors = [(f"param:{k}", v) for k, v in ckpt.params.items()
                    if k != "conv1.w"]
         tensors += [(f"stat:{k}", v) for k, v in ckpt.bn_stats.items()]
+        header["tensors"] = tensor_table(tensors)
         bad = tmp_path / "incomplete.ckpt"
         bad.write_bytes(pack_checkpoint(header, tensors))
         capsys.readouterr()
@@ -527,12 +553,27 @@ class TestEvaluate:
         assert "conv1.w" in lines[0]
         assert "accuracy" not in captured.out
 
+    @pytest.mark.parametrize("name", ["nope.ckpt", "a_directory"])
+    def test_unopenable_checkpoint_is_one_error_line(self, corpus, tmp_path,
+                                                     capsys, name):
+        _, cache = corpus
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(path),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(path) in lines[0]
+        assert "accuracy" not in captured.out
+
     def test_version_1_checkpoint_is_one_error_line(self, corpus, trained_run,
                                                     tmp_path, capsys):
         _, cache = corpus
         old = tmp_path / "v1.ckpt"
-        old.write_bytes(pack_version1_checkpoint(
-            load_checkpoint(trained_run / "fold_00" / "model.ckpt")))
+        old.write_bytes(MAGIC + struct.pack("<H", 1))
         capsys.readouterr()
         rc = cli.main(["evaluate", "--checkpoint", str(old),
                        "--cache-dir", str(cache)])
@@ -602,6 +643,10 @@ class TestReport:
         ("config.json", '{"folds": 2'),          # truncated
         ("config.json", '{"samples": 12}'),      # no fold count
         ("fold_01/metrics.json", "not json"),
+        ("fold_00/metrics.json", '{"posture_coarse": null}'),
+        ("fold_01/metrics.json", '{"posture_fine": {"accuracy": 50.0, '
+         '"confusion": []}, "posture_coarse": {"accuracy": "high", '
+         '"confusion": []}, "subject": null}'),
     ])
     def test_unreadable_run_file_is_one_error_line(self, trained_run, tmp_path,
                                                    capsys, name, content):

@@ -281,47 +281,23 @@ def one_pass_forward(net, x, train=False, rng=None):
     return tuple(softmax(head.forward(h, train)) for _, head in net.heads)
 
 
+def tensor_table(tensors):
+    """The header's table of contents for the (name, array) pairs in
+    `tensors`: one [name, little-endian dtype str, shape] each, in order."""
+    return [[name, arr.dtype.newbyteorder("<").str, list(arr.shape)]
+            for name, arr in tensors]
+
+
 def pack_checkpoint(header, tensors, version=VERSION):
     """Bytes of a PNET1 checkpoint of the given version holding `header` (a
-    JSON-able object) and the (name, array) pairs in `tensors`, with no check
-    of either: the container layout spelled out for corrupt-file tests."""
+    JSON-able object, its tensor table included) and then the little-endian
+    bytes of each (name, array) pair in `tensors`, with no check of either:
+    the container layout spelled out for corrupt-file tests."""
     body = json.dumps(header, sort_keys=True).encode()
-    parts = [b"PNET1", struct.pack("<HI", version, len(body)), body,
-             struct.pack("<I", len(tensors))]
-    for name, arr in tensors:
-        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        nb, db = name.encode(), arr.dtype.str.encode()
-        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", len(db)),
-                  db, struct.pack("<B", arr.ndim),
-                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
-    return b"".join(parts)
-
-
-def pack_version1_checkpoint(ckpt):
-    """Bytes of the version-1 file the format-1 writer made for the net and
-    Adam state of `ckpt` (a loaded Checkpoint): each conv<i>.w is followed
-    by a zero bias conv<i>.b, with zero Adam moments, and the adam header
-    also holds the default learning-rate schedule."""
-    def with_biases(tensors):
-        out = {}
-        for key, arr in tensors.items():
-            out[key] = arr
-            if key.startswith("conv") and key.endswith(".w"):
-                out[key[:-1] + "b"] = np.zeros(arr.shape[0], arr.dtype)
-        return out
-
-    header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
-              "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": None}
-    tensors = [(f"param:{k}", v) for k, v in with_biases(ckpt.params).items()]
-    tensors += [(f"stat:{k}", v) for k, v in ckpt.bn_stats.items()]
-    if ckpt.adam is not None:
-        a = ckpt.adam
-        header["adam"] = {"t": a.t, "base_lr": 2e-5, "beta1": a.beta1,
-                          "beta2": a.beta2, "eps": a.eps, "decay_rate": 0.95,
-                          "decay_every": 10}
-        tensors += [(f"adam.m:{k}", v) for k, v in with_biases(a.m).items()]
-        tensors += [(f"adam.v:{k}", v) for k, v in with_biases(a.v).items()]
-    return pack_checkpoint(header, tensors, version=1)
+    return b"".join(
+        [b"PNET1", struct.pack("<HI", version, len(body)), body]
+        + [np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).tobytes()
+           for _, arr in tensors])
 
 
 def synthetic_batch(n, num_subjects, num_postures, seed=0):
