@@ -115,12 +115,17 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig(**header["config"])
         np.dtype(header["dtype"])
         adam, a = None, header["adam"]
-        if a is not None:
-            adam = AdamState(groups["param"], beta1=a["beta1"],
-                             beta2=a["beta2"], eps=a["eps"])
+        if a is not None:  # built empty: the file's moments are its state
+            adam = AdamState({}, beta1=a["beta1"], beta2=a["beta2"],
+                             eps=a["eps"])
             adam.t, adam.m, adam.v = a["t"], groups["adam.m"], groups["adam.v"]
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"bad header: {exc!r}") from exc
+    shapes = {k: p.shape for k, p in groups["param"].items()}
+    for g in ("adam.m", "adam.v") if adam is not None else ():
+        if {k: m.shape for k, m in groups[g].items()} != shapes:
+            raise CheckpointError(f"{g} does not match the parameters' "
+                                  "names and shapes")
     return Checkpoint(config, groups["param"], groups["stat"], adam,
                       header["epoch"], header["seed"], header["dtype"])
 

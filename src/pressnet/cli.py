@@ -110,45 +110,27 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _read_config_file(path) -> dict:
-    """The --config file as a dict of TrainConfig fields; UsageError on a
-    file that cannot be read or parsed, an unknown key or a wrongly typed
-    value."""
-    try:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(file_cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    defaults = {f.name: f.default for f in fields(TrainConfig)}
-    unknown = sorted(set(file_cfg) - set(defaults))
-    if unknown:
-        raise UsageError(f"unknown key(s) in {path}: " + ", ".join(unknown))
-    for key, value in file_cfg.items():
-        want = type(defaults[key])
-        allowed = (int, float) if want is float else want
-        if isinstance(value, bool) is not (want is bool) \
-                or not isinstance(value, allowed):
-            raise UsageError(f"{key} in {path} must be a {want.__name__}, "
-                             f"got {json.dumps(value)}")
-    return file_cfg
-
-
 def _train_config_from(args) -> TrainConfig:
-    """TrainConfig from the --config file, overridden by the flags given.
-
-    Unset values keep TrainConfig's defaults, except that lambda defaults
-    to 0.2 under leave-one-subject-out.
-    """
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    """TrainConfig from the --config file's JSON object, overridden by the
+    flags given; UsageError on a file that cannot be read, is not an object
+    or names a key that is not a TrainConfig field."""
+    names = {f.name for f in fields(TrainConfig)}
+    path, cfg = args.config, {}
+    if path:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+        if type(cfg) is not dict:
+            raise UsageError(f"config {path} must hold a JSON object")
+        unknown = sorted(cfg.keys() - names)
+        if unknown:
+            raise UsageError(f"unknown key(s) in {path}: " + ", ".join(unknown))
     # train flags are stored under their TrainConfig field names
-    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
-             if getattr(args, f.name, None) is not None}
-    merged = {**file_cfg, **flags}
-    if merged.get("scheme") == "loso":
-        merged.setdefault("lam", 0.2)
-    return TrainConfig(**merged)
+    cfg.update((n, getattr(args, n)) for n in names
+               if getattr(args, n, None) is not None)
+    return TrainConfig(**cfg)
 
 
 def _print_fold(fold_no, n_folds, report):

@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +53,17 @@ STREAM_EVAL_AUGMENT = 5
 EVAL_CHUNK = 256  # frames per inference forward in evaluate_model
 
 
+# what each TrainConfig annotation admits; a bool is admitted only as bool
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 @dataclass
 class TrainConfig:
-    lam: float = 0.5            # subject-loss weight; posture gets 1-lam
+    """Every training setting; a value of the wrong type or out of range
+    raises ConfigError naming the field."""
+
+    lam: float | None = None    # subject-loss weight; posture gets 1-lam.
+                                # None: 0.2 under loso, else 0.5
     base_lr: float = 2e-5
     epochs: int = 40
     batch_size: int = 64
@@ -68,6 +77,15 @@ class TrainConfig:
     lr_decay_every: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and f.default is None:
+                continue  # lam, whose default depends on the scheme
+            if isinstance(value, bool) is not (kind == "bool") \
+                    or not isinstance(value, _KINDS[kind]):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if self.lam is None:
+            self.lam = 0.2 if self.scheme == "loso" else 0.5
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0,1], got {self.lam}")
         if self.batch_size < 2:
@@ -272,9 +290,6 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
         state = resume.adam
         if state is None:
             raise UsageError("checkpoint carries no optimizer state")
-        # moments must drive the live parameter arrays
-        state.m = {k: state.m[k] for k in net.params()}
-        state.v = {k: state.v[k] for k in net.params()}
         start_epoch = resume.epoch
     else:
         net = PostureNet(model_config, make_rng(config.seed, STREAM_INIT))
@@ -610,7 +625,9 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
     """Cross-validated training and evaluation with persisted artifacts.
 
     Everything is checked before out_dir is created. Under out_dir's lock
-    it removes an earlier run's DONE, then writes config.json, one
+    it removes an earlier run's DONE, its fold directories beyond this
+    run's folds and, unless `baselines` names methods, its baselines.json;
+    then it writes config.json, one
     write_fold per run_fold (progress(fold_no, n_folds, report) runs after
     each), baselines.json when `baselines` names methods from
     baselines.METHODS (fitted on the same folds), aggregate.json,
@@ -626,6 +643,13 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
 
     out = Path(out_dir)
     with _locked_run_dir(out):
+        # an earlier run's folds past this plan; folds are written in order
+        stale = len(plan)
+        while fold_dir(out, stale).is_dir():
+            shutil.rmtree(fold_dir(out, stale))
+            stale += 1
+        if not baselines:
+            (out / BASELINES_FILE).unlink(missing_ok=True)
         _write_json(out / CONFIG_FILE, {
             "train": asdict(config), "model": model_config.as_dict(),
             "samples": len(data), "folds": len(plan),
@@ -658,11 +682,15 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
 
 
 def check_sweep(lams) -> None:
-    """A lambda sweep needs 0 (the t-test's single-task anchor) and values
-    in [0,1]; UsageError otherwise."""
+    """A lambda sweep needs 0, the t-test's single-task anchor, and lists no
+    lambda twice (by its lam_<lambda> directory); UsageError otherwise.
+    TrainConfig checks each lambda's range."""
+    dirs = set()
     for lam in lams:
-        if not 0.0 <= lam <= 1.0:
-            raise UsageError(f"sweep lambda {lam:g} outside [0,1]")
+        name = LAMBDA_DIR.format(abs(lam))  # -0 is lambda 0, not lam_-0
+        if name in dirs:
+            raise UsageError(f"the lambda sweep lists {lam:g} twice")
+        dirs.add(name)
     if 0.0 not in lams:
         raise UsageError("the lambda sweep must include 0 "
                          "(the single-task anchor for the t-test)")
@@ -676,12 +704,12 @@ def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
     variance. Writes sweep.json into out_dir and returns its contents.
     """
     check_sweep(lams)
+    configs = [replace(config, lam=lam) for lam in lams]  # before any training
     per_lam = {}
-    for lam in lams:
-        run_dir = os.path.join(out_dir, LAMBDA_DIR.format(lam))
-        aggregate = run_experiment(data, replace(config, lam=lam), run_dir,
-                                   progress=progress)
-        per_lam[lam] = aggregate["posture_fine"]["accuracy_per_fold"]
+    for cfg in configs:
+        run_dir = os.path.join(out_dir, LAMBDA_DIR.format(cfg.lam))
+        aggregate = run_experiment(data, cfg, run_dir, progress=progress)
+        per_lam[cfg.lam] = aggregate["posture_fine"]["accuracy_per_fold"]
     anchor = per_lam[0.0]
     tests = {}
     for lam, accs in per_lam.items():

@@ -70,6 +70,19 @@ class TestRoundTrip:
             assert ckpt.adam.m[k].tobytes() == state.m[k].tobytes()
             assert ckpt.adam.v[k].tobytes() == state.v[k].tobytes()
 
+    def test_adam_state_is_built_from_the_loaded_moments(self, tmp_path,
+                                                         monkeypatch):
+        net = small_net()
+        save_checkpoint(tmp_path / "a.ckpt", net, adam=AdamState(net.params()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zero moments allocated only to be replaced")
+
+        monkeypatch.setattr(np, "zeros_like", refuse)
+        ckpt = load_checkpoint(tmp_path / "a.ckpt")
+        assert list(ckpt.adam.m) == list(net.params())
+        assert list(ckpt.adam.v) == list(net.params())
+
     def test_no_adam_gives_none(self, tmp_path):
         save_checkpoint(tmp_path / "n.ckpt", small_net())
         assert load_checkpoint(tmp_path / "n.ckpt").adam is None
@@ -194,6 +207,29 @@ class TestIncompleteContents:
         ckpt = load_checkpoint(path)
         with pytest.raises(CheckpointError, match=key):
             restore_net(ckpt)
+
+    @pytest.mark.parametrize("edit, group", [
+        (lambda t: [e for e in t if e[0] != "adam.m:conv2.w"], "adam.m"),
+        (lambda t: [(n, v.reshape(-1) if n == "adam.v:fc1.w" else v)
+                    for n, v in t], "adam.v"),
+        (lambda t: t + [("adam.m:fc3.w", np.zeros((4, 4), np.float32))],
+         "adam.m"),
+        (lambda t: [e for e in t if not e[0].startswith("adam.v:")],
+         "adam.v"),
+    ], ids=["missing-moment", "moment-shape", "unknown-moment", "no-v"])
+    def test_moments_must_match_the_parameters(self, tmp_path, edit, group):
+        # such a file used to load, then fail a resume with a KeyError
+        net = small_net()
+        header, tensors = self.parts(net)
+        header["adam"] = {"t": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        tensors = edit(tensors + [(f"adam.{g}:{k}", np.zeros_like(v))
+                                  for g in "mv"
+                                  for k, v in net.params().items()])
+        header["tensors"] = tensor_table(tensors)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match=group):
+            load_checkpoint(path)
 
     def test_refused_set_params_writes_nothing(self):
         net = small_net()

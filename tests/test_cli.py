@@ -7,12 +7,14 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pressnet import cli, dataio, harness, signal
+from pressnet.harness import TrainConfig
 from pressnet.checkpoint import MAGIC, load_checkpoint
 from pressnet.errors import UsageError
 
@@ -344,6 +346,33 @@ class TestTrain:
         assert stored["lr_decay_rate"] == 0.5
         assert stored["lam"] == 0.5     # TrainConfig's default
 
+    @pytest.mark.parametrize("args, lam", [
+        (["--scheme", "loso"], 0.2),
+        (["--scheme", "loso", "--lambda", "0.5"], 0.5),
+        (["--config", "loso.json"], 0.2),
+    ])
+    def test_loso_lambda_defaults_to_0_2(self, corpus, tmp_path, monkeypatch,
+                                         args, lam):
+        _, cache = corpus
+        monkeypatch.chdir(tmp_path)
+        Path("loso.json").write_text('{"scheme": "loso"}')
+        rc = cli.main(["train", "--cache-dir", str(cache), "--out-dir", "run",
+                       "--epochs", "1", "--lr", "1e-3", "--seed", "3", *args])
+        assert rc == 0
+        stored = json.loads(Path("run", "config.json").read_text())["train"]
+        assert stored["scheme"] == "loso" and stored["lam"] == lam
+
+    def test_train_flags_are_config_fields(self):
+        # a flag whose dest is no TrainConfig field would be dropped silently
+        # when the flags are laid over the config file
+        train = next(a for a in cli.build_parser()._actions
+                     if a.dest == "command").choices["train"]
+        dests = {a.dest for a in train._actions} - {"help"}
+        other = {"cache_dir", "out_dir", "config", "stride", "lambda_sweep",
+                 "baselines"}
+        assert other <= dests
+        assert dests - other <= {f.name for f in fields(TrainConfig)}
+
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
@@ -422,6 +451,7 @@ class TestTrain:
     def test_bad_sweep_refused_before_training(self, corpus, tmp_path, capsys):
         _, cache = corpus
         for extra, message in ((["--lambda-sweep", "0,0.5,1.5"], "1.5"),
+                               (["--lambda-sweep", "0,0.5,0.5"], "0.5 twice"),
                                (["--lambda-sweep", "0,x"], "'x'"),
                                (["--lambda-sweep", "0,0.5", "--baselines",
                                  "knn"], "not allowed")):

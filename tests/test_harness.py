@@ -77,6 +77,36 @@ class TestKFold:
             assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 8.0), ("seed", np.int64(3)),
+        ("seed", 1.5), ("augment", "no"), ("augment_eval", 1),
+        ("lam", True), ("base_lr", "1e-3"), ("k", True), ("scheme", None),
+        ("split_level", 0)])
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_types_checked_before_ranges(self):
+        # a float epochs count in range is refused for its type
+        with pytest.raises(ConfigError, match="epochs must be int"):
+            TrainConfig(epochs=2.0, k=1)
+
+    def test_ints_and_float_subclasses_fill_float_fields(self):
+        cfg = TrainConfig(lam=0, base_lr=1, lr_decay_rate=np.float64(0.5))
+        assert (cfg.lam, cfg.base_lr) == (0, 1)
+        assert cfg.lr_decay_rate == 0.5
+
+    def test_lambda_default_follows_scheme(self):
+        assert TrainConfig().lam == 0.5
+        assert TrainConfig(scheme="kfold").lam == 0.5
+        assert TrainConfig(scheme="loso").lam == 0.2
+        assert TrainConfig(scheme="loso", lam=0.5).lam == 0.5
+        assert TrainConfig(scheme="kfold", lam=0.2).lam == 0.2
+        # replace() passes the resolved lambda on as a given one
+        assert replace(TrainConfig(scheme="loso"), epochs=1).lam == 0.2
+
+
 class TestLoso:
     def test_one_fold_per_subject(self):
         subj = np.repeat(np.arange(13), 5)
@@ -573,6 +603,55 @@ class TestRunExperiment:
             harness.run_experiment(data, self.config(**bad), tmp_path / "run",
                                    model_config=tiny_model(2, 2))
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 8.0), ("seed", np.int64(3)),
+        ("augment", "no"), ("seed", 1.5), ("lam", True)])
+    def test_wrongly_typed_value_refused_before_out_dir(self, tmp_path, field,
+                                                        value):
+        # epochs 1.5 and batch_size 8.0 used to fail in fold 0, seed
+        # np.int64(3) half way through config.json; the rest trained
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=field):
+            harness.run_experiment(self.build_data(),
+                                   self.config(**{field: value}), out,
+                                   model_config=tiny_model(2, 2))
+        assert not out.exists()
+
+    def test_rerun_clears_what_it_does_not_write(self, tmp_path):
+        data = self.build_data()
+        out = tmp_path / "run"
+        harness.run_experiment(data, self.config(k=3), out,
+                               model_config=tiny_model(2, 2),
+                               baselines=["knn"])
+        assert harness.fold_dir(out, 2).is_dir()
+        for other in ("fold_7", "fold_xx", "notes.txt"):
+            (out / other).write_text("kept\n")
+        harness.run_experiment(data, self.config(k=2), out,
+                               model_config=tiny_model(2, 2))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "DONE", "aggregate.json", "config.json", "fold_00", "fold_01",
+            "fold_7", "fold_xx", "notes.txt", "summary.txt", "timing.txt"]
+        assert harness.read_run(out)[1] is None
+
+    @pytest.mark.parametrize("lams, error, match", [
+        ([0, 0.5, 0.5], UsageError, "0.5 twice"),
+        ([0.0, 0.5, 0.5000000001], UsageError, "0.5 twice"),
+        ([0, 0, 1], UsageError, "0 twice"),
+        ([0, -0.0], UsageError, "-0 twice"),
+        ([0, 0.5, 1.5], ConfigError, "lam must be in"),
+        ([0, float("nan")], ConfigError, "lam must be in"),
+        ([0, True], ConfigError, "lam must be float"),
+        ([0.5, 1], UsageError, "include 0"),
+    ])
+    def test_bad_sweep_refused_before_training(self, tmp_path, lams, error,
+                                               match):
+        # a lambda listed twice used to train lam_0.5/ twice and keep the
+        # second run
+        with pytest.raises(error, match=match):
+            harness.run_sweep(self.build_data(), self.config(), lams,
+                              tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_locked_directory_refused(self, tmp_path):
         data = self.build_data()
