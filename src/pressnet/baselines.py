@@ -1,7 +1,7 @@
 """Classical comparators: statistical features + kNN, bagged trees, MLP.
 
-The 18-entry feature vector (FEATURE_NAMES, version 1) is computed from a
-single normalized 32x64 frame:
+The 18-entry feature vector (FEATURE_NAMES) is computed from a single
+normalized 32x64 frame:
 
     0  global mean
     1  global std (population)
@@ -13,9 +13,6 @@ single normalized 32x64 frame:
     7-12   mean of each region in a fixed 2x3 partition (row-major order;
            columns split 22/21/21)
     13-17  std of the first five of those regions
-
-The ordering is frozen: downstream results are only comparable for equal
-FEATURE_VERSION.
 
 The bagged trees grow greedy Gini splits. Each node scores every cut of
 every feature in one array pass (_best_split): a stable argsort of all F
@@ -38,7 +35,6 @@ from .layers import Dense, LeakyReLU, collect
 from .optim import AdamState, adam_step
 from .tensor import make_rng
 
-FEATURE_VERSION = 1
 FEATURE_NAMES = (
     "mean", "std", "skewness", "kurtosis", "active_count",
     "cop_row", "cop_col",
@@ -49,6 +45,7 @@ FEATURE_NAMES = (
 )
 ACTIVE_THRESHOLD = 0.05
 KNN_K = 10  # neighbours of the kNN comparator in METHODS
+KNN_CHUNK = 512  # queries per distance matrix in knn_predict
 
 
 def _regions(frame: np.ndarray):
@@ -130,8 +127,7 @@ def _check_neighbours(n: int, k: int) -> None:
         raise ConfigError(f"need at least k={k} training points, got {n}")
 
 
-def knn_predict(train_x, train_y, queries, k: int = KNN_K,
-                chunk: int = 512) -> np.ndarray:
+def knn_predict(train_x, train_y, queries, k: int = KNN_K) -> np.ndarray:
     """Majority vote over the k Euclidean-nearest training points, for each
     query.
 
@@ -143,8 +139,8 @@ def knn_predict(train_x, train_y, queries, k: int = KNN_K,
     queries = np.asarray(queries, dtype=np.float64)
     _check_neighbours(train_x.shape[0], k)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    for s in range(0, queries.shape[0], chunk):
-        q = queries[s:s + chunk]
+    for s in range(0, queries.shape[0], KNN_CHUNK):
+        q = queries[s:s + KNN_CHUNK]
         d = np.sqrt(((q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2))
         near = np.argsort(d, axis=1, kind="stable")[:, :k]
         for i in range(q.shape[0]):

@@ -1,15 +1,17 @@
 """Versioned binary checkpoint container, all integers little-endian:
 
     magic   b"PNET1"
-    version u16 (currently 3)
-    header  u32 length + UTF-8 JSON: config, epoch, seed, dtype, adam
-            ({t, beta1, beta2, eps} or null) and tensors, the table of
-            contents: one [name, dtype str, shape] per tensor in file
-            order, each name prefixed param:/stat:/adam.m:/adam.v:
+    version u16 (currently 4)
+    header  u32 length + UTF-8 JSON: config, epoch, seed, dtype, adam (the
+            optimizer's step count) and tensors, the table of contents:
+            one [name, dtype str, shape] per tensor in file order, each
+            name prefixed param:/stat:/adam.m:/adam.v:
     tensors each entry's raw little-endian bytes, and nothing after
 
+Every checkpoint is a resumable training state: it holds the Adam moments.
 Round-trips are bit-exact. Versions 1 and 2, which kept a binary record
-per tensor, are refused, with no migration.
+per tensor, and version 3, which could omit the moments and stored Adam's
+constants, are refused, with no migration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .optim import AdamState
 from .tensor import make_rng
 
 MAGIC = b"PNET1"
-VERSION = 3
+VERSION = 4
 HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam", "tensors")
 
 
@@ -36,23 +38,21 @@ class Checkpoint:
     config: ModelConfig
     params: dict
     bn_stats: dict
-    adam: AdamState | None
+    adam: AdamState
     epoch: int
     seed: int
     dtype: str
 
 
-def save_checkpoint(path, net: PostureNet, adam: AdamState | None = None,
-                    epoch: int = 0, seed: int = 0) -> None:
-    groups = {"param": net.params(), "stat": net.bn_stats()}
-    if adam is not None:
-        groups.update({"adam.m": adam.m, "adam.v": adam.v})
+def save_checkpoint(path, net: PostureNet, adam: AdamState, epoch: int,
+                    seed: int) -> None:
+    groups = {"param": net.params(), "stat": net.bn_stats(),
+              "adam.m": adam.m, "adam.v": adam.v}
     tensors = [(f"{g}:{k}", np.ascontiguousarray(v, v.dtype.newbyteorder("<")))
                for g, d in groups.items() for k, v in d.items()]
     header = {"config": net.config.as_dict(), "epoch": int(epoch),
               "seed": int(seed), "dtype": np.dtype(net.dtype).name,
-              "adam": None if adam is None else {
-                  k: getattr(adam, k) for k in ("t", "beta1", "beta2", "eps")},
+              "adam": int(adam.t),
               "tensors": [[n, v.dtype.str, list(v.shape)] for n, v in tensors]}
     hjson = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -114,15 +114,15 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig(**header["config"])
         np.dtype(header["dtype"])
-        adam, a = None, header["adam"]
-        if a is not None:  # built empty: the file's moments are its state
-            adam = AdamState({}, beta1=a["beta1"], beta2=a["beta2"],
-                             eps=a["eps"])
-            adam.t, adam.m, adam.v = a["t"], groups["adam.m"], groups["adam.v"]
-    except (TypeError, KeyError, ConfigError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad header: {exc!r}") from exc
+    if type(header["adam"]) is not int or header["adam"] < 0:
+        raise CheckpointError(f"bad header: adam step count "
+                              f"{header['adam']!r}")
+    adam = AdamState({})  # built empty: the file's moments are its state
+    adam.t, adam.m, adam.v = header["adam"], groups["adam.m"], groups["adam.v"]
     shapes = {k: p.shape for k, p in groups["param"].items()}
-    for g in ("adam.m", "adam.v") if adam is not None else ():
+    for g in ("adam.m", "adam.v"):
         if {k: m.shape for k, m in groups[g].items()} != shapes:
             raise CheckpointError(f"{g} does not match the parameters' "
                                   "names and shapes")

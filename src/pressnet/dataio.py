@@ -35,7 +35,6 @@ FILE_ROWS = 64
 FILE_COLS = 32
 
 SENSOR_MAX = 10000.0
-NUM_SUBJECTS = 13
 NUM_POSTURES = 17
 
 # coarse posture categories; tuple order fixes the 0/1/2 label encoding

@@ -88,6 +88,7 @@ class TrainConfig:
             self.lam = 0.2 if self.scheme == "loso" else 0.5
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0,1], got {self.lam}")
+        self.lam = abs(self.lam)  # -0 is lambda 0
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch statistics)")
         if self.scheme not in ("kfold", "loso"):
@@ -288,8 +289,6 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
                 f"checkpoint seed {resume.seed} != config seed {config.seed}")
         net = restore_net(resume)
         state = resume.adam
-        if state is None:
-            raise UsageError("checkpoint carries no optimizer state")
         start_epoch = resume.epoch
     else:
         net = PostureNet(model_config, make_rng(config.seed, STREAM_INIT))
@@ -684,10 +683,10 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
 def check_sweep(lams) -> None:
     """A lambda sweep needs 0, the t-test's single-task anchor, and lists no
     lambda twice (by its lam_<lambda> directory); UsageError otherwise.
-    TrainConfig checks each lambda's range."""
+    TrainConfig checks each lambda's range and makes -0 lambda 0."""
     dirs = set()
     for lam in lams:
-        name = LAMBDA_DIR.format(abs(lam))  # -0 is lambda 0, not lam_-0
+        name = LAMBDA_DIR.format(lam)
         if name in dirs:
             raise UsageError(f"the lambda sweep lists {lam:g} twice")
         dirs.add(name)
@@ -703,8 +702,8 @@ def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
     against lambda=0's; t, p and df are None where both samples have zero
     variance. Writes sweep.json into out_dir and returns its contents.
     """
-    check_sweep(lams)
     configs = [replace(config, lam=lam) for lam in lams]  # before any training
+    check_sweep([cfg.lam for cfg in configs])
     per_lam = {}
     for cfg in configs:
         run_dir = os.path.join(out_dir, LAMBDA_DIR.format(cfg.lam))

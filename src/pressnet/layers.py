@@ -87,8 +87,8 @@ class Conv2D:
 
     def __init__(self, cin: int, cout: int, rng, slope: float,
                  dtype=np.float32, needs_input_grad: bool = True):
-        self.w = tensor.gaussian((cout, cin, 3, 3), 0.0,
-                                 init_std(cin * 9, slope), rng, dtype)
+        self.w = rng.normal(0.0, init_std(cin * 9, slope),
+                            size=(cout, cin, 3, 3)).astype(dtype)
         self.params = {"w": self.w}
         self.stats = {}
         self.grads = {}
@@ -292,9 +292,9 @@ class Dense:
 
     def __init__(self, fan_in: int, units: int, rng, slope: float,
                  dtype=np.float32):
-        self.w = tensor.gaussian((fan_in, units), 0.0,
-                                 init_std(fan_in, slope), rng, dtype)
-        self.b = tensor.zeros((units,), dtype)
+        self.w = rng.normal(0.0, init_std(fan_in, slope),
+                            size=(fan_in, units)).astype(dtype)
+        self.b = np.zeros(units, dtype)
         self.params = {"w": self.w, "b": self.b}
         self.stats = {}
         self.grads = {}

@@ -48,9 +48,17 @@ class ModelConfig:
     input_hw: tuple = (32, 64)
 
     def __post_init__(self):
-        self.conv_channels = tuple(int(c) for c in self.conv_channels)
+        self.conv_channels = tuple(self.conv_channels)
         self.conv_dropout = tuple(float(p) for p in self.conv_dropout)
-        self.input_hw = tuple(int(d) for d in self.input_hw)
+        self.input_hw = tuple(self.input_hw)
+        for name in ("num_subjects", "num_postures", "dense_width",
+                     "conv_channels", "input_hw"):
+            value = getattr(self, name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in items):
+                raise ConfigError(f"{name} must hold ints, got {value!r}")
+        if len(self.input_hw) != 2:
+            raise ConfigError(f"input_hw must be 2 sizes, got {self.input_hw}")
         if self.num_subjects < 2 or self.num_postures < 2:
             raise ConfigError("need at least 2 subjects and 2 postures")
         if len(self.conv_channels) != 4 or any(c < 1 for c in self.conv_channels):
@@ -62,8 +70,11 @@ class ModelConfig:
                 raise ConfigError(f"dropout rate {p} outside [0,1)")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError("leaky_slope must be in (0,1)")
+        if self.dense_width < 1:
+            raise ConfigError(f"dense_width must be >= 1, got {self.dense_width}")
         if self.l2_sigma < 0.0:
             raise ConfigError("l2_sigma must be nonnegative")
+        self.feature_shapes()  # shape arithmetic must close at build time
 
     def feature_shapes(self):
         """Spatial size after each conv/pool stage; ConfigError if any conv
@@ -109,7 +120,6 @@ class PostureNet:
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        config.feature_shapes()  # shape arithmetic must close at build time
         slope, width = config.leaky_slope, config.dense_width
         # layers are built in stage order, so the weights draw from rng in it
         self.stages = []

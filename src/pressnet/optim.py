@@ -10,16 +10,16 @@ from .errors import UsageError
 
 
 class AdamState:
-    """Per-parameter moment estimates, the step count and Adam's constants."""
+    """Per-parameter moment estimates and the step count."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def lr_schedule(base_lr: float, epoch: int, rate: float, every: int) -> float:
@@ -33,7 +33,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     if set(grads) != set(params):
         raise UsageError("gradient keys do not match parameter keys")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = AdamState.BETA1, AdamState.BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for key, p in params.items():
@@ -49,4 +49,4 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         v += dt(1.0 - b2) * np.square(g)
         mhat = m / dt(bc1)
         vhat = v / dt(bc2)
-        p -= dt(lr) * mhat / (np.sqrt(vhat) + dt(state.eps))
+        p -= dt(lr) * mhat / (np.sqrt(vhat) + dt(AdamState.EPS))

@@ -71,7 +71,7 @@ def trim_sequence(frames: np.ndarray, n: int = 3) -> np.ndarray:
         raise ShapeError("trim count must be nonnegative")
     if frames.shape[0] <= 2 * n:
         return frames[:0]
-    return frames[n:frames.shape[0] - n] if n else frames
+    return frames[n:frames.shape[0] - n]
 
 
 def drop_empty_samples(sequences, threshold: float = 1.0):
@@ -293,6 +293,8 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
 
     kept, removal_report = drop_empty_samples(cleaned, threshold=empty_threshold)
 
+    # written last, so a rebuild cut short is never served as a hit
+    marker.unlink(missing_ok=True)
     out_entries = []
     for seq in kept:
         path = dataio.cache_path(cache_dir, seq.subject_id, seq.posture_id)

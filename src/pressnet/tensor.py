@@ -1,8 +1,7 @@
 """Dense tensor kernels.
 
 The layers are built on the handful of kernels here: seeded generators,
-tensor creation, valid 3x3-style convolution and max-pooling, each with its
-backward pass.
+valid 3x3-style convolution and max-pooling, each with its backward pass.
 
 Layout: images have the NCHW shape (B, C, H, W), one frame being a batch
 of one, and the kernels accept any strides. The convolution, its input
@@ -33,8 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 
-DEFAULT_DTYPE = np.float32
-
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Reproducible generator for (seed, key...).
@@ -46,25 +43,6 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)]))
     )
-
-
-def _check_shape(shape) -> tuple:
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one dimension")
-    if any(d < 1 for d in shape):
-        raise ShapeError(f"all dimensions must be >= 1, got {shape}")
-    return shape
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return np.zeros(_check_shape(shape), dtype=dtype)
-
-
-def gaussian(shape, mean: float, std: float, rng: np.random.Generator,
-             dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Normal-initialized tensor; consumes rng state deterministically."""
-    return rng.normal(mean, std, size=_check_shape(shape)).astype(dtype)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int):

@@ -179,12 +179,13 @@ class TestKnn:
         for i, q in enumerate(queries):
             assert got[i] == vote_oracle(train_x, train_y, q, 10)
 
-    def test_batch_equals_single(self):
+    def test_batch_equals_single(self, monkeypatch):
+        monkeypatch.setattr(baselines, "KNN_CHUNK", 2)
         rng = make_rng(46)
         train_x = rng.random((30, 3))
         train_y = rng.integers(0, 3, size=30)
         queries = rng.random((7, 3))
-        batch = baselines.knn_predict(train_x, train_y, queries, k=5, chunk=2)
+        batch = baselines.knn_predict(train_x, train_y, queries, k=5)
         singles = [knn_classify(train_x, train_y, q, k=5) for q in queries]
         assert batch.tolist() == singles
 

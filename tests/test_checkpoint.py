@@ -25,11 +25,24 @@ def small_net(dtype=np.float32):
     return PostureNet(cfg, tensor.make_rng(77), dtype=dtype)
 
 
+def save(path, net, epoch=0, seed=0):
+    """save_checkpoint with fresh (all-zero) Adam moments."""
+    save_checkpoint(path, net, AdamState(net.params()), epoch, seed)
+
+
+def zero_moments(tensors):
+    """Zero adam.m and adam.v entries for each param: entry of tensors."""
+    params = [(n.partition(":")[2], v) for n, v in tensors
+              if n.startswith("param:")]
+    return [(f"adam.{g}:{k}", np.zeros_like(v)) for g in "mv"
+            for k, v in params]
+
+
 class TestRoundTrip:
     def test_params_bitwise_identical(self, tmp_path):
         net = small_net()
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, net, epoch=7, seed=123)
+        save(path, net, epoch=7, seed=123)
         ckpt = load_checkpoint(path)
         assert ckpt.epoch == 7
         assert ckpt.seed == 123
@@ -44,13 +57,13 @@ class TestRoundTrip:
 
     def test_config_survives(self, tmp_path):
         net = small_net()
-        save_checkpoint(tmp_path / "c.ckpt", net)
+        save(tmp_path / "c.ckpt", net)
         ckpt = load_checkpoint(tmp_path / "c.ckpt")
         assert ckpt.config == net.config
 
     def test_adam_state_survives(self, tmp_path):
         net = small_net()
-        state = AdamState(net.params(), beta1=0.8, beta2=0.99, eps=1e-7)
+        state = AdamState(net.params())
         # take a couple of steps so moments are non-trivial
         rng = tensor.make_rng(5)
         x = rng.normal(size=(4, 1, 29, 29)).astype(np.float32)
@@ -61,11 +74,11 @@ class TestRoundTrip:
             grads = net.backward(pu, pp, lu, lp, lam=0.5)
             adam_step(net.params(), grads, state, lr=3e-4)
         save_checkpoint(tmp_path / "a.ckpt", net, adam=state, epoch=2, seed=9)
+        blob = (tmp_path / "a.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 2)
+        assert json.loads(blob[len(MAGIC) + 6:][:hlen])["adam"] == 2
         ckpt = load_checkpoint(tmp_path / "a.ckpt")
-        assert ckpt.adam is not None
-        assert ckpt.adam.t == state.t
-        for name in ("beta1", "beta2", "eps"):
-            assert getattr(ckpt.adam, name) == getattr(state, name)
+        assert ckpt.adam.t == state.t == 2
         for k in state.m:
             assert ckpt.adam.m[k].tobytes() == state.m[k].tobytes()
             assert ckpt.adam.v[k].tobytes() == state.v[k].tobytes()
@@ -73,7 +86,7 @@ class TestRoundTrip:
     def test_adam_state_is_built_from_the_loaded_moments(self, tmp_path,
                                                          monkeypatch):
         net = small_net()
-        save_checkpoint(tmp_path / "a.ckpt", net, adam=AdamState(net.params()))
+        save(tmp_path / "a.ckpt", net)
 
         def refuse(*args, **kwargs):
             raise AssertionError("zero moments allocated only to be replaced")
@@ -83,13 +96,27 @@ class TestRoundTrip:
         assert list(ckpt.adam.m) == list(net.params())
         assert list(ckpt.adam.v) == list(net.params())
 
-    def test_no_adam_gives_none(self, tmp_path):
-        save_checkpoint(tmp_path / "n.ckpt", small_net())
-        assert load_checkpoint(tmp_path / "n.ckpt").adam is None
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path):
+        # a restored checkpoint written again is the file it came from
+        net = small_net()
+        state = AdamState(net.params())
+        rng = tensor.make_rng(6)
+        x = rng.normal(size=(4, 1, 29, 29)).astype(np.float32)
+        pu, pp = net.forward(x, train=True)
+        grads = net.backward(pu, pp, np.array([0, 1, 2, 0]),
+                             np.array([0, 1, 2, 3]), lam=0.5)
+        adam_step(net.params(), grads, state, lr=3e-4)
+        first = tmp_path / "first.ckpt"
+        save_checkpoint(first, net, state, epoch=3, seed=8)
+        ckpt = load_checkpoint(first)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, restore_net(ckpt), ckpt.adam, ckpt.epoch,
+                        ckpt.seed)
+        assert again.read_bytes() == first.read_bytes()
 
     def test_restored_net_same_outputs(self, tmp_path):
         net = small_net()
-        save_checkpoint(tmp_path / "r.ckpt", net)
+        save(tmp_path / "r.ckpt", net)
         other = restore_net(load_checkpoint(tmp_path / "r.ckpt"))
         x = tensor.make_rng(11).normal(size=(2, 1, 29, 29)).astype(np.float32)
         pu1, pp1 = net.forward(x)
@@ -99,7 +126,7 @@ class TestRoundTrip:
 
     def test_float64_net_round_trips(self, tmp_path):
         net = small_net(dtype=np.float64)
-        save_checkpoint(tmp_path / "d.ckpt", net)
+        save(tmp_path / "d.ckpt", net)
         ckpt = load_checkpoint(tmp_path / "d.ckpt")
         assert ckpt.dtype == "float64"
         for k, v in net.params().items():
@@ -127,7 +154,7 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_is_refused(self, tmp_path, version):
         # the magic and the version number are all a refusal reads
         old = tmp_path / f"v{version}.ckpt"
@@ -140,7 +167,7 @@ class TestCorruption:
     def test_truncated_file(self, tmp_path):
         net = small_net()
         full = tmp_path / "full.ckpt"
-        save_checkpoint(full, net, epoch=1)
+        save(full, net, epoch=1)
         blob = full.read_bytes()
         # chop at several depths: inside header, inside tensor table
         for frac in (0.1, 0.5, 0.9):
@@ -171,15 +198,16 @@ class TestIncompleteContents:
     @staticmethod
     def parts(net):
         header = {"config": net.config.as_dict(), "epoch": 0, "seed": 0,
-                  "dtype": "float32", "adam": None}
+                  "dtype": "float32", "adam": 0}
         tensors = [(f"param:{k}", v) for k, v in net.params().items()]
         tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
+        tensors += zero_moments(tensors)
         header["tensors"] = tensor_table(tensors)
         return header, tensors
 
     def test_packer_writes_save_checkpoint_bytes(self, tmp_path):
         net = small_net()
-        save_checkpoint(tmp_path / "n.ckpt", net)
+        save(tmp_path / "n.ckpt", net)
         assert pack_checkpoint(*self.parts(net)) == \
             (tmp_path / "n.ckpt").read_bytes()
 
@@ -200,7 +228,9 @@ class TestIncompleteContents:
             "unknown-stat", "unknown-param"])
     def test_restore_refuses(self, tmp_path, edit, key):
         header, tensors = self.parts(small_net())
-        tensors = edit(tensors)
+        # the moments follow the edited parameters, so the file loads
+        tensors = [e for e in edit(tensors) if not e[0].startswith("adam.")]
+        tensors += zero_moments(tensors)
         header["tensors"] = tensor_table(tensors)
         path = tmp_path / "bad.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -219,12 +249,8 @@ class TestIncompleteContents:
     ], ids=["missing-moment", "moment-shape", "unknown-moment", "no-v"])
     def test_moments_must_match_the_parameters(self, tmp_path, edit, group):
         # such a file used to load, then fail a resume with a KeyError
-        net = small_net()
-        header, tensors = self.parts(net)
-        header["adam"] = {"t": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-        tensors = edit(tensors + [(f"adam.{g}:{k}", np.zeros_like(v))
-                                  for g in "mv"
-                                  for k, v in net.params().items()])
+        header, tensors = self.parts(small_net())
+        tensors = edit(tensors)
         header["tensors"] = tensor_table(tensors)
         path = tmp_path / "m.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -255,9 +281,15 @@ class TestIncompleteContents:
         (lambda h: h["config"].update(bogus=1), "bogus"),
         (lambda h: h["config"].update(conv_channels=[1, 2]), "conv_channels"),
         (lambda h: h.update(dtype="no-such-type"), "no-such-type"),
-        (lambda h: h.update(adam={"t": 1}), "beta1"),
+        (lambda h: h["config"].update(input_hw=[32]), "input_hw"),
+        (lambda h: h["config"].update(num_subjects=2.5), "num_subjects"),
+        (lambda h: h.update(adam={"t": 1}), "step count"),
+        (lambda h: h.update(adam=None), "step count"),
+        (lambda h: h.update(adam=-1), "step count"),
+        (lambda h: h.update(adam=1.0), "step count"),
     ], ids=["unknown-config-field", "bad-config-value", "bad-dtype",
-            "partial-adam"])
+            "short-input-hw", "float-num-subjects", "partial-adam",
+            "null-adam", "negative-step", "float-step"])
     def test_bad_header_values(self, tmp_path, edit, match):
         header, tensors = self.parts(small_net())
         edit(header)
@@ -317,7 +349,7 @@ class TestIncompleteContents:
     def test_size_is_prefix_header_and_table(self, tmp_path):
         net = small_net()
         path = tmp_path / "s.ckpt"
-        save_checkpoint(path, net, adam=AdamState(net.params()))
+        save(path, net)
         blob = path.read_bytes()
         start = len(MAGIC) + 6
         (hlen,) = struct.unpack_from("<I", blob, start - 4)

@@ -452,6 +452,7 @@ class TestTrain:
         _, cache = corpus
         for extra, message in ((["--lambda-sweep", "0,0.5,1.5"], "1.5"),
                                (["--lambda-sweep", "0,0.5,0.5"], "0.5 twice"),
+                               (["--lambda-sweep", "0,-0"], "0 twice"),
                                (["--lambda-sweep", "0,x"], "'x'"),
                                (["--lambda-sweep", "0,0.5", "--baselines",
                                  "knn"], "not allowed")):
@@ -566,10 +567,11 @@ class TestEvaluate:
         _, cache = corpus
         ckpt = load_checkpoint(trained_run / "fold_00" / "model.ckpt")
         header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
-                  "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": None}
-        tensors = [(f"param:{k}", v) for k, v in ckpt.params.items()
-                   if k != "conv1.w"]
-        tensors += [(f"stat:{k}", v) for k, v in ckpt.bn_stats.items()]
+                  "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": ckpt.adam.t}
+        groups = {"param": ckpt.params, "stat": ckpt.bn_stats,
+                  "adam.m": ckpt.adam.m, "adam.v": ckpt.adam.v}
+        tensors = [(f"{g}:{k}", v) for g, d in groups.items()
+                   for k, v in d.items() if k != "conv1.w"]
         header["tensors"] = tensor_table(tensors)
         bad = tmp_path / "incomplete.ckpt"
         bad.write_bytes(pack_checkpoint(header, tensors))
@@ -581,6 +583,32 @@ class TestEvaluate:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "conv1.w" in lines[0]
+        assert "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("field, value", [("input_hw", [32]),
+                                              ("num_subjects", 2.5)])
+    def test_bad_config_in_header_is_one_error_line(
+            self, corpus, trained_run, tmp_path, capsys, field, value):
+        # these used to print a ValueError traceback, or to load a 2-class
+        # subject head and skip the subject task with exit 0
+        _, cache = corpus
+        blob = (trained_run / "fold_00" / "model.ckpt").read_bytes()
+        start = len(MAGIC) + 6
+        (hlen,) = struct.unpack_from("<I", blob, start - 4)
+        header = json.loads(blob[start:start + hlen])
+        header["config"][field] = value
+        body = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:start - 4] + struct.pack("<I", len(body)) + body
+                        + blob[start + hlen:])
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(bad),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert field in lines[0]
         assert "accuracy" not in captured.out
 
     @pytest.mark.parametrize("name", ["nope.ckpt", "a_directory"])

@@ -106,6 +106,11 @@ class TestTrainConfig:
         # replace() passes the resolved lambda on as a given one
         assert replace(TrainConfig(scheme="loso"), epochs=1).lam == 0.2
 
+    def test_negative_zero_lambda_is_lambda_0(self):
+        lam = TrainConfig(lam=-0.0).lam
+        assert lam == 0.0 and str(lam) == "0.0"
+        assert TrainConfig(lam=1).lam == 1  # an int stays as given
+
 
 class TestLoso:
     def test_one_fold_per_subject(self):
@@ -638,7 +643,7 @@ class TestRunExperiment:
         ([0, 0.5, 0.5], UsageError, "0.5 twice"),
         ([0.0, 0.5, 0.5000000001], UsageError, "0.5 twice"),
         ([0, 0, 1], UsageError, "0 twice"),
-        ([0, -0.0], UsageError, "-0 twice"),
+        ([0, -0.0], UsageError, "0 twice"),
         ([0, 0.5, 1.5], ConfigError, "lam must be in"),
         ([0, float("nan")], ConfigError, "lam must be in"),
         ([0, True], ConfigError, "lam must be float"),
@@ -652,6 +657,16 @@ class TestRunExperiment:
             harness.run_sweep(self.build_data(), self.config(), lams,
                               tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
+
+    def test_negative_zero_sweeps_as_lambda_0(self, tmp_path):
+        # -0 used to train into lam_-0/ and key sweep.json with "-0"
+        out = tmp_path / "sweep"
+        result = harness.run_sweep(self.build_data(), self.config(),
+                                   [-0.0, 0.5], out)
+        assert set(result["accuracy_per_fold"]) == {"0", "0.5"}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "lam_0", "lam_0.5", "sweep.json"]
+        assert " lambda=0.0 " in (out / "lam_0" / "summary.txt").read_text()
 
     def test_locked_directory_refused(self, tmp_path):
         data = self.build_data()

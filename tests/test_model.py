@@ -39,9 +39,22 @@ class TestConfig:
         assert cfg.flat_features == 128 * 1 * 9
 
     def test_too_small_input_fails_at_build(self):
-        cfg = ModelConfig(num_subjects=2, num_postures=2, input_hw=(16, 16))
-        with pytest.raises(ConfigError):
-            PostureNet(cfg, tensor.make_rng(0))
+        with pytest.raises(ConfigError, match="too small"):
+            ModelConfig(num_subjects=2, num_postures=2, input_hw=(16, 16))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_subjects", 2.5), ("num_postures", True), ("dense_width", 8.0),
+        ("conv_channels", (1, 1, 2.0, 2)), ("input_hw", (32.0, 64)),
+        ("input_hw", (32, True)), ("num_subjects", np.int64(3))])
+    def test_sizes_must_be_ints(self, field, value):
+        # a float size used to be truncated when the layers were built
+        with pytest.raises(ConfigError, match=f"{field} must hold ints"):
+            ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
+
+    @pytest.mark.parametrize("hw", [(32,), (32, 64, 1), ()])
+    def test_input_hw_is_two_sizes(self, hw):
+        with pytest.raises(ConfigError, match="input_hw must be 2 sizes"):
+            ModelConfig(num_subjects=2, num_postures=2, input_hw=hw)
 
     def test_invalid_ranges(self):
         with pytest.raises(ConfigError):
@@ -50,6 +63,8 @@ class TestConfig:
             ModelConfig(num_subjects=2, num_postures=2, dense_dropout=1.0)
         with pytest.raises(ConfigError):
             ModelConfig(num_subjects=2, num_postures=2, leaky_slope=0.0)
+        with pytest.raises(ConfigError, match="dense_width"):
+            ModelConfig(num_subjects=2, num_postures=2, dense_width=0)
 
 
 class TestForward:

@@ -391,6 +391,31 @@ class TestCache:
                    for s, p in ((1, 2), (2, 1), (2, 2)))
         assert all(f.exists() for f in others)
 
+    def test_interrupted_rebuild_is_not_a_hit(self, tmp_path, monkeypatch):
+        # a rebuild cut short after writing arrays used to keep the old
+        # fingerprint, so the old raw tree then hit on the new arrays
+        from pressnet import dataio, synthetic
+        raw_a, raw_b, cache = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        for root, seed in ((raw_a, 1), (raw_b, 2)):
+            synthetic.write_synthetic_dataset(root, subjects=1, postures=2,
+                                              frames_per_seq=8, seed=seed)
+        first, _ = signal.preprocess_dataset(raw_a, cache)
+        want = [s.frames for s in signal.load_clean_sequences(first)]
+
+        def cut_short(*args, **kwargs):
+            raise OSError("killed")
+
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "write_manifest", cut_short)
+            with pytest.raises(OSError, match="killed"):
+                signal.preprocess_dataset(raw_b, cache)
+        assert not (cache / dataio.FINGERPRINT_FILE).exists()
+        manifest, hit = signal.preprocess_dataset(raw_a, cache)
+        assert not hit
+        got = [s.frames for s in signal.load_clean_sequences(manifest)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("layout", [np.ascontiguousarray,
                                         np.asfortranarray])
     def test_cache_bytes_do_not_depend_on_parse_strides(self, tmp_path,

@@ -38,25 +38,6 @@ def conv_oracle(x, kernels):
     return out
 
 
-# --------------------------------------------------------------- creation
-
-class TestCreate:
-    def test_zeros(self):
-        t = tensor.zeros([2, 3])
-        assert t.shape == (2, 3)
-        assert np.all(t == 0.0)
-
-    def test_gaussian_deterministic(self):
-        a = tensor.gaussian([4], 0, 1, tensor.make_rng(42))
-        b = tensor.gaussian([4], 0, 1, tensor.make_rng(42))
-        assert a.tobytes() == b.tobytes()
-
-    def test_bad_shapes(self):
-        with pytest.raises(ShapeError):
-            tensor.zeros([])
-        with pytest.raises(ShapeError):
-            tensor.zeros([2, 0])
-
 class TestRng:
     def test_key_paths_differ(self):
         a = tensor.make_rng(7, 1).normal(size=4)
