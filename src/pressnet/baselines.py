@@ -14,13 +14,23 @@ normalized 32x64 frame:
            columns split 22/21/21)
     13-17  std of the first five of those regions
 
-The bagged trees grow greedy Gini splits. Each node scores every cut of
-every feature in one array pass (_best_split): a stable argsort of all F
-columns, the class counts left of each cut as one (n, F, K) cumulative
-sum, and the Gini scores as one (n - 1, F) array. Among equal scores the
-lowest feature wins, then the lowest cut; a node's label is its lowest
-most frequent class. The pass holds about four n*F*K float64 arrays at
-once (35 MB at n = 20000, F = 18, K = 3).
+extract_feature_matrix takes each statistic as one reduction over a block
+of FEATURE_BLOCK frames, so its float64 temporaries stay under 3 MB on any
+corpus. The skewness and kurtosis numerators are products of the centred
+values, not powers; every other feature has the bits a frame-at-a-time
+computation gives it.
+
+The bagged trees grow greedy Gini splits breadth-first, as many trees at a
+time as fit in TREE_ROWS bootstrap rows (one tree when a tree alone has
+more). One level pass scores every cut of every feature of every open node
+of those trees: each feature's rows are sorted by (node, value) at once,
+the class counts left of each cut are cumulative sums restarted at each
+node, and np.minimum.reduceat takes each node's lowest score. Among equal
+scores the lowest feature wins, then the lowest cut; a node's label is its
+lowest most frequent class. The trees are stored as flat node arrays
+(TreeEnsemble), and predict_trees walks every tree for every query at once,
+one level a step. A tree of n = 20000 rows, F = 18, K = 3 peaks at 34 MB in
+its set-up and first level pass, about four n*F*K float64 arrays.
 """
 
 from __future__ import annotations
@@ -46,53 +56,51 @@ FEATURE_NAMES = (
 ACTIVE_THRESHOLD = 0.05
 KNN_K = 10  # neighbours of the kNN comparator in METHODS
 KNN_CHUNK = 512  # queries per distance matrix in knn_predict
+FEATURE_BLOCK = 32  # frames per block in extract_feature_matrix
+TREE_ROWS = 1024  # bootstrap rows of the trees grown in one level pass
 
 
-def _regions(frame: np.ndarray):
-    """Fixed 2x3 partition of the mat, row-major region order."""
-    row_halves = np.array_split(frame, 2, axis=0)
-    out = []
-    for half in row_halves:
-        out.extend(np.array_split(half, 3, axis=1))
-    return out
-
-
-def extract_features(frame: np.ndarray) -> np.ndarray:
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2:
-        raise ShapeError(f"expected a 2-D frame, got shape {frame.shape}")
-    h, w = frame.shape
-    mean = frame.mean()
-    std = frame.std()
-    centered = frame - mean
-    if std > 1e-12:  # rounding noise on a constant frame is ~1e-17
-        skew = float((centered ** 3).mean() / std ** 3)
-        kurt = float((centered ** 4).mean() / std ** 4)
-    else:
-        skew = 0.0
-        kurt = 0.0
-    active = float((frame > ACTIVE_THRESHOLD).sum())
-    total = frame.sum()
-    if total > 0:
-        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        cop_r = float((rows * frame).sum() / total)
-        cop_c = float((cols * frame).sum() / total)
-    else:
-        cop_r = (h - 1) / 2.0
-        cop_c = (w - 1) / 2.0
-    regions = _regions(frame)
+def _block_features(frames: np.ndarray) -> np.ndarray:
+    """The (n, 18) feature matrix of an (n, H, W) float64 block of frames."""
+    n, h, w = frames.shape
+    flat = frames.reshape(n, h * w)
+    mean = flat.mean(axis=1)
+    std = flat.std(axis=1)
+    c = flat - mean[:, None]
+    c2 = c * c
+    varied = std > 1e-12  # rounding noise on a constant frame is ~1e-17
+    s = np.where(varied, std, 1.0)
+    skew = np.where(varied, (c2 * c).mean(axis=1) / s ** 3, 0.0)
+    kurt = np.where(varied, (c2 * c2).mean(axis=1) / s ** 4, 0.0)
+    active = (flat > ACTIVE_THRESHOLD).sum(axis=1).astype(np.float64)
+    total = flat.sum(axis=1)
+    pressed = total > 0
+    t = np.where(pressed, total, 1.0)
+    rows = np.repeat(np.arange(h, dtype=np.float64), w)
+    cols = np.tile(np.arange(w, dtype=np.float64), h)
+    cop_r = np.where(pressed, (flat * rows).sum(axis=1) / t, (h - 1) / 2.0)
+    cop_c = np.where(pressed, (flat * cols).sum(axis=1) / t, (w - 1) / 2.0)
+    regions = [part for half in np.array_split(frames, 2, axis=1)
+               for part in np.array_split(half, 3, axis=2)]
     feats = [mean, std, skew, kurt, active, cop_r, cop_c]
-    feats += [r.mean() for r in regions]
-    feats += [r.std() for r in regions[:5]]
-    return np.asarray(feats, dtype=np.float64)
+    feats += [r.mean(axis=(1, 2)) for r in regions]
+    feats += [r.std(axis=(1, 2)) for r in regions[:5]]
+    return np.stack(feats, axis=1)
 
 
 def extract_feature_matrix(x: np.ndarray) -> np.ndarray:
     """Feature vectors for a stack of frames: (N,H,W) or (N,1,H,W)."""
     x = np.asarray(x)
-    if x.ndim == 4:
+    if x.ndim == 4 and x.shape[1] == 1:
         x = x[:, 0]
-    return np.stack([extract_features(f) for f in x])
+    if x.ndim != 3:
+        raise ShapeError(f"expected (N,H,W) or (N,1,H,W) frames, "
+                         f"got shape {x.shape}")
+    out = np.empty((x.shape[0], len(FEATURE_NAMES)))
+    for s in range(0, x.shape[0], FEATURE_BLOCK):
+        out[s:s + FEATURE_BLOCK] = _block_features(
+            x[s:s + FEATURE_BLOCK].astype(np.float64))
+    return out
 
 
 def standardize_fit(train: np.ndarray):
@@ -153,70 +161,124 @@ def knn_predict(train_x, train_y, queries, k: int = KNN_K) -> np.ndarray:
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: int = -1
-
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
-
-@dataclass
 class TreeEnsemble:
-    trees: list
+    """Every tree as flat node arrays. Node i sends a query to left[i] when
+    its feature[i] value is <= threshold[i] and to right[i] otherwise, or
+    is a leaf when feature[i] is -1 (left and right are -1 there); label[i]
+    is the lowest most frequent class of its training rows. Tree t starts
+    at node roots[t]."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
     n_classes: int
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """Greedy Gini split; returns (feature, threshold, score) or None.
+def _best_splits(xs, ys, rank, rows, node, counts):
+    """Best Gini cut of every node of one level, as (feature, threshold)
+    arrays; feature is -1 for a node where no value changes.
 
-    Scores every cut of every feature at once, as the module docstring
-    describes; a cut where the sorted value does not change scores inf.
-    The class counts are exact integers in float64, so each score has the
-    bits that scoring one feature at a time gives it.
+    xs and ys are each feature's values and classes in the group's sorted
+    order, (F, R), and rank[f, r] is row r's place in that order. rows are
+    the level's rows, node[i] the node of rows[i], and counts the nodes'
+    (nodes, K) class counts; every node has two or more rows.
     """
-    n = y.size
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    cum = np.eye(n_classes).take(y[order], axis=0)
-    np.cumsum(cum, axis=0, out=cum)  # class counts left of each cut
-    left = cum[:-1]  # row i: the first i + 1 sorted rows go left
-    right = cum[-1] - left
-    nl = np.arange(1.0, n)[:, None]
+    r = xs.shape[1]
+    size = counts.sum(axis=1)
+    start = np.cumsum(size) - size
+    # sort by (node, value): a key is unique, since rank is a permutation
+    order = rank[:, rows]
+    order += node * r
+    order.sort(axis=1)
+    order %= r
+    order += np.arange(0, xs.size, r)[:, None]  # each place's flat index
+    xv = xs.take(order)
+    cut = np.zeros(order.shape, dtype=bool)  # where the value changes
+    np.greater(xv[:, 1:], xv[:, :-1], out=cut[:, :-1])
+    del xv
+    cut[:, start + size - 1] = False  # after a node's last row
+    yv = ys.take(order)
+    at = np.repeat(np.arange(size.size), size)  # node of each sorted place
+    nl = np.arange(at.size) - start[at] + 1.0  # rows left of the cut after it
+    n = size[at].astype(np.float64)
     nr = n - nl
-    gini_l = 1.0 - np.einsum("ijk,ijk->ij", left, left) / nl ** 2
-    gini_r = 1.0 - np.einsum("ijk,ijk->ij", right, right) / nr ** 2
-    score = (nl * gini_l + nr * gini_r) / n
-    score[~(xs[1:] > xs[:-1])] = np.inf  # only where the value changes
-    cut = score.argmin(axis=0)
-    best = score[cut, np.arange(x.shape[1])]
-    f = int(best.argmin())
-    if best[f] == np.inf:
-        return None
-    j = cut[f]
-    return f, float((xs[j, f] + xs[j + 1, f]) / 2.0), float(best[f])
+    # the sums of squared class counts left and right of each cut: exact
+    # integers, so each score has the bits of the one-node formula
+    gl = np.zeros(order.shape)
+    gr = np.zeros(order.shape)
+    for k in range(counts.shape[1]):
+        left = (yv == k).astype(np.int64)
+        left[:, start[1:]] -= counts[:-1, k]  # restart the sum at each node
+        np.cumsum(left, axis=1, out=left)
+        right = counts[at, k] - left
+        left *= left
+        gl += left
+        right *= right
+        gr += right
+    del yv, left, right
+    with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 at a
+        gl /= nl ** 2                                     # node's last row
+        gr /= nr ** 2
+    np.subtract(1.0, gl, out=gl)
+    np.subtract(1.0, gr, out=gr)
+    gl *= nl
+    gr *= nr
+    score = gl
+    score += gr
+    score /= n
+    score[~cut] = np.inf
+    best = np.minimum.reduceat(score, start, axis=1)
+    f = best.argmin(axis=0)  # first min -> lowest feature
+    low = best[f, np.arange(size.size)]
+    place = np.arange(at.size)
+    hit = score[f[at], place] == low[at]
+    j = np.minimum.reduceat(np.where(hit, place, at.size), start)
+    found = low < np.inf
+    thr = (xs.take(order[f, j]) + xs.take(order[f, j + 1])) / 2.0
+    return np.where(found, f, -1), np.where(found, thr, 0.0)
 
 
-def _grow(x: np.ndarray, y: np.ndarray, n_classes: int, depth: int,
-          max_depth: int) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes)
-    label = int(counts.argmax())  # first max -> lowest label on ties
-    if depth >= max_depth or counts[label] == y.size:
-        return TreeNode(label=label)
-    split = _best_split(x, y, n_classes)
-    if split is None:
-        return TreeNode(label=label)
-    f, thr, _ = split
-    mask = x[:, f] <= thr
-    return TreeNode(feature=f, threshold=thr,
-                    left=_grow(x[mask], y[mask], n_classes, depth + 1, max_depth),
-                    right=_grow(x[~mask], y[~mask], n_classes, depth + 1,
-                                max_depth),
-                    label=label)
+def _grow_group(x, y, root, n_roots, n_classes, max_depth):
+    """Grow n_roots trees breadth-first, row i of (x, y) starting in tree
+    root[i]: the TreeEnsemble node arrays (feature, threshold, left, right,
+    label) of the group, tree t's root being node t."""
+    order = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, order, axis=1)
+    ys = y[order]
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(x.shape[0]), axis=1)
+    del order
+    rows, node, width, base = np.arange(x.shape[0]), root, n_roots, 0
+    levels = []
+    for depth in range(max_depth + 1):
+        counts = np.bincount(node * n_classes + y[rows],
+                             minlength=width * n_classes
+                             ).reshape(width, n_classes)
+        label = counts.argmax(axis=1)  # first max -> lowest label on ties
+        feature = np.full(width, -1)
+        threshold = np.zeros(width)
+        if depth < max_depth:
+            mixed = counts[np.arange(width), label] < counts.sum(axis=1)
+            if mixed.any():
+                keep = mixed[node]
+                rows, node = rows[keep], (np.cumsum(mixed) - 1)[node[keep]]
+                feature[mixed], threshold[mixed] = _best_splits(
+                    xs, ys, rank, rows, node, counts[mixed])
+                node = np.flatnonzero(mixed)[node]
+        split = feature >= 0
+        child = base + width + 2 * (np.cumsum(split) - 1)
+        levels.append((feature, threshold, np.where(split, child, -1),
+                       np.where(split, child + 1, -1), label))
+        if not split.any():
+            break
+        keep = split[node]
+        rows, node = rows[keep], node[keep]
+        go_left = x[rows, feature[node]] <= threshold[node]
+        node = child[node] - base - width + ~go_left
+        base, width = base + width, 2 * int(split.sum())
+    return [np.concatenate(a) for a in zip(*levels)]
 
 
 def train_bagged_trees(x: np.ndarray, y: np.ndarray, n_trees: int = 50,
@@ -224,30 +286,46 @@ def train_bagged_trees(x: np.ndarray, y: np.ndarray, n_trees: int = 50,
     """Bootstrap-resampled Gini trees; prediction is a majority vote."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n == 0:
         raise ConfigError("empty training set")
+    if n_trees < 1:
+        raise ConfigError(f"need at least one tree, got {n_trees}")
     n_classes = int(y.max()) + 1
-    trees = []
-    for t in range(n_trees):
-        rng = make_rng(seed, 80, t)
-        idx = rng.integers(0, x.shape[0], size=x.shape[0])
-        trees.append(_grow(x[idx], y[idx], n_classes, 0, max_depth))
-    return TreeEnsemble(trees=trees, n_classes=n_classes)
-
-
-def _tree_predict_one(node: TreeNode, q: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if q[node.feature] <= node.threshold else node.right
-    return node.label
+    per_group = max(1, TREE_ROWS // n)
+    groups, roots, base = [], [], 0
+    for t0 in range(0, n_trees, per_group):
+        trees = range(t0, min(t0 + per_group, n_trees))
+        idx = np.concatenate([make_rng(seed, 80, t).integers(0, n, size=n)
+                              for t in trees])
+        feature, threshold, left, right, label = _grow_group(
+            x[idx], y[idx], np.repeat(np.arange(len(trees)), n), len(trees),
+            n_classes, max_depth)
+        shift = np.where(left >= 0, base, 0)
+        groups.append((feature, threshold, left + shift, right + shift,
+                       label))
+        roots.append(base + np.arange(len(trees)))
+        base += feature.size
+    return TreeEnsemble(*(np.concatenate(a) for a in zip(*groups)),
+                        roots=np.concatenate(roots), n_classes=n_classes)
 
 
 def predict_trees(ensemble: TreeEnsemble, queries: np.ndarray) -> np.ndarray:
+    """Majority vote of the trees for each query, ties to the lowest label.
+    Every tree walks every query at once, one level a step."""
+    e = ensemble
     queries = np.asarray(queries, dtype=np.float64)
-    votes = np.zeros((queries.shape[0], ensemble.n_classes), dtype=np.int64)
-    for tree in ensemble.trees:
-        for i in range(queries.shape[0]):
-            votes[i, _tree_predict_one(tree, queries[i])] += 1
-    return votes.argmax(axis=1)  # first max -> lowest label on ties
+    q = np.arange(queries.shape[0])[:, None]
+    node = np.broadcast_to(e.roots, (q.size, e.roots.size))
+    inner = e.feature[node] >= 0
+    while inner.any():
+        go_left = queries[q, e.feature[node]] <= e.threshold[node]
+        node = np.where(inner, np.where(go_left, e.left[node], e.right[node]),
+                        node)
+        inner = e.feature[node] >= 0
+    votes = np.bincount((q * e.n_classes + e.label[node]).ravel(),
+                        minlength=q.size * e.n_classes)
+    return votes.reshape(q.size, e.n_classes).argmax(axis=1)  # first max
 
 
 # ---------------------------------------------------------------------------

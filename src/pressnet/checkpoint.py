@@ -116,9 +116,11 @@ def load_checkpoint(path) -> Checkpoint:
         np.dtype(header["dtype"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad header: {exc!r}") from exc
-    if type(header["adam"]) is not int or header["adam"] < 0:
-        raise CheckpointError(f"bad header: adam step count "
-                              f"{header['adam']!r}")
+    for key, what in (("epoch", "epoch"), ("seed", "seed"),
+                      ("adam", "adam step count")):
+        if type(header[key]) is not int or header[key] < 0:
+            raise CheckpointError(f"bad header: {what} {header[key]!r} is "
+                                  "not a non-negative integer")
     adam = AdamState({})  # built empty: the file's moments are its state
     adam.t, adam.m, adam.v = header["adam"], groups["adam.m"], groups["adam.v"]
     shapes = {k: p.shape for k, p in groups["param"].items()}

@@ -8,12 +8,14 @@ import pytest
 import scipy.stats
 
 from pressnet import baselines, losses
-from pressnet.baselines import (FEATURE_NAMES, MLPBaseline, TreeEnsemble,
-                                TreeNode)
+from pressnet.baselines import (FEATURE_BLOCK, FEATURE_NAMES, TREE_ROWS,
+                                MLPBaseline, TreeEnsemble)
 from pressnet.errors import ConfigError, ShapeError
+from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
 
-from util import best_split_oracle, knn_classify
+from util import (bagged_trees_oracle, best_split_oracle, ensemble_nodes,
+                  extract_features, knn_classify, oracle_nodes, tree_walk)
 
 
 def feature_oracle(frame):
@@ -43,15 +45,33 @@ def feature_oracle(frame):
     return np.asarray(vec)
 
 
+def features(frame):
+    """The feature vector of one frame, as a stack of one."""
+    return baselines.extract_feature_matrix(np.asarray(frame)[None])[0]
+
+
+def feature_stack(n, seed):
+    """n pressure-like float32 frames, the first four of them constant at
+    0.5 and at 0.3, empty and a single pixel."""
+    rng = make_rng(seed)
+    x = np.stack([synthetic_frame(1 + i % 3, 1 + i % 17, rng)
+                  for i in range(n)]).astype(np.float32)
+    specials = [np.full((32, 64), 0.5), np.full((32, 64), 0.3),
+                np.zeros((32, 64)), np.zeros((32, 64))]
+    specials[3][4, 50] = 1.0
+    x[:4] = specials[:n]
+    return x
+
+
 class TestFeatures:
     def test_vector_length_and_names(self):
         assert len(FEATURE_NAMES) == 18
         frame = make_rng(0).random((32, 64))
-        assert baselines.extract_features(frame).shape == (18,)
+        assert features(frame).shape == (18,)
 
     def test_uniform_frame(self):
         # 0.5 is exact in binary, so every moment here is exact
-        v = baselines.extract_features(np.full((32, 64), 0.5))
+        v = features(np.full((32, 64), 0.5))
         assert v[0] == pytest.approx(0.5)
         assert v[1] == 0.0
         assert v[2] == 0.0 and v[3] == 0.0     # constant-frame convention
@@ -64,47 +84,66 @@ class TestFeatures:
     def test_near_constant_frame_is_stable(self):
         # 0.3 is inexact in binary: the computed std is rounding noise
         # (~5e-17) and must not be amplified into skew/kurtosis garbage
-        v = baselines.extract_features(np.full((32, 64), 0.3))
+        v = features(np.full((32, 64), 0.3))
         assert abs(v[1]) < 1e-12
         assert v[2] == 0.0 and v[3] == 0.0
 
     def test_empty_frame_center_of_pressure(self):
-        v = baselines.extract_features(np.zeros((32, 64)))
+        v = features(np.zeros((32, 64)))
         assert v[4] == 0.0
         assert v[5] == 15.5 and v[6] == 31.5
 
     def test_single_pixel(self):
         frame = np.zeros((32, 64))
         frame[4, 50] = 1.0
-        v = baselines.extract_features(frame)
+        v = features(frame)
         assert v[4] == 1.0
         assert v[5] == pytest.approx(4.0)
         assert v[6] == pytest.approx(50.0)
 
     def test_active_threshold_is_strict(self):
-        v = baselines.extract_features(np.full((32, 64), 0.05))
+        v = features(np.full((32, 64), 0.05))
         assert v[4] == 0.0
 
     def test_random_frames_match_oracle(self):
         rng = make_rng(41)
         for trial in range(5):
             frame = rng.random((32, 64))
-            got = baselines.extract_features(frame)
+            got = features(frame)
             want = feature_oracle(frame)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_rejects_wrong_rank(self):
-        with pytest.raises(ShapeError):
-            baselines.extract_features(np.zeros((3, 32, 64)))
+        for shape in ((32, 64), (2, 1, 1, 32, 64)):
+            with pytest.raises(ShapeError):
+                baselines.extract_feature_matrix(np.zeros(shape))
+
+    def test_rejects_more_than_one_channel(self):
+        # x[:, 0] used to drop the second channel and return (2, 18)
+        with pytest.raises(ShapeError, match="2, 2, 32, 64"):
+            baselines.extract_feature_matrix(np.zeros((2, 2, 32, 64)))
 
     def test_matrix_equals_per_frame(self):
-        rng = make_rng(42)
-        x = rng.random((4, 1, 32, 64)).astype(np.float32)
-        mat = baselines.extract_feature_matrix(x)
-        assert mat.shape == (4, 18)
-        for i in range(4):
-            np.testing.assert_array_equal(
-                mat[i], baselines.extract_features(x[i, 0]))
+        # an (N, 1, H, W) stack in one block gives each frame's own bits
+        x = feature_stack(6, 42)
+        mat = baselines.extract_feature_matrix(x[:, None])
+        assert mat.shape == (6, 18)
+        assert np.array_equal(mat, np.stack([features(f) for f in x]))
+
+    @pytest.mark.parametrize("n", [1, FEATURE_BLOCK - 1, FEATURE_BLOCK,
+                                   FEATURE_BLOCK + 1, 70])
+    def test_blocks_equal_the_per_frame_oracle(self, n):
+        # skewness and kurtosis take their numerators as products, not
+        # powers; every other column has the per-frame bits
+        x = feature_stack(n, n)
+        got = baselines.extract_feature_matrix(x)
+        want = np.stack([extract_features(frame) for frame in x])
+        moments = [FEATURE_NAMES.index("skewness"),
+                   FEATURE_NAMES.index("kurtosis")]
+        rest = [c for c in range(18) if c not in moments]
+        assert np.array_equal(got[:, rest], want[:, rest])
+        np.testing.assert_allclose(got[:, moments], want[:, moments],
+                                   rtol=1e-15, atol=0)
 
 
 class TestStandardize:
@@ -241,7 +280,8 @@ class TestTrees:
         y = np.array([0] * 20 + [1] * 10)
         ens = baselines.train_bagged_trees(x, y, n_trees=3, max_depth=0,
                                            seed=3)
-        assert all(t.is_leaf for t in ens.trees)
+        assert ens.roots.tolist() == [0, 1, 2]
+        assert ens.feature.tolist() == [-1, -1, -1]
 
     def test_same_seed_same_predictions(self):
         rng = make_rng(53)
@@ -255,8 +295,10 @@ class TestTrees:
         assert a.tolist() == b.tolist()
 
     def test_vote_tie_prefers_lowest_label(self):
-        ens = TreeEnsemble(trees=[TreeNode(label=2), TreeNode(label=0)],
-                           n_classes=3)
+        none = np.array([-1, -1])
+        ens = TreeEnsemble(feature=none, threshold=np.zeros(2), left=none,
+                           right=none, label=np.array([2, 0]),
+                           roots=np.array([0, 1]), n_classes=3)
         pred = baselines.predict_trees(ens, np.zeros((1, 4)))
         assert pred[0] == 0
 
@@ -274,6 +316,42 @@ class TestTrees:
         with pytest.raises(ConfigError):
             baselines.train_bagged_trees(np.zeros((0, 3)), np.zeros(0, int))
 
+    def test_no_trees(self):
+        with pytest.raises(ConfigError, match="one tree"):
+            baselines.train_bagged_trees(np.zeros((4, 3)), np.zeros(4, int),
+                                         n_trees=0)
+
+    @pytest.mark.parametrize("n, f, k, levels, n_trees, max_depth", [
+        (110, 18, 3, None, 20, 12),  # 9 trees a group, the last one 2
+        (TREE_ROWS + 76, 5, 3, None, 2, 12),  # one tree a group
+        (60, 6, 3, 2, 12, 12),
+        (60, 6, 17, 5, 12, 12),
+        (110, 18, 3, None, 5, 0),
+        (110, 18, 3, None, 5, 1),
+    ], ids=["grouped", "one-a-group", "levels-2", "levels-5", "depth-0",
+            "depth-1"])
+    def test_equal_to_the_depth_first_oracle(self, n, f, k, levels, n_trees,
+                                             max_depth):
+        x, y = split_case(n, f, k, n + f, levels)
+        ens = baselines.train_bagged_trees(x, y, n_trees=n_trees,
+                                           max_depth=max_depth, seed=4)
+        trees = bagged_trees_oracle(x, y, n_trees, max_depth, seed=4)
+        assert ens.roots.size == n_trees
+        for t, tree in enumerate(trees):
+            assert ensemble_nodes(ens, t) == oracle_nodes(tree)
+        if max_depth > 1:  # the trees do grow
+            assert sum(map(len, map(oracle_nodes, trees))) > 8 * n_trees
+
+    def test_votes_equal_a_walk_per_query(self):
+        x, y = split_case(90, 6, 4, 70)
+        q, _ = split_case(40, 6, 4, 71)
+        q[:5] = x[:5]  # queries right at training values
+        ens = baselines.train_bagged_trees(x, y, n_trees=15, seed=2)
+        trees = bagged_trees_oracle(x, y, 15, 12, seed=2)
+        want = [np.bincount([tree_walk(t, row) for t in trees]).argmax()
+                for row in q]
+        assert baselines.predict_trees(ens, q).tolist() == want
+
 
 def split_case(n, f, k, seed, levels=None):
     """Random (x, y): float features, or integers in [0, levels) when levels
@@ -286,44 +364,53 @@ def split_case(n, f, k, seed, levels=None):
     return x, rng.integers(0, k, size=n)
 
 
-def tree_nodes(node):
-    """(feature, threshold, label) of every node, depth first."""
-    out = [(node.feature, node.threshold, node.label)]
-    if not node.is_leaf:
-        out += tree_nodes(node.left) + tree_nodes(node.right)
-    return out
+def root_splits(cases, k):
+    """The (feature, threshold) the level pass picks for each (x, y) of
+    cases, grown as the roots of one group; None where it does not split."""
+    x = np.concatenate([c[0] for c in cases])
+    y = np.concatenate([c[1] for c in cases])
+    root = np.repeat(np.arange(len(cases)), [c[1].size for c in cases])
+    feature, threshold, *_ = baselines._grow_group(x, y, root, len(cases), k,
+                                                   max_depth=1)
+    return [None if feature[t] < 0 else (int(feature[t]), float(threshold[t]))
+            for t in range(len(cases))]
+
+
+def oracle_split(x, y, k):
+    split = best_split_oracle(x, y, k)
+    return None if split is None else split[:2]
 
 
 class TestBestSplit:
-    """_best_split against the per-feature loop, compared with ==."""
+    """The level pass's cut against the per-feature loop, compared with ==."""
 
     @pytest.mark.parametrize("k", [2, 3, 17])
     @pytest.mark.parametrize("levels", [None, 2, 5])
     def test_matches_oracle(self, k, levels):
-        for seed in range(6):
-            x, y = split_case(40, 7, k, seed, levels)
-            got = baselines._best_split(x, y, k)
-            assert got == best_split_oracle(x, y, k)
-            assert got is not None and isinstance(got[0], int)
+        cases = [split_case(40, 7, k, seed, levels) for seed in range(6)]
+        want = [oracle_split(x, y, k) for x, y in cases]
+        assert None not in want
+        assert [root_splits([c], k)[0] for c in cases] == want
+        assert root_splits(cases, k) == want  # six nodes in one pass
 
     def test_constant_columns_are_skipped(self):
         x, y = split_case(30, 6, 3, 7, levels=4)
         x[:, [0, 2, 5]] = 1.5
-        got = baselines._best_split(x, y, 3)
-        assert got == best_split_oracle(x, y, 3)
+        got = root_splits([(x, y)], 3)[0]
+        assert got == oracle_split(x, y, 3)
         assert got[0] in (1, 3, 4)
 
     def test_all_columns_constant(self):
         x = np.full((12, 4), -0.25)
         y = np.arange(12) % 3
-        assert baselines._best_split(x, y, 3) is None
+        assert root_splits([(x, y)], 3) == [None]
         assert best_split_oracle(x, y, 3) is None
 
     def test_two_rows(self):
         x = np.array([[0.5, 3.0, 1.0], [0.5, -1.0, 2.0]])
         y = np.array([1, 0])
-        got = baselines._best_split(x, y, 2)
-        assert got == best_split_oracle(x, y, 2) == (1, 1.0, 0.0)
+        assert root_splits([(x, y)], 2) == [oracle_split(x, y, 2)] \
+            == [(1, 1.0)]
 
     def test_equal_scores_take_the_lowest_feature_then_cut(self):
         # column 2 is column 1 reversed, so both score alike; under the
@@ -332,30 +419,29 @@ class TestBestSplit:
         x = np.stack([np.zeros(4), col, col[::-1]], axis=1)
         for labels, threshold in (([0, 0, 1, 1], 1.5), ([0, 1, 0, 1], 0.5)):
             y = np.array(labels)
-            got = baselines._best_split(x, y, 2)
-            assert got == best_split_oracle(x, y, 2)
-            assert got[:2] == (1, threshold)
+            assert root_splits([(x, y)], 2) == [oracle_split(x, y, 2)] \
+                == [(1, threshold)]
 
-    def test_trees_equal_oracle_grown_trees(self, monkeypatch):
+    def test_trees_equal_oracle_grown_trees(self):
         # a bench-shaped fold: about 110 standardized rows of 18 features
         # and 3 coarse classes
         x, y = split_case(110, 18, 3, 60)
         x[:, 4] = np.round(x[:, 4] * 3)  # a count-like column with ties
         fast = baselines.train_bagged_trees(x, y, n_trees=12, seed=1)
-        monkeypatch.setattr(baselines, "_best_split", best_split_oracle)
-        slow = baselines.train_bagged_trees(x, y, n_trees=12, seed=1)
-        assert ([tree_nodes(t) for t in fast.trees]
-                == [tree_nodes(t) for t in slow.trees])
-        assert sum(len(tree_nodes(t)) for t in fast.trees) > 12 * 9
+        slow = bagged_trees_oracle(x, y, n_trees=12, seed=1)
+        assert ([ensemble_nodes(fast, t) for t in range(12)]
+                == [oracle_nodes(t) for t in slow])
+        assert fast.feature.size > 12 * 9
 
     def test_temporary_memory_is_a_few_copies_of_the_counts(self):
-        # n*F*K float64 class counts at a real-corpus size are 8.64 MB;
-        # the split's peak measured 34.9 MB (4.04 times that)
+        # n*F*K float64 class counts at a real-corpus size are 8.64 MB; a
+        # tree's set-up and first level pass measured 33.9 MB (3.92 times
+        # that)
         n, f, k = 20000, 18, 3
         x, y = split_case(n, f, k, 61)
         tracemalloc.start()
         try:
-            baselines._best_split(x, y, k)
+            baselines.train_bagged_trees(x, y, n_trees=1, max_depth=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -298,6 +298,26 @@ class TestIncompleteContents:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        ({"epoch": "two", "seed": 2.5}, "epoch 'two'"),
+        ({"seed": 2.5}, "seed 2.5"),
+        ({"seed": -1}, "seed -1"),
+        ({"epoch": True}, "epoch True"),
+        ({"seed": False}, "seed False"),
+        ({"epoch": None}, "epoch None"),
+    ], ids=["text-epoch-float-seed", "float-seed", "negative-seed",
+            "bool-epoch", "bool-seed", "null-epoch"])
+    def test_epoch_and_seed_are_non_negative_ints(self, tmp_path, edit,
+                                                  match):
+        # such a file used to load, then fail late in a resume or a save
+        header, tensors = self.parts(small_net())
+        header.update(edit)
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
     def test_header_not_an_object(self, tmp_path):
         path = tmp_path / "l.ckpt"
         path.write_bytes(pack_checkpoint([1, 2], []))

@@ -551,6 +551,19 @@ class TestSweep:
             in captured.out
 
 
+def rewrite_header(src, dst, edit):
+    """Copy the checkpoint at src to dst, with edit applied to its parsed
+    JSON header."""
+    blob = src.read_bytes()
+    start = len(MAGIC) + 6
+    (hlen,) = struct.unpack_from("<I", blob, start - 4)
+    header = json.loads(blob[start:start + hlen])
+    edit(header)
+    body = json.dumps(header).encode()
+    dst.write_bytes(blob[:start - 4] + struct.pack("<I", len(body)) + body
+                    + blob[start + hlen:])
+
+
 class TestEvaluate:
     def test_checkpoint_roundtrip(self, corpus, trained_run, capsys):
         _, cache = corpus
@@ -592,15 +605,9 @@ class TestEvaluate:
         # these used to print a ValueError traceback, or to load a 2-class
         # subject head and skip the subject task with exit 0
         _, cache = corpus
-        blob = (trained_run / "fold_00" / "model.ckpt").read_bytes()
-        start = len(MAGIC) + 6
-        (hlen,) = struct.unpack_from("<I", blob, start - 4)
-        header = json.loads(blob[start:start + hlen])
-        header["config"][field] = value
-        body = json.dumps(header).encode()
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[:start - 4] + struct.pack("<I", len(body)) + body
-                        + blob[start + hlen:])
+        rewrite_header(trained_run / "fold_00" / "model.ckpt", bad,
+                       lambda h: h["config"].update({field: value}))
         capsys.readouterr()
         rc = cli.main(["evaluate", "--checkpoint", str(bad),
                        "--cache-dir", str(cache)])
@@ -609,6 +616,23 @@ class TestEvaluate:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert field in lines[0]
+        assert "accuracy" not in captured.out
+
+    def test_bad_epoch_and_seed_are_one_error_line(self, corpus, trained_run,
+                                                    tmp_path, capsys):
+        # such a file used to load, then fail late in a resume or a save
+        _, cache = corpus
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(trained_run / "fold_00" / "model.ckpt", bad,
+                       lambda h: h.update(epoch="two", seed=2.5))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(bad),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "epoch 'two'" in lines[0]
         assert "accuracy" not in captured.out
 
     @pytest.mark.parametrize("name", ["nope.ckpt", "a_directory"])

@@ -15,7 +15,8 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig
 from pressnet.tensor import make_rng
 
-from util import collapse_confusion, synthetic_batch
+from util import (bagged_trees_oracle, collapse_confusion, extract_features,
+                  oracle_nodes, synthetic_batch, tree_walk)
 
 
 def tiny_model(num_subjects=2, num_postures=3, **kw):
@@ -587,6 +588,42 @@ class TestRunExperiment:
         results = json.loads((out / "baselines.json").read_text())
         assert sorted(results) == ["knn", "mlp"]
         assert all(len(r["accuracy_per_fold"]) == 2 for r in results.values())
+
+    def test_baselines_equal_the_per_frame_and_depth_first_oracles(
+            self, tmp_path, monkeypatch):
+        # 3 subjects x 4 postures x 12 frames, the postures from all three
+        # coarse classes and chosen so that no method is at ceiling in both
+        # folds; features by frame blocks and trees breadth-first against
+        # one frame and one node at a time
+        from pressnet.dataio import default_taxonomy
+        seqs = [synthetic.synthetic_sequence(s, p, 12, seed=5)
+                for s in (1, 2, 3) for p in (8, 9, 13, 17)]
+        data = harness.flatten_sequences(seqs, default_taxonomy())
+        methods = ("knn", "trees", "mlp")
+        harness.run_experiment(data, self.config(), tmp_path / "arrays",
+                               model_config=tiny_model(3, 4),
+                               baselines=methods)
+        grown = []
+        monkeypatch.setattr(
+            harness.classical, "extract_feature_matrix",
+            lambda x: np.stack([extract_features(f[0]) for f in x]))
+        monkeypatch.setattr(
+            harness.classical, "train_bagged_trees",
+            lambda x, y, seed: grown.append(
+                bagged_trees_oracle(x, y, seed=seed)) or grown[-1])
+        monkeypatch.setattr(
+            harness.classical, "predict_trees",
+            lambda trees, q: np.array(
+                [np.bincount([tree_walk(t, row) for t in trees]).argmax()
+                 for row in q]))
+        harness.run_experiment(data, self.config(), tmp_path / "oracles",
+                               model_config=tiny_model(3, 4),
+                               baselines=methods)
+        assert len(grown) == 2
+        assert sum(len(oracle_nodes(t)) for trees in grown for t in trees) \
+            > 3 * 2 * 50
+        assert (tmp_path / "arrays" / "baselines.json").read_bytes() \
+            == (tmp_path / "oracles" / "baselines.json").read_bytes()
 
     def test_unknown_baseline_creates_nothing(self, tmp_path):
         with pytest.raises(UsageError, match="svm"):

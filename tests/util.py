@@ -3,10 +3,12 @@ reference implementations that vectorized code is checked against."""
 
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pressnet.baselines import ACTIVE_THRESHOLD
 from pressnet.checkpoint import VERSION
 from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.losses import softmax
@@ -87,6 +89,104 @@ def best_split_oracle(x, y, n_classes):
     if best is None:
         return None
     return best[1], best[2], best[0]
+
+
+def extract_features(frame):
+    """The 18-entry feature vector of one 2-D frame, one statistic at a
+    time: moments by power, regions by np.array_split."""
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w = frame.shape
+    mean = frame.mean()
+    std = frame.std()
+    centered = frame - mean
+    if std > 1e-12:
+        skew = float((centered ** 3).mean() / std ** 3)
+        kurt = float((centered ** 4).mean() / std ** 4)
+    else:
+        skew = kurt = 0.0
+    active = float((frame > ACTIVE_THRESHOLD).sum())
+    total = frame.sum()
+    if total > 0:
+        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        cop_r = float((rows * frame).sum() / total)
+        cop_c = float((cols * frame).sum() / total)
+    else:
+        cop_r, cop_c = (h - 1) / 2.0, (w - 1) / 2.0
+    regions = [part for half in np.array_split(frame, 2, axis=0)
+               for part in np.array_split(half, 3, axis=1)]
+    feats = [mean, std, skew, kurt, active, cop_r, cop_c]
+    feats += [r.mean() for r in regions]
+    feats += [r.std() for r in regions[:5]]
+    return np.asarray(feats, dtype=np.float64)
+
+
+@dataclass
+class TreeNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    label: int = -1
+
+
+def grow_tree(x, y, n_classes, max_depth, depth=0):
+    """Greedy Gini tree grown depth-first, one node and one
+    best_split_oracle call at a time: a node is a leaf at max_depth, when
+    it is pure or when no value changes; its label is its lowest most
+    frequent class, and rows with value <= threshold go left."""
+    counts = np.bincount(y, minlength=n_classes)
+    label = int(counts.argmax())
+    if depth >= max_depth or counts[label] == y.size:
+        return TreeNode(label=label)
+    split = best_split_oracle(x, y, n_classes)
+    if split is None:
+        return TreeNode(label=label)
+    f, thr, _ = split
+    mask = x[:, f] <= thr
+    grow = [grow_tree(x[m], y[m], n_classes, max_depth, depth + 1)
+            for m in (mask, ~mask)]
+    return TreeNode(f, thr, *grow, label)
+
+
+def bagged_trees_oracle(x, y, n_trees=50, max_depth=12, seed=0):
+    """train_bagged_trees' trees grown one at a time by grow_tree, on the
+    same bootstrap draws."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    trees = []
+    for t in range(n_trees):
+        idx = make_rng(seed, 80, t).integers(0, x.shape[0], size=x.shape[0])
+        trees.append(grow_tree(x[idx], y[idx], n_classes, max_depth))
+    return trees
+
+
+def oracle_nodes(node):
+    """(feature, threshold, label) of every node of a TreeNode tree, depth
+    first, left before right."""
+    out = [(node.feature, node.threshold, node.label)]
+    if node.feature >= 0:
+        out += oracle_nodes(node.left) + oracle_nodes(node.right)
+    return out
+
+
+def ensemble_nodes(ensemble, t):
+    """The same list for tree t of a TreeEnsemble."""
+    out, stack = [], [int(ensemble.roots[t])]
+    while stack:
+        i = stack.pop()
+        out.append((int(ensemble.feature[i]), float(ensemble.threshold[i]),
+                    int(ensemble.label[i])))
+        if ensemble.feature[i] >= 0:
+            stack += [int(ensemble.right[i]), int(ensemble.left[i])]
+    return out
+
+
+def tree_walk(node, q):
+    """The leaf label one query reaches in a TreeNode tree."""
+    while node.feature >= 0:
+        node = node.left if q[node.feature] <= node.threshold else node.right
+    return node.label
 
 
 def collapse_confusion(cm, group, n_groups):
