@@ -41,7 +41,7 @@ import numpy as np
 
 from . import dataio, losses
 from .errors import ConfigError, ShapeError, UsageError
-from .layers import Dense, LeakyReLU, collect
+from .layers import Dense, LeakyReLU, backward_stages, collect, forward_stages
 from .optim import AdamState, adam_step
 from .tensor import make_rng
 
@@ -362,14 +362,11 @@ class MLPBaseline:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         h = np.asarray(x, dtype=self.DTYPE)
-        for _, layer in self.stages:
-            h = layer.forward(h, train)
-        return losses.softmax(h)
+        return losses.softmax(forward_stages(self.stages, h, train))
 
     def backward(self, probs: np.ndarray, labels: np.ndarray) -> dict:
         g = losses.cross_entropy_grad_logits(probs, labels).astype(self.DTYPE)
-        for _, layer in reversed(self.stages):
-            g = layer.backward(g)
+        backward_stages(self.stages, g)
         return collect(self.stages, "grads")
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, dataio, harness, signal, synthetic
+from . import dataio, harness, signal, synthetic
 from .checkpoint import load_checkpoint, restore_net
 from .errors import ConfigError, PressnetError, UsageError
 from .harness import TrainConfig
@@ -54,24 +54,15 @@ def _load_cache(cache_dir, stride: int) -> harness.FlatDataset:
                                      stride=stride)
 
 
-def _lambda_list(text: str) -> list:
-    """argparse type of --lambda-sweep: comma-separated floats."""
-    try:
-        lams = [float(v) for v in text.split(",")]
-        harness.check_sweep(lams)
-    except (ValueError, UsageError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return lams
-
-
-def _method_list(text: str) -> list:
-    """argparse type of --baselines: comma-separated baselines.METHODS names."""
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    try:
-        baselines.check_methods(methods)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return methods
+def _comma_list(kind):
+    """argparse type of a comma-separated list of kind (float, or str for
+    stripped names); the library checks the values, so this only parses."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v.strip()) for v in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 ASCII_RAMP = " .:-=+*#%@"
@@ -79,8 +70,7 @@ ASCII_RAMP = " .:-=+*#%@"
 
 def render_frame(frame: np.ndarray) -> str:
     """Map a [0,1] frame to a 32-line ASCII grid."""
-    idx = np.clip(frame * (len(ASCII_RAMP) - 1), 0,
-                  len(ASCII_RAMP) - 1).astype(int)
+    idx = (frame * (len(ASCII_RAMP) - 1)).astype(int)
     return "\n".join("".join(ASCII_RAMP[v] for v in row) for row in idx)
 
 
@@ -168,13 +158,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     data = _load_cache(args.cache_dir, args.stride)
     net = restore_net(load_checkpoint(args.checkpoint))
-    if net.config.num_postures != data.num_postures:
-        raise UsageError(
-            f"checkpoint expects {net.config.num_postures} postures, "
-            f"dataset has {data.num_postures}")
-    include_subject = net.config.num_subjects == data.num_subjects
-    report = harness.evaluate_model(net, data, np.arange(len(data)),
-                                    include_subject=include_subject)
+    report = harness.evaluate_model(net, data, np.arange(len(data)))
     for task in ("posture_fine", "posture_coarse", "subject"):
         m = report[task]
         if m is None:
@@ -215,7 +199,7 @@ def cmd_frame_dump(args) -> int:
     raw = seq.frames[args.index]
     cleaned = signal.preprocess_sequence(seq, trim=0).frames
     print(f"frame {args.index} of {args.file} (raw, scaled to sensor range):")
-    print(render_frame(np.clip(raw / dataio.SENSOR_MAX, 0, 1)))
+    print(render_frame(signal.normalize_frames(raw)))
     print("\nsame frame after median filter + normalization (no trim):")
     print(render_frame(cleaned[args.index]))
     return 0
@@ -255,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", required=True)
     p.add_argument("--taxonomy", default=None,
                    help="taxonomy file (default: built-in mapping)")
-    p.add_argument("--trim", type=int, default=3)
-    p.add_argument("--empty-threshold", type=float, default=1.0)
+    p.add_argument("--trim", type=int, default=signal.TRIM)
+    p.add_argument("--empty-threshold", type=float,
+                   default=signal.EMPTY_THRESHOLD)
     p.add_argument("--delimiter", default=None)
     p.add_argument("--force", action="store_true",
                    help="recompute even when the cache fingerprint matches")
@@ -269,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("kfold", "loso"), default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     comparison = p.add_mutually_exclusive_group()
-    comparison.add_argument("--lambda-sweep", type=_lambda_list, default=None,
-                            help="comma list of lambda values in [0,1]; "
-                            "must include 0")
+    comparison.add_argument("--lambda-sweep", type=_comma_list(float),
+                            default=None, help="comma list of lambda values "
+                            "in [0,1]; must include 0")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", dest="base_lr", type=float, default=None)
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-level", choices=("frame", "sequence"), default=None)
     p.add_argument("--augment", action="store_true", default=None)
     p.add_argument("--augment-eval", action="store_true", default=None)
-    comparison.add_argument("--baselines", type=_method_list, default=None,
+    comparison.add_argument("--baselines", type=_comma_list(str), default=None,
                             help="comma list from {knn,trees,mlp} to run "
                             "alongside")
     p.set_defaults(func=cmd_train)

@@ -412,10 +412,15 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     """Inference-mode evaluation on one test split.
 
     Returns a dict with 'posture_fine', 'posture_coarse', and (unless
-    disabled, as under leave-one-subject-out) 'subject' Metrics, plus
-    per-category subject accuracy so subject results can be read either
-    pooled or split by posture category.
+    disabled, as under leave-one-subject-out, or the net's subject count is
+    not the data's) 'subject' Metrics, plus per-category subject accuracy so
+    subject results can be read either pooled or split by posture category.
+    UsageError when the net's posture count is not the data's.
     """
+    if net.config.num_postures != data.num_postures:
+        raise UsageError(f"checkpoint expects {net.config.num_postures} "
+                         f"postures, dataset has {data.num_postures}")
+    include_subject &= net.config.num_subjects == data.num_subjects
     test_idx = np.asarray(test_idx)
     if test_idx.size == 0:
         raise UsageError("empty test split")
@@ -604,8 +609,9 @@ def read_run(run_dir):
     if not (run / CONFIG_FILE).exists():
         raise UsageError(f"{run} is not a run directory (no {CONFIG_FILE})")
     cfg = _read(run / CONFIG_FILE, json.loads)
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("folds"), int):
-        raise UsageError(f"{run / CONFIG_FILE} holds no fold count")
+    if not (isinstance(cfg, dict) and type(cfg.get("folds")) is int
+            and cfg["folds"] >= 1):
+        raise UsageError(f"{run / CONFIG_FILE} holds no positive fold count")
     folds = [fold_dir(run, i) for i in range(cfg["folds"])]
     missing = [i for i, f in enumerate(folds) if not (f / METRICS_FILE).exists()]
     if missing or not (run / DONE_FILE).exists():
@@ -680,34 +686,28 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         return aggregate
 
 
-def check_sweep(lams) -> None:
-    """A lambda sweep needs 0, the t-test's single-task anchor, and lists no
-    lambda twice (by its lam_<lambda> directory); UsageError otherwise.
-    TrainConfig checks each lambda's range and makes -0 lambda 0."""
-    dirs = set()
-    for lam in lams:
-        name = LAMBDA_DIR.format(lam)
-        if name in dirs:
-            raise UsageError(f"the lambda sweep lists {lam:g} twice")
-        dirs.add(name)
-    if 0.0 not in lams:
-        raise UsageError("the lambda sweep must include 0 "
-                         "(the single-task anchor for the t-test)")
-
-
 def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
               progress=None) -> dict:
     """One run_experiment per lambda, each in out_dir/lam_<lambda>/, then a
     Welch t-test of each nonzero lambda's per-fold fine-posture accuracy
     against lambda=0's; t, p and df are None where both samples have zero
     variance. Writes sweep.json into out_dir and returns its contents.
+    Before any training: UsageError unless lams lists 0, the t-test's
+    single-task anchor, and no lambda twice (by its lam_<lambda> directory).
     """
-    configs = [replace(config, lam=lam) for lam in lams]  # before any training
-    check_sweep([cfg.lam for cfg in configs])
+    runs = {}  # lam_<lambda> directory -> config; TrainConfig makes -0 0
+    for cfg in [replace(config, lam=lam) for lam in lams]:
+        name = LAMBDA_DIR.format(cfg.lam)
+        if name in runs:
+            raise UsageError(f"the lambda sweep lists {cfg.lam:g} twice")
+        runs[name] = cfg
+    if LAMBDA_DIR.format(0.0) not in runs:
+        raise UsageError("the lambda sweep must include 0 "
+                         "(the single-task anchor for the t-test)")
     per_lam = {}
-    for cfg in configs:
-        run_dir = os.path.join(out_dir, LAMBDA_DIR.format(cfg.lam))
-        aggregate = run_experiment(data, cfg, run_dir, progress=progress)
+    for name, cfg in runs.items():
+        aggregate = run_experiment(data, cfg, os.path.join(out_dir, name),
+                                   progress=progress)
         per_lam[cfg.lam] = aggregate["posture_fine"]["accuracy_per_fold"]
     anchor = per_lam[0.0]
     tests = {}

@@ -50,6 +50,21 @@ def collect(stages, attr: str) -> dict:
             for key, value in getattr(layer, attr, {}).items()}
 
 
+def forward_stages(stages, h, train: bool, rng=None):
+    """Run h through each layer of a list of (name, layer) stages, in order."""
+    for _, layer in stages:
+        h = layer.forward(h, train, rng)
+    return h
+
+
+def backward_stages(stages, g):
+    """Run g back through the stages in reverse order; returns the gradient
+    w.r.t. the first stage's input."""
+    for _, layer in reversed(stages):
+        g = layer.backward(g)
+    return g
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """(B,C,H,W) -> its (B*H, W*C) view; a copy only when a is not
     channels-last."""

@@ -32,7 +32,7 @@ import numpy as np
 from . import losses
 from .errors import CheckpointError, ConfigError, ShapeError, UsageError
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
-                     MaxPool2D, collect)
+                     MaxPool2D, backward_stages, collect, forward_stages)
 
 
 @dataclass
@@ -223,8 +223,7 @@ class PostureNet:
         return probs
 
     def _run_stages(self, h, train: bool, rng):
-        for _, layer in self.stages:
-            h = layer.forward(h, train, rng)
+        h = forward_stages(self.stages, h, train, rng)
         logits_u, logits_p = (head.forward(h, train) for _, head in self.heads)
         return losses.softmax(logits_u), losses.softmax(logits_p)
 
@@ -256,9 +255,7 @@ class PostureNet:
         g_p = dt(1.0 - lam) * losses.cross_entropy_grad_logits(probs_p, labels_p)
         (_, head_u), (_, head_p) = self.heads
         g = head_u.backward(g_u) + head_p.backward(g_p)
-        for _, layer in reversed(self.stages):
-            g = layer.backward(g)  # conv1's is None: its input is the data
-
+        backward_stages(self.stages, g)  # None: conv1's input is the data
         grads = collect(self.stages + self.heads, "grads")
         sigma2 = dt(2.0 * self.config.l2_sigma)
         params = self.params()

@@ -25,6 +25,9 @@ from .tensor import make_rng
 # ---------------------------------------------------------------------------
 # preprocessing
 
+TRIM = 3                # default frames trimmed from each sequence end
+EMPTY_THRESHOLD = 1.0   # default empty-frame sum (see drop_empty_samples)
+
 
 def median_filter_3d(frames: np.ndarray) -> np.ndarray:
     """3x3x3 median over (time, row, col) with clamp-to-edge boundaries.
@@ -64,7 +67,7 @@ def normalize_frames(frames: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(frames, dtype=np.float32) / SENSOR_MAX, 0.0, 1.0)
 
 
-def trim_sequence(frames: np.ndarray, n: int = 3) -> np.ndarray:
+def trim_sequence(frames: np.ndarray, n: int = TRIM) -> np.ndarray:
     """Drop the first and last n frames (settling artifacts at the ends)."""
     frames = np.asarray(frames)
     if n < 0:
@@ -74,12 +77,12 @@ def trim_sequence(frames: np.ndarray, n: int = 3) -> np.ndarray:
     return frames[n:frames.shape[0] - n]
 
 
-def drop_empty_samples(sequences, threshold: float = 1.0):
+def drop_empty_samples(sequences, threshold: float = EMPTY_THRESHOLD):
     """Remove sequences whose every frame sums below threshold.
 
-    Operates on normalized sequences; the default threshold of 1.0 means a
-    frame carrying less than 0.01% of full-scale total pressure counts as
-    empty. Returns (kept, report) where report lists one line per removal.
+    Operates on normalized sequences; the default EMPTY_THRESHOLD of 1.0
+    means a frame carrying less than 0.01% of full-scale total pressure
+    counts as empty. Returns (kept, report), one report line per removal.
     """
     kept, report = [], []
     for seq in sequences:
@@ -93,7 +96,8 @@ def drop_empty_samples(sequences, threshold: float = 1.0):
     return kept, report
 
 
-def preprocess_sequence(seq: SampleSequence, trim: int = 3) -> SampleSequence:
+def preprocess_sequence(seq: SampleSequence,
+                        trim: int = TRIM) -> SampleSequence:
     """Median filter, normalize, and trim one raw sequence."""
     frames = median_filter_3d(seq.frames)
     frames = normalize_frames(frames)
@@ -241,9 +245,9 @@ def dataset_fingerprint(manifest: dataio.DatasetManifest, trim: int,
     return h.hexdigest()
 
 
-def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = 3,
-                       empty_threshold: float = 1.0, delimiter=None,
-                       force: bool = False):
+def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
+                       empty_threshold: float = EMPTY_THRESHOLD,
+                       delimiter=None, force: bool = False):
     """Run the full pipeline over a dataset tree and cache the results.
 
     Writes into cache_dir one array per surviving sequence (at

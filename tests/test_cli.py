@@ -16,7 +16,7 @@ import pytest
 from pressnet import cli, dataio, harness, signal
 from pressnet.harness import TrainConfig
 from pressnet.checkpoint import MAGIC, load_checkpoint
-from pressnet.errors import UsageError
+from pressnet.errors import ConfigError, UsageError
 
 from util import pack_checkpoint, tensor_table
 
@@ -463,6 +463,41 @@ class TestTrain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag, text, values", [
+        ("--lambda-sweep", "0.2,0.5", [0.2, 0.5]),
+        ("--lambda-sweep", "0,0.5,0.5", [0.0, 0.5, 0.5]),
+        ("--lambda-sweep", "0,-0", [0.0, -0.0]),
+        ("--lambda-sweep", "0,1.5", [0.0, 1.5]),
+        ("--baselines", "svm", ["svm"]),
+        ("--baselines", "", [""]),
+        ("--baselines", "knn,,trees", ["knn", "", "trees"]),
+    ])
+    def test_list_flag_refused_by_the_library(self, corpus, tmp_path, capsys,
+                                              flag, text, values):
+        # the CLI used to check these lists itself: 0.2,0.5 was an argparse
+        # usage error before the cache loaded, and "" and knn,,trees trained
+        # with the empty names dropped
+        _, cache = corpus
+        manifest = dataio.read_manifest(cache / dataio.MANIFEST_FILE)
+        data = harness.flatten_sequences(
+            signal.load_clean_sequences(manifest), manifest.taxonomy)
+        config, library = TrainConfig(k=2, epochs=1), tmp_path / "library"
+        with pytest.raises((UsageError, ConfigError)) as raised:
+            if flag == "--lambda-sweep":
+                harness.run_sweep(data, config, values, library)
+            else:
+                harness.run_experiment(data, config, library, baselines=values)
+        assert not library.exists()
+        capsys.readouterr()
+        rc = cli.main(["train", "--cache-dir", str(cache),
+                       "--out-dir", str(tmp_path / "run"), "--k", "2",
+                       "--epochs", "1", flag, text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {raised.value}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("k, message", [
         ("1", "k must be >= 2"),
         ("1000", "cannot make 1000 folds"),
@@ -635,6 +670,33 @@ class TestEvaluate:
         assert "epoch 'two'" in lines[0]
         assert "accuracy" not in captured.out
 
+    @pytest.mark.parametrize("subjects, postures, err", [
+        ("2", "2", "error: checkpoint expects 3 postures, dataset has 2\n"),
+        ("2", "4", "error: checkpoint expects 3 postures, dataset has 4\n"),
+        ("3", "3", ""),
+    ])
+    def test_class_count_mismatch(self, trained_run, tmp_path, capsys,
+                                  subjects, postures, err):
+        # the 2-subject, 3-posture checkpoint against other caches
+        root, cache = tmp_path / "raw", tmp_path / "cache"
+        assert cli.main(["synth", "--out", str(root), "--subjects", subjects,
+                         "--postures", postures, "--frames", "12",
+                         "--seed", "1"]) == 0
+        assert cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--cache-dir", str(cache), "--checkpoint",
+                       str(trained_run / "fold_00" / "model.ckpt")])
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if err:
+            assert rc == 2 and captured.out == ""
+        else:
+            assert rc == 0
+            assert "posture_fine: accuracy" in captured.out
+            assert ("subject: skipped (subject count mismatch)\n"
+                    in captured.out)
+
     @pytest.mark.parametrize("name", ["nope.ckpt", "a_directory"])
     def test_unopenable_checkpoint_is_one_error_line(self, corpus, tmp_path,
                                                      capsys, name):
@@ -724,6 +786,10 @@ class TestReport:
     @pytest.mark.parametrize("name, content", [
         ("config.json", '{"folds": 2'),          # truncated
         ("config.json", '{"samples": 12}'),      # no fold count
+        # these used to report fold 0 only, or an empty table, with exit 0
+        ("config.json", '{"folds": true}'),
+        ("config.json", '{"folds": 0}'),
+        ("config.json", '{"folds": -1}'),
         ("fold_01/metrics.json", "not json"),
         ("fold_00/metrics.json", '{"posture_coarse": null}'),
         ("fold_01/metrics.json", '{"posture_fine": {"accuracy": 50.0, '

@@ -434,13 +434,13 @@ class TestTrainModel:
 
 
 class TestEvaluate:
-    def build(self, n=30):
+    def build(self, postures=(1, 10, 14), model_config=None):
         from pressnet.dataio import default_taxonomy
         seqs = [synthetic.synthetic_sequence(s, p, 5, seed=2)
-                for s in (1, 2) for p in (1, 10, 14)]
+                for s in (1, 2) for p in postures]
         data = harness.flatten_sequences(seqs, default_taxonomy())
         from pressnet.model import PostureNet
-        mc = tiny_model(num_subjects=2, num_postures=3)
+        mc = model_config or tiny_model(num_subjects=2, num_postures=3)
         net = PostureNet(mc, make_rng(33))
         return data, net
 
@@ -471,6 +471,23 @@ class TestEvaluate:
         data, net = self.build()
         with pytest.raises(UsageError):
             harness.evaluate_model(net, data, np.array([], dtype=int))
+
+    @pytest.mark.parametrize("postures", [(1, 10, 14), (1, 2, 10, 14, 15)])
+    def test_posture_count_mismatch_refused(self, postures):
+        # a 4-posture net used to raise LabelError on 5 postures and a bare
+        # IndexError on 3
+        data, net = self.build(postures, tiny_model(2, 4))
+        with pytest.raises(UsageError, match="^checkpoint expects 4 postures, "
+                           f"dataset has {len(postures)}$"):
+            harness.evaluate_model(net, data, np.arange(len(data)))
+
+    def test_subject_count_mismatch_skips_subject(self):
+        # a 3-subject net used to score its subject head on 2 subjects
+        data, net = self.build(model_config=tiny_model(3, 3))
+        report = harness.evaluate_model(net, data, np.arange(len(data)))
+        assert report["subject"] is None
+        assert report["subject_by_category"] is None
+        assert report["posture_fine"].confusion.shape == (3, 3)
 
 
 class TestRunExperiment:
