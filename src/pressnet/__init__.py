@@ -19,8 +19,7 @@ from .harness import (FlatDataset, FoldPlan, Metrics, TrainConfig,
                       welch_t_test)
 from .model import ModelConfig, PostureNet
 from .signal import (AUGMENT_STEPS, augment_sample, drop_empty_samples,
-                     median_filter_3d, normalize_frames, preprocess_sequence,
-                     trim_sequence)
+                     median_filter_3d, normalize_frames, preprocess_sequence)
 
 __version__ = "1.0.0"
 
@@ -37,6 +36,5 @@ __all__ = [
     "ModelConfig", "PostureNet",
     "AUGMENT_STEPS", "augment_sample", "drop_empty_samples",
     "median_filter_3d", "normalize_frames", "preprocess_sequence",
-    "trim_sequence",
     "__version__",
 ]

@@ -130,6 +130,9 @@ def _print_fold(fold_no, n_folds, report):
 
 
 def cmd_train(args) -> int:
+    if args.lam is not None and args.lambda_sweep is not None:
+        # run_sweep sets lambda for each of its runs
+        raise UsageError("--lambda is not allowed with --lambda-sweep")
     config = _train_config_from(args)
     data = _load_cache(args.cache_dir, args.stride)
 

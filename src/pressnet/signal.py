@@ -1,7 +1,10 @@
 """Frame preprocessing and stochastic augmentation.
 
 Preprocessing pipeline (fixed order): 3x3x3 spatio-temporal median filter ->
-normalize to [0,1] -> trim sequence ends -> drop all-empty sequences.
+normalize to [0,1] -> trim sequence ends -> drop all-empty sequences. The
+median filter is an exact network of elementwise minima and maxima over
+sorted triples shared between neighbouring windows, and preprocessing
+filters only the frames the trim keeps.
 Augmentation is the paper's four-step pipeline (AUGMENT_STEPS) applied per
 frame, each step firing independently with its own fixed probability.
 """
@@ -14,7 +17,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .dataio import GRID_COLS, GRID_ROWS, SENSOR_MAX, SampleSequence
@@ -29,32 +31,149 @@ TRIM = 3                # default frames trimmed from each sequence end
 EMPTY_THRESHOLD = 1.0   # default empty-frame sum (see drop_empty_samples)
 
 
-def median_filter_3d(frames: np.ndarray) -> np.ndarray:
-    """3x3x3 median over (time, row, col) with clamp-to-edge boundaries.
+def _odd_even_merge(ops, x, y):
+    """Batcher's odd-even merge (Knuth, TAOCP vol. 3, 5.3.4) of the sorted
+    wire lists x and y; returns the merged wires, smallest first.
 
-    Output has the same shape as the input; a single frame degenerates to a
-    purely spatial 3x3 median (the time axis sees three copies of it).
-    NumericFault on a NaN or infinite input, which a partition would hide.
+    A wire is an index into ops, whose first entries stand for the
+    network's inputs; each compare-exchange appends its min and its max as
+    (ufunc, a, b).
     """
+    if not x or not y:
+        return x + y
+    if len(x) == len(y) == 1:
+        ops += [(np.minimum, x[0], y[0]), (np.maximum, x[0], y[0])]
+        return [len(ops) - 2, len(ops) - 1]
+    odd = _odd_even_merge(ops, x[0::2], y[0::2])
+    even = _odd_even_merge(ops, x[1::2], y[1::2])
+    out = odd[:1]
+    for i, wire in enumerate(even):
+        out += (_odd_even_merge(ops, [wire], [odd[i + 1]])
+                if i + 1 < len(odd) else [wire])
+    return out + odd[len(even) + 1:]
+
+
+def _compile(n_in, wanted):
+    """The min/max network over n_in input wires whose outputs are the
+    wires wanted(merge) returns, merge being _odd_even_merge over it.
+
+    Returns (program, outputs, slots). program is a tuple of (ufunc, a, b,
+    dst) indexing env = inputs + scratch slots, and outputs index the
+    slots. Ops no output depends on are dropped. A slot is free again once
+    its wire is read for the last time, already for the op reading it:
+    every operand of an op is aligned with its result.
+    """
+    ops = [None] * n_in
+    outputs = wanted(lambda x, y: _odd_even_merge(ops, x, y))
+    live = set(outputs)
+    for w in range(len(ops) - 1, n_in - 1, -1):
+        if w in live:
+            live.update(ops[w][1:])
+    kept = sorted(live.difference(range(n_in)))
+    last_read = {src: w for w in kept for src in ops[w][1:] if src >= n_in}
+    for w in outputs:
+        last_read[w] = None
+    at = {w: w for w in range(n_in)}  # wire -> its index into env
+    free, program, slots = [], [], 0
+    for w in kept:
+        ufunc, a, b = ops[w]
+        free += [at[src] for src in (a, b) if last_read.get(src) == w]
+        if not free:
+            free.append(n_in + slots)
+            slots += 1
+        at[w] = free.pop()
+        program.append((ufunc, at[a], at[b], at[w]))
+    return tuple(program), [at[w] - n_in for w in outputs], slots
+
+
+# The median filter's three stages. Each is a network over the sorted
+# outputs of the stage before, read at three neighbouring offsets along one
+# axis. Stage 1 sorts each time triple (6 ops). Stage 2 merges the sorted
+# triples of three rows into a sorted 9 (36 ops). Stage 3 takes the 14th of
+# the sorted 9s of three columns (66 ops): the 14th of 27 lies within ranks
+# 5..14 of the first two 9s merged, since the third holds only 9 values, and
+# those ten merged with the third give it as their 10th.
+_SORT3 = _compile(3, lambda merge: merge(merge([0], [1]), [2]))
+_SORT9 = _compile(9, lambda merge: merge(merge([0, 1, 2], [3, 4, 5]),
+                                         [6, 7, 8]))
+_MEDIAN27 = _compile(27, lambda merge: merge(
+    merge(list(range(9)), list(range(9, 18)))[4:14],
+    list(range(18, 27)))[9:10])
+_BLOCK = 8  # frames filtered at a time, which bounds the scratch rows
+
+
+def _run(network, inputs, rows):
+    """Run a compiled network over equal-length 1-D inputs, with its slots
+    in the leading part of rows; returns the rows holding its outputs."""
+    program, outputs, _ = network
+    n = len(inputs[0])
+    env = inputs + [row[:n] for row in rows]
+    for ufunc, a, b, dst in program:
+        ufunc(env[a], env[b], out=env[dst])
+    return [rows[i] for i in outputs]
+
+
+def _shifted(rows, step, n):
+    """Each row read n values long at offsets 0, step and 2 * step: the
+    three neighbours along one axis of a flattened padded volume."""
+    return [row[k * step:k * step + n] for k in range(3) for row in rows]
+
+
+def _checked_frames(frames) -> np.ndarray:
+    """frames as a (T, H, W) array; ShapeError otherwise, and NumericFault
+    on a NaN or infinite value, which the median filter would spread."""
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ShapeError(f"expected (T, H, W) frames, got {frames.shape}")
     if not np.isfinite(frames).all():
         raise NumericFault("median filter input holds a non-finite value")
-    padded = np.pad(frames, 1, mode="edge")
-    out = np.empty_like(frames)
-    # block over time so the 27-wide window buffer stays modest
-    block = 128
-    for s in range(0, frames.shape[0], block):
-        e = min(frames.shape[0], s + block)
-        windows = sliding_window_view(padded[s:e + 2], (3, 3, 3)).reshape(
-            e - s, *frames.shape[1:], 27)
-        # the reshape copies, except for 1x1 frames, where it is a view of
-        # the read-only windows; the 14th of 27 in order is the median
-        if not windows.flags.writeable:
-            windows = windows.copy()
-        windows.partition(13, axis=-1)
-        out[s:e] = windows[..., 13]
+    return frames
+
+
+def median_filter_3d(frames: np.ndarray) -> np.ndarray:
+    """3x3x3 median over (time, row, col) with clamp-to-edge boundaries.
+
+    Output has the same shape and dtype as the input; a single frame
+    degenerates to a purely spatial 3x3 median (the time axis sees three
+    copies of it). The volume is edge-padded once and flattened, so a
+    neighbour along an axis is a fixed 1-D offset, and each stage above is
+    one elementwise minimum or maximum per op over whole offset slices. A
+    sorted time triple is shared by the 9 windows that hold it, and a
+    sorted 3x3 block by 3. The result is the 14th smallest of each 27-wide
+    window, as a full sort gives it, with one freedom: where +0 and -0 meet
+    at the middle rank, either sign may come out. NumericFault on a NaN or
+    infinite input.
+    """
+    frames = _checked_frames(frames)
+    t, h, w = frames.shape
+    out = np.empty(frames.shape, dtype=frames.dtype)
+    if out.size == 0:  # an empty axis has no edge to pad with
+        return out
+    row, plane = w + 2, (h + 2) * (w + 2)
+    # edge padding in half of np.pad's time: each face, whole, copies the
+    # layer inside it, so a corner is right once its last face is copied
+    padded = np.empty((t + 2, h + 2, w + 2), dtype=frames.dtype)
+    padded[1:-1, 1:-1, 1:-1] = frames
+    padded[..., 0], padded[..., -1] = padded[..., 1], padded[..., -2]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    padded[0], padded[-1] = padded[1], padded[-2]
+    padded = padded.reshape(-1)
+    block = min(t, _BLOCK)
+    # stage 2's sorted 9s, then the slots of stages 1 and 3 in turn
+    work = np.empty((_SORT9[2] + max(_SORT3[2], _MEDIAN27[2]), block * plane),
+                    dtype=frames.dtype)
+    nines, scratch = work[:_SORT9[2]], work[_SORT9[2]:]
+    for s in range(0, t, block):
+        # the block's windows, one per padded voxel from its first plane
+        # on; those of the two last rows and columns of each plane span
+        # the edge and are never read
+        n = min(block, t - s) * plane
+        volume = padded[s * plane:s * plane + n + 2 * plane]
+        triples = _run(_SORT3, _shifted([volume], plane, n), scratch)
+        sorted9 = _run(_SORT9, _shifted(triples, row, n - 2 * row), nines)
+        (median,) = _run(_MEDIAN27, _shifted(sorted9, 1, n - 2 * row - 2),
+                         scratch)
+        out[s:s + block] = median[:n].reshape(-1, h + 2, w + 2)[:, :h, :w]
     return out
 
 
@@ -65,16 +184,6 @@ def normalize_frames(frames: np.ndarray) -> np.ndarray:
     pressure levels across frames and subjects.
     """
     return np.clip(np.asarray(frames, dtype=np.float32) / SENSOR_MAX, 0.0, 1.0)
-
-
-def trim_sequence(frames: np.ndarray, n: int = TRIM) -> np.ndarray:
-    """Drop the first and last n frames (settling artifacts at the ends)."""
-    frames = np.asarray(frames)
-    if n < 0:
-        raise ShapeError("trim count must be nonnegative")
-    if frames.shape[0] <= 2 * n:
-        return frames[:0]
-    return frames[n:frames.shape[0] - n]
 
 
 def drop_empty_samples(sequences, threshold: float = EMPTY_THRESHOLD):
@@ -98,11 +207,28 @@ def drop_empty_samples(sequences, threshold: float = EMPTY_THRESHOLD):
 
 def preprocess_sequence(seq: SampleSequence,
                         trim: int = TRIM) -> SampleSequence:
-    """Median filter, normalize, and trim one raw sequence."""
-    frames = median_filter_3d(seq.frames)
-    frames = normalize_frames(frames)
-    frames = trim_sequence(frames, n=trim)
-    return SampleSequence(frames, seq.subject_id, seq.posture_id)
+    """Median filter, normalize, and trim one raw sequence.
+
+    Only the kept frames are filtered. With trim >= 1, the windows of the
+    kept frames [trim, T - trim) read raw frames [trim - 1, T - trim + 1)
+    and never the clamped time edge, so that slice is filtered and its
+    first and last frame dropped: the bytes of filtering every frame and
+    then trimming. A sequence of at most 2 * trim frames comes out empty.
+    ConfigError on a negative trim; NumericFault on a non-finite value in
+    any frame, trimmed ones included.
+    """
+    if trim < 0:
+        raise ConfigError(f"trim must be >= 0, got {trim}")
+    frames = _checked_frames(seq.frames)
+    t = frames.shape[0]
+    if trim == 0:
+        frames = median_filter_3d(frames)
+    elif t <= 2 * trim:
+        frames = frames[:0]
+    else:
+        frames = median_filter_3d(frames[trim - 1:t - trim + 1])[1:-1]
+    return SampleSequence(normalize_frames(frames), seq.subject_id,
+                          seq.posture_id)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,21 @@ class TestTrain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
+    def test_lambda_with_sweep_refused_before_the_cache_loads(self, tmp_path,
+                                                              capsys):
+        # the sweep used to replace the given lambda without a word
+        rc = cli.main(["train", "--cache-dir", str(tmp_path / "missing"),
+                       "--out-dir", str(tmp_path / "run"), "--lambda", "0.5",
+                       "--lambda-sweep", "0,0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: --lambda is not allowed with --lambda-sweep\n"
+        assert not (tmp_path / "run").exists()
+        args = cli.build_parser().parse_args(
+            ["train", "--cache-dir", "c", "--out-dir", "o", "--lambda", "0.5",
+             "--baselines", "knn"])
+        assert args.lam == 0.5 and args.baselines == ["knn"]
+
     @pytest.mark.parametrize("flag, text, values", [
         ("--lambda-sweep", "0.2,0.5", [0.2, 0.5]),
         ("--lambda-sweep", "0,0.5,0.5", [0.0, 0.5, 0.5]),

@@ -1,16 +1,18 @@
 """Preprocessing and augmentation against brute-force oracles."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pressnet import signal
 from pressnet.dataio import SampleSequence
-from pressnet.errors import NumericFault, ShapeError
+from pressnet.errors import ConfigError, NumericFault, ShapeError
 from pressnet.tensor import make_rng
 
-from util import median_oracle, np_median_oracle
+from util import median_oracle, np_median_oracle, trim_sequence
 
 
 class TestMedianFilter:
@@ -53,8 +55,9 @@ class TestMedianFilter:
     def assert_both_oracles(vol):
         out = signal.median_filter_3d(vol)
         assert out.dtype == vol.dtype
-        assert np.array_equal(out, median_oracle(vol))
-        assert np.array_equal(out, np_median_oracle(vol))
+        assert out.tobytes() == median_oracle(vol).tobytes()
+        assert out.tobytes() == np_median_oracle(vol).tobytes()
+        return out
 
     def test_sparse_counts_with_ties(self):
         # mostly-zero integer counts: most windows hold many equal values
@@ -76,7 +79,7 @@ class TestMedianFilter:
             make_rng(14).integers(0, 50, size=(6, 32, 64)))
 
     def test_one_pixel_frames(self):
-        # windows of a 1x1 frame reshape to a view, not a copy
+        # each padded 1x1 frame is a 3x3 plane of one value
         self.assert_both_oracles(
             make_rng(15).integers(0, 9, size=(7, 1, 1)).astype(np.float32))
 
@@ -86,6 +89,126 @@ class TestMedianFilter:
         vol[2, 5, 7] = value
         with pytest.raises(NumericFault, match="non-finite"):
             signal.median_filter_3d(vol)
+
+
+class TestMedianNetwork:
+    """The min/max network against the oracles, at the shapes and values
+    where a network can go wrong and a full sort cannot."""
+
+    check = staticmethod(TestMedianFilter.assert_both_oracles)
+
+    @pytest.mark.parametrize("network, lists, size, ranks, ops", [
+        ("_SORT3", 3, 1, range(3), 6),
+        ("_SORT9", 3, 3, range(9), 36),
+        ("_MEDIAN27", 3, 9, [13], 66),
+    ])
+    def test_stage_exact_on_every_zero_one_input(self, network, lists, size,
+                                                 ranks, ops):
+        # a min/max network right on every 0/1 input is right on every
+        # input (the 0-1 principle); each position holds one combination
+        # of sorted 0/1 input lists, the precondition of the stage
+        network = getattr(signal, network)
+        ones = np.array(list(itertools.product(range(size + 1),
+                                               repeat=lists))).T
+        inputs = [(i >= size - m).astype(np.uint8)
+                  for m in ones for i in range(size)]
+        rows = np.empty((network[2], ones.shape[1]), dtype=np.uint8)
+        got = np.array(signal._run(network, inputs, rows))
+        total = ones.sum(axis=0)
+        want = np.array([r >= lists * size - total for r in ranks])
+        assert np.array_equal(got, want)
+        assert len(network[0]) == ops
+
+    @pytest.mark.parametrize("frame", [(1, 1), (1, 7), (6, 1), (5, 4)])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_short_sequences_and_thin_frames(self, t, frame):
+        rng = make_rng(20 + t)
+        self.check(rng.integers(0, 100, size=(t, *frame)).astype(np.float32))
+
+    def test_longer_than_the_time_block(self):
+        t = 2 * signal._BLOCK + 3
+        self.check(make_rng(21).integers(0, 10000, size=(t, 32, 64))
+                   .astype(np.float32))
+
+    def test_transposed_frames_as_parsed(self):
+        # parse_frame_file returns each on-disk 64x32 record transposed
+        raw = make_rng(22).integers(0, 10000, size=(12, 64, 32))
+        frames = raw.astype(np.float32).transpose(0, 2, 1)
+        assert not frames.flags.c_contiguous
+        out = self.check(frames)
+        assert out.tobytes() == signal.median_filter_3d(
+            np.ascontiguousarray(frames)).tobytes()
+
+    def test_heavy_ties(self):
+        rng = make_rng(23)
+        self.check(rng.integers(0, 3, size=(7, 32, 64)).astype(np.float32))
+        self.check(rng.integers(0, 2, size=(5, 9, 11)))
+
+    def test_negative_values(self):
+        rng = make_rng(24)
+        self.check(rng.uniform(-5000, 5000, size=(6, 32, 64))
+                   .astype(np.float32))
+        self.check(rng.integers(-3, 4, size=(6, 8, 9)))
+
+    def test_random_permutations_of_27_distinct_values(self):
+        # each 3x3x3 block of the volume holds a permutation of 0..26, so
+        # the window at its centre holds all 27 and its median is 13; the
+        # oracles, slower, see every window of a tenth of the volumes
+        rng = make_rng(25)
+        values = np.tile(np.arange(27, dtype=np.float32), (1000, 1))
+        for i in range(100):
+            blocks = rng.permuted(values, axis=1).reshape(1000, 3, 3, 3)
+            vol = blocks.transpose(1, 2, 0, 3).reshape(3, 3, 3000)
+            out = self.check(vol) if i % 10 == 0 else \
+                signal.median_filter_3d(vol)
+            assert np.all(out[1, 1, 1::3] == 13)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_random_zero_one_windows(self, density):
+        vol = make_rng(26).random((6, 32, 64)) < density
+        self.check(vol.astype(np.float32))
+
+    def test_working_set_stays_under_the_old_window_buffer(self):
+        # the scratch is a few rows of 8 frames, far below a copy of the
+        # 27-wide windows of 128 frames
+        vol = np.zeros((600, 32, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            signal.median_filter_3d(vol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * 128 * 32 * 64 * vol.itemsize
+
+
+class TestTrimmedFiltering:
+    @pytest.mark.parametrize("extra", range(4))
+    @pytest.mark.parametrize("trim", range(4))
+    def test_same_bytes_as_filtering_every_frame(self, trim, extra):
+        t = 2 * trim + extra
+        raw = make_rng(30 + t).integers(0, 12000, size=(t, 64, 32))
+        frames = raw.astype(np.float32).transpose(0, 2, 1)
+        clean = signal.preprocess_sequence(SampleSequence(frames, 1, 2),
+                                           trim=trim).frames
+        want = trim_sequence(
+            signal.normalize_frames(signal.median_filter_3d(frames)), trim)
+        assert clean.shape == want.shape == (extra, 32, 64)
+        assert clean.dtype == np.float32
+        assert clean.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [10, 6])
+    @pytest.mark.parametrize("frame", [0, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_in_a_trimmed_frame_is_refused(self, t, frame, value):
+        frames = np.ones((t, 32, 64), dtype=np.float32)
+        frames[frame, 3, 4] = value
+        with pytest.raises(NumericFault, match="non-finite"):
+            signal.preprocess_sequence(SampleSequence(frames, 1, 1), trim=3)
+
+    def test_negative_trim_is_a_config_error(self):
+        frames = np.ones((10, 32, 64), dtype=np.float32)
+        with pytest.raises(ConfigError, match="trim"):
+            signal.preprocess_sequence(SampleSequence(frames, 1, 1), trim=-1)
 
 
 class TestNormalize:
@@ -109,24 +232,31 @@ class TestNormalize:
 
 
 class TestTrim:
+    # frame k holds 100 * k everywhere, so the median filter keeps every
+    # frame as it is and the trim shows in the values
+    @staticmethod
+    def trimmed(t, n):
+        frames = np.arange(t, dtype=np.float32)[:, None, None] * np.full(
+            (t, 32, 64), 100.0, dtype=np.float32)
+        seq = SampleSequence(frames, subject_id=1, posture_id=1)
+        return signal.preprocess_sequence(seq, trim=n).frames, frames
+
     def test_ten_to_four(self):
-        frames = np.arange(10)[:, None, None] * np.ones((10, 2, 2))
-        out = signal.trim_sequence(frames, n=3)
+        out, frames = self.trimmed(10, 3)
         assert out.shape[0] == 4
-        assert out[0, 0, 0] == 3 and out[-1, 0, 0] == 6
+        assert np.array_equal(out, signal.normalize_frames(frames[3:7]))
 
     def test_six_to_empty(self):
-        assert signal.trim_sequence(np.ones((6, 2, 2)), n=3).shape[0] == 0
+        out, _ = self.trimmed(6, 3)
+        assert out.shape == (0, 32, 64) and out.dtype == np.float32
 
     def test_seven_to_middle_frame(self):
-        frames = np.arange(7)[:, None, None] * np.ones((7, 2, 2))
-        out = signal.trim_sequence(frames, n=3)
-        assert out.shape[0] == 1
-        assert out[0, 0, 0] == 3
+        out, frames = self.trimmed(7, 3)
+        assert np.array_equal(out, signal.normalize_frames(frames[3:4]))
 
     def test_zero_trim_is_identity(self):
-        frames = np.ones((4, 2, 2))
-        assert signal.trim_sequence(frames, n=0).shape[0] == 4
+        out, frames = self.trimmed(4, 0)
+        assert np.array_equal(out, signal.normalize_frames(frames))
 
 
 class TestDropEmpty:
@@ -309,7 +439,7 @@ class TestPipeline:
         assert clean.frames.min() >= 0.0 and clean.frames.max() <= 1.0
         assert (clean.subject_id, clean.posture_id) == (2, 3)
         # spot check one value against the two stages run by hand
-        expect = signal.trim_sequence(
+        expect = trim_sequence(
             signal.normalize_frames(signal.median_filter_3d(raw)), n=3)
         assert np.array_equal(clean.frames, expect)
 

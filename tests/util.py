@@ -248,6 +248,12 @@ def np_median_oracle(volume):
     return np.median(windows, axis=(-3, -2, -1)).astype(volume.dtype)
 
 
+def trim_sequence(frames, n):
+    """frames without their first and last n (none left when there are
+    at most 2n): the trim that preprocessing applies after filtering."""
+    return frames[n:len(frames) - n] if len(frames) > 2 * n else frames[:0]
+
+
 def parse_oracle(path, delimiter=None):
     """(T, 32, 64) frames of a well-formed recording file, one np.array per
     non-blank line, each on-disk 64x32 record transposed."""
