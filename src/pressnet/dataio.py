@@ -54,9 +54,14 @@ _CACHE_ARRAY = re.compile(r"^S\d+_\d+\.npy$")  # a cache_path file name
 
 @dataclass
 class SampleSequence:
-    """One recording: every frame shares a (subject, posture) label pair."""
+    """One recording: every frame shares a (subject, posture) label pair.
 
-    frames: np.ndarray  # (T, 32, 64)
+    frames is (T, 32, 64). parse_frame_file gives raw counts as uint16 for
+    a file of integer counts and as float32 otherwise; preprocessing and
+    the cache give float32 in [0, 1].
+    """
+
+    frames: np.ndarray
     subject_id: int
     posture_id: int
 
@@ -107,8 +112,12 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
 
     delimiter=None means any whitespace (the default file format); pass ","
     for comma-separated exports. Every record must contain exactly 2048
-    numeric fields, each finite as a float32 (NaN, +-inf and values beyond
-    float32's range are refused). Labels default to the path convention.
+    numeric fields. A file of counts (each field an optional "+" and
+    digits, at most 65535) gives uint16 frames; any other file is parsed
+    as float32, where each field must be finite (NaN, +-inf and values
+    beyond float32's range are refused). A count is a float32 exactly, so
+    both parses agree wherever the first applies. Labels default to the
+    path convention.
     """
     path = Path(path)
     if subject_id is None or posture_id is None:
@@ -116,22 +125,41 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
         subject_id = inf_s if subject_id is None else subject_id
         posture_id = inf_p if posture_id is None else posture_id
 
-    with open(path) as fh, warnings.catch_warnings():
-        # an empty file is refused below, not warned about
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            # loadtxt skips only empty lines; whitespace is blank here too
-            flat = np.loadtxt((line for line in fh if line.strip()),
-                              dtype=np.float32, delimiter=delimiter,
+    with open(path) as fh:
+        # loadtxt skips only empty lines; whitespace is blank here too
+        lines = [line for line in fh if line.strip()]
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parsed a float field such as "1.0" or "-0" to an
+            # integer with a DeprecationWarning; any warning means floats
+            warnings.simplefilter("error")
+            flat = np.loadtxt(lines, dtype=np.uint16, delimiter=delimiter,
                               comments=None, ndmin=2)
-        except ValueError as exc:
-            _refuse_records(path, delimiter, str(exc))
-    # a value beyond float32's range parses to inf, refused here
-    if flat.shape[1] != FRAME_FIELDS or not np.isfinite(flat).all():
+    except (ValueError, Warning):
+        flat = _parse_floats(path, lines, delimiter)
+    if flat.shape[1] != FRAME_FIELDS:
         _refuse_records(path, delimiter)
     # on-disk rows become columns of the canonical 32x64 grid
     frames = flat.reshape(-1, FILE_ROWS, FILE_COLS).transpose(0, 2, 1)
     return SampleSequence(frames, subject_id, posture_id)
+
+
+def _parse_floats(path, lines, delimiter):
+    """The non-blank lines of a file that is not all counts as a float32
+    table; ParseError, through _refuse_records, unless every field is
+    finite."""
+    with warnings.catch_warnings():
+        # an empty file is refused below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            flat = np.loadtxt(lines, dtype=np.float32, delimiter=delimiter,
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            _refuse_records(path, delimiter, str(exc))
+    # a value beyond float32's range parses to inf, refused here
+    if not np.isfinite(flat).all():
+        _refuse_records(path, delimiter)
+    return flat
 
 
 def _refuse_records(path, delimiter, reason="records of an unknown form"):

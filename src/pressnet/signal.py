@@ -125,7 +125,8 @@ def _checked_frames(frames) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ShapeError(f"expected (T, H, W) frames, got {frames.shape}")
-    if not np.isfinite(frames).all():
+    # integers (raw counts) hold neither, so only other dtypes are scanned
+    if frames.dtype.kind not in "biu" and not np.isfinite(frames).all():
         raise NumericFault("median filter input holds a non-finite value")
     return frames
 
@@ -141,8 +142,10 @@ def median_filter_3d(frames: np.ndarray) -> np.ndarray:
     sorted time triple is shared by the 9 windows that hold it, and a
     sorted 3x3 block by 3. The result is the 14th smallest of each 27-wide
     window, as a full sort gives it, with one freedom: where +0 and -0 meet
-    at the middle rank, either sign may come out. NumericFault on a NaN or
-    infinite input.
+    at the middle rank, either sign may come out. The network runs in the
+    input's dtype; an order statistic commutes with any exact increasing
+    cast, so uint16 counts filter to the float32 filter's values, in half
+    the bytes. NumericFault on a NaN or infinite input.
     """
     frames = _checked_frames(frames)
     t, h, w = frames.shape
@@ -181,7 +184,9 @@ def normalize_frames(frames: np.ndarray) -> np.ndarray:
     """Scale raw counts by the fixed sensor range and clamp to [0,1].
 
     Fixed-range (not per-frame max) normalization preserves absolute
-    pressure levels across frames and subjects.
+    pressure levels across frames and subjects. Counts of any dtype are
+    cast to float32 before the division, so uint16 counts and the same
+    counts as float32 give the same bytes.
     """
     return np.clip(np.asarray(frames, dtype=np.float32) / SENSOR_MAX, 0.0, 1.0)
 

@@ -18,7 +18,7 @@ from pressnet.harness import TrainConfig
 from pressnet.checkpoint import MAGIC, load_checkpoint
 from pressnet.errors import ConfigError, UsageError
 
-from util import pack_checkpoint, tensor_table
+from util import float_twin, pack_checkpoint, tensor_table
 
 
 @pytest.fixture(scope="module")
@@ -843,6 +843,20 @@ class TestFrameDump:
         seq = dataio.parse_frame_file(root / "S1" / "1.txt")
         clean = signal.preprocess_sequence(seq, trim=0).frames
         assert "\n".join(grids[32:]) == cli.render_frame(clean[2])
+
+    def test_count_file_and_float_twin_print_the_same(self, corpus, capsys,
+                                                      tmp_path):
+        # the count file's frames are uint16 and its twin's float32
+        root, _ = corpus
+        counts = root / "S2" / "3.txt"
+        twin = float_twin(counts, tmp_path / "S2" / "3.txt")
+        outs = []
+        for f in (counts, twin):
+            assert cli.main(["frame-dump", "--file", str(f), "--index",
+                             "5"]) == 0
+            outs.append(capsys.readouterr().out.replace(str(f), "FILE"))
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) > 64
 
     def test_index_out_of_range(self, corpus, capsys):
         root, _ = corpus

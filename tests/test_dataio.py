@@ -1,12 +1,14 @@
 """Ingestion: frame parsing, label inference, taxonomy, manifests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pressnet import dataio, signal, synthetic
 from pressnet.errors import ConfigError, LabelError, ParseError
 
-from util import parse_oracle
+from util import float_twin, parse_oracle
 
 
 def write_records(path, records):
@@ -184,6 +186,124 @@ class TestParseFrameFile:
         original = synthetic.synthetic_sequence(1, 1, 4, seed=3)
         recovered = seq.frames / dataio.SENSOR_MAX
         assert np.max(np.abs(recovered - original.frames)) <= 0.5 / 10000
+
+
+class TestCountPath:
+    """A file of integer counts parses to uint16, anything else to float32
+    as before; where both parses apply they give the same values."""
+
+    def parse(self, f, delimiter=None):
+        return dataio.parse_frame_file(f, delimiter=delimiter, subject_id=1,
+                                       posture_id=1).frames
+
+    def counts_file(self, path, seed=7, rows=3, sep=" ", eol="\n"):
+        records = np.random.default_rng(seed).integers(
+            0, 10001, size=(rows, 2048))
+        records[0, :3] = (0, 10000, 65535)
+        path.write_bytes("".join(sep.join(str(v) for v in rec) + eol
+                                 for rec in records).encode())
+        return path
+
+    def test_counts_parse_to_uint16_equal_to_float_parse(self, tmp_path):
+        f = self.counts_file(tmp_path / "seq.txt")
+        frames = self.parse(f)
+        assert frames.dtype == np.uint16
+        want = parse_oracle(f)
+        assert frames.astype(np.float32).tobytes() == want.tobytes()
+        assert frames.strides == want.astype(np.uint16).strides
+        twin = self.parse(float_twin(f, tmp_path / "twin.txt"))
+        assert twin.dtype == np.float32
+        assert frames.astype(np.float32).tobytes() == twin.tobytes()
+
+    @pytest.mark.parametrize("value,want", [
+        ("-0", -0.0), ("65536", 65536.0), ("1.0", 1.0), ("1e3", 1000.0)])
+    def test_a_float_field_gives_float32_frames(self, tmp_path, value, want):
+        f = tmp_path / "seq.txt"
+        fields = ["3"] * 2048
+        fields[40] = value
+        f.write_text(" ".join(["2"] * 2048) + "\n" + " ".join(fields) + "\n")
+        frames = self.parse(f)
+        assert frames.dtype == np.float32
+        assert frames.tobytes() == parse_oracle(f).tobytes()
+        got = frames[1].T.reshape(-1)[40]
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_a_non_finite_field_is_refused_by_record(self, tmp_path, value):
+        f = tmp_path / "seq.txt"
+        fields = ["3"] * 2048
+        fields[9] = value
+        f.write_text(" ".join(["2"] * 2048) + "\n\n" + " ".join(fields)
+                     + "\n")
+        with pytest.raises(ParseError) as info:
+            self.parse(f)
+        assert str(info.value) == (f"{f}: record 3 contains a non-finite "
+                                   "field")
+
+    def test_minus_zero_keeps_its_sign_where_ints_parse_via_floats(
+            self, tmp_path, monkeypatch):
+        # numpy < 2 parsed "-0" and "1.0" as integers with a
+        # DeprecationWarning; the warning alone sends the file to floats
+        loadtxt = np.loadtxt
+
+        def old_numpy_loadtxt(lines, dtype=float, **kwargs):
+            if dtype != np.uint16:
+                return loadtxt(lines, dtype=dtype, **kwargs)
+            flat = loadtxt(lines, dtype=np.float64, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return flat.astype(np.uint16)
+
+        monkeypatch.setattr(dataio.np, "loadtxt", old_numpy_loadtxt)
+        f = tmp_path / "seq.txt"
+        f.write_text(" ".join(["-0", "1.0"] + ["4"] * 2046) + "\n")
+        with warnings.catch_warnings():
+            # as outside pytest, where the warning would not raise
+            warnings.simplefilter("ignore")
+            frames = self.parse(f)
+        assert frames.dtype == np.float32
+        assert np.signbit(frames[0, 0, 0]) and frames[0, 1, 0] == 1.0
+
+    def test_plus_sign_and_leading_zeros_agree_on_both_paths(self, tmp_path):
+        fields = ["+7", "007", "+0", "0065535"] + ["1"] * 2044
+        counts = tmp_path / "counts.txt"
+        counts.write_text(" ".join(fields) + "\n")
+        floats = tmp_path / "floats.txt"
+        floats.write_text(" ".join(fields[:-1] + ["1.0"]) + "\n")
+        a, b = self.parse(counts), self.parse(floats)
+        assert (a.dtype, b.dtype) == (np.uint16, np.float32)
+        assert a[0, :4, 0].tolist() == [7, 7, 0, 65535]
+        assert b[0, :3, 0].tolist() == [7.0, 7.0, 0.0]
+        assert not np.signbit(b[0, 2, 0])
+
+    @pytest.mark.parametrize("sep,delimiter", [(" ", None), (",", ","),
+                                               ("\t", None), (", ", ",")])
+    def test_delimiters_crlf_and_blank_lines(self, tmp_path, sep, delimiter):
+        f = self.counts_file(tmp_path / "seq.txt", rows=2, sep=sep,
+                             eol="\r\n")
+        body = f.read_bytes().split(b"\r\n")
+        f.write_bytes(b"\n  \t\r\n" + body[0] + b"\r\n\r\n \n"
+                      + body[1] + b"\r\n\n")
+        frames = self.parse(f, delimiter)
+        assert frames.dtype == np.uint16 and len(frames) == 2
+        want = parse_oracle(f, delimiter)
+        assert frames.astype(np.float32).tobytes() == want.tobytes()
+        twin = self.parse(float_twin(f, tmp_path / "twin.txt"), delimiter)
+        assert twin.tobytes() == want.tobytes()
+
+    def test_short_count_record_refused_by_record(self, tmp_path):
+        f = tmp_path / "seq.txt"
+        f.write_text(" ".join(["1"] * 2048) + "\n\n"
+                     + " ".join(["1"] * 2047) + "\n")
+        with pytest.raises(ParseError) as info:
+            self.parse(f)
+        assert str(info.value) == f"{f}: record 3 has 2047 fields, expected 2048"
+
+    def test_synthetic_files_are_counts(self, tmp_path):
+        synthetic.write_synthetic_dataset(tmp_path, subjects=1, postures=1,
+                                          frames_per_seq=2, seed=3)
+        assert dataio.parse_frame_file(
+            tmp_path / "S1" / "1.txt").frames.dtype == np.uint16
 
 
 class TestTaxonomy:

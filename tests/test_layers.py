@@ -11,7 +11,7 @@ from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
 
 from util import (bn_backward_oracle, bn_eval_oracle, bn_eval_textbook,
                   bn_train_oracle, central_diff_grad, channels_last,
-                  is_channels_last, max_rel_err)
+                  is_channels_last, leaky_relu_backward_oracle, max_rel_err)
 
 
 class TestLeakyReLU:
@@ -59,8 +59,42 @@ class TestLeakyReLU:
                 assert out.dtype == want.dtype and out.strides == x.strides
                 assert out.tobytes() == want.tobytes(), (slope, train)
             g = rng.normal(size=x.shape).astype(dtype)
-            assert act.backward(g).tobytes() == np.where(
-                x > 0, g, dtype(slope) * g).tobytes()
+            assert act.backward(g).tobytes() == leaky_relu_backward_oracle(
+                x, g, slope).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_same_bits_as_select_over_slopes(self, dtype):
+        # g times a factor of exactly 1 or slope gives the select's bits,
+        # NaN, infinities and signed zeros in g included
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
+        x = np.repeat(np.array([1.5, -1.5, 0.0, -0.0], dtype=dtype), 8)
+        g = tensor.make_rng(4).normal(size=x.size).astype(dtype)
+        g[:5], g[8:13], g[16:21], g[24:29] = special, special, special, special
+        nearest = float(np.nextafter(dtype(1), dtype(0)))
+        slopes = [float(np.finfo(dtype).smallest_subnormal), 1e-30, 1e-7,
+                  0.01, 0.1, 0.2, 1 / 3, 0.5, 0.7, 0.999, nearest]
+        for slope in slopes:
+            act = LeakyReLU(slope)
+            act.forward(x, train=True)
+            got = act.backward(g)
+            want = leaky_relu_backward_oracle(x, g, slope)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes(), slope
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_minus_slope_plus_slope_is_one(self, dtype):
+        # the backward's factor is exactly 1 where x > 0: (1 - s) + s
+        # rounds to 1 for every s in (0, 1); checked on a million random
+        # bit patterns of s and both ends of the interval
+        info = np.finfo(dtype)
+        bits = np.dtype(dtype.__name__.replace("float", "uint"))
+        one = np.array(1, dtype=dtype).view(bits)
+        rng = tensor.make_rng(5)
+        s = rng.integers(1, int(one), size=10**6, dtype=bits).view(dtype)
+        s = np.concatenate([s, [info.smallest_subnormal, info.tiny,
+                                np.nextafter(dtype(1), dtype(0))]]).astype(dtype)
+        assert ((s > 0) & (s < 1)).all()
+        assert ((dtype(1) - s) + s == dtype(1)).all()
 
 
 class TestBatchNorm:

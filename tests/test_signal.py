@@ -12,7 +12,8 @@ from pressnet.dataio import SampleSequence
 from pressnet.errors import ConfigError, NumericFault, ShapeError
 from pressnet.tensor import make_rng
 
-from util import median_oracle, np_median_oracle, trim_sequence
+from util import (float_twin, median_oracle, np_median_oracle,
+                  trim_sequence)
 
 
 class TestMedianFilter:
@@ -82,6 +83,16 @@ class TestMedianFilter:
         # each padded 1x1 frame is a 3x3 plane of one value
         self.assert_both_oracles(
             make_rng(15).integers(0, 9, size=(7, 1, 1)).astype(np.float32))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 9])
+    def test_uint16_counts_equal_the_float32_filter(self, t):
+        # an order statistic commutes with the exact, increasing cast
+        counts = make_rng(16 + t).integers(0, 10001, size=(t, 32, 64))
+        counts[:, :2, :2] = 65535
+        counts = counts.astype(np.uint16)
+        out = self.assert_both_oracles(counts)
+        want = signal.median_filter_3d(counts.astype(np.float32))
+        assert out.astype(np.float32).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
@@ -575,6 +586,33 @@ class TestCache:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    def test_count_and_float_trees_give_the_same_cache(self, tmp_path):
+        # a count tree parses to uint16 and its ".0" twin to float32; every
+        # cached byte agrees but the fingerprint, which hashes the raw files
+        from pressnet import synthetic
+        counts = tmp_path / "counts"
+        synthetic.write_synthetic_dataset(counts, subjects=2, postures=3,
+                                          frames_per_seq=9, seed=4)
+        (counts / "S2" / "4.txt").write_text(
+            (" ".join(["0"] * 2047 + ["3"]) + "\n") * 9)  # empty, dropped
+        (counts / "S2" / "5.txt").write_text(
+            (" ".join(["500"] * 2048) + "\n") * 6)  # short once trimmed
+        floats = tmp_path / "floats"
+        for f in sorted(counts.rglob("*.txt")):
+            float_twin(f, floats / f.relative_to(counts))
+        for root in (counts, floats):
+            signal.preprocess_dataset(root, tmp_path / f"{root.name}-cache")
+        a, b = tmp_path / "counts-cache", tmp_path / "floats-cache"
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        assert sum(name.endswith(".npy") for name in names) == 6
+        removed = (a / "removed.txt").read_text()
+        assert "short: subject 2 posture 5" in removed
+        assert "dropped subject 2 posture 4" in removed
+        for name in names:
+            same = (a / name).read_bytes() == (b / name).read_bytes()
+            assert same == (name != "fingerprint.txt"), name
 
     def test_too_short_sequence_reported_not_cached(self, tmp_path):
         from pressnet import synthetic

@@ -2,6 +2,7 @@
 reference implementations that vectorized code is checked against."""
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 
@@ -264,6 +265,20 @@ def parse_oracle(path, delimiter=None):
                 flat = np.array(line.split(delimiter), dtype=np.float32)
                 frames.append(flat.reshape(GRID_COLS, GRID_ROWS).T)
     return np.stack(frames)
+
+
+def float_twin(src, dst):
+    """Write dst as the count file src with ".0" after every field: the
+    same values, as floats, which the count parse refuses; returns dst."""
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_bytes(re.sub(rb"\d+", rb"\g<0>.0", src.read_bytes()))
+    return dst
+
+
+def leaky_relu_backward_oracle(x, g, slope):
+    """LeakyReLU's gradient as a select: g where x > 0, slope * g
+    elsewhere, in g's dtype."""
+    return np.where(x > 0, g, g.dtype.type(slope) * g)
 
 
 def channels_last(a):
