@@ -662,14 +662,18 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         })
         reports, timings = [], []
         for fold_no, (train_idx, test_idx) in enumerate(plan.folds):
-            t0 = time.time()
+            t0 = time.perf_counter()
             fold = run_fold(data, train_idx, test_idx, config, model_config,
                             fold_no)
-            timings.append(time.time() - t0)
+            timings.append(time.perf_counter() - t0)
             write_fold(out, fold_no, fold, config)
-            reports.append(fold[3])
+            # keep only the report: the fold's net and optimizer state are
+            # not alive while the next fold trains
+            report = fold[3]
+            del fold
+            reports.append(report)
             if progress is not None:
-                progress(fold_no, len(plan), fold[3])
+                progress(fold_no, len(plan), report)
 
         if baselines:
             _write_json(out / BASELINES_FILE,

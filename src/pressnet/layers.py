@@ -13,12 +13,15 @@ so the dense features keep their meaning, and its backward hands the
 gradient back in its input's layout.
 
 Every layer has the same call form, forward(x, train, rng=None); only
-Dropout reads rng, so a network runs any list of layers in one loop. Each
-layer owns, after a training-mode forward, the cached activations its
-backward pass needs. Backward methods consume the incoming gradient and
-return the gradient w.r.t. their input (None from a Conv2D built with
-needs_input_grad=False). MaxPool2D builds its argmax map, and LeakyReLU its
-sign mask, only in train mode.
+Dropout reads rng, so a network runs any list of layers in one loop. A
+training-mode forward stores the cache its backward pass needs (its input,
+mask, argmax map or normalized activations), and the layer owns that cache
+until its backward consumes it: backward takes the cache, clears it, and
+returns the gradient w.r.t. the layer's input (None from a Conv2D built
+with needs_input_grad=False). So a training step holds no earlier batch's
+activations, and a second backward without a new training forward raises
+UsageError. MaxPool2D builds its argmax map, and LeakyReLU its sign mask,
+only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
@@ -118,8 +121,9 @@ class Conv2D:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Conv2D.backward without a training forward")
+        x, self._x = self._x, None
         gx, self.grads["w"] = tensor.conv2d_valid_backward(
-            self._x, self.w, g, need_x=self.needs_input_grad)
+            x, self.w, g, need_x=self.needs_input_grad)
         return gx
 
 
@@ -131,11 +135,13 @@ class BatchNorm2D:
     W*C long rather than C long. Each pass does its work in place on one
     fresh output array. The train forward first sums the squared deviations
     for the variance in it, and keeps x - mean, scaled in place, as the xhat
-    that backward needs; the backward reuses one scratch array for g * xhat
-    and xhat * sum(g * xhat). The input and the incoming gradient are never
-    written. Per-channel sums (mean, variance, the gamma and beta gradients)
-    come from _channel_sum; the train steps are the plain expressions'
-    operations in the same order, and so have their bits.
+    that backward needs. The backward allocates one full-size array, prod,
+    for g * xhat and then builds the input gradient in it, with the
+    consumed xhat as its scratch for xhat * sum(g * xhat). The input and
+    the incoming gradient are never written. Per-channel sums (mean,
+    variance, the gamma and beta gradients) come from _channel_sum; the
+    train steps are the plain expressions' operations in the same order,
+    and so have their bits.
 
     Eval mode is the affine map of Ioffe & Szegedy (2015, §3.2): two passes,
     x * scale + shift, with scale = gamma * inv_std and shift = beta -
@@ -191,7 +197,7 @@ class BatchNorm2D:
     def backward(self, g):
         if self._cache is None:
             raise UsageError("BatchNorm2D.backward without a training forward")
-        xhat, inv_std = self._cache
+        (xhat, inv_std), self._cache = self._cache, None
         b, c, h, w = g.shape
         g2 = _rows(g)
         n = g.dtype.type(b * h * w)
@@ -200,10 +206,11 @@ class BatchNorm2D:
         sum_g = _channel_sum(g2, b, c).astype(g.dtype)
         self.grads["gamma"], self.grads["beta"] = sum_gx, sum_g
         coef = self.gamma * inv_std
-        # coef / n * (n * g - sum_g - xhat * sum_gx), step by step
-        gx = n * g2
+        # coef / n * (n * g - sum_g - xhat * sum_gx), step by step, in prod
+        # with xhat as scratch
+        gx = np.multiply(n, g2, out=prod)
         gx -= np.tile(sum_g, w)
-        gx -= np.multiply(xhat, np.tile(sum_gx, w), out=prod)
+        gx -= np.multiply(xhat, np.tile(sum_gx, w), out=xhat)
         gx *= np.tile(coef / n, w)
         return _unrows(gx, g.shape)
 
@@ -229,7 +236,9 @@ class MaxPool2D:
     def backward(self, g):
         if self._argmax is None:
             raise UsageError("MaxPool2D.backward without a training forward")
-        return tensor.maxpool2d_backward(g, self._argmax, self._in_shape)
+        argmax, self._argmax = self._argmax, None
+        in_shape, self._in_shape = self._in_shape, None
+        return tensor.maxpool2d_backward(g, argmax, in_shape)
 
 
 class LeakyReLU:
@@ -253,7 +262,8 @@ class LeakyReLU:
         # exactly 1 for every s in (0, 1), and a multiply, unlike a select,
         # does not branch on mixed signs
         s = g.dtype.type(self.slope)
-        factor = self._pos.astype(g.dtype)
+        pos, self._pos = self._pos, None
+        factor = pos.astype(g.dtype)
         factor *= 1 - s
         factor += s
         return np.multiply(g, factor, out=factor)
@@ -286,7 +296,8 @@ class Dropout:
     def backward(self, g):
         if self._scaled_mask is None:
             raise UsageError("Dropout.backward without a training forward")
-        return g * self._scaled_mask
+        mask, self._scaled_mask = self._scaled_mask, None
+        return g * mask
 
 
 class Flatten:
@@ -304,8 +315,9 @@ class Flatten:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Flatten.backward without a training forward")
-        gx = np.empty_like(self._x, dtype=g.dtype)
-        gx[...] = g.reshape(self._x.shape)
+        x, self._x = self._x, None
+        gx = np.empty_like(x, dtype=g.dtype)
+        gx[...] = g.reshape(x.shape)
         return gx
 
 
@@ -333,6 +345,7 @@ class Dense:
     def backward(self, g):
         if self._x is None:
             raise UsageError("Dense.backward without a training forward")
-        self.grads["w"] = self._x.T @ g
+        x, self._x = self._x, None
+        self.grads["w"] = x.T @ g
         self.grads["b"] = g.sum(axis=0)
         return g @ self.w.T

@@ -244,12 +244,14 @@ class PostureNet:
         """Gradients of the combined loss + L2 w.r.t. every trainable tensor.
 
         Requires the immediately preceding forward to have run in train mode
-        on the same batch.
+        on the same batch. Each layer consumes its cache, so a second
+        backward needs a new train-mode forward first.
         """
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0,1], got {lam}")
         if not self._cached_train:
             raise UsageError("backward requires a train-mode forward first")
+        self._cached_train = False
         dt = self.dtype
         g_u = dt(lam) * losses.cross_entropy_grad_logits(probs_u, labels_u)
         g_p = dt(1.0 - lam) * losses.cross_entropy_grad_logits(probs_p, labels_p)

@@ -84,10 +84,10 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     x and grad_out are (B,C,H,W). Returns (grad_x, grad_kernels) shaped like
     x and kernels; grad_x is None when need_x is false, and channels-last
     otherwise. grad_k is one GEMM of grad_out's NHWC view against the
-    input's column matrix. grad_x is one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM
-    per kernel offset, each added into the Ho x Wo window of an NHWC buffer
-    that the offset reaches; no zero-padded column matrix of grad_out is
-    built.
+    input's column matrix, which is freed before grad_x is built. grad_x is
+    one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per kernel offset, each added
+    into the Ho x Wo window of an NHWC buffer that the offset reaches; no
+    zero-padded column matrix of grad_out is built.
     """
     cout, cin, kh, kw = kernels.shape
     b, c, h, w = x.shape
@@ -96,6 +96,7 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     g2 = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
     grad_k = np.ascontiguousarray(
         (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+    del cols
     if not need_x:
         return None, grad_k
 

@@ -10,12 +10,13 @@ import scipy.stats
 from pressnet import baselines, losses
 from pressnet.baselines import (FEATURE_BLOCK, FEATURE_NAMES, TREE_ROWS,
                                 MLPBaseline, TreeEnsemble)
-from pressnet.errors import ConfigError, ShapeError
+from pressnet.errors import ConfigError, ShapeError, UsageError
 from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
 
 from util import (bagged_trees_oracle, best_split_oracle, ensemble_nodes,
-                  extract_features, knn_classify, oracle_nodes, tree_walk)
+                  extract_features, held_activations, knn_classify,
+                  oracle_nodes, tree_walk)
 
 
 def feature_oracle(frame):
@@ -502,6 +503,18 @@ class TestMlp:
                 fd = (up - down) / (2 * h)
                 got = grads[name].reshape(-1)[j]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8), name
+
+    def test_backward_consumes_every_cache_and_runs_once(self):
+        rng = make_rng(59)
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(0, 2, size=6)
+        model = TinyMLP(3, 2, make_rng(60))
+        probs = model.forward(x, train=True)
+        model.backward(probs, y)
+        for name, layer in model.stages:
+            assert held_activations(layer) == [], name
+        with pytest.raises(UsageError):
+            model.backward(probs, y)
 
     def test_deterministic_training(self):
         rng = make_rng(58)

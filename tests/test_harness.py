@@ -1,6 +1,7 @@
 """Splits, metrics, Welch test, training loop, and experiment artifacts."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -520,6 +521,31 @@ class TestRunExperiment:
         assert aggregate["posture_fine"]["accuracy_mean"] == pytest.approx(
             np.mean(accs))
         assert harness.read_run(out)[1] is None  # no baselines were fitted
+
+    def test_folds_are_not_alive_at_once(self, tmp_path):
+        # peak traced allocation of a two-fold run against that of its
+        # costliest fold trained and evaluated alone: a run that keeps the
+        # previous fold's net and optimizer state while the next fold
+        # trains goes over by their size
+        data = self.build_data()
+        config = self.config()
+        model_config = ModelConfig(data.num_subjects, data.num_postures)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = max(peak(lambda: harness.run_fold(data, train_idx, test_idx,
+                                                  config, model_config, i))
+                    for i, (train_idx, test_idx)
+                    in enumerate(harness.split_for(data, config).folds))
+        whole = peak(lambda: harness.run_experiment(
+            data, config, tmp_path / "run", model_config=model_config))
+        assert whole <= alone + 2**20, (whole, alone)
 
     def test_run_fold_does_no_io_and_matches_written_fold(self, tmp_path,
                                                           monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 
 from pressnet import tensor
 from pressnet.errors import ConfigError, UsageError
-from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, LeakyReLU,
-                             MaxPool2D)
+from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
+                             LeakyReLU, MaxPool2D)
 
 from util import (bn_backward_oracle, bn_eval_oracle, bn_eval_textbook,
                   bn_train_oracle, central_diff_grad, channels_last,
-                  is_channels_last, leaky_relu_backward_oracle, max_rel_err)
+                  held_activations, is_channels_last,
+                  leaky_relu_backward_oracle, max_rel_err)
 
 
 class TestLeakyReLU:
@@ -411,3 +412,37 @@ class TestConvAndPool:
         out_train = pool.forward(x, train=True)
         assert out_eval.tobytes() == out_train.tobytes()
         assert pool.backward(np.ones_like(out_train)).shape == x.shape
+
+
+class TestCacheConsumed:
+    # one layer of each kind, with the shape of a train-mode input it takes
+    KINDS = {
+        "conv": (lambda: Conv2D(2, 3, tensor.make_rng(40), 0.2), (4, 2, 6, 7)),
+        "conv_first": (lambda: Conv2D(1, 3, tensor.make_rng(41), 0.2,
+                                      needs_input_grad=False), (4, 1, 6, 7)),
+        "bn": (lambda: BatchNorm2D(3), (4, 3, 5, 6)),
+        "pool": (MaxPool2D, (2, 3, 7, 9)),
+        "act": (lambda: LeakyReLU(0.2), (4, 3, 5, 6)),
+        "drop": (lambda: Dropout(0.5), (4, 3, 5, 6)),
+        "drop_zero": (lambda: Dropout(0.0), (4, 3, 5, 6)),
+        "flatten": (Flatten, (4, 3, 5, 6)),
+        "dense": (lambda: Dense(5, 4, tensor.make_rng(42), 0.2), (3, 5)),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backward_frees_the_cache_and_runs_once(self, kind):
+        make, shape = self.KINDS[kind]
+        layer = make()
+        rng = tensor.make_rng(43)
+        x = rng.normal(size=shape).astype(np.float32)
+        out = layer.forward(x, train=True, rng=tensor.make_rng(44))
+        if kind != "drop_zero":  # a zero rate caches a scalar, not a mask
+            assert held_activations(layer)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        layer.backward(g)
+        assert held_activations(layer) == []
+        with pytest.raises(UsageError):
+            layer.backward(g)
+        # a new training forward arms it again
+        layer.forward(x, train=True, rng=tensor.make_rng(44))
+        layer.backward(g)

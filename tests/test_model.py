@@ -12,7 +12,8 @@ from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import is_channels_last, max_rel_err, one_pass_forward
+from util import (held_activations, is_channels_last, max_rel_err,
+                  one_pass_forward)
 
 
 def tiny_config(**overrides):
@@ -188,6 +189,50 @@ class TestBackward:
         pu, pp = net.forward(x, train=False)
         with pytest.raises(UsageError):
             net.backward(pu, pp, yu, yp, 0.5)
+
+    def test_consumes_every_cache_and_runs_once(self):
+        cfg = tiny_config(conv_dropout=(0.1, 0.1, 0.1, 0.1), dense_dropout=0.2)
+        net = PostureNet(cfg, tensor.make_rng(45))
+        x, yu, yp = make_batch(tensor.make_rng(46), cfg, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(47))
+        net.backward(pu, pp, yu, yp, 0.5)
+        for name, layer in net.stages + net.heads:
+            assert held_activations(layer) == [], name
+        with pytest.raises(UsageError):
+            net.backward(pu, pp, yu, yp, 0.5)
+
+    def test_train_step_peak_is_one_step(self):
+        # peak traced allocation of a default-config batch-64 train step,
+        # after a first step. The caches one step holds come to less than
+        # two float32 copies of every conv and pool map; on top of them the
+        # largest conv builds its column matrix and output. Layers that
+        # keep their caches past backward go over this bound.
+        cfg = ModelConfig(num_subjects=13, num_postures=17)
+        net = PostureNet(cfg, tensor.make_rng(73))
+        b = 64
+        x, yu, yp = make_batch(tensor.make_rng(74), cfg, b)
+        x = x.astype(np.float32)
+        shapes = cfg.feature_shapes()  # conv1 pool1 conv2 pool2 conv3 conv4
+        c1, c2, c3, c4 = cfg.conv_channels
+        maps = sum(b * c * h * w * 4
+                   for c, (h, w) in zip((c1, c1, c2, c2, c3, c4), shapes))
+        conv_hw = (shapes[0], shapes[2], shapes[4], shapes[5])
+        largest = max(b * h * w * (9 * cin + cout) * 4
+                      for (h, w), cin, cout in zip(conv_hw, (1, c1, c2, c3),
+                                                   cfg.conv_channels))
+
+        def step():
+            pu, pp = net.forward(x, train=True, rng=tensor.make_rng(75))
+            net.backward(pu, pp, yu, yp, 0.5)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest + 2 * maps, (peak, largest, maps)
 
     def test_lambda_zero_subject_head_gets_only_l2(self):
         cfg = tiny_config(l2_sigma=0.002)

@@ -402,6 +402,17 @@ def one_pass_forward(net, x, train=False, rng=None):
     return tuple(softmax(head.forward(h, train)) for _, head in net.heads)
 
 
+def held_activations(layer):
+    """Names of a layer's attributes that hold an array, or a tuple with an
+    array, other than the arrays of its params, stats and grads dicts: its
+    cached activations."""
+    owned = {id(a) for attr in ("params", "stats", "grads")
+             for a in getattr(layer, attr, {}).values()}
+    return [name for name, value in vars(layer).items()
+            if any(isinstance(a, np.ndarray) and id(a) not in owned
+                   for a in (value if isinstance(value, tuple) else (value,)))]
+
+
 def tensor_table(tensors):
     """The header's table of contents for the (name, array) pairs in
     `tensors`: one [name, little-endian dtype str, shape] each, in order."""
