@@ -162,7 +162,7 @@ def cmd_evaluate(args) -> int:
     data = _load_cache(args.cache_dir, args.stride)
     net = restore_net(load_checkpoint(args.checkpoint))
     report = harness.evaluate_model(net, data, np.arange(len(data)))
-    for task in ("posture_fine", "posture_coarse", "subject"):
+    for task in harness.TASKS:
         m = report[task]
         if m is None:
             print(f"{task}: skipped (subject count mismatch)")

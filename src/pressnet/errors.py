@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one type check of
+the config dataclasses."""
+
+from dataclasses import fields
 
 
 class PressnetError(Exception):
@@ -35,3 +38,26 @@ class TrainingFault(PressnetError):
 
 class UsageError(PressnetError):
     """An API was called out of sequence (e.g. backward without forward)."""
+
+
+# what each config annotation admits; a bool is admitted only as bool
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_field_types(config) -> None:
+    """ConfigError naming the first field of a config dataclass whose value
+    its annotation (a string) does not admit; None passes where it is the
+    default. A `tuple[kind, ...]` field also takes a list, stored as a
+    tuple; any other value is stored as given."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), f.type.removesuffix(" | None")
+        if value is None and f.default is None:
+            continue
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        items = (value,) if item == kind else value
+        if not (isinstance(items, (tuple, list)) and all(
+                isinstance(v, bool) is (item == "bool")
+                and isinstance(v, _KINDS[item]) for v in items)):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if item != kind:
+            setattr(config, f.name, tuple(value))

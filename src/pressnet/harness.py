@@ -21,7 +21,7 @@ import os
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import baselines as classical
 from . import dataio, signal
 from .checkpoint import Checkpoint, restore_net, save_checkpoint
 from .errors import (ConfigError, LabelError, NumericFault, TrainingFault,
-                     UsageError)
+                     UsageError, check_field_types)
 from .model import ModelConfig, PostureNet
 from .optim import AdamState, adam_step, lr_schedule
 from .tensor import make_rng
@@ -52,9 +52,8 @@ STREAM_EVAL_AUGMENT = 5
 
 EVAL_CHUNK = 256  # frames per inference forward in evaluate_model
 
-
-# what each TrainConfig annotation admits; a bool is admitted only as bool
-_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# evaluate_model's tasks, in report order
+TASKS = ("posture_fine", "posture_coarse", "subject")
 
 
 @dataclass
@@ -73,17 +72,9 @@ class TrainConfig:
     scheme: str = "kfold"
     k: int = 10
     split_level: str = "frame"  # "sequence" keeps recordings intact (stricter)
-    lr_decay_rate: float = 0.95
-    lr_decay_every: int = 10
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
-            if value is None and f.default is None:
-                continue  # lam, whose default depends on the scheme
-            if isinstance(value, bool) is not (kind == "bool") \
-                    or not isinstance(value, _KINDS[kind]):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)
         if self.lam is None:
             self.lam = 0.2 if self.scheme == "loso" else 0.5
         if not 0.0 <= self.lam <= 1.0:
@@ -104,12 +95,6 @@ class TrainConfig:
         if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
             raise ConfigError(f"base_lr must be finite and > 0, "
                               f"got {self.base_lr}")
-        if not 0.0 < self.lr_decay_rate <= 1.0:
-            raise ConfigError(f"lr_decay_rate must be in (0,1], "
-                              f"got {self.lr_decay_rate}")
-        if self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be >= 1, "
-                              f"got {self.lr_decay_every}")
 
 
 @dataclass
@@ -299,8 +284,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
                               "l2", "acc_user", "acc_posture")}
     params = net.params()
     for epoch in range(start_epoch, config.epochs):
-        lr = lr_schedule(config.base_lr, epoch, config.lr_decay_rate,
-                         config.lr_decay_every)
+        lr = lr_schedule(config.base_lr, epoch)
         order = make_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
         drop_rng = make_rng(config.seed, STREAM_DROPOUT, epoch)
         aug_rng = make_rng(config.seed, STREAM_AUGMENT, epoch)
@@ -398,15 +382,6 @@ def compute_metrics(cm: np.ndarray) -> Metrics:
                    recall=recall, specificity=specificity, accuracy=accuracy)
 
 
-def _forward_in_chunks(net: PostureNet, x: np.ndarray):
-    pu, pp = [], []
-    for s in range(0, x.shape[0], EVAL_CHUNK):
-        u, p = net.forward(x[s:s + EVAL_CHUNK], train=False)
-        pu.append(u)
-        pp.append(p)
-    return np.concatenate(pu), np.concatenate(pp)
-
-
 def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
                    include_subject: bool = True, augment_rng=None) -> dict:
     """Inference-mode evaluation on one test split.
@@ -416,6 +391,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     not the data's) 'subject' Metrics, plus per-category subject accuracy so
     subject results can be read either pooled or split by posture category.
     UsageError when the net's posture count is not the data's.
+    Frames are gathered, augmented and run EVAL_CHUNK at a time, in order.
     """
     if net.config.num_postures != data.num_postures:
         raise UsageError(f"checkpoint expects {net.config.num_postures} "
@@ -424,16 +400,16 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     test_idx = np.asarray(test_idx)
     if test_idx.size == 0:
         raise UsageError("empty test split")
-    x = data.x[test_idx]
-    if augment_rng is not None:
-        x = _augment_batch(x, augment_rng)
+    preds = []
+    for s in range(0, test_idx.size, EVAL_CHUNK):
+        x = data.x[test_idx[s:s + EVAL_CHUNK]]
+        if augment_rng is not None:
+            x = _augment_batch(x, augment_rng)
+        preds.append([p.argmax(axis=1) for p in net.forward(x, train=False)])
+    pred_u, pred_p = (np.concatenate(p) for p in zip(*preds))
     yu = data.subject_idx[test_idx]
     yp = data.posture_idx[test_idx]
     yc = data.coarse_idx[test_idx]
-
-    probs_u, probs_p = _forward_in_chunks(net, x)
-    pred_u = probs_u.argmax(axis=1)
-    pred_p = probs_p.argmax(axis=1)
 
     fine_cm = confusion_matrix(yp, pred_p, net.config.num_postures)
     coarse_cm = confusion_matrix(yc, posture_group(data)[pred_p],
@@ -458,10 +434,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
 def posture_group(data: FlatDataset) -> np.ndarray:
     """Fine-posture position -> coarse category index, from the data itself."""
     group = np.zeros(data.num_postures, dtype=np.int64)
-    for pos in range(data.num_postures):
-        mask = data.posture_idx == pos
-        if mask.any():
-            group[pos] = int(data.coarse_idx[np.argmax(mask)])
+    group[data.posture_idx] = data.coarse_idx
     return group
 
 
@@ -751,7 +724,7 @@ def _denan(obj):
 def aggregate_reports(fold_reports: list) -> dict:
     """Unweighted mean over folds; per-class rates averaged ignoring NaN."""
     out = {"folds": len(fold_reports)}
-    for task in ("posture_fine", "posture_coarse", "subject"):
+    for task in TASKS:
         reports = [r[task] for r in fold_reports]
         if any(r is None for r in reports):
             out[task] = None
@@ -788,7 +761,7 @@ def render_summary(aggregate: dict, config: TrainConfig) -> str:
         f"seed={config.seed} augment={config.augment}",
         f"folds: {aggregate['folds']}",
     ]
-    for task in ("posture_fine", "posture_coarse", "subject"):
+    for task in TASKS:
         agg = aggregate.get(task)
         if agg is None:
             lines.append(f"{task}: not evaluated")

@@ -25,12 +25,14 @@ With the default config the feature maps run
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import losses
-from .errors import CheckpointError, ConfigError, ShapeError, UsageError
+from .errors import (CheckpointError, ConfigError, ShapeError, UsageError,
+                     check_field_types)
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
                      MaxPool2D, backward_stages, collect, forward_stages)
 
@@ -39,24 +41,16 @@ from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
 class ModelConfig:
     num_subjects: int
     num_postures: int
-    conv_channels: tuple = (32, 64, 128, 128)
+    conv_channels: tuple[int, ...] = (32, 64, 128, 128)
     dense_width: int = 256
     leaky_slope: float = 0.2
-    conv_dropout: tuple = (0.1, 0.2, 0.3, 0.4)
+    conv_dropout: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
     dense_dropout: float = 0.5
     l2_sigma: float = 0.002
-    input_hw: tuple = (32, 64)
+    input_hw: tuple[int, ...] = (32, 64)
 
     def __post_init__(self):
-        self.conv_channels = tuple(self.conv_channels)
-        self.conv_dropout = tuple(float(p) for p in self.conv_dropout)
-        self.input_hw = tuple(self.input_hw)
-        for name in ("num_subjects", "num_postures", "dense_width",
-                     "conv_channels", "input_hw"):
-            value = getattr(self, name)
-            items = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in items):
-                raise ConfigError(f"{name} must hold ints, got {value!r}")
+        check_field_types(self)
         if len(self.input_hw) != 2:
             raise ConfigError(f"input_hw must be 2 sizes, got {self.input_hw}")
         if self.num_subjects < 2 or self.num_postures < 2:
@@ -72,8 +66,9 @@ class ModelConfig:
             raise ConfigError("leaky_slope must be in (0,1)")
         if self.dense_width < 1:
             raise ConfigError(f"dense_width must be >= 1, got {self.dense_width}")
-        if self.l2_sigma < 0.0:
-            raise ConfigError("l2_sigma must be nonnegative")
+        if not (math.isfinite(self.l2_sigma) and self.l2_sigma >= 0.0):
+            raise ConfigError(f"l2_sigma must be finite and >= 0, "
+                              f"got {self.l2_sigma}")
         self.feature_shapes()  # shape arithmetic must close at build time
 
     def feature_shapes(self):

@@ -1,5 +1,5 @@
-"""Adam with bias correction, and the step-decay learning-rate schedule
-whose settings the caller (TrainConfig) owns: each adam_step is given its lr.
+"""Adam with bias correction, and the paper's step-decay learning-rate
+schedule: each adam_step is given its lr.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ class AdamState:
         self.t = 0
 
 
-def lr_schedule(base_lr: float, epoch: int, rate: float, every: int) -> float:
-    """base_lr * rate ** floor(epoch / every)."""
-    return base_lr * rate ** (epoch // every)
+LR_DECAY_RATE, LR_DECAY_EVERY = 0.95, 10  # the paper's step decay
+
+
+def lr_schedule(base_lr: float, epoch: int) -> float:
+    """base_lr * LR_DECAY_RATE ** floor(epoch / LR_DECAY_EVERY)."""
+    return base_lr * LR_DECAY_RATE ** (epoch // LR_DECAY_EVERY)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:

@@ -287,9 +287,13 @@ class TestIncompleteContents:
         (lambda h: h.update(adam=None), "step count"),
         (lambda h: h.update(adam=-1), "step count"),
         (lambda h: h.update(adam=1.0), "step count"),
+        (lambda h: h["config"].update(conv_dropout=["x", 0, 0, 0]),
+         "conv_dropout"),
+        (lambda h: h["config"].update(l2_sigma=float("nan")), "l2_sigma"),
     ], ids=["unknown-config-field", "bad-config-value", "bad-dtype",
             "short-input-hw", "float-num-subjects", "partial-adam",
-            "null-adam", "negative-step", "float-step"])
+            "null-adam", "negative-step", "float-step", "text-conv-dropout",
+            "nan-l2-sigma"])
     def test_bad_header_values(self, tmp_path, edit, match):
         header, tensors = self.parts(small_net())
         edit(header)

@@ -332,8 +332,7 @@ class TestTrain:
         _, cache = corpus
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
-            {"epochs": 1, "seed": 3, "base_lr": 1e-3, "k": 2,
-             "lr_decay_rate": 0.5}))
+            {"epochs": 1, "seed": 3, "base_lr": 1e-3, "k": 2}))
         out = tmp_path / "run"
         rc = cli.main(["train", "--cache-dir", str(cache),
                        "--out-dir", str(out), "--config", str(cfg_file),
@@ -343,7 +342,6 @@ class TestTrain:
         assert stored["seed"] == 5      # flag beats file
         assert stored["epochs"] == 1    # file beats default
         assert stored["k"] == 2
-        assert stored["lr_decay_rate"] == 0.5
         assert stored["lam"] == 0.5     # TrainConfig's default
 
     @pytest.mark.parametrize("args, lam", [
@@ -382,7 +380,8 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "run"),
                        "--config", str(cfg_file)])
         assert rc == 2
-        assert "bogus_key" in capsys.readouterr().err
+        # the LR decay is the paper's, fixed: no longer a setting
+        assert "bogus_key, lr_decay_rate" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("content, message", [
@@ -648,8 +647,9 @@ class TestEvaluate:
         assert "conv1.w" in lines[0]
         assert "accuracy" not in captured.out
 
-    @pytest.mark.parametrize("field, value", [("input_hw", [32]),
-                                              ("num_subjects", 2.5)])
+    @pytest.mark.parametrize("field, value", [
+        ("input_hw", [32]), ("num_subjects", 2.5),
+        ("conv_dropout", ["x", 0, 0, 0])])
     def test_bad_config_in_header_is_one_error_line(
             self, corpus, trained_run, tmp_path, capsys, field, value):
         # these used to print a ValueError traceback, or to load a 2-class

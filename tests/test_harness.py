@@ -95,9 +95,9 @@ class TestTrainConfig:
             TrainConfig(epochs=2.0, k=1)
 
     def test_ints_and_float_subclasses_fill_float_fields(self):
-        cfg = TrainConfig(lam=0, base_lr=1, lr_decay_rate=np.float64(0.5))
+        cfg = TrainConfig(lam=0, base_lr=1)
         assert (cfg.lam, cfg.base_lr) == (0, 1)
-        assert cfg.lr_decay_rate == 0.5
+        assert TrainConfig(base_lr=np.float64(0.5)).base_lr == 0.5
 
     def test_lambda_default_follows_scheme(self):
         assert TrainConfig().lam == 0.5
@@ -482,6 +482,47 @@ class TestEvaluate:
                            f"dataset has {len(postures)}$"):
             harness.evaluate_model(net, data, np.arange(len(data)))
 
+    @staticmethod
+    def frames(n):
+        """n random frames over 2 subjects and 3 postures, and a tiny net."""
+        from pressnet.model import PostureNet
+        rng, cls = make_rng(35), np.arange(n) % 3
+        data = harness.FlatDataset(
+            x=rng.random((n, 1, 32, 64), dtype=np.float32),
+            subject_idx=np.arange(n) % 2, posture_idx=cls, coarse_idx=cls,
+            seq_id=np.zeros(n, dtype=np.int64), subject_ids=[1, 2],
+            posture_ids=[1, 10, 14])
+        return data, PostureNet(tiny_model(2, 3), make_rng(33))
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_split_is_not_copied_whole(self, augment):
+        # the split used to be gathered (and augmented) whole before the
+        # chunked forward: under `pressnet evaluate`, the whole dataset
+        data, net = self.frames(1536)
+        aug_rng = make_rng(5) if augment else None
+        tracemalloc.start()
+        try:
+            harness.evaluate_model(net, data, np.arange(len(data)),
+                                   augment_rng=aug_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.x.nbytes / 2, (peak, data.x.nbytes)
+
+    def test_augmented_chunks_draw_as_one_pass(self, monkeypatch):
+        # each chunk is augmented in test_idx order from the one rng, so the
+        # frames scored are those of augmenting the whole split at once
+        data, net = self.frames(300)
+        idx = np.arange(len(data))[::-1]
+        seen, forward = [], net.forward
+        monkeypatch.setattr(net, "forward", lambda x, train=False: (
+            seen.append(x.copy()), forward(x, train))[1])
+        harness.evaluate_model(net, data, idx, augment_rng=make_rng(5))
+        chunk = harness.EVAL_CHUNK
+        assert [len(x) for x in seen] == [chunk, len(data) - chunk]
+        expect = harness._augment_batch(data.x[idx], make_rng(5))
+        assert np.concatenate(seen).tobytes() == expect.tobytes()
+
     def test_subject_count_mismatch_skips_subject(self):
         # a 3-subject net used to score its subject head on 2 subjects
         data, net = self.build(model_config=tiny_model(3, 3))
@@ -678,11 +719,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("bad", [
         {"base_lr": -1.0}, {"base_lr": 0.0}, {"base_lr": float("nan")},
-        {"base_lr": float("inf")}, {"lr_decay_rate": 0.0},
-        {"lr_decay_rate": 1.5}, {"lr_decay_every": 0}])
+        {"base_lr": float("inf")}])
     def test_bad_schedule_refused_before_out_dir(self, tmp_path, bad):
-        # base_lr -1 used to train by gradient ascent; lr_decay_every 0
-        # used to create the run directory, then divide by zero in fold 0
+        # base_lr -1 used to train by gradient ascent
         data = self.build_data()
         with pytest.raises(ConfigError, match=next(iter(bad))):
             harness.run_experiment(data, self.config(**bad), tmp_path / "run",

@@ -49,8 +49,29 @@ class TestConfig:
         ("input_hw", (32, True)), ("num_subjects", np.int64(3))])
     def test_sizes_must_be_ints(self, field, value):
         # a float size used to be truncated when the layers were built
-        with pytest.raises(ConfigError, match=f"{field} must hold ints"):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
             ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("l2_sigma", float("nan")), ("l2_sigma", float("inf")),
+        ("leaky_slope", "0.2"), ("dense_dropout", None),
+        ("conv_dropout", ("x", 0, 0, 0)), ("conv_dropout", 5),
+        ("conv_dropout", [0.1, 0.1, True, 0.1]), ("conv_channels", 4)])
+    def test_bad_value_names_the_field(self, field, value):
+        # a NaN or inf l2_sigma used to build a net whose first loss was
+        # non-finite; the others escaped as a bare TypeError or ValueError
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
+
+    def test_lists_are_stored_as_tuples_and_values_as_given(self):
+        cfg = ModelConfig(num_subjects=2, num_postures=2,
+                          conv_channels=[1, 1, 2, 2], input_hw=[32, 64],
+                          conv_dropout=[0, 0.5, 0, 0],
+                          leaky_slope=np.float64(0.1))
+        assert cfg.conv_channels == (1, 1, 2, 2) and cfg.input_hw == (32, 64)
+        assert cfg.conv_dropout == (0, 0.5, 0, 0)
+        assert type(cfg.conv_dropout[0]) is int
+        assert type(cfg.leaky_slope) is np.float64
 
     @pytest.mark.parametrize("hw", [(32,), (32, 64, 1), ()])
     def test_input_hw_is_two_sizes(self, hw):

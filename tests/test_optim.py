@@ -8,16 +8,16 @@ from pressnet.optim import AdamState, adam_step, lr_schedule
 
 
 class TestLrSchedule:
+    # the paper's schedule: x0.95 every 10 epochs
     def test_first_decade_flat(self):
         for epoch in range(10):
-            assert lr_schedule(2e-5, epoch, 0.95, 10) == 2e-5
+            assert lr_schedule(2e-5, epoch) == 2e-5
 
     def test_one_decay(self):
-        assert lr_schedule(2e-5, 10, 0.95, 10) == pytest.approx(1.9e-5)
+        assert lr_schedule(2e-5, 10) == pytest.approx(1.9e-5)
 
     def test_epoch_39(self):
-        assert lr_schedule(2e-5, 39, 0.95, 10) == pytest.approx(
-            2e-5 * 0.95 ** 3)
+        assert lr_schedule(2e-5, 39) == pytest.approx(2e-5 * 0.95 ** 3)
 
 
 class TestAdam:
