@@ -342,19 +342,18 @@ class MLPBaseline:
     """
 
     WIDTHS = (128, 256, 256, 128, 64)
-    SLOPE = 0.2
     DTYPE = np.float32
 
     def __init__(self, in_features: int, n_classes: int, rng):
-        slope, dtype = self.SLOPE, self.DTYPE
+        dtype = self.DTYPE
         self.stages = []
         prev = in_features
         for i, w in enumerate(self.WIDTHS):
-            self.stages += [(f"d{i}", Dense(prev, w, rng, slope, dtype)),
-                            (f"act{i}", LeakyReLU(slope))]
+            self.stages += [(f"d{i}", Dense(prev, w, rng, dtype)),
+                            (f"act{i}", LeakyReLU())]
             prev = w
         self.stages.append((f"d{len(self.WIDTHS)}",
-                            Dense(prev, n_classes, rng, slope, dtype)))
+                            Dense(prev, n_classes, rng, dtype)))
         self.n_classes = n_classes
 
     def params(self) -> dict:

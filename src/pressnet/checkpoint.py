@@ -1,17 +1,20 @@
 """Versioned binary checkpoint container, all integers little-endian:
 
     magic   b"PNET1"
-    version u16 (currently 4)
-    header  u32 length + UTF-8 JSON: config, epoch, seed, dtype, adam (the
+    version u16 (currently 5)
+    header  u32 length + UTF-8 JSON: config, epoch, seed, adam (the
             optimizer's step count) and tensors, the table of contents:
             one [name, dtype str, shape] per tensor in file order, each
             name prefixed param:/stat:/adam.m:/adam.v:
     tensors each entry's raw little-endian bytes, and nothing after
 
 Every checkpoint is a resumable training state: it holds the Adam moments.
-Round-trips are bit-exact. Versions 1 and 2, which kept a binary record
-per tensor, and version 3, which could omit the moments and stored Adam's
-constants, are refused, with no migration.
+The table is the one record of the net's dtype: every parameter, statistic
+and moment has the same float dtype, or the file is refused. Round-trips
+are bit-exact. Versions 1 and 2, which kept a binary record per tensor,
+version 3, which could omit the moments and stored Adam's constants, and
+version 4, whose header repeated the dtype and whose config held the
+leaky slope and L2 weight, are refused, with no migration.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .optim import AdamState
 from .tensor import make_rng
 
 MAGIC = b"PNET1"
-VERSION = 4
-HEADER_KEYS = ("config", "epoch", "seed", "dtype", "adam", "tensors")
+VERSION = 5
+HEADER_KEYS = ("config", "epoch", "seed", "adam", "tensors")
 
 
 @dataclass
@@ -41,7 +44,7 @@ class Checkpoint:
     adam: AdamState
     epoch: int
     seed: int
-    dtype: str
+    dtype: np.dtype  # every tensor's
 
 
 def save_checkpoint(path, net: PostureNet, adam: AdamState, epoch: int,
@@ -51,8 +54,7 @@ def save_checkpoint(path, net: PostureNet, adam: AdamState, epoch: int,
     tensors = [(f"{g}:{k}", np.ascontiguousarray(v, v.dtype.newbyteorder("<")))
                for g, d in groups.items() for k, v in d.items()]
     header = {"config": net.config.as_dict(), "epoch": int(epoch),
-              "seed": int(seed), "dtype": np.dtype(net.dtype).name,
-              "adam": int(adam.t),
+              "seed": int(seed), "adam": int(adam.t),
               "tensors": [[n, v.dtype.str, list(v.shape)] for n, v in tensors]}
     hjson = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -110,10 +112,13 @@ def load_checkpoint(path) -> Checkpoint:
         offset += arr.nbytes
     if offset != len(buf):
         raise CheckpointError(f"{len(buf) - offset} bytes after the tensors")
+    dtypes = {a.dtype for g in groups.values() for a in g.values()}
+    if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
+        raise CheckpointError("tensors must share one float dtype, got "
+                              f"{sorted(d.name for d in dtypes)}")
 
     try:
         config = ModelConfig(**header["config"])
-        np.dtype(header["dtype"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad header: {exc!r}") from exc
     for key, what in (("epoch", "epoch"), ("seed", "seed"),
@@ -129,7 +134,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{g} does not match the parameters' "
                                   "names and shapes")
     return Checkpoint(config, groups["param"], groups["stat"], adam,
-                      header["epoch"], header["seed"], header["dtype"])
+                      header["epoch"], header["seed"], dtypes.pop())
 
 
 def restore_net(ckpt: Checkpoint) -> PostureNet:
@@ -139,7 +144,6 @@ def restore_net(ckpt: Checkpoint) -> PostureNet:
     running statistics, holds one the net does not have, or holds one of
     another shape.
     """
-    net = PostureNet(ckpt.config, make_rng(0),
-                     dtype=np.dtype(ckpt.dtype).type)
+    net = PostureNet(ckpt.config, make_rng(0), dtype=ckpt.dtype.type)
     net.set_params(ckpt.params, ckpt.bn_stats)
     return net

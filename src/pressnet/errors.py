@@ -48,16 +48,22 @@ def check_field_types(config) -> None:
     """ConfigError naming the first field of a config dataclass whose value
     its annotation (a string) does not admit; None passes where it is the
     default. A `tuple[kind, ...]` field also takes a list, stored as a
-    tuple; any other value is stored as given."""
+    tuple. A float value, alone or in a tuple, is stored as a Python float,
+    so equal configs write the same JSON (1 and 1.0 both as 1.0)."""
     for f in fields(config):
         value, kind = getattr(config, f.name), f.type.removesuffix(" | None")
         if value is None and f.default is None:
             continue
         item = kind.removeprefix("tuple[").removesuffix(", ...]")
         items = (value,) if item == kind else value
-        if not (isinstance(items, (tuple, list)) and all(
-                isinstance(v, bool) is (item == "bool")
-                and isinstance(v, _KINDS[item]) for v in items)):
+        ok = isinstance(items, (tuple, list)) and all(
+            isinstance(v, bool) is (item == "bool")
+            and isinstance(v, _KINDS[item]) for v in items)
+        if ok and item == "float":
+            try:
+                items = [float(v) for v in items]
+            except OverflowError:  # an int too large for a float
+                ok = False
+        if not ok:
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        if item != kind:
-            setattr(config, f.name, tuple(value))
+        setattr(config, f.name, tuple(items) if item != kind else items[0])

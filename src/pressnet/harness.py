@@ -730,19 +730,13 @@ def aggregate_reports(fold_reports: list) -> dict:
             out[task] = None
             continue
         acc = [r.accuracy for r in reports]
-        agg = {
-            "accuracy_mean": _nanmean(acc),
-            "accuracy_per_fold": [round(a, 6) for a in acc],
-            "precision_mean_per_class": [
-                _nanmean([r.precision[c] for r in reports])
-                for c in range(reports[0].precision.size)],
-            "recall_mean_per_class": [
-                _nanmean([r.recall[c] for r in reports])
-                for c in range(reports[0].recall.size)],
-            "specificity_mean_per_class": [
-                _nanmean([r.specificity[c] for r in reports])
-                for c in range(reports[0].specificity.size)],
-        }
+        agg = {"accuracy_mean": _nanmean(acc),
+               "accuracy_per_fold": [round(a, 6) for a in acc]}
+        for rate in ("precision", "recall", "specificity"):
+            per_fold = [getattr(r, rate) for r in reports]
+            agg[f"{rate}_mean_per_class"] = [
+                _nanmean([p[c] for p in per_fold])
+                for c in range(per_fold[0].size)]
         agg["precision_mean"] = _nanmean(agg["precision_mean_per_class"])
         out[task] = agg
     by_cat = [r.get("subject_by_category") for r in fold_reports]

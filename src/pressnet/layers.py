@@ -90,8 +90,9 @@ def _channel_sum(a2: np.ndarray, b: int, c: int) -> np.ndarray:
     return part.reshape(-1, c).sum(axis=0, dtype=np.float64)
 
 
-def init_std(fan_in: int, slope: float) -> float:
-    """Fan-in-scaled He std with the gain for a leaky rectifier."""
+def init_std(fan_in: int) -> float:
+    """Fan-in-scaled He std with the gain for LeakyReLU's slope."""
+    slope = LeakyReLU.SLOPE
     return float(np.sqrt(2.0 / ((1.0 + slope * slope) * fan_in)))
 
 
@@ -103,9 +104,9 @@ class Conv2D:
     backward computes only the parameter gradients and returns None.
     """
 
-    def __init__(self, cin: int, cout: int, rng, slope: float,
-                 dtype=np.float32, needs_input_grad: bool = True):
-        self.w = rng.normal(0.0, init_std(cin * 9, slope),
+    def __init__(self, cin: int, cout: int, rng, dtype=np.float32,
+                 needs_input_grad: bool = True):
+        self.w = rng.normal(0.0, init_std(cin * 9),
                             size=(cout, cin, 3, 3)).astype(dtype)
         self.params = {"w": self.w}
         self.stats = {}
@@ -242,10 +243,11 @@ class MaxPool2D:
 
 
 class LeakyReLU:
-    def __init__(self, slope: float = 0.2):
-        if not 0.0 < slope < 1.0:
-            raise ConfigError(f"leaky slope must be in (0,1), got {slope}")
-        self.slope = slope
+    """max(x, SLOPE * x); SLOPE is also the gain of init_std."""
+
+    SLOPE = 0.2
+
+    def __init__(self):
         self._pos = None
 
     def forward(self, x, train: bool, rng=None):
@@ -253,7 +255,7 @@ class LeakyReLU:
         # and slope * x elsewhere, ±0 and ±inf included
         if train:
             self._pos = x > 0
-        return np.maximum(x, x.dtype.type(self.slope) * x)
+        return np.maximum(x, x.dtype.type(self.SLOPE) * x)
 
     def backward(self, g):
         if self._pos is None:
@@ -261,7 +263,7 @@ class LeakyReLU:
         # g times 1 where x > 0 and slope elsewhere: (1 - s) + s rounds to
         # exactly 1 for every s in (0, 1), and a multiply, unlike a select,
         # does not branch on mixed signs
-        s = g.dtype.type(self.slope)
+        s = g.dtype.type(self.SLOPE)
         pos, self._pos = self._pos, None
         factor = pos.astype(g.dtype)
         factor *= 1 - s
@@ -324,9 +326,8 @@ class Flatten:
 class Dense:
     """Affine map x @ w + b."""
 
-    def __init__(self, fan_in: int, units: int, rng, slope: float,
-                 dtype=np.float32):
-        self.w = rng.normal(0.0, init_std(fan_in, slope),
+    def __init__(self, fan_in: int, units: int, rng, dtype=np.float32):
+        self.w = rng.normal(0.0, init_std(fan_in),
                             size=(fan_in, units)).astype(dtype)
         self.b = np.zeros(units, dtype)
         self.params = {"w": self.w, "b": self.b}

@@ -3,8 +3,8 @@
 Four conv blocks (the first two with max-pooling) feed two dense layers,
 which branch into two parallel softmax heads: one over subjects, one over
 postures. A batch norm follows each (bias-free) conv. Training minimizes
-lam * user_loss + (1 - lam) * posture_loss plus an L2 penalty on
-convolution and dense weights.
+lam * user_loss + (1 - lam) * posture_loss plus an L2 penalty, of weight
+PostureNet.L2_SIGMA, on convolution and dense weights.
 
 The shared trunk is PostureNet.stages, one ordered list of (name, layer)
 pairs: conv1 bn1 pool1 act1 drop1 ... conv4 bn4 act4 drop4 flatten fc1
@@ -25,12 +25,11 @@ With the default config the feature maps run
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import losses
+from . import dataio, losses
 from .errors import (CheckpointError, ConfigError, ShapeError, UsageError,
                      check_field_types)
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
@@ -43,11 +42,9 @@ class ModelConfig:
     num_postures: int
     conv_channels: tuple[int, ...] = (32, 64, 128, 128)
     dense_width: int = 256
-    leaky_slope: float = 0.2
     conv_dropout: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
     dense_dropout: float = 0.5
-    l2_sigma: float = 0.002
-    input_hw: tuple[int, ...] = (32, 64)
+    input_hw: tuple[int, ...] = (dataio.GRID_ROWS, dataio.GRID_COLS)
 
     def __post_init__(self):
         check_field_types(self)
@@ -62,13 +59,8 @@ class ModelConfig:
         for p in (*self.conv_dropout, self.dense_dropout):
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"dropout rate {p} outside [0,1)")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError("leaky_slope must be in (0,1)")
         if self.dense_width < 1:
             raise ConfigError(f"dense_width must be >= 1, got {self.dense_width}")
-        if not (math.isfinite(self.l2_sigma) and self.l2_sigma >= 0.0):
-            raise ConfigError(f"l2_sigma must be finite and >= 0, "
-                              f"got {self.l2_sigma}")
         self.feature_shapes()  # shape arithmetic must close at build time
 
     def feature_shapes(self):
@@ -111,32 +103,33 @@ class PostureNet:
     # are 7.6 and 12.4 MB (61 and 99 MB in a 256-frame pass); 32 ran
     # faster than 16, 64 and 256.
     EVAL_BLOCK = 32
+    L2_SIGMA = 0.002  # the paper's L2 weight: loss adds sigma * sum(w ** 2)
 
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        slope, width = config.leaky_slope, config.dense_width
+        width = config.dense_width
         # layers are built in stage order, so the weights draw from rng in it
         self.stages = []
         cin = 1
         for i, cout in enumerate(config.conv_channels, start=1):
             # conv1's input is the data: no gradient flows back into it
-            self.stages += [(f"conv{i}", Conv2D(cin, cout, rng, slope, dtype,
+            self.stages += [(f"conv{i}", Conv2D(cin, cout, rng, dtype,
                                                 needs_input_grad=i > 1)),
                             (f"bn{i}", BatchNorm2D(cout, dtype))]
             if i <= 2:
                 self.stages.append((f"pool{i}", MaxPool2D()))
-            self.stages += [(f"act{i}", LeakyReLU(slope)),
+            self.stages += [(f"act{i}", LeakyReLU()),
                             (f"drop{i}", Dropout(config.conv_dropout[i - 1]))]
             cin = cout
         self.stages.append(("flatten", Flatten()))
         fan_in = config.flat_features
         for fc in ("fc1", "fc2"):
-            self.stages += [(fc, Dense(fan_in, width, rng, slope, dtype)),
-                            (f"act_{fc}", LeakyReLU(slope)),
+            self.stages += [(fc, Dense(fan_in, width, rng, dtype)),
+                            (f"act_{fc}", LeakyReLU()),
                             (f"drop_{fc}", Dropout(config.dense_dropout))]
             fan_in = width
-        self.heads = [(name, Dense(width, n, rng, slope, dtype))
+        self.heads = [(name, Dense(width, n, rng, dtype))
                       for name, n in (("head_subject", config.num_subjects),
                                       ("head_posture", config.num_postures))]
         self._cached_train = False
@@ -230,7 +223,7 @@ class PostureNet:
         lp = losses.cross_entropy(probs_p, labels_p)
         params = self.params()
         l2 = losses.l2_penalty((params[k] for k in self.l2_weight_keys()),
-                               self.config.l2_sigma)
+                               self.L2_SIGMA)
         return losses.combined_loss(lu, lp, lam) + l2, lu, lp, l2
 
     # ------------------------------------------------------------ backward
@@ -254,7 +247,7 @@ class PostureNet:
         g = head_u.backward(g_u) + head_p.backward(g_p)
         backward_stages(self.stages, g)  # None: conv1's input is the data
         grads = collect(self.stages + self.heads, "grads")
-        sigma2 = dt(2.0 * self.config.l2_sigma)
+        sigma2 = dt(2.0 * self.L2_SIGMA)
         params = self.params()
         for key in self.l2_weight_keys():
             grads[key] = grads[key] + sigma2 * params[key]

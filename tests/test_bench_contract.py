@@ -74,9 +74,9 @@ def test_tracer_times_parse_and_median(monkeypatch, tmp_path):
 
 
 def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch):
-    # a chunk of harness._forward_in_chunks is one model.forward_eval span
-    # whatever blocks the network runs it in, so the per-chunk metrics sum
-    # every block's layer spans and count one chunk's im2col bytes
+    # a chunk of evaluate_model's EVAL_CHUNK loop is one model.forward_eval
+    # span whatever blocks the network runs it in, so the per-chunk metrics
+    # sum every block's layer spans and count one chunk's im2col bytes
     monkeypatch.syspath_prepend(str(BENCH))
     import catalog
     import spans

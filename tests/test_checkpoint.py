@@ -17,12 +17,12 @@ from pressnet.optim import AdamState, adam_step
 from util import pack_checkpoint, tensor_table
 
 
-def small_net(dtype=np.float32):
-    cfg = ModelConfig(num_subjects=3, num_postures=4,
-                      conv_channels=(1, 1, 2, 2), dense_width=4,
-                      conv_dropout=(0.0, 0.0, 0.0, 0.0), dense_dropout=0.0,
-                      input_hw=(29, 29))
-    return PostureNet(cfg, tensor.make_rng(77), dtype=dtype)
+def small_net(dtype=np.float32, **overrides):
+    kw = dict(num_subjects=3, num_postures=4, conv_channels=(1, 1, 2, 2),
+              dense_width=4, conv_dropout=(0.0, 0.0, 0.0, 0.0),
+              dense_dropout=0.0, input_hw=(29, 29))
+    kw.update(overrides)
+    return PostureNet(ModelConfig(**kw), tensor.make_rng(77), dtype=dtype)
 
 
 def save(path, net, epoch=0, seed=0):
@@ -125,13 +125,29 @@ class TestRoundTrip:
         assert np.array_equal(pp1, pp2)
 
     def test_float64_net_round_trips(self, tmp_path):
+        # the tensor table is the file's one record of the dtype
         net = small_net(dtype=np.float64)
         save(tmp_path / "d.ckpt", net)
         ckpt = load_checkpoint(tmp_path / "d.ckpt")
-        assert ckpt.dtype == "float64"
+        assert ckpt.dtype == np.float64
         for k, v in net.params().items():
             assert ckpt.params[k].dtype == np.float64
             assert ckpt.params[k].tobytes() == v.tobytes()
+        restored = restore_net(ckpt)
+        assert restored.dtype is np.float64
+        save_checkpoint(tmp_path / "again.ckpt", restored, ckpt.adam,
+                        ckpt.epoch, ckpt.seed)
+        assert (tmp_path / "again.ckpt").read_bytes() == \
+            (tmp_path / "d.ckpt").read_bytes()
+
+    def test_equal_configs_write_the_same_bytes(self, tmp_path):
+        # conv_dropout=(0, 0, 0, 0) used to be stored as [0, 0, 0, 0], and
+        # (0.0, 0.0, 0.0, 0.0) as [0.0, 0.0, 0.0, 0.0]
+        for zero in (0, 0.0):
+            save(tmp_path / f"{zero!r}.ckpt",
+                 small_net(conv_dropout=(zero,) * 4, dense_dropout=zero))
+        assert (tmp_path / "0.ckpt").read_bytes() == \
+            (tmp_path / "0.0.ckpt").read_bytes()
 
     def test_config_header_carries_every_field(self):
         cfg = small_net().config
@@ -154,7 +170,7 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_is_refused(self, tmp_path, version):
         # the magic and the version number are all a refusal reads
         old = tmp_path / f"v{version}.ckpt"
@@ -198,7 +214,7 @@ class TestIncompleteContents:
     @staticmethod
     def parts(net):
         header = {"config": net.config.as_dict(), "epoch": 0, "seed": 0,
-                  "dtype": "float32", "adam": 0}
+                  "adam": 0}
         tensors = [(f"param:{k}", v) for k, v in net.params().items()]
         tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
         tensors += zero_moments(tensors)
@@ -257,6 +273,23 @@ class TestIncompleteContents:
         with pytest.raises(CheckpointError, match=group):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("prefix, dtype", [
+        ("adam.", np.float64), ("stat:", np.float64), ("", np.int32)],
+        ids=["float64-moments", "float64-stats", "int-tensors"])
+    def test_tensors_must_share_one_float_dtype(self, tmp_path, prefix,
+                                                dtype):
+        # float64 moments beside float32 parameters used to load and resume
+        # in mixed precision; the header's dtype was all the net followed
+        header, tensors = self.parts(small_net())
+        tensors = [(n, v.astype(dtype) if n.startswith(prefix) else v)
+                   for n, v in tensors]
+        header["tensors"] = tensor_table(tensors)
+        path = tmp_path / "d.ckpt"
+        path.write_bytes(pack_checkpoint(header, tensors))
+        with pytest.raises(CheckpointError, match="one float dtype") as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
     def test_refused_set_params_writes_nothing(self):
         net = small_net()
         before = {k: v.copy() for k, v in net.params().items()}
@@ -280,7 +313,6 @@ class TestIncompleteContents:
     @pytest.mark.parametrize("edit, match", [
         (lambda h: h["config"].update(bogus=1), "bogus"),
         (lambda h: h["config"].update(conv_channels=[1, 2]), "conv_channels"),
-        (lambda h: h.update(dtype="no-such-type"), "no-such-type"),
         (lambda h: h["config"].update(input_hw=[32]), "input_hw"),
         (lambda h: h["config"].update(num_subjects=2.5), "num_subjects"),
         (lambda h: h.update(adam={"t": 1}), "step count"),
@@ -290,9 +322,9 @@ class TestIncompleteContents:
         (lambda h: h["config"].update(conv_dropout=["x", 0, 0, 0]),
          "conv_dropout"),
         (lambda h: h["config"].update(l2_sigma=float("nan")), "l2_sigma"),
-    ], ids=["unknown-config-field", "bad-config-value", "bad-dtype",
-            "short-input-hw", "float-num-subjects", "partial-adam",
-            "null-adam", "negative-step", "float-step", "text-conv-dropout",
+    ], ids=["unknown-config-field", "bad-config-value", "short-input-hw",
+            "float-num-subjects", "partial-adam", "null-adam",
+            "negative-step", "float-step", "text-conv-dropout",
             "nan-l2-sigma"])
     def test_bad_header_values(self, tmp_path, edit, match):
         header, tensors = self.parts(small_net())

@@ -629,7 +629,7 @@ class TestEvaluate:
         _, cache = corpus
         ckpt = load_checkpoint(trained_run / "fold_00" / "model.ckpt")
         header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
-                  "seed": ckpt.seed, "dtype": ckpt.dtype, "adam": ckpt.adam.t}
+                  "seed": ckpt.seed, "adam": ckpt.adam.t}
         groups = {"param": ckpt.params, "stat": ckpt.bn_stats,
                   "adam.m": ckpt.adam.m, "adam.v": ckpt.adam.v}
         tensors = [(f"{g}:{k}", v) for g, d in groups.items()

@@ -84,7 +84,9 @@ class TestTrainConfig:
         ("epochs", 1.5), ("batch_size", 8.0), ("seed", np.int64(3)),
         ("seed", 1.5), ("augment", "no"), ("augment_eval", 1),
         ("lam", True), ("base_lr", "1e-3"), ("k", True), ("scheme", None),
-        ("split_level", 0)])
+        ("split_level", 0),
+        # an int no float can hold used to escape as an OverflowError
+        pytest.param("base_lr", 10**400, id="base_lr-huge-int")])
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             TrainConfig(**{field: value})
@@ -95,9 +97,12 @@ class TestTrainConfig:
             TrainConfig(epochs=2.0, k=1)
 
     def test_ints_and_float_subclasses_fill_float_fields(self):
+        # each is stored as a Python float, the one form JSON writes
         cfg = TrainConfig(lam=0, base_lr=1)
-        assert (cfg.lam, cfg.base_lr) == (0, 1)
-        assert TrainConfig(base_lr=np.float64(0.5)).base_lr == 0.5
+        assert (cfg.lam, cfg.base_lr) == (0.0, 1.0)
+        assert (type(cfg.lam), type(cfg.base_lr)) == (float, float)
+        lr = TrainConfig(base_lr=np.float64(0.5)).base_lr
+        assert lr == 0.5 and type(lr) is float
 
     def test_lambda_default_follows_scheme(self):
         assert TrainConfig().lam == 0.5
@@ -111,7 +116,8 @@ class TestTrainConfig:
     def test_negative_zero_lambda_is_lambda_0(self):
         lam = TrainConfig(lam=-0.0).lam
         assert lam == 0.0 and str(lam) == "0.0"
-        assert TrainConfig(lam=1).lam == 1  # an int stays as given
+        lam = TrainConfig(lam=1).lam
+        assert lam == 1.0 and str(lam) == "1.0"
 
 
 class TestLoso:
@@ -641,6 +647,17 @@ class TestRunExperiment:
         c1 = (tmp_path / "r1" / "fold_00" / "model.ckpt").read_bytes()
         c2 = (tmp_path / "r2" / "fold_00" / "model.ckpt").read_bytes()
         assert c1 == c2
+
+    def test_int_and_float_lambda_write_the_same_files(self, tmp_path):
+        # lam=1 used to write "lam": 1 and lambda=1, where 1.0 wrote 1.0
+        data = self.build_data()
+        for lam in (1, 1.0):
+            harness.run_experiment(data, self.config(epochs=0, lam=lam),
+                                   tmp_path / repr(lam),
+                                   model_config=tiny_model(2, 2))
+        for name in ("config.json", "summary.txt"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "1.0" / name).read_bytes()
 
     def test_loso_skips_subject_metrics(self, tmp_path):
         data = self.build_data()

@@ -53,25 +53,29 @@ class TestConfig:
             ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("l2_sigma", float("nan")), ("l2_sigma", float("inf")),
-        ("leaky_slope", "0.2"), ("dense_dropout", None),
-        ("conv_dropout", ("x", 0, 0, 0)), ("conv_dropout", 5),
-        ("conv_dropout", [0.1, 0.1, True, 0.1]), ("conv_channels", 4)])
+        ("dense_dropout", "0.5"),
+        pytest.param("dense_dropout", 10**400, id="dense_dropout-huge-int"),
+        pytest.param("conv_dropout", (0, 0, 0, -10**400),
+                     id="conv_dropout-huge-int"),
+        ("dense_dropout", None), ("conv_dropout", ("x", 0, 0, 0)),
+        ("conv_dropout", 5), ("conv_dropout", [0.1, 0.1, True, 0.1]),
+        ("conv_channels", 4)])
     def test_bad_value_names_the_field(self, field, value):
-        # a NaN or inf l2_sigma used to build a net whose first loss was
-        # non-finite; the others escaped as a bare TypeError or ValueError
+        # each is refused for its type, before any range check; an int no
+        # float can hold is refused as not a float
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
 
-    def test_lists_are_stored_as_tuples_and_values_as_given(self):
+    def test_lists_are_stored_as_tuples_and_floats_as_floats(self):
         cfg = ModelConfig(num_subjects=2, num_postures=2,
                           conv_channels=[1, 1, 2, 2], input_hw=[32, 64],
                           conv_dropout=[0, 0.5, 0, 0],
-                          leaky_slope=np.float64(0.1))
+                          dense_dropout=np.float64(0.25))
         assert cfg.conv_channels == (1, 1, 2, 2) and cfg.input_hw == (32, 64)
-        assert cfg.conv_dropout == (0, 0.5, 0, 0)
-        assert type(cfg.conv_dropout[0]) is int
-        assert type(cfg.leaky_slope) is np.float64
+        assert cfg.conv_dropout == (0.0, 0.5, 0.0, 0.0)
+        assert [type(p) for p in cfg.conv_dropout] == [float] * 4
+        assert type(cfg.dense_dropout) is float and cfg.dense_dropout == 0.25
+        assert type(cfg.num_subjects) is int
 
     @pytest.mark.parametrize("hw", [(32,), (32, 64, 1), ()])
     def test_input_hw_is_two_sizes(self, hw):
@@ -83,8 +87,6 @@ class TestConfig:
             ModelConfig(num_subjects=1, num_postures=3)
         with pytest.raises(ConfigError):
             ModelConfig(num_subjects=2, num_postures=2, dense_dropout=1.0)
-        with pytest.raises(ConfigError):
-            ModelConfig(num_subjects=2, num_postures=2, leaky_slope=0.0)
         with pytest.raises(ConfigError, match="dense_width"):
             ModelConfig(num_subjects=2, num_postures=2, dense_width=0)
 
@@ -256,13 +258,14 @@ class TestBackward:
         assert peak < largest + 2 * maps, (peak, largest, maps)
 
     def test_lambda_zero_subject_head_gets_only_l2(self):
-        cfg = tiny_config(l2_sigma=0.002)
+        cfg = tiny_config()
         net = PostureNet(cfg, tensor.make_rng(47), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(48), cfg, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(49))
         grads = net.backward(pu, pp, yu, yp, 0.0)
         w = net.params()["head_subject.w"]
-        assert np.array_equal(grads["head_subject.w"], 2 * 0.002 * w)
+        assert np.array_equal(grads["head_subject.w"],
+                              2 * PostureNet.L2_SIGMA * w)
         assert np.array_equal(grads["head_subject.b"], np.zeros_like(grads["head_subject.b"]))
 
     def test_lambda_one_invariant_to_posture_permutation(self):
@@ -469,7 +472,7 @@ class TestLayout:
 
 class TestLoss:
     def test_loss_includes_l2(self):
-        cfg = tiny_config(l2_sigma=0.01)
+        cfg = tiny_config()
         net = PostureNet(cfg, tensor.make_rng(60), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(61), cfg, 2)
         pu, pp = net.forward(x)
