@@ -146,9 +146,13 @@ class BatchNorm2D:
 
     Eval mode is the affine map of Ioffe & Szegedy (2015, §3.2): two passes,
     x * scale + shift, with scale = gamma * inv_std and shift = beta -
-    running_mean * scale computed per call from the running statistics.
-    Its bits are those of that scale/shift form, which differ from
-    (x - mean) * inv_std * gamma + beta by a few ulps.
+    running_mean * scale computed per call from the running statistics
+    (eval_affine). Its bits are those of that scale/shift form, which
+    differ from (x - mean) * inv_std * gamma + beta by a few ulps. Per
+    channel the map never decreases as x grows where scale > 0, never
+    increases where scale < 0 and is constant on finite x where scale is
+    zero, so the network's inference runs it after the max-pool, on the
+    pooled map, with the same bits.
     """
 
     EPS = 1e-5       # added to the variance before the square root
@@ -165,13 +169,19 @@ class BatchNorm2D:
         self.grads = {}
         self._cache = None
 
+    def eval_affine(self):
+        """The eval map's per-channel (scale, shift), from the running
+        statistics as they are now."""
+        inv_std = 1.0 / np.sqrt(self.running_var
+                                + self.running_var.dtype.type(self.EPS))
+        scale = self.gamma * inv_std
+        return scale, self.beta - self.running_mean * scale
+
     def forward(self, x, train: bool, rng=None):
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
-            inv_std = 1.0 / np.sqrt(self.running_var + x.dtype.type(self.EPS))
-            scale = self.gamma * inv_std
-            shift = self.beta - self.running_mean * scale
+            scale, shift = self.eval_affine()
             out = x2 * np.tile(scale, w)
             out += np.tile(shift, w)
             return _unrows(out, x.shape)
@@ -225,6 +235,13 @@ class MaxPool2D:
     def __init__(self):
         self._argmax = None
         self._in_shape = None
+
+    @classmethod
+    def reads(cls, h: int, w: int):
+        """(rows, cols): the leading rows and columns of an h x w input that
+        some window covers; the pool never reads the rest."""
+        return tuple((n - cls.WINDOW) // cls.STRIDE * cls.STRIDE + cls.WINDOW
+                     for n in (h, w))
 
     def forward(self, x, train: bool, rng=None):
         out, argmax = tensor.maxpool2d(x, window=self.WINDOW,

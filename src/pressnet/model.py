@@ -13,11 +13,15 @@ both read its output. Forward runs the stages in order, backward in
 reverse, and parameters, statistics and gradients are keyed "<stage>.<key>"
 in stage order, heads last.
 
-Inference runs the same stage loop over blocks of at most
-PostureNet.EVAL_BLOCK frames and concatenates their probabilities, so its
-working set is one block's activations whatever the batch; each frame's
-probabilities are those of its block's pass. Training runs each batch in
-one pass.
+Inference runs the stages over blocks of at most PostureNet.EVAL_BLOCK
+frames and concatenates their probabilities, so its working set is one
+block's activations whatever the batch; each frame's probabilities are
+those of its block's pass. Each conv -> bn -> pool triple runs at pooled
+resolution (_pooled_block): the conv sees only the input rows and columns
+its pool reads, the pool runs on the conv output, and batch norm on the
+pooled map. Every stage's forward is still called, and the probabilities
+are bit for bit those of running the stages in order. Training runs each
+batch in one pass, in stage order.
 
 With the default config the feature maps run
 32x64 -> 30x62 -> pool 14x30 -> 12x28 -> pool 5x13 -> 3x11 -> 1x9.
@@ -99,9 +103,9 @@ class PostureNet:
     """Fig.-2-style network instance: parameters, forward, backward."""
 
     # Frames per stage-loop pass at inference. At 32 frames of the default
-    # config the largest arrays, conv1's output and conv2's column matrix,
-    # are 7.6 and 12.4 MB (61 and 99 MB in a 256-frame pass); 32 ran
-    # faster than 16, 64 and 256.
+    # config the largest arrays, conv1's cropped output and conv2's column
+    # matrix, are 7.2 and 10.9 MB (58 and 88 MB in a 256-frame pass); 32
+    # ran faster than 16, 64 and 256.
     EVAL_BLOCK = 32
     L2_SIGMA = 0.002  # the paper's L2 weight: loss adds sigma * sum(w ** 2)
 
@@ -192,7 +196,9 @@ class PostureNet:
         Train mode runs the whole batch in one pass, caches everything
         backward needs and draws dropout masks from rng. Inference is
         deterministic, uses running batch-norm statistics and runs blocks of
-        at most EVAL_BLOCK frames, whose probabilities it concatenates.
+        at most EVAL_BLOCK frames, whose probabilities it concatenates; in
+        each block a pooled conv block runs its batch norm after the pool,
+        which changes no bit of the result.
         """
         if (x.ndim != 4 or x.shape[0] < 1 or x.shape[1] != 1
                 or x.shape[2:] != self.config.input_hw):
@@ -201,19 +207,33 @@ class PostureNet:
                 f"{self.config.input_hw[1]}] with B >= 1, got {x.shape}")
         h = x.astype(self.dtype, copy=False)
         if train:
-            probs = self._run_stages(h, True, rng)
+            probs = self._heads(forward_stages(self.stages, h, True, rng), True)
         else:
             step = self.EVAL_BLOCK
-            blocks = [self._run_stages(h[s:s + step], False, None)
+            blocks = [self._heads(self._infer(h[s:s + step]), False)
                       for s in range(0, len(h), step)]
             probs = tuple(np.concatenate(p) for p in zip(*blocks))
         self._cached_train = train
         return probs
 
-    def _run_stages(self, h, train: bool, rng):
-        h = forward_stages(self.stages, h, train, rng)
+    def _heads(self, h, train: bool):
         logits_u, logits_p = (head.forward(h, train) for _, head in self.heads)
         return losses.softmax(logits_u), losses.softmax(logits_p)
+
+    def _infer(self, h):
+        """The eval stage loop, each conv -> bn -> pool triple run at pooled
+        resolution by _pooled_block: the trunk's output, bit for bit that of
+        forward_stages(self.stages, h, False)."""
+        stages = [layer for _, layer in self.stages]
+        i = 0
+        while i < len(stages):
+            if i + 2 < len(stages) and isinstance(stages[i + 2], MaxPool2D):
+                h = _pooled_block(h, *stages[i:i + 3])
+                i += 3
+            else:
+                h = stages[i].forward(h, False)
+                i += 1
+        return h
 
     # ------------------------------------------------------------- losses
 
@@ -252,3 +272,31 @@ class PostureNet:
         for key in self.l2_weight_keys():
             grads[key] = grads[key] + sigma2 * params[key]
         return grads
+
+
+def _pooled_block(x, conv: Conv2D, bn: BatchNorm2D, pool: MaxPool2D):
+    """pool(bn(conv(x))) at inference, with batch norm run after the pool.
+
+    The eval batch norm maps each channel by fl(fl(y * scale) + shift).
+    Float rounding is monotone, so for scale > 0 that map never decreases
+    as y grows and commutes with max-pooling; for scale < 0 it never
+    increases, so the max of the map is the map of the min, taken here as
+    -pool(-y), which is exact. A zero scale maps a finite y to a constant.
+    So for finite conv outputs the result is bit for bit that of the stage
+    order, up to the sign of a zero when shift is -0. The conv sees only the
+    input rows and columns under the pool's windows, as a channels-last
+    copy, and every stage's forward is still called.
+    """
+    rows, cols = pool.reads(x.shape[2] - 2, x.shape[3] - 2)  # 3x3 valid
+    crop = x.transpose(0, 2, 3, 1)[:, :rows + 2, :cols + 2]
+    y = conv.forward(np.ascontiguousarray(crop).transpose(0, 3, 1, 2), False)
+    flip = bn.eval_affine()[0] < 0
+    if flip.any():
+        sign = np.where(flip, -1, 1).astype(y.dtype)[:, None, None]
+        y *= sign
+        pooled = pool.forward(y, False)
+        pooled *= sign
+    else:
+        pooled = pool.forward(y, False)
+    del y
+    return bn.forward(pooled, False)

@@ -11,7 +11,9 @@ contiguous view. The pooling forward keeps its input's layout. Kernel
 weights stay (Cout, Cin, kh, kw). The convolution reads its column matrix
 from the input's NHWC view, offset-major and channel-minor, so a
 channels-last input is copied in runs of C contiguous values, and its GEMM
-output already is the channels-last result.
+output already is the channels-last result. A one-channel input (the
+network's conv1) has a column matrix only kh*kw wide, gathered by one
+shifted slice copy per column.
 
 Kernels compute only what their caller uses: the convolution backward
 skips the input gradient when asked (the first layer's input is the data)
@@ -49,10 +51,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int):
     """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
     (Ho, Wo). Columns are offset-major and channel-minor: each window row
     is read from the NHWC view, a run of C contiguous floats per offset
-    when x is channels-last."""
+    when x is channels-last. A one-channel input is gathered by kh*kw
+    shifted slice copies, one column each, which beats the 6-D window
+    copy at C = 1 and loses to it from C = 2 on."""
+    b, c, h, w = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    if c == 1:
+        cols = np.empty((b, ho, wo, kh * kw), dtype=x.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                cols[..., u * kw + v] = x[:, 0, u:u + ho, v:v + wo]
+        return cols.reshape(b * ho * wo, kh * kw), ho, wo
     windows = sliding_window_view(x.transpose(0, 2, 3, 1), (kh, kw),
                                   axis=(1, 2))  # (B,Ho,Wo,C,kh,kw)
-    b, ho, wo, c = windows.shape[:4]
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo,
                                                        kh * kw * c)
     return cols, ho, wo
@@ -110,6 +121,18 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     return gx.transpose(0, 3, 1, 2), grad_k
 
 
+def _max_of(views):
+    """Elementwise max of same-shape views, left to right, into a fresh
+    array laid out like them: np.maximum of the first two, then the rest in
+    place, with no copy of the first."""
+    if len(views) == 1:
+        return views[0].copy(order="K")
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 def maxpool2d(x: np.ndarray, window: int, stride: int,
               need_argmax: bool = True):
     """Max-pool a (B,C,H,W) array over window x window patches.
@@ -131,14 +154,8 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
         raise ConfigError(f"stride must be >= 1, got {stride}")
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    colmax = np.empty_like(x[..., 0:span_w:stride])
-    np.copyto(colmax, x[..., 0:span_w:stride])
-    for v in range(1, window):
-        np.maximum(colmax, x[..., v:v + span_w:stride], out=colmax)
-    out = np.empty_like(colmax[:, :, 0:span_h:stride])
-    np.copyto(out, colmax[:, :, 0:span_h:stride])
-    for u in range(1, window):
-        np.maximum(out, colmax[:, :, u:u + span_h:stride], out=out)
+    colmax = _max_of([x[..., v:v + span_w:stride] for v in range(window)])
+    out = _max_of([colmax[:, :, u:u + span_h:stride] for u in range(window)])
     if not need_argmax:
         return out, None
 

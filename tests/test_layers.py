@@ -404,6 +404,20 @@ class TestConvAndPool:
         assert out_eval.tobytes() == out_train.tobytes()
         assert pool.backward(np.ones_like(out_train)).shape == x.shape
 
+    @pytest.mark.parametrize("h, w", [(3, 3), (4, 5), (12, 28), (30, 62)])
+    def test_reads_is_what_the_windows_cover(self, h, w):
+        # the pool of the input cropped to reads() keeps every bit, and the
+        # last window ends on the last row and column read
+        x = tensor.make_rng(33).normal(size=(2, 3, h, w)).astype(np.float32)
+        pool = MaxPool2D()
+        rows, cols = pool.reads(h, w)
+        out = pool.forward(x, train=False)
+        assert pool.forward(x[:, :, :rows, :cols], False).tobytes() == (
+            out.tobytes())
+        ho, wo = out.shape[2:]
+        assert (rows, cols) == ((ho - 1) * pool.STRIDE + pool.WINDOW,
+                                (wo - 1) * pool.STRIDE + pool.WINDOW)
+
 
 class TestCacheConsumed:
     # one layer of each kind, with the shape of a train-mode input it takes

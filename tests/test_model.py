@@ -149,6 +149,40 @@ class TestBlockedInference:
             assert (probs.argmax(axis=1) == whole[head].argmax(axis=1)).all()
             assert np.abs(probs - whole[head]).max() <= 1e-6
 
+    @pytest.mark.parametrize("frames", ["random", "zeros", "constant"])
+    @pytest.mark.parametrize("cfg, dtype", [
+        (ModelConfig(num_subjects=13, num_postures=17), np.float32),
+        (tiny_config(), np.float32),
+        (ModelConfig(num_subjects=13, num_postures=17), np.float64)])
+    def test_pooled_blocks_change_no_bit(self, cfg, dtype, frames):
+        # inference runs batch norm after the pool, on a cropped conv; its
+        # probabilities are those of the stage order on the same blocks,
+        # with gamma positive, negative and zero, in each rotation over
+        # the channels
+        n = self.B + 3
+        x = {"random": tensor.make_rng(53).random((n, 1, *cfg.input_hw)),
+             "zeros": np.zeros((n, 1, *cfg.input_hw)),
+             "constant": np.full((n, 1, *cfg.input_hw), 0.75)}[frames]
+        net = PostureNet(cfg, tensor.make_rng(54), dtype=dtype)
+        rng = tensor.make_rng(55)
+        bns = [layer for _, layer in net.stages
+               if isinstance(layer, BatchNorm2D)]
+        for turn in range(3):
+            for i, bn in enumerate(bns):
+                c = bn.gamma.size
+                signs = np.roll([1.0, -1.0, 0.0], turn + i)[np.arange(c) % 3]
+                bn.gamma[:] = signs * rng.uniform(0.5, 1.5, c)
+                bn.beta[:] = rng.normal(0.0, 0.3, c)
+                bn.running_mean[:] = rng.normal(0.0, 0.2, c)
+                bn.running_var[:] = rng.uniform(0.5, 2.0, c)
+            got = net.forward(x)
+            blocks = [one_pass_forward(net, x[s:s + self.B])
+                      for s in range(0, n, self.B)]
+            for head, probs in enumerate(got):
+                want = np.concatenate([b[head] for b in blocks])
+                assert probs.dtype == dtype
+                assert probs.tobytes() == want.tobytes(), (turn, head)
+
     @pytest.mark.parametrize("train", [False, True])
     def test_empty_batch_is_refused(self, train):
         net = self._net(45)
@@ -433,10 +467,17 @@ class TestLayout:
         net = PostureNet(cfg, tensor.make_rng(70))
         shapes = iter(cfg.feature_shapes())
         allowed = {(1, *cfg.input_hw)}
+        cin = 1
         for i, ch in enumerate(cfg.conv_channels):
-            allowed.add((ch, *next(shapes)))
+            conv_hw = next(shapes)
+            allowed.add((ch, *conv_hw))
             if i < 2:
+                # inference crops a pooled block's conv input, and so its
+                # output, to the rows and columns the pool reads
+                rows, cols = MaxPool2D.reads(*conv_hw)
+                allowed |= {(cin, rows + 2, cols + 2), (ch, rows, cols)}
                 allowed.add((ch, *next(shapes)))
+            cin = ch
         # the conv-block stages and flatten: everything before fc1
         names = [name for name, _ in net.stages]
         layers = dict(net.stages[:names.index("fc1")])

@@ -13,7 +13,7 @@ from pressnet.errors import ShapeError
 
 from util import (central_diff_grad, channels_last, conv_forward_oracle,
                   conv_input_grad_oracle, conv_kernel_grad_oracle,
-                  is_channels_last, max_rel_err, pool_oracle)
+                  im2col_oracle, is_channels_last, max_rel_err, pool_oracle)
 
 # the default model's four conv layers: (cin, h, w, cout)
 MODEL_CONVS = ((1, 32, 64, 32), (32, 14, 30, 64), (64, 5, 13, 128),
@@ -132,6 +132,24 @@ class TestConv2dValid:
         assert tensor.conv2d_valid(x, k).tobytes() == tensor.conv2d_valid(x, k).tobytes()
 
 
+class TestIm2col:
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_window_copy(self, c, dtype):
+        # byte for byte the 6-D window copy, for NCHW, channels-last and
+        # cropped (non-contiguous) inputs
+        rng = tensor.make_rng(19, c)
+        x = rng.normal(size=(3, c, 9, 12)).astype(dtype)
+        for inp in (x, channels_last(x), x[:, :, 1:8, :11],
+                    channels_last(x)[:, :, :8, 1:]):
+            for kh, kw in ((3, 3), (2, 4), (1, 1)):
+                got, ho, wo = tensor._im2col(inp, kh, kw)
+                want, *hw = im2col_oracle(inp, kh, kw)
+                assert (ho, wo) == tuple(hw)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestConvBackward:
     def test_finite_differences(self):
         rng = tensor.make_rng(7)
@@ -221,17 +239,21 @@ class TestMaxpool2d:
         assert np.all(arg == 2 * 5 + 2)
 
     def test_random_vs_oracle(self):
+        # every window size whose first max pass differs: one view (a
+        # copy), two (one np.maximum) and more
         rng = tensor.make_rng(9)
-        for _ in range(100):
-            c = int(rng.integers(1, 4))
-            h = int(rng.integers(3, 9))
-            w = int(rng.integers(3, 10))
-            stride = int(rng.integers(1, 4))
-            x = rng.normal(size=(c, h, w))
-            out, arg = tensor.maxpool2d(x[None], window=3, stride=stride)
-            want_out, want_arg = pool_oracle(x, 3, stride)
-            assert np.array_equal(out[0], want_out)
-            assert np.array_equal(arg[0], want_arg)
+        for window in (1, 2, 3, 4):
+            for _ in range(100):
+                c = int(rng.integers(1, 4))
+                h = int(rng.integers(window, 9))
+                w = int(rng.integers(window, 10))
+                stride = int(rng.integers(1, 4))
+                x = rng.normal(size=(c, h, w))
+                out, arg = tensor.maxpool2d(x[None], window=window,
+                                            stride=stride)
+                want_out, want_arg = pool_oracle(x, window, stride)
+                assert np.array_equal(out[0], want_out)
+                assert np.array_equal(arg[0], want_arg)
 
     def test_nan_pools_to_nan_at_first_nan(self):
         rng = tensor.make_rng(13)
@@ -265,10 +287,10 @@ class TestMaxpool2d:
         # backward returns channels-last whatever grad_out's layout, and adds
         # shared cells in output order, as a plain loop does
         rng = tensor.make_rng(18)
-        for stride in (1, 2):
+        for window, stride in ((3, 1), (3, 2), (1, 2), (2, 2)):
             x = rng.normal(size=(2, 3, 9, 11)).astype(np.float32)
-            out, arg = tensor.maxpool2d(x, window=3, stride=stride)
-            out_cl, arg_cl = tensor.maxpool2d(channels_last(x), window=3,
+            out, arg = tensor.maxpool2d(x, window=window, stride=stride)
+            out_cl, arg_cl = tensor.maxpool2d(channels_last(x), window=window,
                                               stride=stride)
             assert out.flags.c_contiguous and is_channels_last(out_cl)
             assert out_cl.tobytes() == out.tobytes()

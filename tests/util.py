@@ -291,6 +291,18 @@ def is_channels_last(a):
     return a.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
+def im2col_oracle(x, kh, kw):
+    """The column matrix of tensor._im2col, (B*Ho*Wo, kh*kw*C) plus (Ho, Wo),
+    by one 6-D copy of the NHWC view's windows for any C: offset-major,
+    channel-minor."""
+    windows = sliding_window_view(x.transpose(0, 2, 3, 1), (kh, kw),
+                                  axis=(1, 2))  # (B,Ho,Wo,C,kh,kw)
+    b, ho, wo, c = windows.shape[:4]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo,
+                                                       kh * kw * c)
+    return cols, ho, wo
+
+
 def _chw_columns(x, kh, kw):
     """(B,C,H,W) -> (B*Ho*Wo, C*kh*kw) columns, channel-major: each row is
     the window's C planes in turn, as an NCHW gather reads them."""
