@@ -58,6 +58,8 @@ KNN_K = 10  # neighbours of the kNN comparator in METHODS
 KNN_CHUNK = 512  # queries per distance matrix in knn_predict
 FEATURE_BLOCK = 32  # frames per block in extract_feature_matrix
 TREE_ROWS = 1024  # bootstrap rows of the trees grown in one level pass
+N_TREES = 50  # trees in the bagged ensemble
+MAX_DEPTH = 12  # levels below a tree's root
 
 
 def _block_features(frames: np.ndarray) -> np.ndarray:
@@ -137,7 +139,7 @@ def _check_neighbours(n: int, k: int) -> None:
 
 def knn_predict(train_x, train_y, queries, k: int = KNN_K) -> np.ndarray:
     """Majority vote over the k Euclidean-nearest training points, for each
-    query.
+    query, with distances for KNN_CHUNK queries at a time.
 
     Vote ties break by smallest summed distance among the tied labels'
     neighbors, then by lowest label id.
@@ -281,26 +283,25 @@ def _grow_group(x, y, root, n_roots, n_classes, max_depth):
     return [np.concatenate(a) for a in zip(*levels)]
 
 
-def train_bagged_trees(x: np.ndarray, y: np.ndarray, n_trees: int = 50,
-                       max_depth: int = 12, seed: int = 0) -> TreeEnsemble:
-    """Bootstrap-resampled Gini trees; prediction is a majority vote."""
+def train_bagged_trees(x: np.ndarray, y: np.ndarray,
+                       seed: int = 0) -> TreeEnsemble:
+    """N_TREES bootstrap-resampled Gini trees of at most MAX_DEPTH levels;
+    prediction is a majority vote."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = x.shape[0]
     if n == 0:
         raise ConfigError("empty training set")
-    if n_trees < 1:
-        raise ConfigError(f"need at least one tree, got {n_trees}")
     n_classes = int(y.max()) + 1
     per_group = max(1, TREE_ROWS // n)
     groups, roots, base = [], [], 0
-    for t0 in range(0, n_trees, per_group):
-        trees = range(t0, min(t0 + per_group, n_trees))
+    for t0 in range(0, N_TREES, per_group):
+        trees = range(t0, min(t0 + per_group, N_TREES))
         idx = np.concatenate([make_rng(seed, 80, t).integers(0, n, size=n)
                               for t in trees])
         feature, threshold, left, right, label = _grow_group(
             x[idx], y[idx], np.repeat(np.arange(len(trees)), n), len(trees),
-            n_classes, max_depth)
+            n_classes, MAX_DEPTH)
         shift = np.where(left >= 0, base, 0)
         groups.append((feature, threshold, left + shift, right + shift,
                        label))
@@ -343,6 +344,11 @@ class MLPBaseline:
 
     WIDTHS = (128, 256, 256, 128, 64)
     DTYPE = np.float32
+    # mlp_baseline's fitting recipe: Adam at LR for EPOCHS epochs of
+    # BATCH_SIZE-row minibatches
+    EPOCHS = 40
+    BATCH_SIZE = 64
+    LR = 1e-3
 
     def __init__(self, in_features: int, n_classes: int, rng):
         dtype = self.DTYPE
@@ -373,10 +379,9 @@ class MLPBaseline:
 
 
 def mlp_baseline(train_x, train_y, n_classes: int | None = None,
-                 epochs: int = 40, batch_size: int = 64, lr: float = 1e-3,
                  seed: int = 0) -> MLPBaseline:
-    """Train the MLP comparator on standardized feature vectors; returns
-    the model."""
+    """Train the MLP comparator on standardized feature vectors, by
+    MLPBaseline's EPOCHS, BATCH_SIZE and LR; returns the model."""
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
     if train_x.ndim != 2 or train_x.shape[0] != train_y.shape[0]:
@@ -385,14 +390,14 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
         n_classes = int(train_y.max()) + 1
     model = MLPBaseline(train_x.shape[1], n_classes, make_rng(seed, 85))
     state = AdamState(model.params())
-    n = train_x.shape[0]
-    for epoch in range(epochs):
+    n, batch = train_x.shape[0], model.BATCH_SIZE
+    for epoch in range(model.EPOCHS):
         order = make_rng(seed, 86, epoch).permutation(n)
-        for s in range(0, n, batch_size):
-            idx = order[s:s + batch_size]
+        for s in range(0, n, batch):
+            idx = order[s:s + batch]
             probs = model.forward(train_x[idx], train=True)
             grads = model.backward(probs, train_y[idx])
-            adam_step(model.params(), grads, state, lr)
+            adam_step(model.params(), grads, state, model.LR)
     return model
 
 

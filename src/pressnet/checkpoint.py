@@ -1,8 +1,9 @@
 """Versioned binary checkpoint container, all integers little-endian:
 
     magic   b"PNET1"
-    version u16 (currently 5)
-    header  u32 length + UTF-8 JSON: config, epoch, seed, adam (the
+    version u16 (currently 6)
+    header  u32 length + UTF-8 JSON: config (the two class counts,
+            num_subjects and num_postures), epoch, seed, adam (the
             optimizer's step count) and tensors, the table of contents:
             one [name, dtype str, shape] per tensor in file order, each
             name prefixed param:/stat:/adam.m:/adam.v:
@@ -12,9 +13,11 @@ Every checkpoint is a resumable training state: it holds the Adam moments.
 The table is the one record of the net's dtype: every parameter, statistic
 and moment has the same float dtype, or the file is refused. Round-trips
 are bit-exact. Versions 1 and 2, which kept a binary record per tensor,
-version 3, which could omit the moments and stored Adam's constants, and
+version 3, which could omit the moments and stored Adam's constants,
 version 4, whose header repeated the dtype and whose config held the
-leaky slope and L2 weight, are refused, with no migration.
+leaky slope and L2 weight, and version 5, whose config held the
+architecture's channels, widths, dropout rates and input size, are
+refused by their number, with no migration.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .optim import AdamState
 from .tensor import make_rng
 
 MAGIC = b"PNET1"
-VERSION = 5
+VERSION = 6
 HEADER_KEYS = ("config", "epoch", "seed", "adam", "tensors")
 
 
@@ -53,7 +56,7 @@ def save_checkpoint(path, net: PostureNet, adam: AdamState, epoch: int,
               "adam.m": adam.m, "adam.v": adam.v}
     tensors = [(f"{g}:{k}", np.ascontiguousarray(v, v.dtype.newbyteorder("<")))
                for g, d in groups.items() for k, v in d.items()]
-    header = {"config": net.config.as_dict(), "epoch": int(epoch),
+    header = {"config": asdict(net.config), "epoch": int(epoch),
               "seed": int(seed), "adam": int(adam.t),
               "tensors": [[n, v.dtype.str, list(v.shape)] for n, v in tensors]}
     hjson = json.dumps(header, sort_keys=True).encode()
@@ -63,7 +66,8 @@ def save_checkpoint(path, net: PostureNet, adam: AdamState, epoch: int,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """UsageError if path cannot be read, CheckpointError if it is corrupt."""
+    """UsageError if path cannot be read, CheckpointError if it is corrupt.
+    The loaded moments become the returned AdamState as they are."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()

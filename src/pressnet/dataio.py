@@ -12,6 +12,10 @@ Frames are stored canonically as 32-row x 64-column grids (the mat is wider
 than it is tall when rendered), i.e. the on-disk 64x32 record transposed.
 The ``frame-dump`` CLI command exists to eyeball that orientation against a
 known recording.
+
+A preprocessed cache is MANIFEST_FILE, TAXONOMY_FILE, REMOVED_FILE,
+FINGERPRINT_FILE and one cache_path array per sequence, each in C order;
+CACHE_FORMAT, which the fingerprint hashes, changes with its bytes or layout.
 """
 
 from __future__ import annotations
@@ -115,9 +119,10 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
     numeric fields. A file of counts (each field an optional "+" and
     digits, at most 65535) gives uint16 frames; any other file is parsed
     as float32, where each field must be finite (NaN, +-inf and values
-    beyond float32's range are refused). A count is a float32 exactly, so
-    both parses agree wherever the first applies. Labels default to the
-    path convention.
+    beyond float32's range are refused); so is a file the count parse warns
+    about, as numpy < 2 did for "1.0" or "-0" (which keeps its sign). "#" is
+    a field, not a comment. A count is a float32 exactly, so both parses
+    agree wherever the first applies. Labels default to the path convention.
     """
     path = Path(path)
     if subject_id is None or posture_id is None:

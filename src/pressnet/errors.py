@@ -47,23 +47,18 @@ _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 def check_field_types(config) -> None:
     """ConfigError naming the first field of a config dataclass whose value
     its annotation (a string) does not admit; None passes where it is the
-    default. A `tuple[kind, ...]` field also takes a list, stored as a
-    tuple. A float value, alone or in a tuple, is stored as a Python float,
-    so equal configs write the same JSON (1 and 1.0 both as 1.0)."""
+    default. A float value is stored as a Python float, so equal configs
+    write the same JSON (1 and 1.0 both as 1.0)."""
     for f in fields(config):
         value, kind = getattr(config, f.name), f.type.removesuffix(" | None")
         if value is None and f.default is None:
             continue
-        item = kind.removeprefix("tuple[").removesuffix(", ...]")
-        items = (value,) if item == kind else value
-        ok = isinstance(items, (tuple, list)) and all(
-            isinstance(v, bool) is (item == "bool")
-            and isinstance(v, _KINDS[item]) for v in items)
-        if ok and item == "float":
+        ok = (isinstance(value, bool) is (kind == "bool")
+              and isinstance(value, _KINDS[kind]))
+        if ok and kind == "float":
             try:
-                items = [float(v) for v in items]
+                setattr(config, f.name, float(value))
             except OverflowError:  # an int too large for a float
                 ok = False
         if not ok:
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        setattr(config, f.name, tuple(items) if item != kind else items[0])

@@ -251,8 +251,10 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
 
     curves maps each of loss_user/loss_posture/loss_total/l2/acc_user/
     acc_posture to one value per epoch (training-mode statistics).
-    resume continues a checkpointed run: same seed, epochs counted from the
-    checkpoint's epoch, bit-equivalent to never having stopped.
+    resume continues a checkpointed run: same seed and model_config,
+    epochs counted from the checkpoint's epoch, bit-equivalent to never
+    having stopped; a checkpoint of another seed or config is a UsageError
+    before the first batch.
     epoch_hook(epoch, curves) runs after each epoch (progress reporting).
     """
     x = np.asarray(x, dtype=np.float32)
@@ -272,6 +274,9 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
         if resume.seed != config.seed:
             raise UsageError(
                 f"checkpoint seed {resume.seed} != config seed {config.seed}")
+        if resume.config != model_config:
+            raise UsageError(f"checkpoint config {resume.config} != "
+                             f"model config {model_config}")
         net = restore_net(resume)
         state = resume.adam
         start_epoch = resume.epoch
@@ -386,12 +391,14 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
                    include_subject: bool = True, augment_rng=None) -> dict:
     """Inference-mode evaluation on one test split.
 
-    Returns a dict with 'posture_fine', 'posture_coarse', and (unless
+    Returns a dict with 'posture_fine', 'posture_coarse' (the true coarse
+    labels against each predicted posture's group), and (unless
     disabled, as under leave-one-subject-out, or the net's subject count is
     not the data's) 'subject' Metrics, plus per-category subject accuracy so
     subject results can be read either pooled or split by posture category.
     UsageError when the net's posture count is not the data's.
-    Frames are gathered, augmented and run EVAL_CHUNK at a time, in order.
+    Frames are gathered by index (the split is never copied whole),
+    augmented and run EVAL_CHUNK at a time, in order.
     """
     if net.config.num_postures != data.num_postures:
         raise UsageError(f"checkpoint expects {net.config.num_postures} "
@@ -522,13 +529,15 @@ def fold_dir(run_dir, fold_no: int) -> Path:
 
 
 def run_fold(data: FlatDataset, train_idx, test_idx, config: TrainConfig,
-             model_config: ModelConfig, fold_no: int):
-    """Train and evaluate one fold without any I/O; returns (net,
-    adam_state, curves, report), or raises TrainingFault naming the fold."""
+             fold_no: int):
+    """Train and evaluate one fold without any I/O, the net sized by data's
+    class counts; returns (net, adam_state, curves, report), or raises
+    TrainingFault naming the fold."""
     try:
         net, state, curves = train_model(
             data.x[train_idx], data.subject_idx[train_idx],
-            data.posture_idx[train_idx], config, model_config)
+            data.posture_idx[train_idx], config,
+            ModelConfig(data.num_subjects, data.num_postures))
         aug_rng = (make_rng(config.seed, STREAM_EVAL_AUGMENT, fold_no)
                    if config.augment_eval else None)
         report = evaluate_model(net, data, test_idx,
@@ -598,24 +607,22 @@ def read_run(run_dir):
 
 
 def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
-                   model_config: ModelConfig | None = None,
                    progress=None, baselines=()) -> dict:
     """Cross-validated training and evaluation with persisted artifacts.
 
     Everything is checked before out_dir is created. Under out_dir's lock
     it removes an earlier run's DONE, its fold directories beyond this
     run's folds and, unless `baselines` names methods, its baselines.json;
-    then it writes config.json, one
-    write_fold per run_fold (progress(fold_no, n_folds, report) runs after
-    each), baselines.json when `baselines` names methods from
-    baselines.METHODS (fitted on the same folds), aggregate.json,
-    summary.txt, timing.txt (kept separate so every other artifact is a
-    deterministic function of config + seed) and, last, DONE.
+    then it writes config.json, one write_fold per run_fold
+    (progress(fold_no, n_folds, report) runs after each), baselines.json
+    when `baselines` names methods from baselines.METHODS (fitted on the
+    same folds), aggregate.json, summary.txt, timing.txt (fold times by
+    time.perf_counter, kept apart so every other artifact is a
+    deterministic function of config + seed) and, last, DONE. It keeps
+    only each finished fold's report: no two folds' nets are alive at once.
     """
     classical.check_methods(baselines)
-    if model_config is None:
-        model_config = ModelConfig(num_subjects=data.num_subjects,
-                                   num_postures=data.num_postures)
+    model_config = ModelConfig(data.num_subjects, data.num_postures)
     plan = split_for(data, config)
     classical.check_folds(baselines, plan.folds)
 
@@ -629,15 +636,14 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         if not baselines:
             (out / BASELINES_FILE).unlink(missing_ok=True)
         _write_json(out / CONFIG_FILE, {
-            "train": asdict(config), "model": model_config.as_dict(),
+            "train": asdict(config), "model": asdict(model_config),
             "samples": len(data), "folds": len(plan),
             "subject_ids": data.subject_ids, "posture_ids": data.posture_ids,
         })
         reports, timings = [], []
         for fold_no, (train_idx, test_idx) in enumerate(plan.folds):
             t0 = time.perf_counter()
-            fold = run_fold(data, train_idx, test_idx, config, model_config,
-                            fold_no)
+            fold = run_fold(data, train_idx, test_idx, config, fold_no)
             timings.append(time.perf_counter() - t0)
             write_fold(out, fold_no, fold, config)
             # keep only the report: the fold's net and optimizer state are

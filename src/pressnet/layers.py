@@ -152,11 +152,12 @@ class BatchNorm2D:
     channel the map never decreases as x grows where scale > 0, never
     increases where scale < 0 and is constant on finite x where scale is
     zero, so the network's inference runs it after the max-pool, on the
-    pooled map, with the same bits.
+    pooled map, with the same bits. EPS is added to the variance before the
+    square root; each train pass keeps MOMENTUM of the running statistics.
     """
 
-    EPS = 1e-5       # added to the variance before the square root
-    MOMENTUM = 0.99  # running statistics keep this share of their old value
+    EPS = 1e-5
+    MOMENTUM = 0.99
 
     def __init__(self, channels: int, dtype=np.float32):
         self.gamma = np.ones(channels, dtype=dtype)
@@ -227,7 +228,8 @@ class BatchNorm2D:
 
 
 class MaxPool2D:
-    """3x3 max-pooling with stride 2, the network's only pool geometry."""
+    """3x3 max-pooling with stride 2 (WINDOW, STRIDE), the network's only
+    pool geometry, which ModelConfig.feature_shapes reads."""
 
     WINDOW = 3
     STRIDE = 2
@@ -260,7 +262,10 @@ class MaxPool2D:
 
 
 class LeakyReLU:
-    """max(x, SLOPE * x); SLOPE is also the gain of init_std."""
+    """max(x, SLOPE * x); SLOPE is also the gain of init_std. backward
+    multiplies g by 1 where x > 0 and SLOPE elsewhere, from the train-mode
+    mask: (1 - s) + s rounds to exactly 1 for every s in (0, 1), and a
+    multiply, unlike a select, does not branch on mixed signs."""
 
     SLOPE = 0.2
 
@@ -277,9 +282,6 @@ class LeakyReLU:
     def backward(self, g):
         if self._pos is None:
             raise UsageError("LeakyReLU.backward without a training forward")
-        # g times 1 where x > 0 and slope elsewhere: (1 - s) + s rounds to
-        # exactly 1 for every s in (0, 1), and a multiply, unlike a select,
-        # does not branch on mixed signs
         s = g.dtype.type(self.SLOPE)
         pos, self._pos = self._pos, None
         factor = pos.astype(g.dtype)

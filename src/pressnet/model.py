@@ -15,7 +15,8 @@ in stage order, heads last.
 
 Inference runs the stages over blocks of at most PostureNet.EVAL_BLOCK
 frames and concatenates their probabilities, so its working set is one
-block's activations whatever the batch; each frame's probabilities are
+block's activations whatever the batch (at most 10.9 MB, conv2's column
+matrix, against 88 MB in a 256-frame pass); each frame's probabilities are
 those of its block's pass. Each conv -> bn -> pool triple runs at pooled
 resolution (_pooled_block): the conv sees only the input rows and columns
 its pool reads, the pool runs on the conv output, and batch norm on the
@@ -23,13 +24,16 @@ pooled map. Every stage's forward is still called, and the probabilities
 are bit for bit those of running the stages in order. Training runs each
 batch in one pass, in stage order.
 
-With the default config the feature maps run
+The architecture is the paper's and is fixed: PostureNet's class constants
+CONV_CHANNELS, CONV_DROPOUT, DENSE_WIDTH and DENSE_DROPOUT, on the
+dataio.GRID_ROWS x GRID_COLS input. ModelConfig holds only the two class
+counts. The feature maps run
 32x64 -> 30x62 -> pool 14x30 -> 12x28 -> pool 5x13 -> 3x11 -> 1x9.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,81 +46,52 @@ from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
 
 @dataclass
 class ModelConfig:
+    """The two class counts, the only settings of the paper's network."""
+
     num_subjects: int
     num_postures: int
-    conv_channels: tuple[int, ...] = (32, 64, 128, 128)
-    dense_width: int = 256
-    conv_dropout: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
-    dense_dropout: float = 0.5
-    input_hw: tuple[int, ...] = (dataio.GRID_ROWS, dataio.GRID_COLS)
 
     def __post_init__(self):
         check_field_types(self)
-        if len(self.input_hw) != 2:
-            raise ConfigError(f"input_hw must be 2 sizes, got {self.input_hw}")
         if self.num_subjects < 2 or self.num_postures < 2:
             raise ConfigError("need at least 2 subjects and 2 postures")
-        if len(self.conv_channels) != 4 or any(c < 1 for c in self.conv_channels):
-            raise ConfigError("conv_channels must be 4 positive integers")
-        if len(self.conv_dropout) != 4:
-            raise ConfigError("conv_dropout must list 4 rates")
-        for p in (*self.conv_dropout, self.dense_dropout):
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"dropout rate {p} outside [0,1)")
-        if self.dense_width < 1:
-            raise ConfigError(f"dense_width must be >= 1, got {self.dense_width}")
-        self.feature_shapes()  # shape arithmetic must close at build time
 
-    def feature_shapes(self):
-        """Spatial size after each conv/pool stage; ConfigError if any conv
-        would see a map smaller than its kernel."""
-        h, w = self.input_hw
+    @staticmethod
+    def feature_shapes():
+        """Spatial size after each conv/pool stage, from the input grid and
+        MaxPool2D's geometry: conv1 pool1 conv2 pool2 conv3 conv4."""
+        h, w = dataio.GRID_ROWS, dataio.GRID_COLS
         win, stride = MaxPool2D.WINDOW, MaxPool2D.STRIDE
         shapes = []
         for i in range(4):
-            if h < 3 or w < 3:
-                raise ConfigError(
-                    f"feature map {h}x{w} too small for conv block {i + 1}")
-            h, w = h - 2, w - 2
+            h, w = h - 2, w - 2  # 3x3 valid conv
             shapes.append((h, w))
             if i < 2:
-                if h < win or w < win:
-                    raise ConfigError(
-                        f"feature map {h}x{w} too small for pool in block {i + 1}")
                 h, w = (h - win) // stride + 1, (w - win) // stride + 1
                 shapes.append((h, w))
         return shapes
-
-    def as_dict(self) -> dict:
-        """Every field, tuples as lists: the form config.json and checkpoint
-        headers store."""
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
-
-    @property
-    def flat_features(self) -> int:
-        h, w = self.feature_shapes()[-1]
-        return self.conv_channels[-1] * h * w
 
 
 class PostureNet:
     """Fig.-2-style network instance: parameters, forward, backward."""
 
-    # Frames per stage-loop pass at inference. At 32 frames of the default
-    # config the largest arrays, conv1's cropped output and conv2's column
-    # matrix, are 7.2 and 10.9 MB (58 and 88 MB in a 256-frame pass); 32
-    # ran faster than 16, 64 and 256.
-    EVAL_BLOCK = 32
+    EVAL_BLOCK = 32  # frames per inference pass; faster than 16, 64 or 256
     L2_SIGMA = 0.002  # the paper's L2 weight: loss adds sigma * sum(w ** 2)
+    # the paper's architecture: output channels and dropout rate of each
+    # conv block, then the width and dropout rate of both dense layers
+    CONV_CHANNELS = (32, 64, 128, 128)
+    CONV_DROPOUT = (0.1, 0.2, 0.3, 0.4)
+    DENSE_WIDTH = 256
+    DENSE_DROPOUT = 0.5
 
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        width = config.dense_width
+        width = self.DENSE_WIDTH
         # layers are built in stage order, so the weights draw from rng in it
         self.stages = []
         cin = 1
-        for i, cout in enumerate(config.conv_channels, start=1):
+        for i, cout in enumerate(self.CONV_CHANNELS, start=1):
             # conv1's input is the data: no gradient flows back into it
             self.stages += [(f"conv{i}", Conv2D(cin, cout, rng, dtype,
                                                 needs_input_grad=i > 1)),
@@ -124,14 +99,15 @@ class PostureNet:
             if i <= 2:
                 self.stages.append((f"pool{i}", MaxPool2D()))
             self.stages += [(f"act{i}", LeakyReLU()),
-                            (f"drop{i}", Dropout(config.conv_dropout[i - 1]))]
+                            (f"drop{i}", Dropout(self.CONV_DROPOUT[i - 1]))]
             cin = cout
         self.stages.append(("flatten", Flatten()))
-        fan_in = config.flat_features
+        h, w = config.feature_shapes()[-1]
+        fan_in = cin * h * w
         for fc in ("fc1", "fc2"):
             self.stages += [(fc, Dense(fan_in, width, rng, dtype)),
                             (f"act_{fc}", LeakyReLU()),
-                            (f"drop_{fc}", Dropout(config.dense_dropout))]
+                            (f"drop_{fc}", Dropout(self.DENSE_DROPOUT))]
             fan_in = width
         self.heads = [(name, Dense(width, n, rng, dtype))
                       for name, n in (("head_subject", config.num_subjects),
@@ -200,11 +176,10 @@ class PostureNet:
         each block a pooled conv block runs its batch norm after the pool,
         which changes no bit of the result.
         """
-        if (x.ndim != 4 or x.shape[0] < 1 or x.shape[1] != 1
-                or x.shape[2:] != self.config.input_hw):
-            raise ShapeError(
-                f"expected input [B,1,{self.config.input_hw[0]},"
-                f"{self.config.input_hw[1]}] with B >= 1, got {x.shape}")
+        grid = (dataio.GRID_ROWS, dataio.GRID_COLS)
+        if x.ndim != 4 or x.shape[0] < 1 or x.shape[1:] != (1, *grid):
+            raise ShapeError(f"expected input [B,1,{grid[0]},{grid[1]}] "
+                             f"with B >= 1, got {x.shape}")
         h = x.astype(self.dtype, copy=False)
         if train:
             probs = self._heads(forward_stages(self.stages, h, True, rng), True)
@@ -285,7 +260,8 @@ def _pooled_block(x, conv: Conv2D, bn: BatchNorm2D, pool: MaxPool2D):
     So for finite conv outputs the result is bit for bit that of the stage
     order, up to the sign of a zero when shift is -0. The conv sees only the
     input rows and columns under the pool's windows, as a channels-last
-    copy, and every stage's forward is still called.
+    copy (4.9% fewer GEMM rows for conv1, 11.6% for conv2), and every
+    stage's forward is still called.
     """
     rows, cols = pool.reads(x.shape[2] - 2, x.shape[3] - 2)  # 3x3 valid
     crop = x.transpose(0, 2, 3, 1)[:, :rows + 2, :cols + 2]

@@ -10,7 +10,8 @@ from .errors import UsageError
 
 
 class AdamState:
-    """Per-parameter moment estimates and the step count."""
+    """Per-parameter moment estimates and the step count; Adam's beta1,
+    beta2 and epsilon are the class constants BETA1, BETA2 and EPS."""
 
     BETA1 = 0.9
     BETA2 = 0.999

@@ -7,6 +7,7 @@ sorted triples shared between neighbouring windows, and preprocessing
 filters only the frames the trim keeps.
 Augmentation is the paper's four-step pipeline (AUGMENT_STEPS) applied per
 frame, each step firing independently with its own fixed probability.
+TRIM and EMPTY_THRESHOLD are the one copy of the preprocessing defaults.
 """
 
 from __future__ import annotations
@@ -121,11 +122,11 @@ def _shifted(rows, step, n):
 
 def _checked_frames(frames) -> np.ndarray:
     """frames as a (T, H, W) array; ShapeError otherwise, and NumericFault
-    on a NaN or infinite value, which the median filter would spread."""
+    on a NaN or infinite value, which the median filter would spread.
+    Integer frames (raw counts) hold neither and are not scanned."""
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ShapeError(f"expected (T, H, W) frames, got {frames.shape}")
-    # integers (raw counts) hold neither, so only other dtypes are scanned
     if frames.dtype.kind not in "biu" and not np.isfinite(frames).all():
         raise NumericFault("median filter input holds a non-finite value")
     return frames
@@ -386,10 +387,12 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
     each array), the taxonomy the coarse labels follow, 'removed.txt' (the
     removal report and too-short-after-trim notes, which stay out of the
     manifest's warnings) and the dataset_fingerprint; a rebuild deletes the
-    arrays of sequences it no longer lists. When the fingerprint
-    matches and every listed array exists, the cached manifest is returned
-    untouched. Returns (manifest, hit). ConfigError, before cache_dir is
-    created, unless trim >= 0 and empty_threshold is finite and >= 0.
+    arrays of sequences it no longer lists. It removes the old fingerprint
+    before writing any array and writes the new one last, so a rebuild cut
+    short is a miss. When the fingerprint matches and every listed array
+    exists, the cached manifest is returned untouched. Returns (manifest,
+    hit). ConfigError, before cache_dir is created, unless trim >= 0 and
+    empty_threshold is finite and >= 0.
     """
     if trim < 0:
         raise ConfigError(f"trim must be >= 0, got {trim}")

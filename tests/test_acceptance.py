@@ -21,7 +21,7 @@ from pressnet.harness import TrainConfig
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
-from util import median_oracle, pool_oracle, synthetic_batch
+from util import median_oracle, pool_oracle, small_net, synthetic_batch
 
 DATA_ROOT = os.environ.get("PRESSNET_DATA_ROOT")
 dataset_required = pytest.mark.skipif(
@@ -40,16 +40,15 @@ def _ok(n, name):
 # criterion 1: full-model gradient correctness
 
 
-def test_criterion_01_gradient_correctness():
+def test_criterion_01_gradient_correctness(small_net):
     """Finite differences vs the hand-written backward pass.
 
     Miniature configuration: channels 2/2/4/4, dense width 8, 3 subjects,
     4 postures, batch 4, 64-bit floats. Max relative error over sampled
     coordinates of every parameter tensor must be <= 1e-4.
     """
-    mc = ModelConfig(num_subjects=3, num_postures=4,
-                     conv_channels=(2, 2, 4, 4), dense_width=8,
-                     conv_dropout=(0.0, 0.0, 0.0, 0.0), dense_dropout=0.0)
+    small_net(CONV_CHANNELS=(2, 2, 4, 4))
+    mc = ModelConfig(num_subjects=3, num_postures=4)
     net = PostureNet(mc, make_rng(1), dtype=np.float64)
     rng = make_rng(2)
     x = rng.random((4, 1, 32, 64))
@@ -201,7 +200,7 @@ def test_criterion_03_augmentation_statistics():
 # criterion 4: loss algebra and head isolation
 
 
-def test_criterion_04_loss_algebra():
+def test_criterion_04_loss_algebra(small_net):
     rng = make_rng(400)
     for _ in range(100):
         lu = float(rng.uniform(0, 5))
@@ -211,9 +210,8 @@ def test_criterion_04_loss_algebra():
         assert losses.combined_loss(lu, lp, 1.0) == lu
         assert losses.combined_loss(lu, lp, lam) == lam * lu + (1.0 - lam) * lp
 
-    mc = ModelConfig(num_subjects=3, num_postures=4,
-                     conv_channels=(2, 2, 4, 4), dense_width=8,
-                     conv_dropout=(0.0, 0.0, 0.0, 0.0), dense_dropout=0.0)
+    small_net(CONV_CHANNELS=(2, 2, 4, 4))
+    mc = ModelConfig(num_subjects=3, num_postures=4)
     net = PostureNet(mc, make_rng(3), dtype=np.float64)
     x = rng.random((6, 1, 32, 64))
     yu = rng.integers(0, 3, size=6)

@@ -245,24 +245,32 @@ class TestKnn:
                                   np.zeros((1, 2)), k=10)
 
 
+def recipe(monkeypatch, n_trees, max_depth=baselines.MAX_DEPTH):
+    """Grow n_trees trees of at most max_depth levels in this test."""
+    monkeypatch.setattr(baselines, "N_TREES", n_trees)
+    monkeypatch.setattr(baselines, "MAX_DEPTH", max_depth)
+
+
 class TestTrees:
-    def test_single_class(self):
+    def test_single_class(self, monkeypatch):
+        recipe(monkeypatch, 5, 3)
         x = make_rng(48).random((20, 5))
         y = np.full(20, 3)
-        ens = baselines.train_bagged_trees(x, y, n_trees=5, max_depth=3)
+        ens = baselines.train_bagged_trees(x, y)
         pred = baselines.predict_trees(ens, make_rng(49).random((6, 5)))
         assert np.all(pred == 3)
 
-    def test_threshold_rule_learned(self):
+    def test_threshold_rule_learned(self, monkeypatch):
+        recipe(monkeypatch, 10, 3)
         rng = make_rng(50)
         x = rng.random((60, 1))
         y = (x[:, 0] > 0.5).astype(int)
-        ens = baselines.train_bagged_trees(x, y, n_trees=10, max_depth=3,
-                                           seed=1)
+        ens = baselines.train_bagged_trees(x, y, seed=1)
         pred = baselines.predict_trees(ens, x)
         assert np.mean(pred == y) == 1.0
 
-    def test_xor_needs_depth(self):
+    def test_xor_needs_depth(self, monkeypatch):
+        recipe(monkeypatch, 40, 5)
         rng = make_rng(51)
         centers = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
         xs, ys = [], []
@@ -271,28 +279,28 @@ class TestTrees:
             ys.append(np.full(20, lab))
         x = np.vstack(xs)
         y = np.concatenate(ys)
-        ens = baselines.train_bagged_trees(x, y, n_trees=40, max_depth=5,
-                                           seed=2)
+        ens = baselines.train_bagged_trees(x, y, seed=2)
         pred = baselines.predict_trees(ens, x)
         assert np.mean(pred == y) == 1.0
 
-    def test_depth_zero_gives_majority_stump(self):
+    def test_depth_zero_gives_majority_stump(self, monkeypatch):
+        recipe(monkeypatch, 3, 0)
         x = make_rng(52).random((30, 2))
         y = np.array([0] * 20 + [1] * 10)
-        ens = baselines.train_bagged_trees(x, y, n_trees=3, max_depth=0,
-                                           seed=3)
+        ens = baselines.train_bagged_trees(x, y, seed=3)
         assert ens.roots.tolist() == [0, 1, 2]
         assert ens.feature.tolist() == [-1, -1, -1]
 
-    def test_same_seed_same_predictions(self):
+    def test_same_seed_same_predictions(self, monkeypatch):
+        recipe(monkeypatch, 8)
         rng = make_rng(53)
         x = rng.random((40, 4))
         y = rng.integers(0, 3, size=40)
         q = rng.random((10, 4))
         a = baselines.predict_trees(
-            baselines.train_bagged_trees(x, y, n_trees=8, seed=9), q)
+            baselines.train_bagged_trees(x, y, seed=9), q)
         b = baselines.predict_trees(
-            baselines.train_bagged_trees(x, y, n_trees=8, seed=9), q)
+            baselines.train_bagged_trees(x, y, seed=9), q)
         assert a.tolist() == b.tolist()
 
     def test_vote_tie_prefers_lowest_label(self):
@@ -303,24 +311,19 @@ class TestTrees:
         pred = baselines.predict_trees(ens, np.zeros((1, 4)))
         assert pred[0] == 0
 
-    def test_majority_tie_prefers_lowest_label(self):
+    def test_majority_tie_prefers_lowest_label(self, monkeypatch):
         # a depth-0 tree is the majority label of its bootstrap sample;
         # at seed 0 the one tree's sample holds two of each label
+        recipe(monkeypatch, 1, 0)
         y = np.array([2, 2, 1, 1])
         draw = make_rng(0, 80, 0).integers(0, 4, size=4)
         assert np.bincount(y[draw]).tolist() == [0, 2, 2]
-        ens = baselines.train_bagged_trees(np.zeros((4, 2)), y, n_trees=1,
-                                           max_depth=0, seed=0)
+        ens = baselines.train_bagged_trees(np.zeros((4, 2)), y, seed=0)
         assert baselines.predict_trees(ens, np.zeros((1, 2)))[0] == 1
 
     def test_empty_training_set(self):
         with pytest.raises(ConfigError):
             baselines.train_bagged_trees(np.zeros((0, 3)), np.zeros(0, int))
-
-    def test_no_trees(self):
-        with pytest.raises(ConfigError, match="one tree"):
-            baselines.train_bagged_trees(np.zeros((4, 3)), np.zeros(4, int),
-                                         n_trees=0)
 
     @pytest.mark.parametrize("n, f, k, levels, n_trees, max_depth", [
         (110, 18, 3, None, 20, 12),  # 9 trees a group, the last one 2
@@ -332,10 +335,10 @@ class TestTrees:
     ], ids=["grouped", "one-a-group", "levels-2", "levels-5", "depth-0",
             "depth-1"])
     def test_equal_to_the_depth_first_oracle(self, n, f, k, levels, n_trees,
-                                             max_depth):
+                                             max_depth, monkeypatch):
+        recipe(monkeypatch, n_trees, max_depth)
         x, y = split_case(n, f, k, n + f, levels)
-        ens = baselines.train_bagged_trees(x, y, n_trees=n_trees,
-                                           max_depth=max_depth, seed=4)
+        ens = baselines.train_bagged_trees(x, y, seed=4)
         trees = bagged_trees_oracle(x, y, n_trees, max_depth, seed=4)
         assert ens.roots.size == n_trees
         for t, tree in enumerate(trees):
@@ -343,11 +346,12 @@ class TestTrees:
         if max_depth > 1:  # the trees do grow
             assert sum(map(len, map(oracle_nodes, trees))) > 8 * n_trees
 
-    def test_votes_equal_a_walk_per_query(self):
+    def test_votes_equal_a_walk_per_query(self, monkeypatch):
+        recipe(monkeypatch, 15)
         x, y = split_case(90, 6, 4, 70)
         q, _ = split_case(40, 6, 4, 71)
         q[:5] = x[:5]  # queries right at training values
-        ens = baselines.train_bagged_trees(x, y, n_trees=15, seed=2)
+        ens = baselines.train_bagged_trees(x, y, seed=2)
         trees = bagged_trees_oracle(x, y, 15, 12, seed=2)
         want = [np.bincount([tree_walk(t, row) for t in trees]).argmax()
                 for row in q]
@@ -423,26 +427,29 @@ class TestBestSplit:
             assert root_splits([(x, y)], 2) == [oracle_split(x, y, 2)] \
                 == [(1, threshold)]
 
-    def test_trees_equal_oracle_grown_trees(self):
+    def test_trees_equal_oracle_grown_trees(self, monkeypatch):
         # a bench-shaped fold: about 110 standardized rows of 18 features
         # and 3 coarse classes
+        recipe(monkeypatch, 12)
         x, y = split_case(110, 18, 3, 60)
         x[:, 4] = np.round(x[:, 4] * 3)  # a count-like column with ties
-        fast = baselines.train_bagged_trees(x, y, n_trees=12, seed=1)
+        fast = baselines.train_bagged_trees(x, y, seed=1)
         slow = bagged_trees_oracle(x, y, n_trees=12, seed=1)
         assert ([ensemble_nodes(fast, t) for t in range(12)]
                 == [oracle_nodes(t) for t in slow])
         assert fast.feature.size > 12 * 9
 
-    def test_temporary_memory_is_a_few_copies_of_the_counts(self):
+    def test_temporary_memory_is_a_few_copies_of_the_counts(self,
+                                                             monkeypatch):
         # n*F*K float64 class counts at a real-corpus size are 8.64 MB; a
         # tree's set-up and first level pass measured 33.9 MB (3.92 times
         # that)
+        recipe(monkeypatch, 1, 1)
         n, f, k = 20000, 18, 3
         x, y = split_case(n, f, k, 61)
         tracemalloc.start()
         try:
-            baselines.train_bagged_trees(x, y, n_trees=1, max_depth=1)
+            baselines.train_bagged_trees(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,12 +477,17 @@ class TestMlp:
         assert list(model.params()) == [f"d{i}.{k}" for i in range(6)
                                         for k in ("w", "b")]
 
-    def test_memorizes_small_feature_set(self):
+    def test_fitting_recipe(self):
+        assert (MLPBaseline.EPOCHS, MLPBaseline.BATCH_SIZE,
+                MLPBaseline.LR) == (40, 64, 1e-3)
+
+    def test_memorizes_small_feature_set(self, monkeypatch):
+        monkeypatch.setattr(MLPBaseline, "EPOCHS", 150)
+        monkeypatch.setattr(MLPBaseline, "BATCH_SIZE", 32)
         rng = make_rng(55)
         x = rng.normal(size=(32, 18))
         y = rng.integers(0, 4, size=32)
-        model = baselines.mlp_baseline(x, y, epochs=150, batch_size=32,
-                                       lr=1e-3, seed=7)
+        model = baselines.mlp_baseline(x, y, seed=7)
         assert np.mean(model.predict(x) == y) == 1.0
 
     def test_gradients_match_finite_differences(self):
@@ -516,12 +528,13 @@ class TestMlp:
         with pytest.raises(UsageError):
             model.backward(probs, y)
 
-    def test_deterministic_training(self):
+    def test_deterministic_training(self, monkeypatch):
+        monkeypatch.setattr(MLPBaseline, "EPOCHS", 3)
         rng = make_rng(58)
         x = rng.normal(size=(20, 6))
         y = rng.integers(0, 3, size=20)
-        m1 = baselines.mlp_baseline(x, y, epochs=3, seed=11)
-        m2 = baselines.mlp_baseline(x, y, epochs=3, seed=11)
+        m1 = baselines.mlp_baseline(x, y, seed=11)
+        m2 = baselines.mlp_baseline(x, y, seed=11)
         for k, v in m1.params().items():
             assert v.tobytes() == m2.params()[k].tobytes()
 

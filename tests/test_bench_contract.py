@@ -13,12 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from pressnet import optim, signal, synthetic, tensor
+from pressnet.dataio import GRID_COLS, GRID_ROWS
+from pressnet.layers import MaxPool2D
 from pressnet.model import ModelConfig, PostureNet
+
+from util import small_net
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_tracer_labels_every_stage(monkeypatch):
+def test_tracer_labels_every_stage(monkeypatch, small_net):
     monkeypatch.syspath_prepend(str(BENCH))
     import catalog
     import spans
@@ -26,12 +30,10 @@ def test_tracer_labels_every_stage(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cfg = ModelConfig(num_subjects=2, num_postures=3,
-                          conv_channels=(2, 2, 2, 2), dense_width=4,
-                          input_hw=(29, 29))
-        net = PostureNet(cfg, tensor.make_rng(90))
+        net = PostureNet(ModelConfig(num_subjects=2, num_postures=3),
+                         tensor.make_rng(90))
         rng = tensor.make_rng(91)
-        x = rng.random((4, 1, *cfg.input_hw)).astype(np.float32)
+        x = rng.random((4, 1, GRID_ROWS, GRID_COLS)).astype(np.float32)
         yu, yp = rng.integers(0, 2, 4), rng.integers(0, 3, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(92))
         grads = net.backward(pu, pp, yu, yp, 0.5)
@@ -73,7 +75,7 @@ def test_tracer_times_parse_and_median(monkeypatch, tmp_path):
             "dataio.parse_ms_per_frame"} <= set(metrics)
 
 
-def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch):
+def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch, small_net):
     # a chunk of evaluate_model's EVAL_CHUNK loop is one model.forward_eval
     # span whatever blocks the network runs it in, so the per-chunk metrics
     # sum every block's layer spans and count one chunk's im2col bytes
@@ -86,12 +88,10 @@ def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cfg = ModelConfig(num_subjects=2, num_postures=3,
-                          conv_channels=(2, 2, 2, 2), dense_width=4,
-                          input_hw=(29, 29))
+        cfg = ModelConfig(num_subjects=2, num_postures=3)
         net = PostureNet(cfg, tensor.make_rng(93))
         net.forward(tensor.make_rng(94).random(
-            (n, 1, *cfg.input_hw)).astype(np.float32))
+            (n, 1, GRID_ROWS, GRID_COLS)).astype(np.float32))
     finally:
         tracer.uninstall()
 
@@ -109,8 +109,11 @@ def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch):
     metrics, problems = spans.layer_metrics(tracer.spans)
     assert not problems
     assert {f"layers.{st}.eval_fwd_ms" for st in catalog.STAGES} <= set(metrics)
+    # a pooled block's conv computes only the rows and columns its pool
+    # reads
     shapes = cfg.feature_shapes()
     one_pass = sum(n * h * w * 9 * cin * 4 for (h, w), cin in zip(
-        (shapes[0], shapes[2], shapes[4], shapes[5]),
-        (1, *cfg.conv_channels[:3])))
+        (MaxPool2D.reads(*shapes[0]), MaxPool2D.reads(*shapes[2]),
+         shapes[4], shapes[5]),
+        (1, *PostureNet.CONV_CHANNELS[:3])))
     assert metrics["tensor.im2col_mb_per_eval_chunk"] == one_pass / 1e6

@@ -2,7 +2,7 @@
 
 import json
 import struct
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,15 +14,15 @@ from pressnet.errors import CheckpointError
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import pack_checkpoint, tensor_table
+from util import pack_checkpoint, small_net, tensor_table
+
+# every test builds its nets with the small constants
+pytestmark = pytest.mark.usefixtures("small_net")
 
 
-def small_net(dtype=np.float32, **overrides):
-    kw = dict(num_subjects=3, num_postures=4, conv_channels=(1, 1, 2, 2),
-              dense_width=4, conv_dropout=(0.0, 0.0, 0.0, 0.0),
-              dense_dropout=0.0, input_hw=(29, 29))
-    kw.update(overrides)
-    return PostureNet(ModelConfig(**kw), tensor.make_rng(77), dtype=dtype)
+def make_net(dtype=np.float32):
+    return PostureNet(ModelConfig(num_subjects=3, num_postures=4),
+                      tensor.make_rng(77), dtype=dtype)
 
 
 def save(path, net, epoch=0, seed=0):
@@ -40,7 +40,7 @@ def zero_moments(tensors):
 
 class TestRoundTrip:
     def test_params_bitwise_identical(self, tmp_path):
-        net = small_net()
+        net = make_net()
         path = tmp_path / "net.ckpt"
         save(path, net, epoch=7, seed=123)
         ckpt = load_checkpoint(path)
@@ -56,17 +56,17 @@ class TestRoundTrip:
             assert ckpt.bn_stats[k].tobytes() == v.tobytes()
 
     def test_config_survives(self, tmp_path):
-        net = small_net()
+        net = make_net()
         save(tmp_path / "c.ckpt", net)
         ckpt = load_checkpoint(tmp_path / "c.ckpt")
         assert ckpt.config == net.config
 
     def test_adam_state_survives(self, tmp_path):
-        net = small_net()
+        net = make_net()
         state = AdamState(net.params())
         # take a couple of steps so moments are non-trivial
         rng = tensor.make_rng(5)
-        x = rng.normal(size=(4, 1, 29, 29)).astype(np.float32)
+        x = rng.normal(size=(4, 1, 32, 64)).astype(np.float32)
         lu = np.array([0, 1, 2, 0])
         lp = np.array([0, 1, 2, 3])
         for _ in range(2):
@@ -85,7 +85,7 @@ class TestRoundTrip:
 
     def test_adam_state_is_built_from_the_loaded_moments(self, tmp_path,
                                                          monkeypatch):
-        net = small_net()
+        net = make_net()
         save(tmp_path / "a.ckpt", net)
 
         def refuse(*args, **kwargs):
@@ -98,10 +98,10 @@ class TestRoundTrip:
 
     def test_save_load_save_gives_the_same_bytes(self, tmp_path):
         # a restored checkpoint written again is the file it came from
-        net = small_net()
+        net = make_net()
         state = AdamState(net.params())
         rng = tensor.make_rng(6)
-        x = rng.normal(size=(4, 1, 29, 29)).astype(np.float32)
+        x = rng.normal(size=(4, 1, 32, 64)).astype(np.float32)
         pu, pp = net.forward(x, train=True)
         grads = net.backward(pu, pp, np.array([0, 1, 2, 0]),
                              np.array([0, 1, 2, 3]), lam=0.5)
@@ -115,10 +115,10 @@ class TestRoundTrip:
         assert again.read_bytes() == first.read_bytes()
 
     def test_restored_net_same_outputs(self, tmp_path):
-        net = small_net()
+        net = make_net()
         save(tmp_path / "r.ckpt", net)
         other = restore_net(load_checkpoint(tmp_path / "r.ckpt"))
-        x = tensor.make_rng(11).normal(size=(2, 1, 29, 29)).astype(np.float32)
+        x = tensor.make_rng(11).normal(size=(2, 1, 32, 64)).astype(np.float32)
         pu1, pp1 = net.forward(x)
         pu2, pp2 = other.forward(x)
         assert np.array_equal(pu1, pu2)
@@ -126,7 +126,7 @@ class TestRoundTrip:
 
     def test_float64_net_round_trips(self, tmp_path):
         # the tensor table is the file's one record of the dtype
-        net = small_net(dtype=np.float64)
+        net = make_net(dtype=np.float64)
         save(tmp_path / "d.ckpt", net)
         ckpt = load_checkpoint(tmp_path / "d.ckpt")
         assert ckpt.dtype == np.float64
@@ -140,21 +140,14 @@ class TestRoundTrip:
         assert (tmp_path / "again.ckpt").read_bytes() == \
             (tmp_path / "d.ckpt").read_bytes()
 
-    def test_equal_configs_write_the_same_bytes(self, tmp_path):
-        # conv_dropout=(0, 0, 0, 0) used to be stored as [0, 0, 0, 0], and
-        # (0.0, 0.0, 0.0, 0.0) as [0.0, 0.0, 0.0, 0.0]
-        for zero in (0, 0.0):
-            save(tmp_path / f"{zero!r}.ckpt",
-                 small_net(conv_dropout=(zero,) * 4, dense_dropout=zero))
-        assert (tmp_path / "0.ckpt").read_bytes() == \
-            (tmp_path / "0.0.ckpt").read_bytes()
-
-    def test_config_header_carries_every_field(self):
-        cfg = small_net().config
-        stored = cfg.as_dict()
-        assert set(stored) == {f.name for f in fields(ModelConfig)}
-        assert json.loads(json.dumps(stored)) == stored
-        assert ModelConfig(**stored) == cfg
+    def test_config_header_carries_every_field(self, tmp_path):
+        # the header's config is the two class counts and nothing else
+        save(tmp_path / "h.ckpt", make_net())
+        blob = (tmp_path / "h.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 2)
+        stored = json.loads(blob[len(MAGIC) + 6:][:hlen])["config"]
+        assert stored == {"num_postures": 4, "num_subjects": 3}
+        assert ModelConfig(**stored) == make_net().config
 
 
 class TestCorruption:
@@ -170,7 +163,7 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_is_refused(self, tmp_path, version):
         # the magic and the version number are all a refusal reads
         old = tmp_path / f"v{version}.ckpt"
@@ -181,7 +174,7 @@ class TestCorruption:
         assert "\n" not in str(info.value)
 
     def test_truncated_file(self, tmp_path):
-        net = small_net()
+        net = make_net()
         full = tmp_path / "full.ckpt"
         save(full, net, epoch=1)
         blob = full.read_bytes()
@@ -213,7 +206,7 @@ class TestIncompleteContents:
 
     @staticmethod
     def parts(net):
-        header = {"config": net.config.as_dict(), "epoch": 0, "seed": 0,
+        header = {"config": asdict(net.config), "epoch": 0, "seed": 0,
                   "adam": 0}
         tensors = [(f"param:{k}", v) for k, v in net.params().items()]
         tensors += [(f"stat:{k}", v) for k, v in net.bn_stats().items()]
@@ -222,7 +215,7 @@ class TestIncompleteContents:
         return header, tensors
 
     def test_packer_writes_save_checkpoint_bytes(self, tmp_path):
-        net = small_net()
+        net = make_net()
         save(tmp_path / "n.ckpt", net)
         assert pack_checkpoint(*self.parts(net)) == \
             (tmp_path / "n.ckpt").read_bytes()
@@ -243,7 +236,7 @@ class TestIncompleteContents:
     ], ids=["missing-param", "missing-stat", "stat-shape", "param-shape",
             "unknown-stat", "unknown-param"])
     def test_restore_refuses(self, tmp_path, edit, key):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         # the moments follow the edited parameters, so the file loads
         tensors = [e for e in edit(tensors) if not e[0].startswith("adam.")]
         tensors += zero_moments(tensors)
@@ -265,7 +258,7 @@ class TestIncompleteContents:
     ], ids=["missing-moment", "moment-shape", "unknown-moment", "no-v"])
     def test_moments_must_match_the_parameters(self, tmp_path, edit, group):
         # such a file used to load, then fail a resume with a KeyError
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         tensors = edit(tensors)
         header["tensors"] = tensor_table(tensors)
         path = tmp_path / "m.ckpt"
@@ -280,7 +273,7 @@ class TestIncompleteContents:
                                                 dtype):
         # float64 moments beside float32 parameters used to load and resume
         # in mixed precision; the header's dtype was all the net followed
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         tensors = [(n, v.astype(dtype) if n.startswith(prefix) else v)
                    for n, v in tensors]
         header["tensors"] = tensor_table(tensors)
@@ -291,7 +284,7 @@ class TestIncompleteContents:
         assert "\n" not in str(info.value)
 
     def test_refused_set_params_writes_nothing(self):
-        net = small_net()
+        net = make_net()
         before = {k: v.copy() for k, v in net.params().items()}
         params = {k: v + 1 for k, v in net.params().items()}
         stats = dict(net.bn_stats())
@@ -303,7 +296,7 @@ class TestIncompleteContents:
 
     @pytest.mark.parametrize("field", HEADER_KEYS)
     def test_header_field_missing(self, tmp_path, field):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         del header[field]
         path = tmp_path / "h.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -312,7 +305,7 @@ class TestIncompleteContents:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda h: h["config"].update(bogus=1), "bogus"),
-        (lambda h: h["config"].update(conv_channels=[1, 2]), "conv_channels"),
+        (lambda h: h["config"].update(num_postures=1), "2 postures"),
         (lambda h: h["config"].update(input_hw=[32]), "input_hw"),
         (lambda h: h["config"].update(num_subjects=2.5), "num_subjects"),
         (lambda h: h.update(adam={"t": 1}), "step count"),
@@ -327,7 +320,9 @@ class TestIncompleteContents:
             "negative-step", "float-step", "text-conv-dropout",
             "nan-l2-sigma"])
     def test_bad_header_values(self, tmp_path, edit, match):
-        header, tensors = self.parts(small_net())
+        # input_hw, conv_dropout and l2_sigma were config fields of older
+        # formats: each is now an unknown field
+        header, tensors = self.parts(make_net())
         edit(header)
         path = tmp_path / "h.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -346,7 +341,7 @@ class TestIncompleteContents:
     def test_epoch_and_seed_are_non_negative_ints(self, tmp_path, edit,
                                                   match):
         # such a file used to load, then fail late in a resume or a save
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         header.update(edit)
         path = tmp_path / "h.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -370,7 +365,7 @@ class TestIncompleteContents:
     ], ids=["unknown-dtype", "object-dtype", "negative-dim", "float-dim",
             "no-shape", "name-not-a-string"])
     def test_bad_table_entry(self, tmp_path, entry):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         header["tensors"][0] = entry
         path = tmp_path / "e.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
@@ -378,7 +373,7 @@ class TestIncompleteContents:
             load_checkpoint(path)
 
     def test_table_past_end_of_file(self, tmp_path):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         name, dtype, shape = header["tensors"][-1]
         header["tensors"][-1] = [name, dtype, [shape[0] + 1, *shape[1:]]]
         path = tmp_path / "p.ckpt"
@@ -387,14 +382,14 @@ class TestIncompleteContents:
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         path = tmp_path / "t.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors) + b"\0" * 3)
         with pytest.raises(CheckpointError, match="3 bytes after"):
             load_checkpoint(path)
 
     def test_unknown_group_prefix(self, tmp_path):
-        header, tensors = self.parts(small_net())
+        header, tensors = self.parts(make_net())
         tensors[0] = ("grad:" + tensors[0][0].partition(":")[2], tensors[0][1])
         header["tensors"] = tensor_table(tensors)
         path = tmp_path / "u.ckpt"
@@ -403,7 +398,7 @@ class TestIncompleteContents:
             load_checkpoint(path)
 
     def test_size_is_prefix_header_and_table(self, tmp_path):
-        net = small_net()
+        net = make_net()
         path = tmp_path / "s.ckpt"
         save(path, net)
         blob = path.read_bytes()

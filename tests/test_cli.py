@@ -7,7 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -628,7 +628,7 @@ class TestEvaluate:
                                                      tmp_path, capsys):
         _, cache = corpus
         ckpt = load_checkpoint(trained_run / "fold_00" / "model.ckpt")
-        header = {"config": ckpt.config.as_dict(), "epoch": ckpt.epoch,
+        header = {"config": asdict(ckpt.config), "epoch": ckpt.epoch,
                   "seed": ckpt.seed, "adam": ckpt.adam.t}
         groups = {"param": ckpt.params, "stat": ckpt.bn_stats,
                   "adam.m": ckpt.adam.m, "adam.v": ckpt.adam.v}
@@ -653,7 +653,8 @@ class TestEvaluate:
     def test_bad_config_in_header_is_one_error_line(
             self, corpus, trained_run, tmp_path, capsys, field, value):
         # these used to print a ValueError traceback, or to load a 2-class
-        # subject head and skip the subject task with exit 0
+        # subject head and skip the subject task with exit 0; input_hw and
+        # conv_dropout, config fields of format 5, are unknown fields now
         _, cache = corpus
         bad = tmp_path / "bad.ckpt"
         rewrite_header(trained_run / "fold_00" / "model.ckpt", bad,
@@ -666,6 +667,23 @@ class TestEvaluate:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert field in lines[0]
+        assert "accuracy" not in captured.out
+
+    def test_version_5_checkpoint_is_one_error_line(self, corpus, trained_run,
+                                                     tmp_path, capsys):
+        # a format-5 file is refused by its number, before its header
+        _, cache = corpus
+        blob = (trained_run / "fold_00" / "model.ckpt").read_bytes()
+        old = tmp_path / "v5.ckpt"
+        old.write_bytes(MAGIC + struct.pack("<H", 5) + blob[len(MAGIC) + 2:])
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(old),
+                       "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "version 5 " in lines[0]
         assert "accuracy" not in captured.out
 
     def test_bad_epoch_and_seed_are_one_error_line(self, corpus, trained_run,

@@ -1,6 +1,7 @@
 """Splits, metrics, Welch test, training loop, and experiment artifacts."""
 
 import json
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -9,24 +10,17 @@ import pytest
 import scipy.stats
 
 from pressnet import harness, synthetic
-from pressnet.checkpoint import load_checkpoint, save_checkpoint
+from pressnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pressnet.errors import (ConfigError, NumericFault, TrainingFault,
                              UsageError)
 from pressnet.harness import TrainConfig
-from pressnet.model import ModelConfig
+from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
 from util import (bagged_trees_oracle, collapse_confusion, extract_features,
-                  oracle_nodes, synthetic_batch, tree_walk)
+                  oracle_nodes, small_net, synthetic_batch, tree_walk)
 
-
-def tiny_model(num_subjects=2, num_postures=3, **kw):
-    defaults = dict(conv_channels=(1, 1, 2, 2), dense_width=8,
-                    conv_dropout=(0.0, 0.0, 0.0, 0.0), dense_dropout=0.0,
-                    input_hw=(32, 64))
-    defaults.update(kw)
-    return ModelConfig(num_subjects=num_subjects, num_postures=num_postures,
-                       **defaults)
+CFG = ModelConfig(num_subjects=2, num_postures=3)
 
 
 class TestKFold:
@@ -307,11 +301,12 @@ def small_training_set(n=24, subjects=2, postures=3, seed=0):
     return synthetic_batch(n, subjects, postures, seed=seed)
 
 
+@pytest.mark.usefixtures("small_net")
 class TestTrainModel:
     def test_same_seed_bitwise_identical(self):
         x, yu, yp = small_training_set()
         cfg = TrainConfig(epochs=2, batch_size=8, base_lr=1e-3, seed=11)
-        mc = tiny_model()
+        mc = CFG
         net1, _, _ = harness.train_model(x, yu, yp, cfg, mc)
         net2, _, _ = harness.train_model(x, yu, yp, cfg, mc)
         for k, v in net1.params().items():
@@ -321,7 +316,7 @@ class TestTrainModel:
         x, yu, yp = small_training_set(n=16)
         cfg = TrainConfig(epochs=2, batch_size=8, base_lr=1e-3, seed=3,
                           augment=True)
-        mc = tiny_model()
+        mc = CFG
         net1, _, _ = harness.train_model(x, yu, yp, cfg, mc)
         net2, _, _ = harness.train_model(x, yu, yp, cfg, mc)
         for k, v in net1.params().items():
@@ -330,7 +325,7 @@ class TestTrainModel:
     def test_curve_lengths_and_finiteness(self):
         x, yu, yp = small_training_set()
         cfg = TrainConfig(epochs=3, batch_size=8, base_lr=1e-3, seed=2)
-        _, _, curves = harness.train_model(x, yu, yp, cfg, tiny_model())
+        _, _, curves = harness.train_model(x, yu, yp, cfg, CFG)
         for key, series in curves.items():
             assert len(series) == 3, key
             assert all(np.isfinite(v) for v in series), key
@@ -339,12 +334,12 @@ class TestTrainModel:
         x, yu, yp = small_training_set(n=24)
         cfg = TrainConfig(lam=0.0, epochs=30, batch_size=8, base_lr=2e-3,
                           seed=5)
-        net, _, curves = harness.train_model(x, yu, yp, cfg, tiny_model())
+        net, _, curves = harness.train_model(x, yu, yp, cfg, CFG)
         assert curves["acc_posture"][-1] >= 0.75
         # with zero weight on the subject loss, the subject labels must not
         # influence training at all: scrambling them changes nothing
         scrambled = (yu + 1) % 2
-        net2, _, _ = harness.train_model(x, scrambled, yp, cfg, tiny_model())
+        net2, _, _ = harness.train_model(x, scrambled, yp, cfg, CFG)
         for k, v in net.params().items():
             assert v.tobytes() == net2.params()[k].tobytes(), k
 
@@ -353,7 +348,7 @@ class TestTrainModel:
         # dropped (batch statistics need >= 2 rows)
         x, yu, yp = small_training_set(n=9)
         cfg = TrainConfig(epochs=1, batch_size=4, base_lr=1e-3, seed=6)
-        _, state, _ = harness.train_model(x, yu, yp, cfg, tiny_model())
+        _, state, _ = harness.train_model(x, yu, yp, cfg, CFG)
         assert state.t == 2  # two optimizer steps, not three
 
     def test_nan_input_aborts_with_location(self):
@@ -361,25 +356,26 @@ class TestTrainModel:
         x[3, 0, 5, 5] = np.nan
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
         with pytest.raises(TrainingFault, match="epoch 0 batch 0"):
-            harness.train_model(x, yu, yp, cfg, tiny_model())
+            harness.train_model(x, yu, yp, cfg, CFG)
 
     def test_empty_training_set(self):
         cfg = TrainConfig(epochs=1, seed=0)
         with pytest.raises(ConfigError):
             harness.train_model(np.zeros((0, 1, 32, 64)), np.zeros(0, int),
-                                np.zeros(0, int), cfg, tiny_model())
+                                np.zeros(0, int), cfg, CFG)
 
     def test_label_out_of_range(self):
         x, yu, yp = small_training_set(n=8)
         with pytest.raises(Exception) as exc_info:
             harness.train_model(x, yu + 10, yp,
-                                TrainConfig(epochs=1, seed=0), tiny_model())
+                                TrainConfig(epochs=1, seed=0), CFG)
         assert "subject" in str(exc_info.value)
 
-    def test_resume_equals_uninterrupted(self, tmp_path):
+    def test_resume_equals_uninterrupted(self, tmp_path, small_net):
         # dropout on, so the per-epoch rng stream alignment is exercised
+        small_net(CONV_DROPOUT=(0.1, 0.0, 0.0, 0.0), DENSE_DROPOUT=0.2)
         x, yu, yp = small_training_set(n=16)
-        mc = tiny_model(conv_dropout=(0.1, 0.0, 0.0, 0.0), dense_dropout=0.2)
+        mc = CFG
         full_cfg = TrainConfig(epochs=3, batch_size=8, base_lr=1e-3, seed=21)
         net_full, state_full, curves_full = harness.train_model(
             x, yu, yp, full_cfg, mc)
@@ -408,7 +404,7 @@ class TestTrainModel:
         # checkpoint at epoch 1 it starts there, and the curves hold the
         # epochs run since then, equal to the uninterrupted run's
         x, yu, yp = small_training_set(n=16)
-        mc = tiny_model()
+        mc = CFG
         cfg = TrainConfig(epochs=3, batch_size=8, base_lr=1e-3, seed=4)
         calls = []
 
@@ -432,22 +428,39 @@ class TestTrainModel:
     def test_resume_demands_matching_seed(self, tmp_path):
         x, yu, yp = small_training_set(n=8)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
-        net, state, _ = harness.train_model(x, yu, yp, cfg, tiny_model())
+        net, state, _ = harness.train_model(x, yu, yp, cfg, CFG)
         save_checkpoint(tmp_path / "c.ckpt", net, adam=state, epoch=1, seed=1)
         ckpt = load_checkpoint(tmp_path / "c.ckpt")
         bad = TrainConfig(epochs=2, batch_size=8, seed=2)
         with pytest.raises(UsageError, match="seed"):
-            harness.train_model(x, yu, yp, bad, tiny_model(), resume=ckpt)
+            harness.train_model(x, yu, yp, bad, CFG, resume=ckpt)
+
+    def test_resume_demands_matching_model_config(self, tmp_path,
+                                                  monkeypatch):
+        # a checkpoint of 3 postures used to resume under a 4-posture
+        # config: the labels were checked against 4, the net had 3
+        x, yu, yp = small_training_set(n=8)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
+        net, state, _ = harness.train_model(x, yu, yp, cfg, CFG)
+        save_checkpoint(tmp_path / "c.ckpt", net, adam=state, epoch=1, seed=1)
+        ckpt = load_checkpoint(tmp_path / "c.ckpt")
+        monkeypatch.setattr(PostureNet, "forward", None)  # no batch runs
+        other = ModelConfig(num_subjects=2, num_postures=4)
+        with pytest.raises(UsageError) as info:
+            harness.train_model(x, yu, yp, replace(cfg, epochs=2), other,
+                                resume=ckpt)
+        assert str(info.value) == f"checkpoint config {CFG} != model config " \
+            f"{other}"
 
 
+@pytest.mark.usefixtures("small_net")
 class TestEvaluate:
     def build(self, postures=(1, 10, 14), model_config=None):
         from pressnet.dataio import default_taxonomy
         seqs = [synthetic.synthetic_sequence(s, p, 5, seed=2)
                 for s in (1, 2) for p in postures]
         data = harness.flatten_sequences(seqs, default_taxonomy())
-        from pressnet.model import PostureNet
-        mc = model_config or tiny_model(num_subjects=2, num_postures=3)
+        mc = model_config or CFG
         net = PostureNet(mc, make_rng(33))
         return data, net
 
@@ -483,7 +496,7 @@ class TestEvaluate:
     def test_posture_count_mismatch_refused(self, postures):
         # a 4-posture net used to raise LabelError on 5 postures and a bare
         # IndexError on 3
-        data, net = self.build(postures, tiny_model(2, 4))
+        data, net = self.build(postures, ModelConfig(2, 4))
         with pytest.raises(UsageError, match="^checkpoint expects 4 postures, "
                            f"dataset has {len(postures)}$"):
             harness.evaluate_model(net, data, np.arange(len(data)))
@@ -491,14 +504,13 @@ class TestEvaluate:
     @staticmethod
     def frames(n):
         """n random frames over 2 subjects and 3 postures, and a tiny net."""
-        from pressnet.model import PostureNet
         rng, cls = make_rng(35), np.arange(n) % 3
         data = harness.FlatDataset(
             x=rng.random((n, 1, 32, 64), dtype=np.float32),
             subject_idx=np.arange(n) % 2, posture_idx=cls, coarse_idx=cls,
             seq_id=np.zeros(n, dtype=np.int64), subject_ids=[1, 2],
             posture_ids=[1, 10, 14])
-        return data, PostureNet(tiny_model(2, 3), make_rng(33))
+        return data, PostureNet(CFG, make_rng(33))
 
     @pytest.mark.parametrize("augment", [False, True])
     def test_split_is_not_copied_whole(self, augment):
@@ -531,7 +543,7 @@ class TestEvaluate:
 
     def test_subject_count_mismatch_skips_subject(self):
         # a 3-subject net used to score its subject head on 2 subjects
-        data, net = self.build(model_config=tiny_model(3, 3))
+        data, net = self.build(model_config=ModelConfig(3, 3))
         report = harness.evaluate_model(net, data, np.arange(len(data)))
         assert report["subject"] is None
         assert report["subject_by_category"] is None
@@ -550,11 +562,10 @@ class TestRunExperiment:
         base.update(kw)
         return TrainConfig(**base)
 
-    def test_artifacts_written(self, tmp_path):
+    def test_artifacts_written(self, tmp_path, small_net):
         data = self.build_data()
         out = tmp_path / "run"
-        aggregate = harness.run_experiment(data, self.config(), out,
-                                           model_config=tiny_model(2, 2))
+        aggregate = harness.run_experiment(data, self.config(), out)
         assert (out / "config.json").exists()
         assert (out / "aggregate.json").exists()
         assert (out / "summary.txt").exists()
@@ -576,7 +587,6 @@ class TestRunExperiment:
         # trains goes over by their size
         data = self.build_data()
         config = self.config()
-        model_config = ModelConfig(data.num_subjects, data.num_postures)
 
         def peak(run):
             tracemalloc.start()
@@ -587,15 +597,15 @@ class TestRunExperiment:
                 tracemalloc.stop()
 
         alone = max(peak(lambda: harness.run_fold(data, train_idx, test_idx,
-                                                  config, model_config, i))
+                                                  config, i))
                     for i, (train_idx, test_idx)
                     in enumerate(harness.split_for(data, config).folds))
         whole = peak(lambda: harness.run_experiment(
-            data, config, tmp_path / "run", model_config=model_config))
+            data, config, tmp_path / "run"))
         assert whole <= alone + 2**20, (whole, alone)
 
-    def test_run_fold_does_no_io_and_matches_written_fold(self, tmp_path,
-                                                          monkeypatch):
+    def test_run_fold_does_no_io_and_matches_written_fold(
+            self, tmp_path, monkeypatch, small_net):
         data = self.build_data()
         config = self.config(augment=True, augment_eval=True)
         train_idx, test_idx = harness.split_for(data, config).folds[1]
@@ -603,22 +613,20 @@ class TestRunExperiment:
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         net, state, curves, report = harness.run_fold(
-            data, train_idx, test_idx, config, tiny_model(2, 2), 1)
+            data, train_idx, test_idx, config, 1)
         assert list(cwd.iterdir()) == []
         assert state.t > 0 and len(curves["loss_total"]) == config.epochs
-        harness.run_experiment(data, config, tmp_path / "run",
-                               model_config=tiny_model(2, 2))
+        harness.run_experiment(data, config, tmp_path / "run")
         written = json.loads((harness.fold_dir(tmp_path / "run", 1)
                               / "metrics.json").read_text())
         assert {k: v.as_dict() if isinstance(v, harness.Metrics) else v
                 for k, v in report.items()} == written
 
-    def test_read_run_returns_every_fold(self, tmp_path):
+    def test_read_run_returns_every_fold(self, tmp_path, small_net):
         data = self.build_data()
         out = tmp_path / "run"
         reports = []
         harness.run_experiment(data, self.config(k=3), out,
-                               model_config=tiny_model(2, 2),
                                progress=lambda i, n, r: reports.append(r),
                                baselines=["knn"])
         summary, baselines, folds = harness.read_run(out)
@@ -634,12 +642,10 @@ class TestRunExperiment:
         assert np.array_equal(
             pooled, sum(r["posture_coarse"].confusion for r in reports))
 
-    def test_deterministic_artifacts(self, tmp_path):
+    def test_deterministic_artifacts(self, tmp_path, small_net):
         data = self.build_data()
-        a1 = harness.run_experiment(data, self.config(), tmp_path / "r1",
-                                    model_config=tiny_model(2, 2))
-        a2 = harness.run_experiment(data, self.config(), tmp_path / "r2",
-                                    model_config=tiny_model(2, 2))
+        a1 = harness.run_experiment(data, self.config(), tmp_path / "r1")
+        a2 = harness.run_experiment(data, self.config(), tmp_path / "r2")
         assert a1 == a2
         b1 = (tmp_path / "r1" / "aggregate.json").read_bytes()
         b2 = (tmp_path / "r2" / "aggregate.json").read_bytes()
@@ -648,29 +654,41 @@ class TestRunExperiment:
         c2 = (tmp_path / "r2" / "fold_00" / "model.ckpt").read_bytes()
         assert c1 == c2
 
-    def test_int_and_float_lambda_write_the_same_files(self, tmp_path):
+    def test_model_is_the_two_class_counts(self, tmp_path, small_net):
+        # config.json's model and every checkpoint header's config hold
+        # the two class counts, and nothing about the architecture
+        out = tmp_path / "run"
+        harness.run_experiment(self.build_data(), self.config(), out)
+        want = {"num_postures": 2, "num_subjects": 2}
+        assert json.loads((out / "config.json").read_text())["model"] == want
+        for i in range(2):
+            blob = (harness.fold_dir(out, i) / "model.ckpt").read_bytes()
+            (hlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 2)
+            header = json.loads(blob[len(MAGIC) + 6:][:hlen])
+            assert header["config"] == want
+
+    def test_int_and_float_lambda_write_the_same_files(self, tmp_path,
+                                                       small_net):
         # lam=1 used to write "lam": 1 and lambda=1, where 1.0 wrote 1.0
         data = self.build_data()
         for lam in (1, 1.0):
             harness.run_experiment(data, self.config(epochs=0, lam=lam),
-                                   tmp_path / repr(lam),
-                                   model_config=tiny_model(2, 2))
+                                   tmp_path / repr(lam))
         for name in ("config.json", "summary.txt"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "1.0" / name).read_bytes()
 
-    def test_loso_skips_subject_metrics(self, tmp_path):
+    def test_loso_skips_subject_metrics(self, tmp_path, small_net):
         data = self.build_data()
         aggregate = harness.run_experiment(
-            data, self.config(scheme="loso", lam=0.2), tmp_path / "run",
-            model_config=tiny_model(2, 2))
+            data, self.config(scheme="loso", lam=0.2), tmp_path / "run")
         assert aggregate["subject"] is None
         m = json.loads((tmp_path / "run" / "fold_00" / "metrics.json")
                        .read_text())
         assert m["subject"] is None
 
-    def test_baselines_written_under_lock_before_done(self, tmp_path,
-                                                      monkeypatch):
+    def test_baselines_written_under_lock_before_done(
+            self, tmp_path, monkeypatch, small_net):
         data = self.build_data()
         out = tmp_path / "run"
         seen = {}
@@ -683,7 +701,6 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness.classical, "run_baselines", spy)
         harness.run_experiment(data, self.config(), out,
-                               model_config=tiny_model(2, 2),
                                baselines=["knn", "mlp"])
         assert seen == {"lock": True, "done": False}
         results = json.loads((out / "baselines.json").read_text())
@@ -691,7 +708,7 @@ class TestRunExperiment:
         assert all(len(r["accuracy_per_fold"]) == 2 for r in results.values())
 
     def test_baselines_equal_the_per_frame_and_depth_first_oracles(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, small_net):
         # 3 subjects x 4 postures x 12 frames, the postures from all three
         # coarse classes and chosen so that no method is at ceiling in both
         # folds; features by frame blocks and trees breadth-first against
@@ -702,7 +719,6 @@ class TestRunExperiment:
         data = harness.flatten_sequences(seqs, default_taxonomy())
         methods = ("knn", "trees", "mlp")
         harness.run_experiment(data, self.config(), tmp_path / "arrays",
-                               model_config=tiny_model(3, 4),
                                baselines=methods)
         grown = []
         monkeypatch.setattr(
@@ -718,7 +734,6 @@ class TestRunExperiment:
                 [np.bincount([tree_walk(t, row) for t in trees]).argmax()
                  for row in q]))
         harness.run_experiment(data, self.config(), tmp_path / "oracles",
-                               model_config=tiny_model(3, 4),
                                baselines=methods)
         assert len(grown) == 2
         assert sum(len(oracle_nodes(t)) for trees in grown for t in trees) \
@@ -730,7 +745,6 @@ class TestRunExperiment:
         with pytest.raises(UsageError, match="svm"):
             harness.run_experiment(self.build_data(), self.config(),
                                    tmp_path / "run",
-                                   model_config=tiny_model(2, 2),
                                    baselines=["svm"])
         assert not (tmp_path / "run").exists()
 
@@ -741,8 +755,7 @@ class TestRunExperiment:
         # base_lr -1 used to train by gradient ascent
         data = self.build_data()
         with pytest.raises(ConfigError, match=next(iter(bad))):
-            harness.run_experiment(data, self.config(**bad), tmp_path / "run",
-                                   model_config=tiny_model(2, 2))
+            harness.run_experiment(data, self.config(**bad), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -755,21 +768,18 @@ class TestRunExperiment:
         out = tmp_path / "run"
         with pytest.raises(ConfigError, match=field):
             harness.run_experiment(self.build_data(),
-                                   self.config(**{field: value}), out,
-                                   model_config=tiny_model(2, 2))
+                                   self.config(**{field: value}), out)
         assert not out.exists()
 
-    def test_rerun_clears_what_it_does_not_write(self, tmp_path):
+    def test_rerun_clears_what_it_does_not_write(self, tmp_path, small_net):
         data = self.build_data()
         out = tmp_path / "run"
         harness.run_experiment(data, self.config(k=3), out,
-                               model_config=tiny_model(2, 2),
                                baselines=["knn"])
         assert harness.fold_dir(out, 2).is_dir()
         for other in ("fold_7", "fold_xx", "notes.txt"):
             (out / other).write_text("kept\n")
-        harness.run_experiment(data, self.config(k=2), out,
-                               model_config=tiny_model(2, 2))
+        harness.run_experiment(data, self.config(k=2), out)
         assert sorted(p.name for p in out.iterdir()) == [
             "DONE", "aggregate.json", "config.json", "fold_00", "fold_01",
             "fold_7", "fold_xx", "notes.txt", "summary.txt", "timing.txt"]
@@ -794,7 +804,7 @@ class TestRunExperiment:
                               tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
-    def test_negative_zero_sweeps_as_lambda_0(self, tmp_path):
+    def test_negative_zero_sweeps_as_lambda_0(self, tmp_path, small_net):
         # -0 used to train into lam_-0/ and key sweep.json with "-0"
         out = tmp_path / "sweep"
         result = harness.run_sweep(self.build_data(), self.config(),
@@ -810,5 +820,4 @@ class TestRunExperiment:
         out.mkdir()
         (out / ".lock").write_text("pid 12345\n")
         with pytest.raises(UsageError, match="locked"):
-            harness.run_experiment(data, self.config(), out,
-                                   model_config=tiny_model(2, 2))
+            harness.run_experiment(data, self.config(), out)

@@ -1,101 +1,63 @@
 """End-to-end model contracts: shapes, determinism, gradients, loss algebra."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pressnet import tensor
+from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.errors import ConfigError, ShapeError, UsageError
 from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
                              LeakyReLU, MaxPool2D)
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import (held_activations, is_channels_last, max_rel_err,
-                  one_pass_forward)
+from util import (SMALL_NET, held_activations, is_channels_last, max_rel_err,
+                  one_pass_forward, set_net_constants, small_net)
 
-
-def tiny_config(**overrides):
-    """Smallest config whose shape arithmetic closes on a 29x29 input."""
-    base = dict(num_subjects=2, num_postures=3, conv_channels=(1, 1, 2, 2),
-                dense_width=4, conv_dropout=(0.0, 0.0, 0.0, 0.0),
-                dense_dropout=0.0, input_hw=(29, 29))
-    base.update(overrides)
-    return ModelConfig(**base)
+CFG = ModelConfig(num_subjects=2, num_postures=3)
+PAPER = ModelConfig(num_subjects=13, num_postures=17)
 
 
 def make_batch(rng, config, n):
-    x = rng.random(size=(n, 1, *config.input_hw))
+    x = rng.random(size=(n, 1, GRID_ROWS, GRID_COLS))
     yu = rng.integers(0, config.num_subjects, size=n)
     yp = rng.integers(0, config.num_postures, size=n)
     return x, yu, yp
 
 
 class TestConfig:
-    def test_default_feature_shapes(self):
-        cfg = ModelConfig(num_subjects=13, num_postures=17)
-        assert cfg.feature_shapes() == [(30, 62), (14, 30), (12, 28),
-                                        (5, 13), (3, 11), (1, 9)]
-        assert cfg.flat_features == 128 * 1 * 9
+    def test_fields_are_the_two_class_counts(self):
+        assert [f.name for f in fields(ModelConfig)] == [
+            "num_subjects", "num_postures"]
+        assert ModelConfig(13, 17) == PAPER
 
-    def test_too_small_input_fails_at_build(self):
-        with pytest.raises(ConfigError, match="too small"):
-            ModelConfig(num_subjects=2, num_postures=2, input_hw=(16, 16))
+    def test_default_feature_shapes(self):
+        assert PAPER.feature_shapes() == [(30, 62), (14, 30), (12, 28),
+                                          (5, 13), (3, 11), (1, 9)]
+        net = PostureNet(PAPER, tensor.make_rng(39))
+        assert net.params()["fc1.w"].shape == (128 * 1 * 9, 256)
 
     @pytest.mark.parametrize("field, value", [
-        ("num_subjects", 2.5), ("num_postures", True), ("dense_width", 8.0),
-        ("conv_channels", (1, 1, 2.0, 2)), ("input_hw", (32.0, 64)),
-        ("input_hw", (32, True)), ("num_subjects", np.int64(3))])
+        ("num_subjects", 2.5), ("num_postures", True),
+        pytest.param("num_subjects", np.int64(3), id="num_subjects-numpy-int")])
     def test_sizes_must_be_ints(self, field, value):
         # a float size used to be truncated when the layers were built
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("dense_dropout", "0.5"),
-        pytest.param("dense_dropout", 10**400, id="dense_dropout-huge-int"),
-        pytest.param("conv_dropout", (0, 0, 0, -10**400),
-                     id="conv_dropout-huge-int"),
-        ("dense_dropout", None), ("conv_dropout", ("x", 0, 0, 0)),
-        ("conv_dropout", 5), ("conv_dropout", [0.1, 0.1, True, 0.1]),
-        ("conv_channels", 4)])
-    def test_bad_value_names_the_field(self, field, value):
-        # each is refused for its type, before any range check; an int no
-        # float can hold is refused as not a float
-        with pytest.raises(ConfigError, match=f"^{field} must be "):
-            ModelConfig(**{"num_subjects": 2, "num_postures": 2, field: value})
-
-    def test_lists_are_stored_as_tuples_and_floats_as_floats(self):
-        cfg = ModelConfig(num_subjects=2, num_postures=2,
-                          conv_channels=[1, 1, 2, 2], input_hw=[32, 64],
-                          conv_dropout=[0, 0.5, 0, 0],
-                          dense_dropout=np.float64(0.25))
-        assert cfg.conv_channels == (1, 1, 2, 2) and cfg.input_hw == (32, 64)
-        assert cfg.conv_dropout == (0.0, 0.5, 0.0, 0.0)
-        assert [type(p) for p in cfg.conv_dropout] == [float] * 4
-        assert type(cfg.dense_dropout) is float and cfg.dense_dropout == 0.25
-        assert type(cfg.num_subjects) is int
-
-    @pytest.mark.parametrize("hw", [(32,), (32, 64, 1), ()])
-    def test_input_hw_is_two_sizes(self, hw):
-        with pytest.raises(ConfigError, match="input_hw must be 2 sizes"):
-            ModelConfig(num_subjects=2, num_postures=2, input_hw=hw)
-
     def test_invalid_ranges(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="at least 2 subjects"):
             ModelConfig(num_subjects=1, num_postures=3)
-        with pytest.raises(ConfigError):
-            ModelConfig(num_subjects=2, num_postures=2, dense_dropout=1.0)
-        with pytest.raises(ConfigError, match="dense_width"):
-            ModelConfig(num_subjects=2, num_postures=2, dense_width=0)
+        with pytest.raises(ConfigError, match="2 postures"):
+            ModelConfig(num_subjects=2, num_postures=1)
 
 
 class TestForward:
-    def test_output_shapes_and_normalization(self):
-        cfg = ModelConfig(num_subjects=13, num_postures=17,
-                          conv_channels=(2, 2, 4, 4), dense_width=8)
-        net = PostureNet(cfg, tensor.make_rng(40))
+    def test_output_shapes_and_normalization(self, small_net):
+        net = PostureNet(PAPER, tensor.make_rng(40))
         rng = tensor.make_rng(41)
         x = rng.random(size=(2, 1, 32, 64)).astype(np.float32)
         pu, pp = net.forward(x)
@@ -103,30 +65,29 @@ class TestForward:
         assert np.allclose(pu.sum(axis=1), 1.0, atol=1e-6)
         assert np.allclose(pp.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_infer_mode_is_deterministic(self):
-        cfg = tiny_config()
-        net = PostureNet(cfg, tensor.make_rng(42), dtype=np.float64)
-        x, _, _ = make_batch(tensor.make_rng(43), cfg, 3)
+    def test_infer_mode_is_deterministic(self, small_net):
+        net = PostureNet(CFG, tensor.make_rng(42), dtype=np.float64)
+        x, _, _ = make_batch(tensor.make_rng(43), CFG, 3)
         a = net.forward(x)
         b = net.forward(x)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
 
-    def test_wrong_input_shape(self):
-        net = PostureNet(tiny_config(), tensor.make_rng(44))
-        with pytest.raises(ShapeError):
-            net.forward(np.ones((2, 1, 16, 16)))
+    def test_wrong_input_shape(self, small_net):
+        net = PostureNet(CFG, tensor.make_rng(44))
+        for shape in ((2, 1, 16, 16), (2, 1, 64, 32), (2, 2, 32, 64)):
+            with pytest.raises(ShapeError, match=r"\[B,1,32,64\]"):
+                net.forward(np.ones(shape))
 
 
 class TestBlockedInference:
     B = PostureNet.EVAL_BLOCK
 
     @staticmethod
-    def _net(seed, cfg=None):
+    def _net(seed):
         # running statistics away from their initial 0 and 1, so that every
         # batch norm does work
-        cfg = cfg or tiny_config()
-        net = PostureNet(cfg, tensor.make_rng(seed))
+        net = PostureNet(CFG, tensor.make_rng(seed))
         rng = tensor.make_rng(seed, 1)
         for bn in (layer for _, layer in net.stages
                    if isinstance(layer, BatchNorm2D)):
@@ -135,9 +96,9 @@ class TestBlockedInference:
         return net
 
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
-    def test_blocks_concatenate_and_keep_the_argmax(self, n):
-        cfg = tiny_config()
-        net = self._net(46, cfg)
+    def test_blocks_concatenate_and_keep_the_argmax(self, n, small_net):
+        cfg = CFG
+        net = self._net(46)
         x = make_batch(tensor.make_rng(47, n), cfg, n)[0].astype(np.float32)
         got = net.forward(x)
         blocks = [net.forward(x[s:s + self.B]) for s in range(0, n, self.B)]
@@ -151,19 +112,21 @@ class TestBlockedInference:
 
     @pytest.mark.parametrize("frames", ["random", "zeros", "constant"])
     @pytest.mark.parametrize("cfg, dtype", [
-        (ModelConfig(num_subjects=13, num_postures=17), np.float32),
-        (tiny_config(), np.float32),
-        (ModelConfig(num_subjects=13, num_postures=17), np.float64)])
-    def test_pooled_blocks_change_no_bit(self, cfg, dtype, frames):
+        ({}, np.float32), (SMALL_NET, np.float32), ({}, np.float64)])
+    def test_pooled_blocks_change_no_bit(self, cfg, dtype, frames,
+                                         monkeypatch):
         # inference runs batch norm after the pool, on a cropped conv; its
         # probabilities are those of the stage order on the same blocks,
         # with gamma positive, negative and zero, in each rotation over
-        # the channels
+        # the channels. cfg holds the PostureNet constants set: none for
+        # the paper's net
+        set_net_constants(monkeypatch, **cfg)
         n = self.B + 3
-        x = {"random": tensor.make_rng(53).random((n, 1, *cfg.input_hw)),
-             "zeros": np.zeros((n, 1, *cfg.input_hw)),
-             "constant": np.full((n, 1, *cfg.input_hw), 0.75)}[frames]
-        net = PostureNet(cfg, tensor.make_rng(54), dtype=dtype)
+        shape = (n, 1, GRID_ROWS, GRID_COLS)
+        x = {"random": tensor.make_rng(53).random(shape),
+             "zeros": np.zeros(shape),
+             "constant": np.full(shape, 0.75)}[frames]
+        net = PostureNet(PAPER, tensor.make_rng(54), dtype=dtype)
         rng = tensor.make_rng(55)
         bns = [layer for _, layer in net.stages
                if isinstance(layer, BatchNorm2D)]
@@ -184,20 +147,20 @@ class TestBlockedInference:
                 assert probs.tobytes() == want.tobytes(), (turn, head)
 
     @pytest.mark.parametrize("train", [False, True])
-    def test_empty_batch_is_refused(self, train):
+    def test_empty_batch_is_refused(self, train, small_net):
         net = self._net(45)
         with pytest.raises(ShapeError, match="B >= 1"):
-            net.forward(np.ones((0, 1, 29, 29), dtype=np.float32), train=train,
+            net.forward(np.ones((0, 1, 32, 64), dtype=np.float32), train=train,
                         rng=tensor.make_rng(45))
 
-    def test_train_forward_is_one_pass(self):
+    def test_train_forward_is_one_pass(self, small_net):
         # every stage sees all n > B frames once, and the probabilities and
         # the running statistics are those of one unblocked pass
-        cfg = tiny_config(conv_dropout=(0.1, 0.1, 0.1, 0.1), dense_dropout=0.2)
+        small_net(CONV_DROPOUT=(0.1, 0.1, 0.1, 0.1), DENSE_DROPOUT=0.2)
         n = self.B + 3
-        x, yu, yp = make_batch(tensor.make_rng(48), cfg, n)
+        x, yu, yp = make_batch(tensor.make_rng(48), CFG, n)
         x = x.astype(np.float32)
-        net, ref = self._net(49, cfg), self._net(49, cfg)
+        net, ref = self._net(49), self._net(49)
         batches = []
         for _, layer in net.stages + net.heads:
             def call(h, *args, fn=layer.forward, **kwargs):
@@ -219,16 +182,16 @@ class TestBlockedInference:
         # against twice the largest column matrix plus output any conv
         # builds for one block (conv2's); an unblocked pass needs
         # 512 / EVAL_BLOCK times that block's arrays
-        cfg = ModelConfig(num_subjects=13, num_postures=17)
-        net = PostureNet(cfg, tensor.make_rng(51))
-        x = tensor.make_rng(52).random((512, 1, *cfg.input_hw),
+        net = PostureNet(PAPER, tensor.make_rng(51))
+        x = tensor.make_rng(52).random((512, 1, GRID_ROWS, GRID_COLS),
                                        dtype=np.float32)
-        shapes = cfg.feature_shapes()
+        shapes = PAPER.feature_shapes()
         conv_hw = (shapes[0], shapes[2], shapes[4], shapes[5])
-        cins = (1, *cfg.conv_channels[:3])
+        channels = PostureNet.CONV_CHANNELS
         largest = max(self.B * h * w * (9 * cin + cout) * 4
-                      for (h, w), cin, cout in zip(conv_hw, cins,
-                                                   cfg.conv_channels))
+                      for (h, w), cin, cout in zip(conv_hw,
+                                                   (1, *channels[:3]),
+                                                   channels))
         tracemalloc.start()
         try:
             net.forward(x)
@@ -239,16 +202,17 @@ class TestBlockedInference:
 
 
 class TestBackward:
-    def test_requires_train_forward(self):
-        cfg = tiny_config()
+    def test_requires_train_forward(self, small_net):
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(45), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(46), cfg, 2)
         pu, pp = net.forward(x, train=False)
         with pytest.raises(UsageError):
             net.backward(pu, pp, yu, yp, 0.5)
 
-    def test_consumes_every_cache_and_runs_once(self):
-        cfg = tiny_config(conv_dropout=(0.1, 0.1, 0.1, 0.1), dense_dropout=0.2)
+    def test_consumes_every_cache_and_runs_once(self, small_net):
+        small_net(CONV_DROPOUT=(0.1, 0.1, 0.1, 0.1), DENSE_DROPOUT=0.2)
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(45))
         x, yu, yp = make_batch(tensor.make_rng(46), cfg, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(47))
@@ -264,19 +228,19 @@ class TestBackward:
         # two float32 copies of every conv and pool map; on top of them the
         # largest conv builds its column matrix and output. Layers that
         # keep their caches past backward go over this bound.
-        cfg = ModelConfig(num_subjects=13, num_postures=17)
+        cfg = PAPER
         net = PostureNet(cfg, tensor.make_rng(73))
         b = 64
         x, yu, yp = make_batch(tensor.make_rng(74), cfg, b)
         x = x.astype(np.float32)
         shapes = cfg.feature_shapes()  # conv1 pool1 conv2 pool2 conv3 conv4
-        c1, c2, c3, c4 = cfg.conv_channels
+        c1, c2, c3, c4 = PostureNet.CONV_CHANNELS
         maps = sum(b * c * h * w * 4
                    for c, (h, w) in zip((c1, c1, c2, c2, c3, c4), shapes))
         conv_hw = (shapes[0], shapes[2], shapes[4], shapes[5])
         largest = max(b * h * w * (9 * cin + cout) * 4
                       for (h, w), cin, cout in zip(conv_hw, (1, c1, c2, c3),
-                                                   cfg.conv_channels))
+                                                   (c1, c2, c3, c4)))
 
         def step():
             pu, pp = net.forward(x, train=True, rng=tensor.make_rng(75))
@@ -291,8 +255,8 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < largest + 2 * maps, (peak, largest, maps)
 
-    def test_lambda_zero_subject_head_gets_only_l2(self):
-        cfg = tiny_config()
+    def test_lambda_zero_subject_head_gets_only_l2(self, small_net):
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(47), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(48), cfg, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(49))
@@ -302,8 +266,8 @@ class TestBackward:
                               2 * PostureNet.L2_SIGMA * w)
         assert np.array_equal(grads["head_subject.b"], np.zeros_like(grads["head_subject.b"]))
 
-    def test_lambda_one_invariant_to_posture_permutation(self):
-        cfg = tiny_config()
+    def test_lambda_one_invariant_to_posture_permutation(self, small_net):
+        cfg = CFG
         rng_labels = tensor.make_rng(50)
         x, yu, yp = make_batch(rng_labels, cfg, 4)
         perm = rng_labels.permutation(cfg.num_postures)
@@ -318,8 +282,8 @@ class TestBackward:
         for key in g1:
             assert np.array_equal(g1[key], g2[key]), key
 
-    def test_lambda_zero_invariant_to_subject_permutation(self):
-        cfg = tiny_config()
+    def test_lambda_zero_invariant_to_subject_permutation(self, small_net):
+        cfg = CFG
         rng_labels = tensor.make_rng(53)
         x, yu, yp = make_batch(rng_labels, cfg, 4)
         perm = rng_labels.permutation(cfg.num_subjects)
@@ -334,8 +298,8 @@ class TestBackward:
         for key in g1:
             assert np.array_equal(g1[key], g2[key]), key
 
-    def test_duplicated_batch_keeps_mean_gradient(self):
-        cfg = tiny_config()
+    def test_duplicated_batch_keeps_mean_gradient(self, small_net):
+        cfg = CFG
         x, yu, yp = make_batch(tensor.make_rng(56), cfg, 3)
         x2 = np.concatenate([x, x]); yu2 = np.concatenate([yu, yu])
         yp2 = np.concatenate([yp, yp])
@@ -353,10 +317,10 @@ class TestBackward:
             diff = np.max(np.abs(g1[key] - g2[key]))
             assert diff <= 1e-12 + 1e-8 * scale, key
 
-    def test_full_finite_difference_small(self):
+    def test_full_finite_difference_small(self, small_net):
         # a fast whole-model gradient check; the acceptance suite runs the
         # larger 2/2/4/4 configuration
-        cfg = tiny_config()
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(58), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(59), cfg, 2)
         lam = 0.4
@@ -388,8 +352,8 @@ class TestBackward:
         assert worst <= 1e-4
 
 
-    def test_grads_keyed_like_params_and_stats_stay_live(self):
-        cfg = tiny_config()
+    def test_grads_keyed_like_params_and_stats_stay_live(self, small_net):
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(8), dtype=np.float64)
         stats = net.bn_stats()
         before = {k: v.copy() for k, v in stats.items()}
@@ -405,11 +369,12 @@ class TestBackward:
             assert v is stats[k]
             assert not np.array_equal(v, before[k]), k
 
-    def test_conv1_input_grad_changes_no_bit(self):
+    def test_conv1_input_grad_changes_no_bit(self, small_net):
         # conv1's input is the data: skipping its gradient must leave every
         # parameter gradient, and the Adam update built on them, unchanged
-        cfg = tiny_config(conv_channels=(2, 2, 2, 2), conv_dropout=(0.1,) * 4,
-                          dense_dropout=0.5)
+        small_net(CONV_CHANNELS=(2, 2, 2, 2), CONV_DROPOUT=(0.1,) * 4,
+                  DENSE_DROPOUT=0.5)
+        cfg = CFG
         x, yu, yp = make_batch(tensor.make_rng(21), cfg, 4)
         x = x.astype(np.float32)
         results = []
@@ -432,8 +397,8 @@ class TestBackward:
 
 
 class TestStages:
-    def test_stage_names_types_and_param_order(self):
-        cfg = tiny_config()
+    def test_stage_names_types_and_param_order(self, small_net):
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(80))
         assert [name for name, _ in net.stages] == (
             "conv1 bn1 pool1 act1 drop1 conv2 bn2 pool2 act2 drop2 "
@@ -458,17 +423,17 @@ class TestStages:
 
 
 class TestLayout:
-    def test_conv_blocks_stay_channels_last(self):
+    def test_conv_blocks_stay_channels_last(self, small_net):
         # every 4-D array into and out of a conv-block layer, from the data
         # to Flatten, forward and backward, has its NCHW shape and is
         # channels-last: a fallback copy to NCHW anywhere fails here
-        cfg = ModelConfig(num_subjects=3, num_postures=4,
-                          conv_channels=(3, 4, 5, 6), dense_width=8)
+        small_net(CONV_CHANNELS=(3, 4, 5, 6))
+        cfg = ModelConfig(num_subjects=3, num_postures=4)
         net = PostureNet(cfg, tensor.make_rng(70))
         shapes = iter(cfg.feature_shapes())
-        allowed = {(1, *cfg.input_hw)}
+        allowed = {(1, GRID_ROWS, GRID_COLS)}
         cin = 1
-        for i, ch in enumerate(cfg.conv_channels):
+        for i, ch in enumerate(PostureNet.CONV_CHANNELS):
             conv_hw = next(shapes)
             allowed.add((ch, *conv_hw))
             if i < 2:
@@ -512,8 +477,8 @@ class TestLayout:
 
 
 class TestLoss:
-    def test_loss_includes_l2(self):
-        cfg = tiny_config()
+    def test_loss_includes_l2(self, small_net):
+        cfg = CFG
         net = PostureNet(cfg, tensor.make_rng(60), dtype=np.float64)
         x, yu, yp = make_batch(tensor.make_rng(61), cfg, 2)
         pu, pp = net.forward(x)

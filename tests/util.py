@@ -5,16 +5,40 @@ import json
 import re
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pressnet.baselines import ACTIVE_THRESHOLD
 from pressnet.checkpoint import VERSION
 from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.losses import softmax
+from pressnet.model import PostureNet
 from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
+
+
+# PostureNet's architecture constants for fast tests: four narrow conv
+# blocks, narrow dense layers and no dropout, on the real 32x64 grid
+SMALL_NET = dict(CONV_CHANNELS=(1, 1, 2, 2), CONV_DROPOUT=(0.0,) * 4,
+                 DENSE_WIDTH=8, DENSE_DROPOUT=0.0)
+
+
+def set_net_constants(monkeypatch, **constants):
+    """Set PostureNet class constants for one test; a name PostureNet does
+    not have is an AttributeError."""
+    for name, value in constants.items():
+        monkeypatch.setattr(PostureNet, name, value)
+
+
+@pytest.fixture
+def small_net(monkeypatch):
+    """Build every PostureNet of the test with SMALL_NET's constants.
+    Returns a function that sets more, e.g. small_net(DENSE_DROPOUT=0.2)."""
+    set_net_constants(monkeypatch, **SMALL_NET)
+    return partial(set_net_constants, monkeypatch)
 
 
 def central_diff_grad(f, x, h=1e-6):
