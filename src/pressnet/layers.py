@@ -229,7 +229,7 @@ class BatchNorm2D:
 
 class MaxPool2D:
     """3x3 max-pooling with stride 2 (WINDOW, STRIDE), the network's only
-    pool geometry, which ModelConfig.feature_shapes reads."""
+    pool geometry, which PostureNet.feature_shapes reads."""
 
     WINDOW = 3
     STRIDE = 2

@@ -56,6 +56,19 @@ class ModelConfig:
         if self.num_subjects < 2 or self.num_postures < 2:
             raise ConfigError("need at least 2 subjects and 2 postures")
 
+
+class PostureNet:
+    """Fig.-2-style network instance: parameters, forward, backward."""
+
+    EVAL_BLOCK = 32  # frames per inference pass; faster than 16, 64 or 256
+    L2_SIGMA = 0.002  # the paper's L2 weight: loss adds sigma * sum(w ** 2)
+    # the paper's architecture: output channels and dropout rate of each
+    # conv block, then the width and dropout rate of both dense layers
+    CONV_CHANNELS = (32, 64, 128, 128)
+    CONV_DROPOUT = (0.1, 0.2, 0.3, 0.4)
+    DENSE_WIDTH = 256
+    DENSE_DROPOUT = 0.5
+
     @staticmethod
     def feature_shapes():
         """Spatial size after each conv/pool stage, from the input grid and
@@ -70,19 +83,6 @@ class ModelConfig:
                 h, w = (h - win) // stride + 1, (w - win) // stride + 1
                 shapes.append((h, w))
         return shapes
-
-
-class PostureNet:
-    """Fig.-2-style network instance: parameters, forward, backward."""
-
-    EVAL_BLOCK = 32  # frames per inference pass; faster than 16, 64 or 256
-    L2_SIGMA = 0.002  # the paper's L2 weight: loss adds sigma * sum(w ** 2)
-    # the paper's architecture: output channels and dropout rate of each
-    # conv block, then the width and dropout rate of both dense layers
-    CONV_CHANNELS = (32, 64, 128, 128)
-    CONV_DROPOUT = (0.1, 0.2, 0.3, 0.4)
-    DENSE_WIDTH = 256
-    DENSE_DROPOUT = 0.5
 
     def __init__(self, config: ModelConfig, rng, dtype=np.float32):
         self.config = config
@@ -102,7 +102,7 @@ class PostureNet:
                             (f"drop{i}", Dropout(self.CONV_DROPOUT[i - 1]))]
             cin = cout
         self.stages.append(("flatten", Flatten()))
-        h, w = config.feature_shapes()[-1]
+        h, w = self.feature_shapes()[-1]
         fan_in = cin * h * w
         for fc in ("fc1", "fc2"):
             self.stages += [(fc, Dense(fan_in, width, rng, dtype)),

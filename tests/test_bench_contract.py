@@ -17,16 +17,18 @@ from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.layers import MaxPool2D
 from pressnet.model import ModelConfig, PostureNet
 
-from util import small_net
+from util import set_net_constants, small_net
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_tracer_labels_every_stage(monkeypatch, small_net):
+def test_tracer_labels_every_stage(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import catalog
     import spans
 
+    # small channels, the paper's dropout rates: train mode draws masks
+    set_net_constants(monkeypatch, CONV_CHANNELS=(2, 2, 2, 2), DENSE_WIDTH=4)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -111,7 +113,7 @@ def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch, small_net):
     assert {f"layers.{st}.eval_fwd_ms" for st in catalog.STAGES} <= set(metrics)
     # a pooled block's conv computes only the rows and columns its pool
     # reads
-    shapes = cfg.feature_shapes()
+    shapes = PostureNet.feature_shapes()
     one_pass = sum(n * h * w * 9 * cin * 4 for (h, w), cin in zip(
         (MaxPool2D.reads(*shapes[0]), MaxPool2D.reads(*shapes[2]),
          shapes[4], shapes[5]),

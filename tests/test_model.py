@@ -35,8 +35,8 @@ class TestConfig:
         assert ModelConfig(13, 17) == PAPER
 
     def test_default_feature_shapes(self):
-        assert PAPER.feature_shapes() == [(30, 62), (14, 30), (12, 28),
-                                          (5, 13), (3, 11), (1, 9)]
+        assert PostureNet.feature_shapes() == [
+            (30, 62), (14, 30), (12, 28), (5, 13), (3, 11), (1, 9)]
         net = PostureNet(PAPER, tensor.make_rng(39))
         assert net.params()["fc1.w"].shape == (128 * 1 * 9, 256)
 
@@ -185,7 +185,7 @@ class TestBlockedInference:
         net = PostureNet(PAPER, tensor.make_rng(51))
         x = tensor.make_rng(52).random((512, 1, GRID_ROWS, GRID_COLS),
                                        dtype=np.float32)
-        shapes = PAPER.feature_shapes()
+        shapes = PostureNet.feature_shapes()
         conv_hw = (shapes[0], shapes[2], shapes[4], shapes[5])
         channels = PostureNet.CONV_CHANNELS
         largest = max(self.B * h * w * (9 * cin + cout) * 4
@@ -233,7 +233,8 @@ class TestBackward:
         b = 64
         x, yu, yp = make_batch(tensor.make_rng(74), cfg, b)
         x = x.astype(np.float32)
-        shapes = cfg.feature_shapes()  # conv1 pool1 conv2 pool2 conv3 conv4
+        # conv1 pool1 conv2 pool2 conv3 conv4
+        shapes = PostureNet.feature_shapes()
         c1, c2, c3, c4 = PostureNet.CONV_CHANNELS
         maps = sum(b * c * h * w * 4
                    for c, (h, w) in zip((c1, c1, c2, c2, c3, c4), shapes))
@@ -423,14 +424,19 @@ class TestStages:
 
 
 class TestLayout:
-    def test_conv_blocks_stay_channels_last(self, small_net):
+    def test_conv_blocks_stay_channels_last(self, monkeypatch):
         # every 4-D array into and out of a conv-block layer, from the data
         # to Flatten, forward and backward, has its NCHW shape and is
-        # channels-last: a fallback copy to NCHW anywhere fails here
-        small_net(CONV_CHANNELS=(3, 4, 5, 6))
+        # channels-last: a fallback copy to NCHW anywhere fails here. The
+        # paper's dropout rates stay, so every Dropout draws a mask and
+        # multiplies the gradient by it.
+        set_net_constants(monkeypatch, CONV_CHANNELS=(3, 4, 5, 6),
+                          DENSE_WIDTH=8)
         cfg = ModelConfig(num_subjects=3, num_postures=4)
         net = PostureNet(cfg, tensor.make_rng(70))
-        shapes = iter(cfg.feature_shapes())
+        assert all(layer.rate > 0 for layer in dict(net.stages).values()
+                   if isinstance(layer, Dropout))
+        shapes = iter(PostureNet.feature_shapes())
         allowed = {(1, GRID_ROWS, GRID_COLS)}
         cin = 1
         for i, ch in enumerate(PostureNet.CONV_CHANNELS):
