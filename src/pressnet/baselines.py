@@ -378,7 +378,7 @@ class MLPBaseline:
         return self.forward(x).argmax(axis=1)
 
 
-def mlp_baseline(train_x, train_y, n_classes: int | None = None,
+def mlp_baseline(train_x, train_y, n_classes: int,
                  seed: int = 0) -> MLPBaseline:
     """Train the MLP comparator on standardized feature vectors, by
     MLPBaseline's EPOCHS, BATCH_SIZE and LR; returns the model."""
@@ -386,8 +386,6 @@ def mlp_baseline(train_x, train_y, n_classes: int | None = None,
     train_y = np.asarray(train_y, dtype=np.int64)
     if train_x.ndim != 2 or train_x.shape[0] != train_y.shape[0]:
         raise ConfigError("features must be (N,D) with matching labels")
-    if n_classes is None:
-        n_classes = int(train_y.max()) + 1
     model = MLPBaseline(train_x.shape[1], n_classes, make_rng(seed, 85))
     state = AdamState(model.params())
     n, batch = train_x.shape[0], model.BATCH_SIZE

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -121,10 +121,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("tensors must share one float dtype, got "
                               f"{sorted(d.name for d in dtypes)}")
 
+    config, names = header["config"], {f.name for f in fields(ModelConfig)}
+    if not isinstance(config, dict):
+        raise CheckpointError("bad header: config is not an object")
+    odd = sorted(config.keys() ^ names)
+    if odd:
+        raise CheckpointError(f"bad header: config key '{odd[0]}' is "
+                              + ("missing" if odd[0] in names else "unknown"))
     try:
-        config = ModelConfig(**header["config"])
-    except (TypeError, ConfigError) as exc:
-        raise CheckpointError(f"bad header: {exc!r}") from exc
+        config = ModelConfig(**config)
+    except ConfigError as exc:
+        raise CheckpointError(f"bad header: {exc}") from exc
     for key, what in (("epoch", "epoch"), ("seed", "seed"),
                       ("adam", "adam step count")):
         if type(header[key]) is not int or header[key] < 0:

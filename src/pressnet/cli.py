@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--scheme", choices=("kfold", "loso"), default=None)
+    p.add_argument("--scheme", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     comparison = p.add_mutually_exclusive_group()
     comparison.add_argument("--lambda-sweep", type=_comma_list(float),
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--stride", type=int, default=1,
                    help="keep every n-th frame (runtime bound)")
-    p.add_argument("--split-level", choices=("frame", "sequence"), default=None)
+    p.add_argument("--split-level", default=None)
     p.add_argument("--augment", action="store_true", default=None)
     p.add_argument("--augment-eval", action="store_true", default=None)
     comparison.add_argument("--baselines", type=_comma_list(str), default=None,

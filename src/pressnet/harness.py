@@ -1,13 +1,20 @@
 """Training loop, cross-validation splits, metrics, and experiment runs.
 
-Randomness is organized as named streams derived from the run seed:
+Randomness is organized as named streams derived from the run seed, one
+key per use across the package (tensor.make_rng), so a new use takes a
+key not listed here:
 
-    stream 0          parameter initialization
-    stream 1          split shuffling
-    stream (2, epoch) minibatch shuffle for that epoch
-    stream (3, epoch) dropout masks for that epoch
-    stream (4, epoch) augmentation draws for that epoch
-    stream (5, fold)  test-set augmentation (augment-both mode)
+    stream 0            parameter initialization
+    stream 1            split shuffling
+    stream (2, epoch)   minibatch shuffle for that epoch
+    stream (3, epoch)   dropout masks for that epoch
+    stream (4, epoch)   augmentation draws for that epoch
+    stream (5, fold)    test-set augmentation (augment-both mode)
+    stream (80, tree)   bagged trees' bootstrap draws (baselines)
+    stream 85           MLP baseline initialization (baselines)
+    stream (86, epoch)  MLP baseline minibatch shuffle for that epoch
+    stream (90, s, p)   synthetic recording of subject s, posture p
+    stream 95           augment-stats draws (signal.plan_firing_counts)
 
 Keying per-epoch streams by the absolute epoch index makes checkpoint
 resume bit-equivalent to uninterrupted training.
@@ -105,27 +112,30 @@ class FoldPlan:
         return len(self.folds)
 
 
-def kfold_split(n: int, k: int = 10, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle, then contiguous partition into k test sets.
+def _hold_out(group: np.ndarray, held) -> FoldPlan:
+    """Fold i tests every row whose group is in held[i] and trains on the
+    rest, both as ascending int64 row indices."""
+    folds = []
+    for h in held:
+        test = np.isin(group, h)
+        folds.append((np.flatnonzero(~test), np.flatnonzero(test)))
+    return FoldPlan(folds)
 
-    The first n % k folds are one element larger, so sizes differ by at
-    most one.
-    """
+
+def _shuffled_parts(n: int, k: int, seed: int, what: str) -> list:
+    """np.array_split of a seeded permutation of arange(n) into k parts;
+    ConfigError, naming n `what`, unless 2 <= k <= n."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if n < k:
-        raise ConfigError(f"cannot make {k} folds from {n} samples")
-    order = make_rng(seed, STREAM_SPLIT).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        test = np.sort(order[start:start + size])
-        train = np.sort(np.concatenate([order[:start], order[start + size:]]))
-        folds.append((train, test))
-        start += size
-    return FoldPlan(folds)
+        raise ConfigError(f"cannot make {k} folds from {n} {what}")
+    return np.array_split(make_rng(seed, STREAM_SPLIT).permutation(n), k)
+
+
+def kfold_split(n: int, k: int = 10, seed: int = 0) -> FoldPlan:
+    """Seeded shuffle, then contiguous partition into k test sets; the
+    first n % k are one element larger, so sizes differ by at most one."""
+    return _hold_out(np.arange(n), _shuffled_parts(n, k, seed, "samples"))
 
 
 def loso_split(subject_idx: np.ndarray) -> FoldPlan:
@@ -134,12 +144,7 @@ def loso_split(subject_idx: np.ndarray) -> FoldPlan:
     subjects = np.unique(subject_idx)
     if subjects.size < 2:
         raise ConfigError("leave-one-subject-out needs at least 2 subjects")
-    all_idx = np.arange(subject_idx.size)
-    folds = []
-    for s in subjects:
-        mask = subject_idx == s
-        folds.append((all_idx[~mask], all_idx[mask]))
-    return FoldPlan(folds)
+    return _hold_out(subject_idx, subjects[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +213,18 @@ def flatten_sequences(sequences, taxonomy, stride: int = 1) -> FlatDataset:
 def split_for(data: FlatDataset, config: TrainConfig) -> FoldPlan:
     """Build the FoldPlan a TrainConfig asks for over a flat dataset.
 
-    k-fold splits partition groups of frames: whole recordings at sequence
-    level, single frames at frame level.
+    k-fold splits partition single frames at frame level and whole
+    recordings, those present in data, at sequence level; no fold's test
+    set is empty.
     """
     if config.scheme == "loso":
         return loso_split(data.subject_idx)
-    idx = np.arange(len(data))
-    if config.split_level == "sequence":
-        group, n_groups = data.seq_id, int(data.seq_id.max()) + 1
-    else:
-        group, n_groups = idx, len(data)
-    folds = []
-    for _, test_groups in kfold_split(n_groups, config.k, config.seed).folds:
-        test = np.isin(group, test_groups)
-        folds.append((idx[~test], idx[test]))
-    return FoldPlan(folds)
+    if config.split_level == "frame":
+        return kfold_split(len(data), config.k, config.seed)
+    recordings = np.unique(data.seq_id)
+    parts = _shuffled_parts(recordings.size, config.k, config.seed,
+                            "recordings")
+    return _hold_out(data.seq_id, [recordings[p] for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -711,20 +713,11 @@ def run_sweep(data: FlatDataset, config: TrainConfig, lams, out_dir,
 
 
 def _nanmean(values):
+    """Mean of the values that are not NaN or None; None if there are none,
+    as JSON has no NaN."""
     arr = np.asarray(values, dtype=np.float64)
     good = arr[~np.isnan(arr)]
-    return float(good.mean()) if good.size else float("nan")
-
-
-def _denan(obj):
-    """Replace NaN floats with None so JSON output stays valid."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _denan(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_denan(v) for v in obj]
-    return obj
+    return float(good.mean()) if good.size else None
 
 
 def aggregate_reports(fold_reports: list) -> dict:
@@ -752,7 +745,7 @@ def aggregate_reports(fold_reports: list) -> dict:
             c: _nanmean([b[c] for b in by_cat if c in b]) for c in cats}
     else:
         out["subject_by_category"] = None
-    return _denan(out)
+    return out
 
 
 def render_summary(aggregate: dict, config: TrainConfig) -> str:

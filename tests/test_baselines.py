@@ -487,7 +487,7 @@ class TestMlp:
         rng = make_rng(55)
         x = rng.normal(size=(32, 18))
         y = rng.integers(0, 4, size=32)
-        model = baselines.mlp_baseline(x, y, seed=7)
+        model = baselines.mlp_baseline(x, y, n_classes=4, seed=7)
         assert np.mean(model.predict(x) == y) == 1.0
 
     def test_gradients_match_finite_differences(self):
@@ -533,11 +533,11 @@ class TestMlp:
         rng = make_rng(58)
         x = rng.normal(size=(20, 6))
         y = rng.integers(0, 3, size=20)
-        m1 = baselines.mlp_baseline(x, y, seed=11)
-        m2 = baselines.mlp_baseline(x, y, seed=11)
+        m1 = baselines.mlp_baseline(x, y, n_classes=3, seed=11)
+        m2 = baselines.mlp_baseline(x, y, n_classes=3, seed=11)
         for k, v in m1.params().items():
             assert v.tobytes() == m2.params()[k].tobytes()
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError):
-            baselines.mlp_baseline(np.zeros(10), np.zeros(10, int))
+            baselines.mlp_baseline(np.zeros(10), np.zeros(10, int), 2)

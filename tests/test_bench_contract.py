@@ -5,14 +5,15 @@ bench/spans.py labels each layer's timing spans by the stage it belongs to
 falls back to a catch-all label and its stage's metrics go missing, so one
 traced train step and eval forward must give every stage its spans. It
 times preprocessing through module functions it patches by name, so a
-traced preprocess must call them.
+traced preprocess must call them. bench/worker.py builds its folds with
+harness.split_for and fits the MLP comparator by keyword.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from pressnet import optim, signal, synthetic, tensor
+from pressnet import baselines, harness, optim, signal, synthetic, tensor
 from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.layers import MaxPool2D
 from pressnet.model import ModelConfig, PostureNet
@@ -119,3 +120,23 @@ def test_eval_chunk_is_one_span_over_its_blocks(monkeypatch, small_net):
          shapes[4], shapes[5]),
         (1, *PostureNet.CONV_CHANNELS[:3])))
     assert metrics["tensor.im2col_mb_per_eval_chunk"] == one_pass / 1e6
+
+
+
+def test_worker_fold_plan_and_mlp_calls(monkeypatch):
+    # bench/worker.py reads len(plan) and plan.folds as (train, test)
+    # pairs, and calls mlp_baseline(tr, y, n_classes=..., seed=...)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    data = harness.FlatDataset(
+        x=np.zeros((6, 1, 1, 1), dtype=np.float32), subject_idx=labels,
+        posture_idx=labels, coarse_idx=labels, seq_id=np.arange(6),
+        subject_ids=[1, 2, 3], posture_ids=[1, 2, 3])
+    plan = harness.split_for(data, harness.TrainConfig(k=2, seed=1))
+    assert len(plan) == len(plan.folds) == 2
+    for train, test in plan.folds:
+        assert train.size + test.size == len(data)
+
+    monkeypatch.setattr(baselines.MLPBaseline, "EPOCHS", 1)
+    feats = tensor.make_rng(95).normal(size=(6, 3))
+    mlp = baselines.mlp_baseline(feats, labels, n_classes=4, seed=2)
+    assert mlp.predict(feats).shape == (6,) and mlp.n_classes == 4

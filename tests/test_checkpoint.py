@@ -315,10 +315,13 @@ class TestIncompleteContents:
         (lambda h: h["config"].update(conv_dropout=["x", 0, 0, 0]),
          "conv_dropout"),
         (lambda h: h["config"].update(l2_sigma=float("nan")), "l2_sigma"),
+        (lambda h: h["config"].pop("num_postures"),
+         "'num_postures' is missing"),
+        (lambda h: h.update(config=[2, 3]), "config is not an object"),
     ], ids=["unknown-config-field", "bad-config-value", "short-input-hw",
             "float-num-subjects", "partial-adam", "null-adam",
             "negative-step", "float-step", "text-conv-dropout",
-            "nan-l2-sigma"])
+            "nan-l2-sigma", "missing-num-postures", "config-a-list"])
     def test_bad_header_values(self, tmp_path, edit, match):
         # input_hw, conv_dropout and l2_sigma were config fields of older
         # formats: each is now an unknown field
@@ -326,8 +329,9 @@ class TestIncompleteContents:
         edit(header)
         path = tmp_path / "h.ckpt"
         path.write_bytes(pack_checkpoint(header, tensors))
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=match) as info:
             load_checkpoint(path)
+        assert "Error(" not in str(info.value)
 
     @pytest.mark.parametrize("edit, match", [
         ({"epoch": "two", "seed": 2.5}, "epoch 'two'"),

@@ -462,6 +462,20 @@ class TestTrain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--scheme", "kfolds"), ("--split-level", "frames")])
+    def test_bad_split_flag_refused_by_train_config(self, tmp_path, capsys,
+                                                    flag, value):
+        # argparse used to refuse these from its own copy of the choices,
+        # with a usage line; TrainConfig refuses them like any bad setting
+        rc = cli.main(["train", "--cache-dir", str(tmp_path / "missing"),
+                       "--out-dir", str(tmp_path / "run"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{value}'" in err and "preprocess" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_lambda_with_sweep_refused_before_the_cache_loads(self, tmp_path,
                                                               capsys):
         # the sweep used to replace the given lambda without a word
@@ -667,6 +681,8 @@ class TestEvaluate:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert field in lines[0]
+        # the field and the rule, not a Python exception's repr
+        assert "Error(" not in lines[0]
         assert "accuracy" not in captured.out
 
     def test_version_5_checkpoint_is_one_error_line(self, corpus, trained_run,

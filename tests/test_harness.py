@@ -18,7 +18,9 @@ from pressnet.model import ModelConfig, PostureNet
 from pressnet.tensor import make_rng
 
 from util import (bagged_trees_oracle, collapse_confusion, extract_features,
-                  oracle_nodes, small_net, synthetic_batch, tree_walk)
+                  kfold_split_oracle, loso_split_oracle, oracle_nodes,
+                  sequence_split_oracle, small_net, synthetic_batch,
+                  tree_walk)
 
 CFG = ModelConfig(num_subjects=2, num_postures=3)
 
@@ -147,6 +149,128 @@ class TestSplitProperties:
             assert max(sizes) - min(sizes) <= 1
 
 
+def labels_only(labels):
+    """A FlatDataset of one-pixel frames whose subject and recording labels
+    are both `labels`: all that split_for reads."""
+    zeros = np.zeros(labels.size, dtype=np.int64)
+    return harness.FlatDataset(
+        x=np.zeros((labels.size, 1, 1, 1), dtype=np.float32),
+        subject_idx=labels, posture_idx=zeros, coarse_idx=zeros,
+        seq_id=labels, subject_ids=[], posture_ids=[])
+
+
+def assert_same_plan(plan, want):
+    """plan's folds equal want's (train, test) pairs in dtype and bytes."""
+    assert len(plan) == len(want)
+    for got, expected in zip(plan.folds, want):
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+class TestSplitsMatchTheOldRule:
+    """The one hold-out rule against the three separate fold rules it
+    replaced (tests/util.py), byte for byte, 300 random cases a kind."""
+
+    def test_kfold(self):
+        rng = make_rng(303)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            k = int(rng.integers(2, min(n, 20) + 1))
+            seed = int(rng.integers(1 << 30))
+            want = kfold_split_oracle(n, k, seed)
+            assert_same_plan(harness.kfold_split(n, k=k, seed=seed), want)
+            assert_same_plan(harness.split_for(
+                labels_only(np.arange(n)),
+                TrainConfig(k=k, seed=seed)), want)
+
+    def test_loso(self):
+        rng = make_rng(304)
+        for _ in range(300):
+            # subject numbers with gaps, in any order
+            labels = rng.choice(50, size=int(rng.integers(2, 12)),
+                                replace=False)
+            n = int(rng.integers(labels.size, 200))
+            subj = labels[rng.integers(0, labels.size, size=n)]
+            subj[rng.permutation(n)[:labels.size]] = labels
+            want = loso_split_oracle(subj)
+            assert_same_plan(harness.loso_split(subj), want)
+            assert_same_plan(harness.split_for(
+                labels_only(subj),
+                TrainConfig(scheme="loso", k=int(rng.integers(2, 9)))), want)
+
+    def test_sequence(self):
+        rng = make_rng(305)
+        for _ in range(300):
+            # every recording 0..n_rec-1 holds a frame, as without an
+            # empty recording; frames in recording order or shuffled
+            n_rec = int(rng.integers(2, 40))
+            n = int(rng.integers(n_rec, 300))
+            seq_id = rng.integers(0, n_rec, size=n)
+            seq_id[rng.permutation(n)[:n_rec]] = np.arange(n_rec)
+            if rng.random() < 0.5:
+                seq_id.sort()
+            k = int(rng.integers(2, min(n_rec, 12) + 1))
+            seed = int(rng.integers(1 << 30))
+            assert_same_plan(harness.split_for(
+                labels_only(seq_id),
+                TrainConfig(k=k, seed=seed, split_level="sequence")),
+                sequence_split_oracle(seq_id, k, seed))
+
+    def test_sequence_folds_hold_out_recordings_present(self):
+        # recording numbers with gaps, as empty recordings leave them: each
+        # fold tests whole recordings and none tests nothing
+        rng = make_rng(306)
+        for _ in range(100):
+            present = np.sort(rng.choice(60, size=int(rng.integers(2, 20)),
+                                         replace=False))
+            seq_id = np.repeat(present, rng.integers(1, 6, size=present.size))
+            k = int(rng.integers(2, present.size + 1))
+            plan = harness.split_for(labels_only(seq_id), TrainConfig(
+                k=k, seed=int(rng.integers(1 << 30)), split_level="sequence"))
+            assert len(plan) == k
+            held = [np.unique(seq_id[test]) for _, test in plan.folds]
+            assert all(h.size for h in held)
+            assert np.array_equal(np.sort(np.concatenate(held)), present)
+            sizes = {h.size for h in held}
+            assert max(sizes) - min(sizes) <= 1
+            for (train, test), h in zip(plan.folds, held):
+                assert not np.isin(seq_id[train], h).any()
+                assert train.size + test.size == seq_id.size
+
+
+class TestEmptyRecording:
+    """S1/1, an empty S1/2, S2/1 and S2/2, 4 frames each: flattening skips
+    the empty recording and leaves a gap in seq_id."""
+
+    def build_data(self):
+        from pressnet.dataio import SampleSequence, default_taxonomy
+        seqs = [synthetic.synthetic_sequence(s, p, 4, seed=3)
+                for s, p in ((1, 1), (1, 2), (2, 1), (2, 2))]
+        seqs[1] = SampleSequence(frames=seqs[1].frames[:0], subject_id=1,
+                                 posture_id=2)
+        return harness.flatten_sequences(seqs, default_taxonomy())
+
+    def test_every_fold_tests_a_recording(self):
+        data = self.build_data()
+        plan = harness.split_for(data, TrainConfig(k=3,
+                                                   split_level="sequence"))
+        assert [(tr.size, te.size) for tr, te in plan.folds] == [(8, 4)] * 3
+
+    def test_more_folds_than_recordings_refused_before_the_run(self,
+                                                               tmp_path):
+        # the k-fold used to count the empty recording: its fourth fold
+        # trained on all 12 frames and tested none, and only then did
+        # evaluate_model refuse the empty test split
+        data = self.build_data()
+        config = TrainConfig(k=4, split_level="sequence", epochs=1)
+        with pytest.raises(ConfigError,
+                           match="cannot make 4 folds from 3 recordings"):
+            harness.split_for(data, config)
+        with pytest.raises(ConfigError, match="3 recordings"):
+            harness.run_experiment(data, config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+
 class TestFlatten:
     def test_labels_and_stride(self):
         seqs = [synthetic.synthetic_sequence(1, 1, 10, seed=0),
@@ -191,6 +315,19 @@ class TestFlatten:
 
 
 class TestConfusionAndMetrics:
+    def test_aggregate_writes_none_where_no_fold_has_a_rate(self):
+        # class 2 is never predicted, class 1 only in the second fold
+        folds = [harness.compute_metrics(np.array(cm)) for cm in (
+            [[2, 0, 0], [3, 0, 0], [1, 0, 0]],
+            [[1, 1, 0], [0, 2, 0], [1, 1, 0]])]
+        agg = harness.aggregate_reports(
+            [{"posture_fine": m, "posture_coarse": m, "subject": None}
+             for m in folds])["posture_fine"]
+        assert agg["precision_mean_per_class"][1:] == [50.0, None]
+        assert agg["precision_mean"] == pytest.approx(
+            np.mean([agg["precision_mean_per_class"][0], 50.0]))
+        json.dumps(agg, allow_nan=False)
+
     def test_hand_confusion(self):
         cm = harness.confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1], k=2)
         assert cm.tolist() == [[1, 1], [0, 2]]

@@ -483,3 +483,40 @@ def synthetic_batch(n, num_subjects, num_postures, seed=0):
         ys[i] = s
         yp[i] = p
     return x, ys, yp
+
+
+def kfold_split_oracle(n, k, seed):
+    """[(train, test)] of a seeded k-fold over n samples, built the long way:
+    shuffle by stream (seed, 1), cut contiguous test sets (the first n % k
+    one larger), then sort each test set and concatenate and sort the rest."""
+    order = make_rng(seed, 1).permutation(n)
+    base, extra = divmod(n, k)
+    folds, start = [], 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        test = np.sort(order[start:start + size])
+        train = np.sort(np.concatenate([order[:start], order[start + size:]]))
+        folds.append((train, test))
+        start += size
+    return folds
+
+
+def loso_split_oracle(subject_idx):
+    """[(train, test)] of leave-one-subject-out, one mask per subject in
+    ascending order."""
+    subject_idx = np.asarray(subject_idx)
+    all_idx = np.arange(subject_idx.size)
+    return [(all_idx[subject_idx != s], all_idx[subject_idx == s])
+            for s in np.unique(subject_idx)]
+
+
+def sequence_split_oracle(seq_id, k, seed):
+    """[(train, test)] of a recording-level k-fold over gap-free recording
+    numbers 0..seq_id.max(): the k-fold of the recording numbers, each
+    fold's test recordings mapped to their frames by a mask."""
+    idx = np.arange(seq_id.size)
+    folds = []
+    for _, groups in kfold_split_oracle(int(seq_id.max()) + 1, k, seed):
+        test = np.isin(seq_id, groups)
+        folds.append((idx[~test], idx[test]))
+    return folds
