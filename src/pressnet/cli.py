@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, harness, signal, synthetic
+from .baselines import METHODS
 from .checkpoint import load_checkpoint, restore_net
 from .errors import ConfigError, PressnetError, UsageError
 from .harness import TrainConfig
@@ -81,9 +82,7 @@ def render_frame(frame: np.ndarray) -> str:
 def cmd_preprocess(args) -> int:
     root = _data_root(args)
     manifest, hit = signal.preprocess_dataset(
-        root, args.cache_dir, taxonomy=args.taxonomy, trim=args.trim,
-        empty_threshold=args.empty_threshold, delimiter=args.delimiter,
-        force=args.force)
+        root, args.cache_dir, taxonomy=args.taxonomy, force=args.force)
     if hit:
         print(f"cache hit: {args.cache_dir} already matches the raw data "
               f"({len(manifest.entries)} sequences)")
@@ -194,13 +193,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_frame_dump(args) -> int:
-    seq = dataio.parse_frame_file(args.file, delimiter=args.delimiter,
-                                  subject_id=0, posture_id=0)
+    seq = dataio.parse_frame_file(args.file, subject_id=0, posture_id=0)
     if not 0 <= args.index < len(seq):
         raise UsageError(f"frame index {args.index} out of range "
                          f"(sequence has {len(seq)} frames)")
     raw = seq.frames[args.index]
-    cleaned = signal.preprocess_sequence(seq, trim=0).frames
+    cleaned = signal.normalize_frames(signal.median_filter_3d(seq.frames))
     print(f"frame {args.index} of {args.file} (raw, scaled to sensor range):")
     print(render_frame(signal.normalize_frames(raw)))
     print("\nsame frame after median filter + normalization (no trim):")
@@ -242,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", required=True)
     p.add_argument("--taxonomy", default=None,
                    help="taxonomy file (default: built-in mapping)")
-    p.add_argument("--trim", type=int, default=signal.TRIM)
-    p.add_argument("--empty-threshold", type=float,
-                   default=signal.EMPTY_THRESHOLD)
-    p.add_argument("--delimiter", default=None)
     p.add_argument("--force", action="store_true",
                    help="recompute even when the cache fingerprint matches")
     p.set_defaults(func=cmd_preprocess)
@@ -271,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", action="store_true", default=None)
     p.add_argument("--augment-eval", action="store_true", default=None)
     comparison.add_argument("--baselines", type=_comma_list(str), default=None,
-                            help="comma list from {knn,trees,mlp} to run "
-                            "alongside")
+                            help=f"comma list from {{{','.join(METHODS)}}} "
+                            "to run alongside")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a cache")
@@ -292,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frame-dump", help="ASCII view of one frame")
     p.add_argument("--file", required=True)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--delimiter", default=None)
     p.set_defaults(func=cmd_frame_dump)
 
     p = sub.add_parser("augment-stats",

@@ -110,19 +110,28 @@ def infer_labels_from_path(path) -> tuple[int, int]:
     return int(m_subj.group(1)), int(m_post.group(1))
 
 
-def parse_frame_file(path, delimiter=None, subject_id=None,
-                     posture_id=None) -> SampleSequence:
+def open_input(path, mode="r"):
+    """open(path, mode) of an input file; UsageError naming path and the
+    reason when it cannot be opened."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def parse_frame_file(path, subject_id=None, posture_id=None) -> SampleSequence:
     """Parse one recording file into a SampleSequence.
 
-    delimiter=None means any whitespace (the default file format); pass ","
-    for comma-separated exports. Every record must contain exactly 2048
-    numeric fields. A file of counts (each field an optional "+" and
-    digits, at most 65535) gives uint16 frames; any other file is parsed
-    as float32, where each field must be finite (NaN, +-inf and values
-    beyond float32's range are refused); so is a file the count parse warns
-    about, as numpy < 2 did for "1.0" or "-0" (which keeps its sign). "#" is
-    a field, not a comment. A count is a float32 exactly, so both parses
-    agree wherever the first applies. Labels default to the path convention.
+    Fields are split on whitespace, the one file format: every record must
+    contain exactly 2048 of them, so a file with any other separator is
+    refused by its field count. UsageError on a file that cannot be opened.
+    A file of counts (each field an optional "+" and digits, at most 65535)
+    gives uint16 frames; any other file is parsed as float32, where each
+    field must be finite (NaN, +-inf and values beyond float32's range are
+    refused); so is a file the count parse warns about, as numpy < 2 did
+    for "1.0" or "-0" (which keeps its sign). "#" is a field, not a comment.
+    A count is a float32 exactly, so both parses agree wherever the first
+    applies. Labels default to the path convention.
     """
     path = Path(path)
     if subject_id is None or posture_id is None:
@@ -130,7 +139,7 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
         subject_id = inf_s if subject_id is None else subject_id
         posture_id = inf_p if posture_id is None else posture_id
 
-    with open(path) as fh:
+    with open_input(path) as fh:
         # loadtxt skips only empty lines; whitespace is blank here too
         lines = [line for line in fh if line.strip()]
     try:
@@ -138,18 +147,17 @@ def parse_frame_file(path, delimiter=None, subject_id=None,
             # numpy < 2 parsed a float field such as "1.0" or "-0" to an
             # integer with a DeprecationWarning; any warning means floats
             warnings.simplefilter("error")
-            flat = np.loadtxt(lines, dtype=np.uint16, delimiter=delimiter,
-                              comments=None, ndmin=2)
+            flat = np.loadtxt(lines, dtype=np.uint16, comments=None, ndmin=2)
     except (ValueError, Warning):
-        flat = _parse_floats(path, lines, delimiter)
+        flat = _parse_floats(path, lines)
     if flat.shape[1] != FRAME_FIELDS:
-        _refuse_records(path, delimiter)
+        _refuse_records(path)
     # on-disk rows become columns of the canonical 32x64 grid
     frames = flat.reshape(-1, FILE_ROWS, FILE_COLS).transpose(0, 2, 1)
     return SampleSequence(frames, subject_id, posture_id)
 
 
-def _parse_floats(path, lines, delimiter):
+def _parse_floats(path, lines):
     """The non-blank lines of a file that is not all counts as a float32
     table; ParseError, through _refuse_records, unless every field is
     finite."""
@@ -157,17 +165,16 @@ def _parse_floats(path, lines, delimiter):
         # an empty file is refused below, not warned about
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            flat = np.loadtxt(lines, dtype=np.float32, delimiter=delimiter,
-                              comments=None, ndmin=2)
+            flat = np.loadtxt(lines, dtype=np.float32, comments=None, ndmin=2)
         except ValueError as exc:
-            _refuse_records(path, delimiter, str(exc))
+            _refuse_records(path, str(exc))
     # a value beyond float32's range parses to inf, refused here
     if not np.isfinite(flat).all():
-        _refuse_records(path, delimiter)
+        _refuse_records(path)
     return flat
 
 
-def _refuse_records(path, delimiter, reason="records of an unknown form"):
+def _refuse_records(path, reason="records of an unknown form"):
     """Rescan a file parse_frame_file cannot take and raise ParseError for
     its first bad record, numbered by line (blank lines count), for a file
     with no records, or else with reason (loadtxt's complaint)."""
@@ -177,7 +184,7 @@ def _refuse_records(path, delimiter, reason="records of an unknown form"):
             if not line.strip():
                 continue
             found = True
-            fields = line.split(delimiter)
+            fields = line.split()
             if len(fields) != FRAME_FIELDS:
                 raise ParseError(
                     f"{path}: record {recno} has {len(fields)} fields, "
@@ -209,9 +216,10 @@ def default_taxonomy() -> dict:
 
 
 def load_taxonomy(path) -> dict:
-    """Read a taxonomy file: 17 lines of '<id> <category>'."""
+    """Read a taxonomy file: 17 lines of '<id> <category>'. UsageError on a
+    file that cannot be read, ConfigError on a malformed one."""
     taxonomy = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -7,7 +7,8 @@ sorted triples shared between neighbouring windows, and preprocessing
 filters only the frames the trim keeps.
 Augmentation is the paper's four-step pipeline (AUGMENT_STEPS) applied per
 frame, each step firing independently with its own fixed probability.
-TRIM and EMPTY_THRESHOLD are the one copy of the preprocessing defaults.
+The pipeline is the paper's and has no settings: TRIM and EMPTY_THRESHOLD
+are its constants, read when it runs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .tensor import make_rng
 # ---------------------------------------------------------------------------
 # preprocessing
 
-TRIM = 3                # default frames trimmed from each sequence end
-EMPTY_THRESHOLD = 1.0   # default empty-frame sum (see drop_empty_samples)
+TRIM = 3                # frames trimmed from each sequence end
+EMPTY_THRESHOLD = 1.0   # empty-frame sum (see drop_empty_samples)
 
 
 def _odd_even_merge(ops, x, y):
@@ -192,17 +193,17 @@ def normalize_frames(frames: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(frames, dtype=np.float32) / SENSOR_MAX, 0.0, 1.0)
 
 
-def drop_empty_samples(sequences, threshold: float = EMPTY_THRESHOLD):
-    """Remove sequences whose every frame sums below threshold.
+def drop_empty_samples(sequences):
+    """Remove sequences whose every frame sums below EMPTY_THRESHOLD.
 
-    Operates on normalized sequences; the default EMPTY_THRESHOLD of 1.0
-    means a frame carrying less than 0.01% of full-scale total pressure
-    counts as empty. Returns (kept, report), one report line per removal.
+    Operates on normalized sequences; an EMPTY_THRESHOLD of 1.0 means a
+    frame carrying less than 0.01% of full-scale total pressure counts as
+    empty. Returns (kept, report), one report line per removal.
     """
     kept, report = [], []
     for seq in sequences:
         top = float(seq.frames.sum(axis=(1, 2)).max()) if len(seq) else 0.0
-        if len(seq) == 0 or top < threshold:
+        if len(seq) == 0 or top < EMPTY_THRESHOLD:
             report.append(
                 f"dropped subject {seq.subject_id} posture {seq.posture_id}"
                 f" ({len(seq)} frames, max frame sum {top:.4f})")
@@ -211,28 +212,22 @@ def drop_empty_samples(sequences, threshold: float = EMPTY_THRESHOLD):
     return kept, report
 
 
-def preprocess_sequence(seq: SampleSequence,
-                        trim: int = TRIM) -> SampleSequence:
-    """Median filter, normalize, and trim one raw sequence.
+def preprocess_sequence(seq: SampleSequence) -> SampleSequence:
+    """Median filter, normalize, and trim TRIM frames per end of a sequence.
 
-    Only the kept frames are filtered. With trim >= 1, the windows of the
-    kept frames [trim, T - trim) read raw frames [trim - 1, T - trim + 1)
-    and never the clamped time edge, so that slice is filtered and its
-    first and last frame dropped: the bytes of filtering every frame and
-    then trimming. A sequence of at most 2 * trim frames comes out empty.
-    ConfigError on a negative trim; NumericFault on a non-finite value in
-    any frame, trimmed ones included.
+    Only the kept frames are filtered. The windows of the kept frames
+    [TRIM, T - TRIM) read raw frames [TRIM - 1, T - TRIM + 1) and never the
+    clamped time edge, so that slice is filtered and its first and last
+    frame dropped: the bytes of filtering every frame and then trimming. A
+    sequence of at most 2 * TRIM frames comes out empty. NumericFault on a
+    non-finite value in any frame, trimmed ones included.
     """
-    if trim < 0:
-        raise ConfigError(f"trim must be >= 0, got {trim}")
     frames = _checked_frames(seq.frames)
     t = frames.shape[0]
-    if trim == 0:
-        frames = median_filter_3d(frames)
-    elif t <= 2 * trim:
+    if t <= 2 * TRIM:
         frames = frames[:0]
     else:
-        frames = median_filter_3d(frames[trim - 1:t - trim + 1])[1:-1]
+        frames = median_filter_3d(frames[TRIM - 1:t - TRIM + 1])[1:-1]
     return SampleSequence(normalize_frames(frames), seq.subject_id,
                           seq.posture_id)
 
@@ -360,26 +355,25 @@ def plan_firing_counts(draws: int, seed: int):
 # preprocessed cache
 
 
-def dataset_fingerprint(manifest: dataio.DatasetManifest, trim: int,
-                        empty_threshold: float, delimiter) -> str:
+def dataset_fingerprint(manifest: dataio.DatasetManifest) -> str:
     """Content hash of the cache format (dataio.CACHE_FORMAT), the
-    preprocessing parameters, the manifest's taxonomy and the raw files."""
+    preprocessing constants (in the text the settings they replace hashed,
+    so an older cache still hits), the manifest's taxonomy and the raw
+    files."""
     h = hashlib.sha256()
     h.update(f"format={dataio.CACHE_FORMAT};".encode())
-    h.update(f"trim={trim};thr={empty_threshold};delim={delimiter!r}".encode())
+    h.update(f"trim={TRIM};thr={EMPTY_THRESHOLD};delim=None".encode())
     taxonomy = manifest.taxonomy
     h.update(f";tax={[(p, taxonomy[p]) for p in sorted(taxonomy)]}".encode())
     for e in manifest.entries:
         h.update(f"\n{e.subject_id}/{e.posture_id}\n".encode())
-        with open(e.path, "rb") as fh:
+        with dataio.open_input(e.path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):
                 h.update(block)
     return h.hexdigest()
 
 
-def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
-                       empty_threshold: float = EMPTY_THRESHOLD,
-                       delimiter=None, force: bool = False):
+def preprocess_dataset(root, cache_dir, taxonomy=None, force: bool = False):
     """Run the full pipeline over a dataset tree and cache the results.
 
     Writes into cache_dir one array per surviving sequence (at
@@ -391,20 +385,15 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
     before writing any array and writes the new one last, so a rebuild cut
     short is a miss. When the fingerprint matches and every listed array
     exists, the cached manifest is returned untouched. Returns (manifest,
-    hit). ConfigError, before cache_dir is created, unless trim >= 0 and
-    empty_threshold is finite and >= 0.
+    hit). The manifest is built before cache_dir is created, so a root that
+    is not a dataset tree (ParseError) or a taxonomy file that cannot be
+    read (UsageError) or is malformed (ConfigError) leaves no directory.
     """
-    if trim < 0:
-        raise ConfigError(f"trim must be >= 0, got {trim}")
-    if not (math.isfinite(empty_threshold) and empty_threshold >= 0.0):
-        raise ConfigError(f"empty threshold must be finite and >= 0, "
-                          f"got {empty_threshold}")
+    manifest = dataio.build_manifest(root, taxonomy=taxonomy)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    manifest = dataio.build_manifest(root, taxonomy=taxonomy)
 
-    fingerprint = dataset_fingerprint(manifest, trim, empty_threshold,
-                                      delimiter)
+    fingerprint = dataset_fingerprint(manifest)
     marker = cache_dir / dataio.FINGERPRINT_FILE
     manifest_file = cache_dir / dataio.MANIFEST_FILE
     if (not force and marker.exists()
@@ -418,18 +407,17 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
     cleaned = []
     short_warnings = []
     for entry in manifest.entries:
-        seq = dataio.parse_frame_file(entry.path, delimiter=delimiter,
-                                      subject_id=entry.subject_id,
+        seq = dataio.parse_frame_file(entry.path, subject_id=entry.subject_id,
                                       posture_id=entry.posture_id)
-        clean = preprocess_sequence(seq, trim=trim)
+        clean = preprocess_sequence(seq)
         if len(clean) == 0:
             short_warnings.append(
                 f"subject {seq.subject_id} posture {seq.posture_id}: "
-                f"empty after trimming {trim} frames from each end")
+                f"empty after trimming {TRIM} frames from each end")
             continue
         cleaned.append(clean)
 
-    kept, removal_report = drop_empty_samples(cleaned, threshold=empty_threshold)
+    kept, removal_report = drop_empty_samples(cleaned)
 
     # written last, so a rebuild cut short is never served as a hit
     marker.unlink(missing_ok=True)
@@ -458,8 +446,9 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, trim: int = TRIM,
 
 
 def load_clean_sequences(manifest: dataio.DatasetManifest) -> list:
-    """Load cached sequences (written by preprocess_dataset) in order;
-    UsageError naming the first listed array that is missing."""
+    """Load cached sequences (written by preprocess_dataset) in order.
+    UsageError naming the first listed array that is missing, that cannot
+    be read, or whose frame count is not the manifest's."""
     out = []
     for e in manifest.entries:
         try:
@@ -467,5 +456,12 @@ def load_clean_sequences(manifest: dataio.DatasetManifest) -> list:
         except FileNotFoundError:
             raise UsageError(f"cache array {e.path} is missing"
                              "; run 'preprocess' again") from None
+        except (OSError, ValueError, EOFError) as exc:
+            raise UsageError(f"cache array {e.path} cannot be read ({exc})"
+                             "; run 'preprocess --force'") from None
+        if len(frames) != e.frame_count:
+            raise UsageError(
+                f"cache array {e.path} holds {len(frames)} frames, the "
+                f"manifest lists {e.frame_count}; run 'preprocess --force'")
         out.append(SampleSequence(frames, e.subject_id, e.posture_id))
     return out

@@ -18,7 +18,7 @@ from pressnet.harness import TrainConfig
 from pressnet.checkpoint import MAGIC, load_checkpoint
 from pressnet.errors import ConfigError, UsageError
 
-from util import float_twin, pack_checkpoint, tensor_table
+from util import float_twin, median_oracle, pack_checkpoint, tensor_table
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +97,21 @@ class TestSynthAndPreprocess:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--trim", "-1", "trim must be >= 0"),
-        ("--empty-threshold", "nan", "threshold must be finite"),
-        ("--empty-threshold", "inf", "threshold must be finite"),
-        ("--empty-threshold", "-0.5", "threshold must be finite and >= 0"),
-    ])
+    @pytest.mark.parametrize("flag, value, code, message", [
+        ("--data-root", "nope", 1, "is not a directory"),
+        ("--taxonomy", "nope.txt", 2, "cannot read"),
+        ("--taxonomy", "bad.txt", 2, "line 1: expected '<id> <category>'"),
+    ], ids=["missing-root", "unreadable-taxonomy", "malformed-taxonomy"])
     def test_bad_preprocess_value_creates_no_cache(self, corpus, tmp_path,
-                                                   capsys, flag, value,
+                                                   capsys, flag, value, code,
                                                    message):
         root, _ = corpus
         cache = tmp_path / "cache"
+        (tmp_path / "bad.txt").write_text("1 supine extra\n")
+        # the later --data-root wins
         rc = cli.main(["preprocess", "--data-root", str(root),
-                       "--cache-dir", str(cache), flag, value])
-        assert rc == 2
+                       "--cache-dir", str(cache), flag, str(tmp_path / value)])
+        assert rc == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
@@ -314,6 +315,31 @@ class TestCacheLayout:
         assert self.preprocess(root, cache) == 0
         assert "cache hit" not in capsys.readouterr().out
         assert gone.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda f: f.write_bytes(f.read_bytes()[:200]), "cannot be read"),
+        (lambda f: np.save(f, np.load(f)[:2]),
+         "holds 2 frames, the manifest lists 6"),
+    ], ids=["truncated", "frame-count"])
+    def test_damaged_array_is_one_line_and_rebuilt(self, corpus, tmp_path,
+                                                   capsys, damage, message):
+        # the fingerprint hashes the raw files, not the arrays, so only
+        # --force rebuilds a damaged array
+        root, _ = corpus
+        cache = tmp_path / "cache"
+        assert self.preprocess(root, cache) == 0
+        damaged = cache / "S1_1.npy"
+        damage(damaged)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--cache-dir", str(cache),
+                         "--checkpoint", str(tmp_path / "none.ckpt")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(damaged) in lines[0] and message in lines[0]
+        assert lines[0].endswith("run 'preprocess --force'")
+        assert cli.main(["preprocess", "--data-root", str(root),
+                         "--cache-dir", str(cache), "--force"]) == 0
+        assert self.train(cache, tmp_path / "run") == 0
 
 
 class TestTrain:
@@ -875,7 +901,7 @@ class TestFrameDump:
         assert len(grids) == 64  # two 32-row frames
         # the second grid is the preprocessing pipeline's frame, untrimmed
         seq = dataio.parse_frame_file(root / "S1" / "1.txt")
-        clean = signal.preprocess_sequence(seq, trim=0).frames
+        clean = signal.normalize_frames(median_oracle(seq.frames))
         assert "\n".join(grids[32:]) == cli.render_frame(clean[2])
 
     def test_count_file_and_float_twin_print_the_same(self, corpus, capsys,
@@ -898,6 +924,17 @@ class TestFrameDump:
                        "--index", "99"])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.txt", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, name,
+                                               reason):
+        path = tmp_path / name
+        assert cli.main(["frame-dump", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
 
 
 class TestAugmentStats:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pressnet import dataio, signal, synthetic
-from pressnet.errors import ConfigError, LabelError, ParseError
+from pressnet.errors import ConfigError, LabelError, ParseError, UsageError
 
 from util import float_twin, parse_oracle
 
@@ -81,18 +81,17 @@ class TestParseFrameFile:
         seq = dataio.parse_frame_file(f, subject_id=1, posture_id=1)
         assert len(seq) == 2
 
+    def parse_error(self, f):
+        with pytest.raises(ParseError) as info:
+            dataio.parse_frame_file(f, subject_id=1, posture_id=1)
+        return str(info.value)
+
     def test_comma_delimiter(self, tmp_path):
+        # fields are split on whitespace only: a comma file is refused
         f = tmp_path / "seq.txt"
         f.write_text(",".join(str(v) for v in range(2048)) + "\n")
-        seq = dataio.parse_frame_file(f, delimiter=",", subject_id=1,
-                                      posture_id=1)
-        assert seq.frames.shape == (1, 32, 64)
-
-    def parse_error(self, f, delimiter=None):
-        with pytest.raises(ParseError) as info:
-            dataio.parse_frame_file(f, delimiter=delimiter, subject_id=1,
-                                    posture_id=1)
-        return str(info.value)
+        assert self.parse_error(f) == (f"{f}: record 1 has 1 fields, "
+                                       "expected 2048")
 
     def test_only_record_short(self, tmp_path):
         # one record parses to a (1, 3) table without complaint
@@ -126,21 +125,6 @@ class TestParseFrameFile:
             dataio.parse_frame_file(crlf, subject_id=1, posture_id=1).frames,
             dataio.parse_frame_file(lf, subject_id=1, posture_id=1).frames)
 
-    def test_comma_delimiter_whitespace_line_is_blank(self, tmp_path):
-        f = tmp_path / "seq.txt"
-        body = ",".join(str(v) for v in range(2048))
-        f.write_text(f"{body}\n  \t\n{body}\n")
-        seq = dataio.parse_frame_file(f, delimiter=",", subject_id=1,
-                                      posture_id=1)
-        assert len(seq) == 2
-
-    def test_comma_delimiter_ragged_record(self, tmp_path):
-        f = tmp_path / "seq.txt"
-        f.write_text(",".join(["1"] * 2048) + "\n"
-                     + ",".join(["1"] * 2047) + "\n")
-        assert self.parse_error(f, ",") == (f"{f}: record 2 has 2047 "
-                                            "fields, expected 2048")
-
     def test_float32_overflow_is_refused_without_warning(self, tmp_path):
         # warnings are errors under pytest, so a warning would fail here
         f = tmp_path / "seq.txt"
@@ -148,18 +132,16 @@ class TestParseFrameFile:
         assert self.parse_error(f) == (f"{f}: record 1 contains a "
                                        "non-finite field")
 
-    @pytest.mark.parametrize("delimiter", [None, ","])
-    def test_decimal_fields_match_per_line_parse(self, tmp_path, delimiter):
+    def test_decimal_fields_match_per_line_parse(self, tmp_path):
         rng = np.random.default_rng(6)
         digits = rng.integers(1, 10, size=(4, 2048))
         values = rng.uniform(0, 10000, size=(4, 2048))
         f = tmp_path / "seq.txt"
         f.write_text("".join(
-            (delimiter or " ").join(f"{v:.{d}f}" for v, d in zip(vs, ds))
+            " ".join(f"{v:.{d}f}" for v, d in zip(vs, ds))
             + "\n" for vs, ds in zip(values, digits)))
-        frames = dataio.parse_frame_file(f, delimiter=delimiter,
-                                         subject_id=1, posture_id=1).frames
-        want = parse_oracle(f, delimiter)
+        frames = dataio.parse_frame_file(f, subject_id=1, posture_id=1).frames
+        want = parse_oracle(f)
         assert np.array_equal(frames.view(np.uint32), want.view(np.uint32))
         # the oracle's layout too; the cache stores C order whatever it is
         assert frames.strides == want.strides
@@ -193,9 +175,8 @@ class TestCountPath:
     """A file of integer counts parses to uint16, anything else to float32
     as before; where both parses apply they give the same values."""
 
-    def parse(self, f, delimiter=None):
-        return dataio.parse_frame_file(f, delimiter=delimiter, subject_id=1,
-                                       posture_id=1).frames
+    def parse(self, f):
+        return dataio.parse_frame_file(f, subject_id=1, posture_id=1).frames
 
     def counts_file(self, path, seed=7, rows=3, sep=" ", eol="\n"):
         records = np.random.default_rng(seed).integers(
@@ -264,19 +245,18 @@ class TestCountPath:
         assert b[0, :3, 0].tolist() == [7.0, 7.0, 0.0]
         assert not np.signbit(b[0, 2, 0])
 
-    @pytest.mark.parametrize("sep,delimiter", [(" ", None), (",", ","),
-                                               ("\t", None), (", ", ",")])
-    def test_delimiters_crlf_and_blank_lines(self, tmp_path, sep, delimiter):
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    def test_delimiters_crlf_and_blank_lines(self, tmp_path, sep):
         f = self.counts_file(tmp_path / "seq.txt", rows=2, sep=sep,
                              eol="\r\n")
         body = f.read_bytes().split(b"\r\n")
         f.write_bytes(b"\n  \t\r\n" + body[0] + b"\r\n\r\n \n"
                       + body[1] + b"\r\n\n")
-        frames = self.parse(f, delimiter)
+        frames = self.parse(f)
         assert frames.dtype == np.uint16 and len(frames) == 2
-        want = parse_oracle(f, delimiter)
+        want = parse_oracle(f)
         assert frames.astype(np.float32).tobytes() == want.tobytes()
-        twin = self.parse(float_twin(f, tmp_path / "twin.txt"), delimiter)
+        twin = self.parse(float_twin(f, tmp_path / "twin.txt"))
         assert twin.tobytes() == want.tobytes()
 
 
@@ -373,6 +353,16 @@ class TestManifest:
         with pytest.raises(ParseError):
             dataio.build_manifest(tmp_path / "nope")
 
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.txt", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unreadable_taxonomy_is_a_usage_error(self, tmp_path, name,
+                                                  reason):
+        path = tmp_path / name
+        with pytest.raises(UsageError) as info:
+            dataio.load_taxonomy(path)
+        assert str(info.value) == f"cannot read {path}: {reason}"
+
     def test_malformed_taxonomy_is_fatal(self, tmp_path):
         self.make_tree(tmp_path)
         tax = tmp_path / "tax.txt"
@@ -380,11 +370,11 @@ class TestManifest:
         with pytest.raises(ConfigError):
             dataio.build_manifest(tmp_path, taxonomy=tax)
 
-    def test_write_read_round_trip(self, tmp_path):
+    def test_write_read_round_trip(self, tmp_path, monkeypatch):
         self.make_tree(tmp_path / "raw")
         cache = tmp_path / "cache"
-        manifest, _ = signal.preprocess_dataset(tmp_path / "raw", cache,
-                                                trim=1)
+        monkeypatch.setattr(signal, "TRIM", 1)  # 5 raw frames keep 3
+        manifest, _ = signal.preprocess_dataset(tmp_path / "raw", cache)
         assert len(manifest.entries) == 12 and manifest.warnings
         back = dataio.read_manifest(cache / dataio.MANIFEST_FILE)
         # paths included: read_manifest derives each one beside the manifest

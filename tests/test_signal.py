@@ -1,15 +1,17 @@
 """Preprocessing and augmentation against brute-force oracles."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pressnet import signal
 from pressnet.dataio import SampleSequence
-from pressnet.errors import ConfigError, NumericFault, ShapeError
+from pressnet.errors import NumericFault, ShapeError, UsageError
 from pressnet.tensor import make_rng
 
 from util import (float_twin, median_oracle, np_median_oracle,
@@ -194,13 +196,14 @@ class TestMedianNetwork:
 
 class TestTrimmedFiltering:
     @pytest.mark.parametrize("extra", range(4))
-    @pytest.mark.parametrize("trim", range(4))
-    def test_same_bytes_as_filtering_every_frame(self, trim, extra):
+    @pytest.mark.parametrize("trim", range(1, 4))
+    def test_same_bytes_as_filtering_every_frame(self, monkeypatch, trim,
+                                                 extra):
+        monkeypatch.setattr(signal, "TRIM", trim)
         t = 2 * trim + extra
         raw = make_rng(30 + t).integers(0, 12000, size=(t, 64, 32))
         frames = raw.astype(np.float32).transpose(0, 2, 1)
-        clean = signal.preprocess_sequence(SampleSequence(frames, 1, 2),
-                                           trim=trim).frames
+        clean = signal.preprocess_sequence(SampleSequence(frames, 1, 2)).frames
         want = trim_sequence(
             signal.normalize_frames(signal.median_filter_3d(frames)), trim)
         assert clean.shape == want.shape == (extra, 32, 64)
@@ -214,12 +217,7 @@ class TestTrimmedFiltering:
         frames = np.ones((t, 32, 64), dtype=np.float32)
         frames[frame, 3, 4] = value
         with pytest.raises(NumericFault, match="non-finite"):
-            signal.preprocess_sequence(SampleSequence(frames, 1, 1), trim=3)
-
-    def test_negative_trim_is_a_config_error(self):
-        frames = np.ones((10, 32, 64), dtype=np.float32)
-        with pytest.raises(ConfigError, match="trim"):
-            signal.preprocess_sequence(SampleSequence(frames, 1, 1), trim=-1)
+            signal.preprocess_sequence(SampleSequence(frames, 1, 1))
 
 
 class TestNormalize:
@@ -244,30 +242,33 @@ class TestNormalize:
 
 class TestTrim:
     # frame k holds 100 * k everywhere, so the median filter keeps every
-    # frame as it is and the trim shows in the values
+    # frame as it is and the trim shows in the values; the test names count
+    # frames at TRIM = 3
     @staticmethod
-    def trimmed(t, n):
-        frames = np.arange(t, dtype=np.float32)[:, None, None] * np.full(
-            (t, 32, 64), 100.0, dtype=np.float32)
-        seq = SampleSequence(frames, subject_id=1, posture_id=1)
-        return signal.preprocess_sequence(seq, trim=n).frames, frames
+    def trimmed(monkeypatch, extra):
+        """(n, preprocessed frames, raw frames) of a 2n + extra frame
+        sequence at each TRIM n from 1 to 3."""
+        for n in (1, 2, 3):
+            monkeypatch.setattr(signal, "TRIM", n)
+            t = 2 * n + extra
+            frames = np.arange(t, dtype=np.float32)[:, None, None] * np.full(
+                (t, 32, 64), 100.0, dtype=np.float32)
+            seq = SampleSequence(frames, subject_id=1, posture_id=1)
+            yield n, signal.preprocess_sequence(seq).frames, frames
 
-    def test_ten_to_four(self):
-        out, frames = self.trimmed(10, 3)
-        assert out.shape[0] == 4
-        assert np.array_equal(out, signal.normalize_frames(frames[3:7]))
+    def test_ten_to_four(self, monkeypatch):
+        for n, out, frames in self.trimmed(monkeypatch, 4):
+            want = signal.normalize_frames(frames[n:n + 4])
+            assert out.shape[0] == 4 and np.array_equal(out, want)
 
-    def test_six_to_empty(self):
-        out, _ = self.trimmed(6, 3)
-        assert out.shape == (0, 32, 64) and out.dtype == np.float32
+    def test_six_to_empty(self, monkeypatch):
+        for _, out, _ in self.trimmed(monkeypatch, 0):
+            assert out.shape == (0, 32, 64) and out.dtype == np.float32
 
-    def test_seven_to_middle_frame(self):
-        out, frames = self.trimmed(7, 3)
-        assert np.array_equal(out, signal.normalize_frames(frames[3:4]))
-
-    def test_zero_trim_is_identity(self):
-        out, frames = self.trimmed(4, 0)
-        assert np.array_equal(out, signal.normalize_frames(frames))
+    def test_seven_to_middle_frame(self, monkeypatch):
+        for n, out, frames in self.trimmed(monkeypatch, 1):
+            want = signal.normalize_frames(frames[n:n + 1])
+            assert np.array_equal(out, want)
 
 
 class TestDropEmpty:
@@ -287,14 +288,16 @@ class TestDropEmpty:
         kept, report = signal.drop_empty_samples([seq])
         assert kept == [seq] and report == []
 
-    def test_threshold_is_strict(self):
+    def test_threshold_is_strict(self, monkeypatch):
         # frame sum exactly at the threshold counts as non-empty
         frames = np.zeros((1, 32, 64), dtype=np.float64)
         frames[0, 0, 0] = 2.0
         seq = SampleSequence(frames=frames, subject_id=3, posture_id=4)
-        kept, _ = signal.drop_empty_samples([seq], threshold=2.0)
+        monkeypatch.setattr(signal, "EMPTY_THRESHOLD", 2.0)
+        kept, _ = signal.drop_empty_samples([seq])
         assert kept == [seq]
-        kept, report = signal.drop_empty_samples([seq], threshold=2.0001)
+        monkeypatch.setattr(signal, "EMPTY_THRESHOLD", 2.0001)
+        kept, report = signal.drop_empty_samples([seq])
         assert kept == [] and len(report) == 1
 
     def test_one_loud_frame_saves_the_sequence(self):
@@ -445,7 +448,7 @@ class TestPipeline:
     def test_preprocess_sequence_chains(self):
         raw = make_rng(14).uniform(0, 10000, size=(10, 32, 64)).astype(np.float32)
         seq = SampleSequence(frames=raw, subject_id=2, posture_id=3)
-        clean = signal.preprocess_sequence(seq, trim=3)
+        clean = signal.preprocess_sequence(seq)
         assert clean.frames.shape == (4, 32, 64)
         assert clean.frames.min() >= 0.0 and clean.frames.max() <= 1.0
         assert (clean.subject_id, clean.posture_id) == (2, 3)
@@ -457,15 +460,14 @@ class TestPipeline:
     def test_constant_sequences_are_pipeline_fixed_points(self):
         # constants are roots of the median filter, and in-range values are
         # fixed by the clamp; a second pass (no trim) changes nothing
-        frames = np.full((5, 32, 64), 0.25, dtype=np.float32)
-        seq = SampleSequence(frames=frames, subject_id=1, posture_id=1)
+        frames = np.full((8, 32, 64), 0.25, dtype=np.float32)
         once = signal.preprocess_sequence(
             SampleSequence(frames=frames * 10000.0, subject_id=1,
-                           posture_id=1), trim=0)
+                           posture_id=1))
         twice_frames = signal.normalize_frames(
             signal.median_filter_3d(once.frames) * 10000.0)
-        assert np.array_equal(once.frames, frames)
-        assert np.array_equal(twice_frames, frames)
+        assert np.array_equal(once.frames, frames[:2])
+        assert np.array_equal(twice_frames, frames[:2])
 
 
 class TestCache:
@@ -491,7 +493,6 @@ class TestCache:
         cache = tmp_path / "cache"
         synthetic.write_synthetic_dataset(root, subjects=1, postures=2,
                                           frames_per_seq=8, seed=4)
-        from pathlib import Path
         first, hit1 = signal.preprocess_dataset(root, cache)
         stamps = {e.path: Path(e.path).stat().st_mtime_ns
                   for e in first.entries}
@@ -500,6 +501,27 @@ class TestCache:
         assert [e.path for e in second.entries] == [e.path for e in first.entries]
         for e in second.entries:
             assert Path(e.path).stat().st_mtime_ns == stamps[e.path]
+
+    def test_fingerprint_hashes_the_pipeline_constants(self, tmp_path,
+                                                       monkeypatch):
+        # the text earlier versions hashed for the same pipeline, so their
+        # caches still hit; another constant is a miss
+        from pressnet import dataio, synthetic
+        root, cache = tmp_path / "raw", tmp_path / "cache"
+        synthetic.write_synthetic_dataset(root, subjects=1, postures=2,
+                                          frames_per_seq=8, seed=3)
+        manifest = dataio.build_manifest(root)
+        h = hashlib.sha256(
+            f"format={dataio.CACHE_FORMAT};trim=3;thr=1.0;delim=None"
+            f";tax={sorted(manifest.taxonomy.items())}".encode())
+        for e in manifest.entries:
+            h.update(f"\n{e.subject_id}/{e.posture_id}\n".encode()
+                     + Path(e.path).read_bytes())
+        assert signal.dataset_fingerprint(manifest) == h.hexdigest()
+        assert not signal.preprocess_dataset(root, cache)[1]
+        assert signal.preprocess_dataset(root, cache)[1]
+        monkeypatch.setattr(signal, "TRIM", 2)
+        assert not signal.preprocess_dataset(root, cache)[1]
 
     def test_changed_input_invalidates_cache(self, tmp_path):
         from pressnet import synthetic
@@ -613,6 +635,17 @@ class TestCache:
         for name in names:
             same = (a / name).read_bytes() == (b / name).read_bytes()
             assert same == (name != "fingerprint.txt"), name
+
+    def test_unreadable_raw_file_is_a_usage_error(self, tmp_path):
+        from pressnet import synthetic
+        root = tmp_path / "raw"
+        synthetic.write_synthetic_dataset(root, subjects=1, postures=2,
+                                          frames_per_seq=8, seed=6)
+        (root / "S1" / "3.txt").mkdir()  # listed like any posture file
+        with pytest.raises(UsageError) as info:
+            signal.preprocess_dataset(root, tmp_path / "cache")
+        assert str(info.value) == (f"cannot read {root / 'S1' / '3.txt'}: "
+                                   "Is a directory")
 
     def test_too_short_sequence_reported_not_cached(self, tmp_path):
         from pressnet import synthetic

@@ -279,14 +279,14 @@ def trim_sequence(frames, n):
     return frames[n:len(frames) - n] if len(frames) > 2 * n else frames[:0]
 
 
-def parse_oracle(path, delimiter=None):
+def parse_oracle(path):
     """(T, 32, 64) frames of a well-formed recording file, one np.array per
     non-blank line, each on-disk 64x32 record transposed."""
     frames = []
     with open(path) as fh:
         for line in fh:
             if line.strip():
-                flat = np.array(line.split(delimiter), dtype=np.float32)
+                flat = np.array(line.split(), dtype=np.float32)
                 frames.append(flat.reshape(GRID_COLS, GRID_ROWS).T)
     return np.stack(frames)
 
