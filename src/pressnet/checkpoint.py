@@ -32,7 +32,6 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, UsageError
 from .model import ModelConfig, PostureNet
 from .optim import AdamState
-from .tensor import make_rng
 
 MAGIC = b"PNET1"
 VERSION = 6
@@ -148,6 +147,15 @@ def load_checkpoint(path) -> Checkpoint:
                       header["epoch"], header["seed"], dtypes.pop())
 
 
+class _NoDraws:
+    """PostureNet's generator when every weight it draws is overwritten
+    next: zeros in place of the He draws."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 def restore_net(ckpt: Checkpoint) -> PostureNet:
     """Build a PostureNet carrying exactly the checkpoint's tensors.
 
@@ -155,6 +163,6 @@ def restore_net(ckpt: Checkpoint) -> PostureNet:
     running statistics, holds one the net does not have, or holds one of
     another shape.
     """
-    net = PostureNet(ckpt.config, make_rng(0), dtype=ckpt.dtype.type)
+    net = PostureNet(ckpt.config, _NoDraws(), dtype=ckpt.dtype.type)
     net.set_params(ckpt.params, ckpt.bn_stats)
     return net

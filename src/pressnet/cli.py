@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, harness, signal, synthetic
+from . import dataio, harness, signal, synthetic, tensor
 from .baselines import METHODS
 from .checkpoint import load_checkpoint, restore_net
 from .errors import ConfigError, PressnetError, UsageError
@@ -158,6 +158,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    tensor.pin_blas_threads()
     data = _load_cache(args.cache_dir, args.stride)
     net = restore_net(load_checkpoint(args.checkpoint))
     report = harness.evaluate_model(net, data, np.arange(len(data)))

@@ -111,12 +111,16 @@ def infer_labels_from_path(path) -> tuple[int, int]:
 
 
 def open_input(path, mode="r"):
-    """open(path, mode) of an input file; UsageError naming path and the
-    reason when it cannot be opened."""
+    """open(path, mode) of an input file, as UTF-8 in text mode; UsageError
+    naming path and the reason when it cannot be opened."""
     try:
-        return open(path, mode)
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    return f"{path} is not UTF-8 text ({exc.reason})"
 
 
 def parse_frame_file(path, subject_id=None, posture_id=None) -> SampleSequence:
@@ -124,7 +128,8 @@ def parse_frame_file(path, subject_id=None, posture_id=None) -> SampleSequence:
 
     Fields are split on whitespace, the one file format: every record must
     contain exactly 2048 of them, so a file with any other separator is
-    refused by its field count. UsageError on a file that cannot be opened.
+    refused by its field count. UsageError on a file that cannot be opened,
+    ParseError on one that is not UTF-8 text.
     A file of counts (each field an optional "+" and digits, at most 65535)
     gives uint16 frames; any other file is parsed as float32, where each
     field must be finite (NaN, +-inf and values beyond float32's range are
@@ -140,8 +145,11 @@ def parse_frame_file(path, subject_id=None, posture_id=None) -> SampleSequence:
         posture_id = inf_p if posture_id is None else posture_id
 
     with open_input(path) as fh:
-        # loadtxt skips only empty lines; whitespace is blank here too
-        lines = [line for line in fh if line.strip()]
+        try:
+            # loadtxt skips only empty lines; whitespace is blank here too
+            lines = [line for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ParseError(_not_utf8(path, exc)) from None
     try:
         with warnings.catch_warnings():
             # numpy < 2 parsed a float field such as "1.0" or "-0" to an
@@ -217,24 +225,29 @@ def default_taxonomy() -> dict:
 
 def load_taxonomy(path) -> dict:
     """Read a taxonomy file: 17 lines of '<id> <category>'. UsageError on a
-    file that cannot be read, ConfigError on a malformed one."""
+    file that cannot be read, ConfigError on a malformed one or one that is
+    not UTF-8 text."""
     taxonomy = {}
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected '<id> <category>'")
-            try:
-                pid = int(parts[0])
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad posture id")
-            if pid in taxonomy:
-                raise ConfigError(f"{path}: line {lineno}: duplicate id {pid}")
-            taxonomy[pid] = parts[1]
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(_not_utf8(path, exc)) from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError(
+                f"{path}: line {lineno}: expected '<id> <category>'")
+        try:
+            pid = int(parts[0])
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: bad posture id")
+        if pid in taxonomy:
+            raise ConfigError(f"{path}: line {lineno}: duplicate id {pid}")
+        taxonomy[pid] = parts[1]
     missing = [pid for pid in range(1, NUM_POSTURES + 1) if pid not in taxonomy]
     if missing:
         raise ConfigError(f"taxonomy leaves posture ids unmapped: {missing}")

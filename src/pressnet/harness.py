@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines as classical
-from . import dataio, signal
+from . import dataio, signal, tensor
 from .checkpoint import Checkpoint, restore_net, save_checkpoint
 from .errors import (ConfigError, LabelError, NumericFault, TrainingFault,
                      UsageError, check_field_types)
@@ -612,14 +612,16 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
                    progress=None, baselines=()) -> dict:
     """Cross-validated training and evaluation with persisted artifacts.
 
-    Everything is checked before out_dir is created. Under out_dir's lock
-    it removes an earlier run's DONE, its fold directories beyond this
-    run's folds and, unless `baselines` names methods, its baselines.json;
-    then it writes config.json, one write_fold per run_fold
-    (progress(fold_no, n_folds, report) runs after each), baselines.json
-    when `baselines` names methods from baselines.METHODS (fitted on the
-    same folds), aggregate.json, summary.txt, timing.txt (fold times by
-    time.perf_counter, kept apart so every other artifact is a
+    Everything is checked before out_dir is created. BLAS is pinned to
+    one thread (tensor.pin_blas_threads). Under out_dir's lock it removes
+    an earlier run's DONE, its fold directories beyond this run's folds
+    and, unless `baselines` names methods, its baselines.json; then it
+    writes config.json (with the BLAS thread count and core type), one
+    write_fold per run_fold (progress(fold_no, n_folds, report) runs after
+    each), baselines.json when `baselines` names methods from
+    baselines.METHODS (fitted on the same folds), aggregate.json,
+    summary.txt, timing.txt (fold times by time.perf_counter and the split
+    kernels' worker count, kept apart so every other artifact is a
     deterministic function of config + seed) and, last, DONE. It keeps
     only each finished fold's report: no two folds' nets are alive at once.
     """
@@ -627,6 +629,7 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
     model_config = ModelConfig(data.num_subjects, data.num_postures)
     plan = split_for(data, config)
     classical.check_folds(baselines, plan.folds)
+    blas = tensor.pin_blas_threads()
 
     out = Path(out_dir)
     with _locked_run_dir(out):
@@ -641,6 +644,7 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
             "train": asdict(config), "model": asdict(model_config),
             "samples": len(data), "folds": len(plan),
             "subject_ids": data.subject_ids, "posture_ids": data.posture_ids,
+            "blas": blas,
         })
         reports, timings = [], []
         for fold_no, (train_idx, test_idx) in enumerate(plan.folds):
@@ -666,7 +670,8 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
         (out / SUMMARY_FILE).write_text(render_summary(aggregate, config))
         (out / TIMING_FILE).write_text("".join(
             f"fold {i}: {dt:.2f} s\n" for i, dt in enumerate(timings))
-            + f"total: {sum(timings):.2f} s\n")
+            + f"total: {sum(timings):.2f} s\n"
+            + f"workers: {tensor.pool_workers()}\n")
         (out / DONE_FILE).write_text("ok\n")
         return aggregate
 

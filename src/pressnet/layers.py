@@ -83,10 +83,18 @@ def _unrows(a2: np.ndarray, shape) -> np.ndarray:
 
 def _channel_sum(a2: np.ndarray, b: int, c: int) -> np.ndarray:
     """Per-channel sums, in float64, of a (B*H, W*C) rows view: first over
-    the batch in a2's dtype (B terms per position), then over the H*W
-    positions in float64. A plain reduction over a channels-last array
-    would add all B*H*W rows one after another."""
-    part = a2.reshape(b, -1).sum(axis=0)
+    the batch in a2's dtype (B terms per position, added in batch order, in
+    column parts on the pool), then over the H*W positions in float64. A
+    plain reduction over a channels-last array would add all B*H*W rows one
+    after another."""
+    rows = a2.reshape(b, -1)
+    part = np.empty(rows.shape[1], dtype=a2.dtype)
+
+    def add(cols):
+        rows[:, cols].sum(axis=0, out=part[cols])
+
+    # a one-column slice would be summed pairwise, not in batch order
+    tensor.in_parts(add, rows.shape[1], rows.size, least=2)
     return part.reshape(-1, c).sum(axis=0, dtype=np.float64)
 
 
@@ -117,7 +125,7 @@ class Conv2D:
     def forward(self, x, train: bool, rng=None):
         if train:
             self._x = x
-        return tensor.conv2d_valid(x, self.w)
+        return tensor.conv2d_valid(x, self.w, split=train)
 
     def backward(self, g):
         if self._x is None:
@@ -142,7 +150,8 @@ class BatchNorm2D:
     the incoming gradient are never written. Per-channel sums (mean,
     variance, the gamma and beta gradients) come from _channel_sum; the
     train steps are the plain expressions' operations in the same order,
-    and so have their bits.
+    and so have their bits. In training each elementwise pass runs per
+    row part on the pool.
 
     Eval mode is the affine map of Ioffe & Szegedy (2015, §3.2): two passes,
     x * scale + shift, with scale = gamma * inv_std and shift = beta -
@@ -191,19 +200,31 @@ class BatchNorm2D:
             raise ConfigError("batch norm needs batch size >= 2 in train mode")
         n = b * h * w
         mean = (_channel_sum(x2, b, c) / n).astype(x.dtype)
-        xhat = x2 - np.tile(mean, w)
-        out = np.multiply(xhat, xhat)
+        xhat, out = np.empty_like(x2), np.empty_like(x2)
+        tiled = np.tile(mean, w)
+
+        def centre(rows):
+            np.subtract(x2[rows], tiled, out=xhat[rows])
+            np.multiply(xhat[rows], xhat[rows], out=out[rows])
+
+        tensor.in_parts(centre, b * h, x2.size)
         var = (_channel_sum(out, b, c) / n).astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.EPS))
-        xhat *= np.tile(inv_std, w)
         m = x.dtype.type(self.MOMENTUM)
         self.running_mean *= m
         self.running_mean += (1 - m) * mean
         self.running_var *= m
         self.running_var += (1 - m) * var
+        scale, gamma, beta = (np.tile(v, w)
+                              for v in (inv_std, self.gamma, self.beta))
+
+        def affine(rows):
+            xhat[rows] *= scale
+            np.multiply(xhat[rows], gamma, out=out[rows])
+            out[rows] += beta
+
+        tensor.in_parts(affine, b * h, x2.size)
         self._cache = (xhat, inv_std)
-        np.multiply(xhat, np.tile(self.gamma, w), out=out)
-        out += np.tile(self.beta, w)
         return _unrows(out, x.shape)
 
     def backward(self, g):
@@ -213,18 +234,27 @@ class BatchNorm2D:
         b, c, h, w = g.shape
         g2 = _rows(g)
         n = g.dtype.type(b * h * w)
-        prod = g2 * xhat
+        prod = np.empty_like(g2)
+        tensor.in_parts(lambda rows: np.multiply(g2[rows], xhat[rows],
+                                                 out=prod[rows]),
+                        b * h, g2.size)
         sum_gx = _channel_sum(prod, b, c).astype(g.dtype)
         sum_g = _channel_sum(g2, b, c).astype(g.dtype)
         self.grads["gamma"], self.grads["beta"] = sum_gx, sum_g
         coef = self.gamma * inv_std
+        tiled_g, tiled_gx, scale = (np.tile(v, w)
+                                    for v in (sum_g, sum_gx, coef / n))
+
         # coef / n * (n * g - sum_g - xhat * sum_gx), step by step, in prod
         # with xhat as scratch
-        gx = np.multiply(n, g2, out=prod)
-        gx -= np.tile(sum_g, w)
-        gx -= np.multiply(xhat, np.tile(sum_gx, w), out=xhat)
-        gx *= np.tile(coef / n, w)
-        return _unrows(gx, g.shape)
+        def grad(rows):
+            gx = np.multiply(n, g2[rows], out=prod[rows])
+            gx -= tiled_g
+            gx -= np.multiply(xhat[rows], tiled_gx, out=xhat[rows])
+            gx *= scale
+
+        tensor.in_parts(grad, b * h, g2.size)
+        return _unrows(prod, g.shape)
 
 
 class MaxPool2D:
@@ -265,7 +295,8 @@ class LeakyReLU:
     """max(x, SLOPE * x); SLOPE is also the gain of init_std. backward
     multiplies g by 1 where x > 0 and SLOPE elsewhere, from the train-mode
     mask: (1 - s) + s rounds to exactly 1 for every s in (0, 1), and a
-    multiply, unlike a select, does not branch on mixed signs."""
+    multiply, unlike a select, does not branch on mixed signs. Training
+    runs both passes per batch part on the pool."""
 
     SLOPE = 0.2
 
@@ -275,26 +306,44 @@ class LeakyReLU:
     def forward(self, x, train: bool, rng=None):
         # for 0 < slope < 1 the larger of x and slope * x is x where x > 0
         # and slope * x elsewhere, ±0 and ±inf included
-        if train:
-            self._pos = x > 0
-        return np.maximum(x, x.dtype.type(self.SLOPE) * x)
+        s = x.dtype.type(self.SLOPE)
+        if not train:
+            return np.maximum(x, s * x)
+        pos, out = np.empty_like(x, dtype=bool), np.empty_like(x)
+
+        def act(part):
+            np.greater(x[part], 0, out=pos[part])
+            np.multiply(s, x[part], out=out[part])
+            np.maximum(x[part], out[part], out=out[part])
+
+        tensor.in_parts(act, len(x), x.size)
+        self._pos = pos
+        return out
 
     def backward(self, g):
         if self._pos is None:
             raise UsageError("LeakyReLU.backward without a training forward")
         s = g.dtype.type(self.SLOPE)
         pos, self._pos = self._pos, None
-        factor = pos.astype(g.dtype)
-        factor *= 1 - s
-        factor += s
-        return np.multiply(g, factor, out=factor)
+        factor = np.empty_like(pos, dtype=g.dtype)
+
+        def grad(part):
+            f = factor[part]
+            f[...] = pos[part]
+            f *= 1 - s
+            f += s
+            np.multiply(g[part], f, out=f)
+
+        tensor.in_parts(grad, len(g), g.size)
+        return factor
 
 
 class Dropout:
     """Inverted dropout: survivors scaled by 1/(1-p), inference is identity.
 
     The mask is drawn in x's index order, whatever x's memory layout, and
-    stored in that layout.
+    stored in that layout. The draw is one serial call; the multiplies run
+    per batch part on the pool.
     """
 
     def __init__(self, rate: float):
@@ -311,14 +360,27 @@ class Dropout:
             raise UsageError("Dropout needs an rng in train mode")
         keep = rng.random(x.shape) >= self.rate
         scale = x.dtype.type(1.0 / (1.0 - self.rate))
-        self._scaled_mask = np.multiply(keep, scale, out=np.empty_like(x))
-        return x * self._scaled_mask
+        mask, out = np.empty_like(x), np.empty_like(x)
+
+        def drop(part):
+            np.multiply(keep[part], scale, out=mask[part])
+            np.multiply(x[part], mask[part], out=out[part])
+
+        tensor.in_parts(drop, len(x), x.size)
+        self._scaled_mask = mask
+        return out
 
     def backward(self, g):
         if self._scaled_mask is None:
             raise UsageError("Dropout.backward without a training forward")
         mask, self._scaled_mask = self._scaled_mask, None
-        return g * mask
+        if self.rate == 0.0:  # the mask is 1.0
+            return g * mask
+        out = np.empty_like(g)
+        tensor.in_parts(lambda part: np.multiply(g[part], mask[part],
+                                                 out=out[part]),
+                        len(g), g.size)
+        return out
 
 
 class Flatten:

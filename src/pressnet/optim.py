@@ -4,8 +4,11 @@ schedule: each adam_step is given its lr.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from . import tensor
 from .errors import UsageError
 
 
@@ -33,17 +36,21 @@ def lr_schedule(base_lr: float, epoch: int) -> float:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One Adam update with learning rate lr, in place on the parameter
-    arrays."""
+    arrays; each parameter's update is one task on the tensor module's
+    pool, unless all of them together are under its split floor (an
+    update reads and writes only its own parameter's arrays)."""
     if set(grads) != set(params):
         raise UsageError("gradient keys do not match parameter keys")
+    for key, p in params.items():
+        if grads[key].shape != p.shape:
+            raise UsageError(f"gradient shape mismatch for '{key}'")
     state.t += 1
     b1, b2 = AdamState.BETA1, AdamState.BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise UsageError(f"gradient shape mismatch for '{key}'")
+
+    def update(key):
+        p, g = params[key], grads[key]
         dt = p.dtype.type
         m = state.m[key]
         v = state.v[key]
@@ -54,3 +61,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         mhat = m / dt(bc1)
         vhat = v / dt(bc2)
         p -= dt(lr) * mhat / (np.sqrt(vhat) + dt(AdamState.EPS))
+
+    size = sum(p.size for p in params.values())
+    if size >= 2 * tensor.SPLIT_MIN and tensor.pool_workers() > 1:
+        # largest first, so the workers end together
+        tensor.concurrently([partial(update, key) for key in
+                             sorted(params, key=lambda k: -params[k].size)])
+    else:
+        for key in params:
+            update(key)

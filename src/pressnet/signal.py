@@ -384,7 +384,8 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, force: bool = False):
     arrays of sequences it no longer lists. It removes the old fingerprint
     before writing any array and writes the new one last, so a rebuild cut
     short is a miss. When the fingerprint matches and every listed array
-    exists, the cached manifest is returned untouched. Returns (manifest,
+    is intact (_array_intact), the cached manifest is returned untouched;
+    a missing, truncated or reshaped array is a miss. Returns (manifest,
     hit). The manifest is built before cache_dir is created, so a root that
     is not a dataset tree (ParseError) or a taxonomy file that cannot be
     read (UsageError) or is malformed (ConfigError) leaves no directory.
@@ -401,7 +402,7 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, force: bool = False):
             and manifest_file.exists()
             and (cache_dir / dataio.TAXONOMY_FILE).exists()):
         cached = dataio.read_manifest(manifest_file)
-        if all(os.path.exists(e.path) for e in cached.entries):
+        if all(_array_intact(e.path, e.frame_count) for e in cached.entries):
             return cached, True
 
     cleaned = []
@@ -443,6 +444,23 @@ def preprocess_dataset(root, cache_dir, taxonomy=None, force: bool = False):
             fh.write(line + "\n")
     marker.write_text(fingerprint + "\n")
     return out, False
+
+
+def _array_intact(path, frames: int) -> bool:
+    """Whether the .npy file at path has a header whose shape holds
+    `frames` frames and is long enough for the data that shape needs; the
+    data itself is not read."""
+    try:
+        with open(path, "rb") as fh:
+            major, _ = np.lib.format.read_magic(fh)
+            read = (np.lib.format.read_array_header_1_0 if major == 1
+                    else np.lib.format.read_array_header_2_0)
+            shape, _, dtype = read(fh)
+            need = fh.tell() + math.prod(shape) * dtype.itemsize
+            size = os.fstat(fh.fileno()).st_size
+    except (OSError, ValueError):
+        return False
+    return len(shape) > 0 and shape[0] == frames and size >= need
 
 
 def load_clean_sequences(manifest: dataio.DatasetManifest) -> list:

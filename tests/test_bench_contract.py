@@ -6,9 +6,15 @@ falls back to a catch-all label and its stage's metrics go missing, so one
 traced train step and eval forward must give every stage its spans. It
 times preprocessing through module functions it patches by name, so a
 traced preprocess must call them. bench/worker.py builds its folds with
-harness.split_for and fits the MLP comparator by keyword.
+harness.split_for and fits the MLP comparator by keyword. The tracer keeps
+one stack of open spans, so a traced function called from a pool thread
+would corrupt it: every span must open on the calling thread.
 """
 
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +24,7 @@ from pressnet.dataio import GRID_COLS, GRID_ROWS
 from pressnet.layers import MaxPool2D
 from pressnet.model import ModelConfig, PostureNet
 
-from util import set_net_constants, small_net
+from util import set_net_constants, small_net, workers
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,21 +37,33 @@ def test_tracer_labels_every_stage(monkeypatch):
     # small channels, the paper's dropout rates: train mode draws masks
     set_net_constants(monkeypatch, CONV_CHANNELS=(2, 2, 2, 2), DENSE_WIDTH=4)
     tracer = spans.Tracer()
-    tracer.install()
-    try:
-        net = PostureNet(ModelConfig(num_subjects=2, num_postures=3),
-                         tensor.make_rng(90))
-        rng = tensor.make_rng(91)
-        x = rng.random((4, 1, GRID_ROWS, GRID_COLS)).astype(np.float32)
-        yu, yp = rng.integers(0, 2, 4), rng.integers(0, 3, 4)
-        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(92))
-        grads = net.backward(pu, pp, yu, yp, 0.5)
-        optim.adam_step(net.params(), grads, optim.AdamState(net.params()),
-                        lr=1e-3)
-        net.forward(x)
-    finally:
-        tracer.uninstall()
+    opened_on = []
+    open_span = tracer._open
 
+    def record_thread(name, attrs):
+        opened_on.append(threading.get_ident())
+        open_span(name, attrs)
+
+    monkeypatch.setattr(tracer, "_open", record_thread)
+    # two workers, and every kernel split however small
+    with workers(2):
+        tracer.install()
+        try:
+            net = PostureNet(ModelConfig(num_subjects=2, num_postures=3),
+                             tensor.make_rng(90))
+            rng = tensor.make_rng(91)
+            x = rng.random((4, 1, GRID_ROWS, GRID_COLS)).astype(np.float32)
+            yu, yp = rng.integers(0, 2, 4), rng.integers(0, 3, 4)
+            pu, pp = net.forward(x, train=True, rng=tensor.make_rng(92))
+            grads = net.backward(pu, pp, yu, yp, 0.5)
+            optim.adam_step(net.params(), grads,
+                            optim.AdamState(net.params()), lr=1e-3)
+            net.forward(x)
+        finally:
+            tracer.uninstall()
+
+    assert opened_on == [threading.get_ident()] * len(tracer.spans)
+    assert all(-1 <= s[spans.PARENT] < i for i, s in enumerate(tracer.spans))
     names = {s[spans.NAME] for s in tracer.spans}
     want = {f"layers.{stage}.{phase}" for stage in catalog.STAGES
             for phase in ("fwd", "bwd", "eval")}
@@ -55,6 +73,17 @@ def test_tracer_labels_every_stage(monkeypatch):
                       if n.startswith("layers.")
                       and n.split(".")[1].endswith(("_other", "dense_small")))
     assert not fallback, fallback
+
+
+def test_import_starts_no_executor():
+    # concurrent.futures takes milliseconds to import, which set-up would
+    # pay; the pool is built on threading alone, when a kernel first splits
+    code = ("import sys, pressnet, pressnet.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_tracer_times_parse_and_median(monkeypatch, tmp_path):

@@ -101,13 +101,16 @@ class TestSynthAndPreprocess:
         ("--data-root", "nope", 1, "is not a directory"),
         ("--taxonomy", "nope.txt", 2, "cannot read"),
         ("--taxonomy", "bad.txt", 2, "line 1: expected '<id> <category>'"),
-    ], ids=["missing-root", "unreadable-taxonomy", "malformed-taxonomy"])
+        ("--taxonomy", "latin.txt", 2, "latin.txt is not UTF-8 text"),
+    ], ids=["missing-root", "unreadable-taxonomy", "malformed-taxonomy",
+            "non-utf8-taxonomy"])
     def test_bad_preprocess_value_creates_no_cache(self, corpus, tmp_path,
                                                    capsys, flag, value, code,
                                                    message):
         root, _ = corpus
         cache = tmp_path / "cache"
         (tmp_path / "bad.txt").write_text("1 supine extra\n")
+        (tmp_path / "latin.txt").write_bytes(b"1 supine\n2 l\xe9ft\n")
         # the later --data-root wins
         rc = cli.main(["preprocess", "--data-root", str(root),
                        "--cache-dir", str(cache), flag, str(tmp_path / value)])
@@ -323,8 +326,8 @@ class TestCacheLayout:
     ], ids=["truncated", "frame-count"])
     def test_damaged_array_is_one_line_and_rebuilt(self, corpus, tmp_path,
                                                    capsys, damage, message):
-        # the fingerprint hashes the raw files, not the arrays, so only
-        # --force rebuilds a damaged array
+        # the fingerprint hashes the raw files, not the arrays; a hit reads
+        # each array's header, so a damaged array is rebuilt without --force
         root, _ = corpus
         cache = tmp_path / "cache"
         assert self.preprocess(root, cache) == 0
@@ -337,8 +340,9 @@ class TestCacheLayout:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(damaged) in lines[0] and message in lines[0]
         assert lines[0].endswith("run 'preprocess --force'")
-        assert cli.main(["preprocess", "--data-root", str(root),
-                         "--cache-dir", str(cache), "--force"]) == 0
+        assert self.preprocess(root, cache) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert np.load(damaged).shape == (6, 32, 64)
         assert self.train(cache, tmp_path / "run") == 0
 
 
@@ -937,6 +941,21 @@ class TestFrameDump:
         assert captured.err == f"error: cannot read {path}: {reason}\n"
 
 
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "S1" / "1.txt"
+        path.parent.mkdir()
+        path.write_bytes(b"\xff\xfe 1 2\n")
+        assert cli.main(["frame-dump", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path} is not UTF-8 text "
+                                "(invalid start byte)\n")
+        # preprocessing refuses the recording the same way
+        assert cli.main(["preprocess", "--data-root", str(tmp_path),
+                         "--cache-dir", str(tmp_path / "cache")]) == 1
+        assert capsys.readouterr().err == captured.err
+
+
 class TestAugmentStats:
     def test_frequencies_near_configured(self, capsys):
         assert cli.main(["augment-stats", "--draws", "4000",
@@ -971,3 +990,40 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+
+# cli.main(argv[2:]) on the first argv[1] of the process's allowed cores
+ON_CORES = """
+import os, sys
+from pressnet import cli
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_train_is_the_same_at_any_thread_count(corpus, tmp_path):
+    # BLAS is pinned to one thread, so OpenBLAS's thread count no longer
+    # changes a checkpoint, and the split kernels' bytes do not depend on
+    # the cores the process may use: only timing.txt differs
+    _, cache = corpus
+    runs = {}
+    for blas, cores in (("1", 1), ("2", len(os.sched_getaffinity(0)))):
+        out = tmp_path / f"blas{blas}"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": blas}
+        subprocess.run(
+            [sys.executable, "-c", ON_CORES, str(cores), "train",
+             "--cache-dir", str(cache), "--out-dir", str(out), "--k", "2",
+             "--epochs", "2", "--lr", "1e-3", "--seed", "3", "--augment"],
+            env=env, check=True, capture_output=True)
+        runs[blas] = {p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()}
+        timing = runs[blas].pop("timing.txt").decode()
+        assert timing.endswith(f"workers: {cores}\n")
+    assert runs["1"].keys() == runs["2"].keys()
+    assert [n for n in runs["1"] if runs["1"][n] != runs["2"][n]] == []
+    blas = json.loads(runs["1"]["config.json"])["blas"]
+    assert set(blas) == {"threads", "core"} and blas["threads"] in (1, None)

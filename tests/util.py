@@ -4,6 +4,8 @@ reference implementations that vectorized code is checked against."""
 import json
 import re
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pressnet import tensor
 from pressnet.baselines import ACTIVE_THRESHOLD
 from pressnet.checkpoint import VERSION
 from pressnet.dataio import GRID_COLS, GRID_ROWS
@@ -39,6 +42,39 @@ def small_net(monkeypatch):
     Returns a function that sets more, e.g. small_net(DENSE_DROPOUT=0.2)."""
     set_net_constants(monkeypatch, **SMALL_NET)
     return partial(set_net_constants, monkeypatch)
+
+
+@contextmanager
+def workers(n, split_min=1):
+    """Inside the block, tensor's split kernels run on a pool of n workers
+    and split any array of at least split_min elements per part (the
+    default 1 splits every one). The first min(n, tasks) tasks of each
+    pool call wait for each other before they run, so they run on as many
+    threads, whatever the timing; a task must not call the pool again.
+    The pool's threads end with the block."""
+    pool, saved = tensor._Pool(n), (tensor._pool, tensor.SPLIT_MIN)
+    run = pool.run
+
+    def spread(tasks):
+        k = min(n, len(tasks))
+        if k > 1:
+            barrier = threading.Barrier(k, timeout=60)
+            tasks = [partial(_after, barrier.wait, t) for t in tasks[:k]] + [
+                *tasks[k:]]
+        return run(tasks)
+
+    pool.run = spread
+    tensor._pool, tensor.SPLIT_MIN = pool, split_min
+    try:
+        yield pool
+    finally:
+        tensor._pool, tensor.SPLIT_MIN = saved
+        pool.close()
+
+
+def _after(first, task):
+    first()
+    return task()
 
 
 def central_diff_grad(f, x, h=1e-6):
