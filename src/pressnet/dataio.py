@@ -146,49 +146,50 @@ def parse_frame_file(path, subject_id=None, posture_id=None) -> SampleSequence:
 
     with open_input(path) as fh:
         try:
-            # loadtxt skips only empty lines; whitespace is blank here too
-            lines = [line for line in fh if line.strip()]
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ParseError(_not_utf8(path, exc)) from None
+    # loadtxt skips only empty lines; whitespace is blank here too
+    rows = [line for line in lines if line.strip()]
     try:
         with warnings.catch_warnings():
             # numpy < 2 parsed a float field such as "1.0" or "-0" to an
             # integer with a DeprecationWarning; any warning means floats
             warnings.simplefilter("error")
-            flat = np.loadtxt(lines, dtype=np.uint16, comments=None, ndmin=2)
+            flat = np.loadtxt(rows, dtype=np.uint16, comments=None, ndmin=2)
     except (ValueError, Warning):
-        flat = _parse_floats(path, lines)
+        flat = _parse_floats(path, lines, rows)
     if flat.shape[1] != FRAME_FIELDS:
-        _refuse_records(path)
+        _refuse_records(path, lines)
     # on-disk rows become columns of the canonical 32x64 grid
     frames = flat.reshape(-1, FILE_ROWS, FILE_COLS).transpose(0, 2, 1)
     return SampleSequence(frames, subject_id, posture_id)
 
 
-def _parse_floats(path, lines):
-    """The non-blank lines of a file that is not all counts as a float32
+def _parse_floats(path, lines, rows):
+    """rows, the non-blank of a file's lines, not all counts, as a float32
     table; ParseError, through _refuse_records, unless every field is
     finite."""
     with warnings.catch_warnings():
         # an empty file is refused below, not warned about
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            flat = np.loadtxt(lines, dtype=np.float32, comments=None, ndmin=2)
+            flat = np.loadtxt(rows, dtype=np.float32, comments=None, ndmin=2)
         except ValueError as exc:
-            _refuse_records(path, str(exc))
+            _refuse_records(path, lines, str(exc))
     # a value beyond float32's range parses to inf, refused here
     if not np.isfinite(flat).all():
-        _refuse_records(path)
+        _refuse_records(path, lines)
     return flat
 
 
-def _refuse_records(path, reason="records of an unknown form"):
-    """Rescan a file parse_frame_file cannot take and raise ParseError for
-    its first bad record, numbered by line (blank lines count), for a file
-    with no records, or else with reason (loadtxt's complaint)."""
+def _refuse_records(path, lines, reason="records of an unknown form"):
+    """Rescan the lines of a file parse_frame_file cannot take: ParseError
+    for its first bad record, numbered by line (blank lines count), for a
+    file with no records, or else with reason (loadtxt's complaint)."""
     found = False
-    with open(path) as fh, np.errstate(over="ignore"):
-        for recno, line in enumerate(fh, start=1):
+    with np.errstate(over="ignore"):
+        for recno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             found = True

@@ -258,6 +258,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
     having stopped; a checkpoint of another seed or config is a UsageError
     before the first batch.
     epoch_hook(epoch, curves) runs after each epoch (progress reporting).
+    BLAS runs on one thread (tensor.pin_blas_threads).
     """
     x = np.asarray(x, dtype=np.float32)
     y_user = np.asarray(y_user)
@@ -272,6 +273,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
     if y_posture.max() >= model_config.num_postures or y_posture.min() < 0:
         raise LabelError("posture label outside model range")
 
+    tensor.pin_blas_threads()
     if resume is not None:
         if resume.seed != config.seed:
             raise UsageError(
@@ -400,7 +402,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     subject results can be read either pooled or split by posture category.
     UsageError when the net's posture count is not the data's.
     Frames are gathered by index (the split is never copied whole),
-    augmented and run EVAL_CHUNK at a time, in order.
+    augmented and run EVAL_CHUNK at a time, in order, on one BLAS thread.
     """
     if net.config.num_postures != data.num_postures:
         raise UsageError(f"checkpoint expects {net.config.num_postures} "
@@ -409,6 +411,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     test_idx = np.asarray(test_idx)
     if test_idx.size == 0:
         raise UsageError("empty test split")
+    tensor.pin_blas_threads()
     preds = []
     for s in range(0, test_idx.size, EVAL_CHUNK):
         x = data.x[test_idx[s:s + EVAL_CHUNK]]

@@ -125,7 +125,7 @@ class Conv2D:
     def forward(self, x, train: bool, rng=None):
         if train:
             self._x = x
-        return tensor.conv2d_valid(x, self.w, split=train)
+        return tensor.conv2d_valid(x, self.w)
 
     def backward(self, g):
         if self._x is None:

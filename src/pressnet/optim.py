@@ -36,9 +36,9 @@ def lr_schedule(base_lr: float, epoch: int) -> float:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One Adam update with learning rate lr, in place on the parameter
-    arrays; each parameter's update is one task on the tensor module's
-    pool, unless all of them together are under its split floor (an
-    update reads and writes only its own parameter's arrays)."""
+    arrays; each parameter's update is one task for tensor.concurrently,
+    sized by all of them together (an update reads and writes only its own
+    parameter's arrays)."""
     if set(grads) != set(params):
         raise UsageError("gradient keys do not match parameter keys")
     for key, p in params.items():
@@ -62,11 +62,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         vhat = v / dt(bc2)
         p -= dt(lr) * mhat / (np.sqrt(vhat) + dt(AdamState.EPS))
 
-    size = sum(p.size for p in params.values())
-    if size >= 2 * tensor.SPLIT_MIN and tensor.pool_workers() > 1:
-        # largest first, so the workers end together
-        tensor.concurrently([partial(update, key) for key in
-                             sorted(params, key=lambda k: -params[k].size)])
-    else:
-        for key in params:
-            update(key)
+    # largest first, so the workers end together
+    tensor.concurrently([partial(update, key) for key in
+                         sorted(params, key=lambda k: -params[k].size)],
+                        sum(p.size for p in params.values()))

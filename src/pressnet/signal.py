@@ -476,10 +476,10 @@ def load_clean_sequences(manifest: dataio.DatasetManifest) -> list:
                              "; run 'preprocess' again") from None
         except (OSError, ValueError, EOFError) as exc:
             raise UsageError(f"cache array {e.path} cannot be read ({exc})"
-                             "; run 'preprocess --force'") from None
+                             "; run 'preprocess' again") from None
         if len(frames) != e.frame_count:
             raise UsageError(
                 f"cache array {e.path} holds {len(frames)} frames, the "
-                f"manifest lists {e.frame_count}; run 'preprocess --force'")
+                f"manifest lists {e.frame_count}; run 'preprocess' again")
         out.append(SampleSequence(frames, e.subject_id, e.posture_id))
     return out

@@ -26,18 +26,18 @@ explicitly passed generator.
 Training code runs these kernels in float32; gradient-check tests
 instantiate the exact same code paths in float64.
 
-Training kernels share the process's allowed cores through one private
-pool of threads (one worker per core in os.sched_getaffinity, the calling
-thread being one), and only in parts whose results are exact by
-construction: each part writes its own slice of a buffer the caller
-allocated, with the operations the whole would run on it, so the bytes do
-not depend on the worker count. Max-pooling with argmax, its backward and
-the train-mode im2col copies run per batch part; the convolution backward
-runs its kernel-gradient GEMM and its input-gradient GEMMs as two
-concurrent tasks, each one single-threaded BLAS call at a time once
-pin_blas_threads has run. in_parts and concurrently are the pool's two
-entry points for the layers and the optimizer. A kernel under SPLIT_MIN
-elements per part, and all of inference, runs whole on the calling thread.
+Kernels share the process's allowed cores through one private pool of
+threads (one worker per core in os.sched_getaffinity, the calling thread
+being one), and only in parts whose results are exact by construction:
+each part writes its own slice of a buffer the caller allocated, with the
+operations the whole would run on it, so the bytes do not depend on the
+worker count. The im2col copies (training and inference), max-pooling with
+argmax and its backward run per batch part (in_parts); the convolution
+backward's kernel-gradient GEMM and input-gradient GEMMs are two tasks
+(concurrently), each one single-threaded BLAS call at a time once
+pin_blas_threads has run. _threads_for holds the one rule of both: work
+under 2 * SPLIT_MIN elements, or on one core, runs whole on the caller.
+Of inference, only the im2col copies split.
 Tasks run in the caller's contextvars context, so np.errstate holds in
 them; an exception in a task is re-raised in the caller once every task
 has ended; a forked child drops the pool and starts its own. A task calls
@@ -86,12 +86,8 @@ class _Pool:
         while (job := inbox.get()) is not None:
             context, drain, done = job
             context.run(drain)
+            del job, context, drain  # the tasks hold the kernel's arrays
             done.put(None)
-
-    def close(self):
-        """End the helper threads once they are idle."""
-        for inbox in self._inboxes:
-            inbox.put(None)
 
     def run(self, tasks):
         """Results of the zero-argument callables in tasks, in order. Each
@@ -156,24 +152,32 @@ def pool_workers() -> int:
     return _get_pool().workers
 
 
-def concurrently(tasks) -> list:
-    """Run zero-argument callables on the pool; their results, in order."""
+def _threads_for(size: int) -> int:
+    """Threads work touching size elements may use: the calling one alone
+    under 2 * SPLIT_MIN elements, else one per worker and SPLIT_MIN."""
+    if size < 2 * SPLIT_MIN:
+        return 1
+    return min(pool_workers(), size // SPLIT_MIN)
+
+
+def concurrently(tasks, size: int) -> list:
+    """Results of the zero-argument callables in tasks, in order, run on
+    the pool unless _threads_for(size), size their elements, is 1."""
+    if _threads_for(size) < 2:
+        return [task() for task in tasks]
     return _get_pool().run(tasks)
 
 
 def in_parts(fn, n: int, size: int, least: int = 1) -> None:
     """Call fn(part) for contiguous slices that cover range(n) in order,
-    one per worker, each at least `least` long and, with size the elements
-    the kernel touches, SPLIT_MIN elements' worth; fn(slice(0, n)) alone
-    when no split meets both. A small kernel never reaches the pool."""
-    k = 1 if size < 2 * SPLIT_MIN else min(pool_workers(), n // least,
-                                           size // SPLIT_MIN)
+    one per thread _threads_for(size) allows, each at least `least` long."""
+    k = min(_threads_for(size), n // least)
     if k <= 1:
         fn(slice(0, n))
         return
     bounds = [n * i // k for i in range(k + 1)]
-    concurrently([partial(fn, slice(a, b))
-                  for a, b in zip(bounds, bounds[1:])])
+    _get_pool().run([partial(fn, slice(a, b))
+                     for a, b in zip(bounds, bounds[1:])])
 
 
 def pin_blas_threads() -> dict:
@@ -215,14 +219,14 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, split: bool = False):
+def _im2col(x: np.ndarray, kh: int, kw: int):
     """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
     (Ho, Wo). Columns are offset-major and channel-minor: each window row
     is read from the NHWC view, a run of C contiguous floats per offset
     when x is channels-last. A one-channel input is gathered by kh*kw
     shifted slice copies, one column each, which beats the 6-D window
-    copy at C = 1 and loses to it from C = 2 on. With split, the copies
-    run per batch part on the pool."""
+    copy at C = 1 and loses to it from C = 2 on. The copies run per batch
+    part (in_parts)."""
     b, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
@@ -237,22 +241,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, split: bool = False):
 
         def copy(part):
             cols[part] = windows[part].transpose(0, 1, 2, 4, 5, 3)
-    if split:
-        in_parts(copy, b, cols.size)
-    else:
-        copy(slice(None))
+    in_parts(copy, b, cols.size)
     return cols.reshape(b * ho * wo, kh * kw * c), ho, wo
 
 
-def conv2d_valid(x: np.ndarray, kernels: np.ndarray,
-                 split: bool = False) -> np.ndarray:
+def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Valid (no padding) stride-1 cross-correlation.
 
     x: (B,Cin,H,W), any strides; kernels: (Cout,Cin,kh,kw).
     out[b,o,y,x] = sum_{c,u,v} x[b,c,y+u,x+v] * kernels[o,c,u,v]
-    The result is channels-last: a view of the GEMM's (B,Ho,Wo,Cout) output.
-    split (training) copies the column matrix in batch parts on the pool;
-    the GEMM is one call either way.
+    The result is channels-last: a view of the GEMM's (B,Ho,Wo,Cout) output,
+    one GEMM call.
     """
     cout, cin, kh, kw = kernels.shape
     b, c, h, w = x.shape
@@ -260,7 +259,7 @@ def conv2d_valid(x: np.ndarray, kernels: np.ndarray,
         raise ShapeError(f"input has {c} channels, kernels expect {cin}")
     if h < kh or w < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    cols, ho, wo = _im2col(x, kh, kw, split)
+    cols, ho, wo = _im2col(x, kh, kw)
     # kernel rows in the columns' (kh, kw, Cin) order
     kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
     return (cols @ kmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
@@ -273,16 +272,17 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
     x and grad_out are (B,C,H,W). Returns (grad_x, grad_kernels) shaped like
     x and kernels; grad_x is None when need_x is false, and channels-last
     otherwise. grad_k is one GEMM of grad_out's NHWC view against the
-    input's column matrix (copied in batch parts on the pool). grad_x is
+    input's column matrix (copied in batch parts). grad_x is
     one (B*Ho*Wo, Cout) @ (Cout, Cin) GEMM per kernel offset, each added
     into the Ho x Wo window of an NHWC buffer that the offset reaches; no
-    zero-padded column matrix of grad_out is built. The two gradients run
-    as concurrent tasks, in buffers allocated here.
+    zero-padded column matrix of grad_out is built. The two gradients are
+    two tasks for concurrently, sized by the column matrix, in buffers
+    allocated here.
     """
     cout, cin, kh, kw = kernels.shape
     b, c, h, w = x.shape
 
-    cols, ho, wo = _im2col(x, kh, kw, split=True)
+    cols, ho, wo = _im2col(x, kh, kw)
     g2 = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
 
     def kernel_grad():
@@ -304,20 +304,18 @@ def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,
                 np.matmul(g2, kernels[:, :, u, v], out=term)
                 gx[:, u:u + ho, v:v + wo, :] += term.reshape(b, ho, wo, cin)
 
-    grad_k, _ = concurrently([kernel_grad, input_grad])
+    grad_k, _ = concurrently([kernel_grad, input_grad], cols.size)
     return gx.transpose(0, 3, 1, 2), grad_k
 
 
-def _max_of(views, out=None):
-    """Elementwise max of same-shape views, left to right, into out or a
-    fresh array laid out like them: np.maximum of the first two, then the
-    rest in place, with no copy of the first."""
+def _max_of(views, out):
+    """Elementwise max of same-shape views, left to right, into out:
+    np.maximum of the first two, then the rest in place, with no copy of
+    the first."""
     if len(views) == 1:
-        if out is None:
-            return views[0].copy(order="K")
         out[...] = views[0]
         return out
-    out = np.maximum(views[0], views[1], out=out)
+    np.maximum(views[0], views[1], out=out)
     for view in views[2:]:
         np.maximum(out, view, out=out)
     return out
@@ -336,7 +334,7 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
     The max is taken over strided views, columns first, then rows, into
     buffers laid out like x, so no window is ever copied and a channels-last
     input gives a channels-last output. With the argmax (training) it runs
-    per batch part on the pool.
+    per batch part (in_parts); without it, whole on the calling thread.
     """
     b, c, h, w = x.shape
     if h < window or w < window:
@@ -345,24 +343,22 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
         raise ConfigError(f"stride must be >= 1, got {stride}")
     ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
     span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    if not need_argmax:
-        colmax = _max_of([x[..., v:v + span_w:stride] for v in range(window)])
-        return _max_of([colmax[:, :, u:u + span_h:stride]
-                        for u in range(window)]), None
 
     # every buffer laid out like x, so a channels-last x gives channels-last
     # results and the backward reads its argmax map in NHWC order
     colmax = np.empty_like(x[..., :wo])
     out = np.empty_like(x[:, :, :ho, :wo])
-    local = np.zeros_like(out, dtype=np.min_scalar_type(-window * window))
-    argmax = np.empty_like(out, dtype=np.intp)
-    corner = (np.arange(ho)[:, None] * w + np.arange(wo)) * stride
+    argmax = np.empty_like(out, dtype=np.intp) if need_argmax else None
 
     def pool(part):
-        xp, mp, lp, ap = x[part], out[part], local[part], argmax[part]
+        xp, mp = x[part], out[part]
         cm = _max_of([xp[..., v:v + span_w:stride] for v in range(window)],
                      out=colmax[part])
         _max_of([cm[:, :, u:u + span_h:stride] for u in range(window)], out=mp)
+        if not need_argmax:
+            return
+        lp = np.zeros_like(mp, dtype=np.min_scalar_type(-window * window))
+        ap = argmax[part]
         # In-window offset of the max, the lowest where several match, as
         # flat.argmax picks it (a NaN counts as the max): walk the offsets
         # downwards and overwrite. The store is arithmetic, because a masked
@@ -380,9 +376,12 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
         np.floor_divide(lp, window, out=ap)
         ap *= w - window
         ap += lp
-        ap += corner
+        ap += (np.arange(ho)[:, None] * w + np.arange(wo)) * stride  # corner
 
-    in_parts(pool, b, x.size)
+    if need_argmax:
+        in_parts(pool, b, x.size)
+    else:  # inference pooling runs faster whole than split
+        pool(slice(None))
     return out, argmax
 
 

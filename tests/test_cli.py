@@ -339,7 +339,7 @@ class TestCacheLayout:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(damaged) in lines[0] and message in lines[0]
-        assert lines[0].endswith("run 'preprocess --force'")
+        assert lines[0].endswith("run 'preprocess' again")
         assert self.preprocess(root, cache) == 0
         assert "cache hit" not in capsys.readouterr().out
         assert np.load(damaged).shape == (6, 32, 64)
@@ -955,6 +955,21 @@ class TestFrameDump:
                          "--cache-dir", str(tmp_path / "cache")]) == 1
         assert capsys.readouterr().err == captured.err
 
+    def test_bad_utf8_record_is_named_in_an_ascii_locale(self, tmp_path):
+        # the file is decoded once, as UTF-8, whatever the locale says
+        path = tmp_path / "S1" / "1.txt"
+        path.parent.mkdir()
+        path.write_text(" ".join(["1"] * 2047 + ["\u00e9"]) + "\n",
+                        encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONUTF8": "0", "LC_ALL": "C"}
+        done = subprocess.run(
+            [sys.executable, "-c", MAIN, "frame-dump", "--file", str(path)],
+            env=env, capture_output=True, text=True, encoding="utf-8")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"error: {path}: record 1 contains a "
+                               "non-numeric field\n")
+
 
 class TestAugmentStats:
     def test_frequencies_near_configured(self, capsys):
@@ -991,6 +1006,10 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
 
+
+
+# cli.main(argv[1:]) in a fresh interpreter
+MAIN = "import sys; from pressnet import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
 # cli.main(argv[2:]) on the first argv[1] of the process's allowed cores

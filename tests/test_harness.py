@@ -1,7 +1,10 @@
 """Splits, metrics, Welch test, training loop, and experiment artifacts."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -19,8 +22,8 @@ from pressnet.tensor import make_rng
 
 from util import (bagged_trees_oracle, collapse_confusion, extract_features,
                   kfold_split_oracle, loso_split_oracle, oracle_nodes,
-                  sequence_split_oracle, small_net, synthetic_batch,
-                  tree_walk)
+                  sequence_split_oracle, small_net, SMALL_NET,
+                  synthetic_batch, tree_walk)
 
 CFG = ModelConfig(num_subjects=2, num_postures=3)
 
@@ -958,3 +961,56 @@ class TestRunExperiment:
         (out / ".lock").write_text("pid 12345\n")
         with pytest.raises(UsageError, match="locked"):
             harness.run_experiment(data, self.config(), out)
+
+
+# OpenBLAS's thread count before and after argv[1] ("train" or "evaluate")
+# runs on a small net, read through the getter pin_blas_threads finds
+BLAS_AFTER = """
+import ctypes, sys
+import numpy as np
+from pressnet import harness, synthetic
+from pressnet.dataio import default_taxonomy
+from pressnet.model import ModelConfig, PostureNet
+from pressnet.tensor import make_rng
+
+core = np._core if hasattr(np, "_core") else np.core
+lib = ctypes.CDLL(core._multiarray_umath.__file__)
+for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    getter = getattr(lib, name, None)
+    if getter is not None:
+        break
+else:
+    sys.exit("no OpenBLAS thread getter")
+getter.argtypes, getter.restype = [], ctypes.c_int
+for name, value in %r.items():
+    setattr(PostureNet, name, value)
+seqs = [synthetic.synthetic_sequence(s, p, 5, seed=2)
+        for s in (1, 2) for p in (1, 10)]
+data = harness.flatten_sequences(seqs, default_taxonomy())
+config = ModelConfig(data.num_subjects, data.num_postures)
+before = getter()
+if sys.argv[1] == "train":
+    harness.train_model(data.x, data.subject_idx, data.posture_idx,
+                        harness.TrainConfig(epochs=1, batch_size=4), config)
+else:
+    harness.evaluate_model(PostureNet(config, make_rng(1)), data,
+                           np.arange(len(data)))
+print(before, getter())
+""" % SMALL_NET
+
+
+@pytest.mark.parametrize("job", ["train", "evaluate"])
+def test_blas_is_pinned_where_compute_starts(job):
+    # conv backward's concurrent GEMMs assume single-threaded BLAS, and a
+    # library caller of train_model or evaluate_model must get it too
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", BLAS_AFTER, job], env=env,
+                          capture_output=True, text=True)
+    if "no OpenBLAS thread getter" in done.stderr:
+        pytest.skip("numpy's BLAS reports no thread count")
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.split())
+    if before != 2:
+        pytest.skip(f"OpenBLAS starts on {before} threads, not 2")
+    assert after == 1

@@ -14,6 +14,8 @@ import sys
 import threading
 import time
 import warnings
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ import pytest
 from pressnet import layers, optim, tensor
 from pressnet.model import ModelConfig, PostureNet
 
-from util import channels_last, small_net, synthetic_batch, workers
+from util import channels_last, close, small_net, synthetic_batch, workers
 
 COUNTS = (1, 2, 3)
 # batches 2, 3, 47 and 64, odd channel counts, and conv1's one channel
@@ -67,6 +69,21 @@ class TestSplitKernels:
 
             assert_same_at_each_count(run)
 
+    def test_maxpool_without_argmax(self, shape, dtype):
+        # inference pooling runs whole; its max is the argmax call's
+        for x in inputs(shape, dtype, 1):
+            x[0, 0, 0, :2] = np.nan
+
+            def run():
+                out, arg = tensor.maxpool2d(x, 3, 2, need_argmax=False)
+                ref = tensor.maxpool2d(x, 3, 2)[0]
+                assert arg is None and out.strides == ref.strides
+                return out, ref
+
+            seen = at_each_count(run)
+            assert all(out == ref for out, ref in seen)
+            assert all(other == seen[0] for other in seen[1:])
+
     def test_conv_forward_and_backward(self, shape, dtype):
         b, c, h, w = shape
         k = tensor.make_rng(3).normal(size=(5, c, 3, 3)).astype(dtype)
@@ -76,8 +93,7 @@ class TestSplitKernels:
                 gx, gk = tensor.conv2d_valid_backward(x, k, g)
                 _, gk_only = tensor.conv2d_valid_backward(x, k, g,
                                                           need_x=False)
-                return (tensor.conv2d_valid(x, k, split=True), gx, gk,
-                        gk_only)
+                return tensor.conv2d_valid(x, k), gx, gk, gk_only
 
             assert_same_at_each_count(run)
 
@@ -148,22 +164,55 @@ def test_network_step_same_at_each_count():
     assert_same_at_each_count(run)
 
 
-def test_small_arrays_run_whole_on_the_caller():
-    # under SPLIT_MIN elements per part a kernel never reaches the pool:
-    # the baselines' small dense layers pay no dispatch
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_network_inference_same_at_each_count(dtype):
+    # the paper's architecture over three EVAL_BLOCK blocks, the last short
+    x, _, _ = synthetic_batch(2 * PostureNet.EVAL_BLOCK + 5, 3, 4, seed=4)
+    net = PostureNet(ModelConfig(3, 4), tensor.make_rng(17), dtype)
+    assert_same_at_each_count(lambda: net.forward(x))
+
+
+def counting(pool):
+    """Record the task count of each call that reaches pool.run."""
     calls = []
+    pool.run = lambda tasks: calls.append(len(tasks)) or [t() for t in tasks]
+    return calls
+
+
+def test_small_arrays_run_whole_on_the_caller():
+    # under 2 * SPLIT_MIN elements a kernel never reaches the pool: the
+    # baselines' small dense layers pay no dispatch
     with workers(2, split_min=tensor.SPLIT_MIN) as pool:
-        pool.run = lambda tasks: calls.append(len(tasks)) or [
-            t() for t in tasks]
+        calls = counting(pool)
         x = np.ones((64, 256), np.float32)
         act = layers.LeakyReLU()
         act.backward(act.forward(x, True))
-        params = {"w": np.ones((256, 256), np.float32)}
-        optim.adam_step(params, {"w": x[:1].T @ x[:1]},
+        params = {"w": np.ones((256, 256), np.float32),
+                  "b": np.ones(256, np.float32)}
+        optim.adam_step(params, {"w": x[:1].T @ x[:1], "b": x[0]},
                         optim.AdamState(params), 1e-3)
+        x = np.ones((4, 8, 10, 12), np.float32)
+        k = np.ones((8, 8, 3, 3), np.float32)
+        tensor.conv2d_valid_backward(x, k, tensor.conv2d_valid(x, k))
+        big = np.ones((64, 32, 30, 62), np.float32)
+        tensor.maxpool2d(big, 3, 2, need_argmax=False)  # inference: whole
         assert calls == []
-        tensor.maxpool2d(np.ones((64, 32, 30, 62), np.float32), 3, 2)
+        tensor.maxpool2d(big, 3, 2)
         assert calls == [2]
+
+
+def test_one_worker_never_reaches_the_pool():
+    # a one-worker pool has no helper to hand a task to
+    with workers(1) as pool:
+        calls = counting(pool)
+        x = np.ones((4, 8, 10, 12), np.float32)
+        k = np.ones((8, 8, 3, 3), np.float32)
+        tensor.conv2d_valid_backward(x, k, tensor.conv2d_valid(x, k))
+        params = {"w": np.ones((256, 256), np.float32)}
+        optim.adam_step(params, {"w": params["w"]}, optim.AdamState(params),
+                        1e-3)
+        tensor.maxpool2d(x, 3, 2)
+    assert calls == []
 
 
 # ------------------------------------------------------------ the pool
@@ -173,7 +222,7 @@ def pool():
     """A bare two-worker pool, its threads ended after the test."""
     pool = tensor._Pool(2)
     yield pool
-    pool.close()
+    close(pool)
 
 
 def meet(barrier, record):
@@ -207,6 +256,22 @@ def test_task_exception_is_raised_in_the_caller(pool):
     assert len(record) == 1
     # the pool serves the next call
     assert pool.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+
+
+def total_after(barrier, a):
+    barrier.wait()
+    return a.sum()
+
+
+def test_a_call_keeps_no_task_alive(pool):
+    # a helper used to hold its last call's tasks, and every array they
+    # reach, until the pool's next call
+    barrier, a = threading.Barrier(2, timeout=30), np.ones(8)
+    ref = weakref.ref(a)
+    tasks = [partial(total_after, barrier, a) for _ in range(2)]
+    assert pool.run(tasks) == [8.0, 8.0]
+    del tasks, a
+    assert ref() is None
 
 
 def test_nested_call_runs_inline(pool):

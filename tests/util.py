@@ -69,7 +69,13 @@ def workers(n, split_min=1):
         yield pool
     finally:
         tensor._pool, tensor.SPLIT_MIN = saved
-        pool.close()
+        close(pool)
+
+
+def close(pool):
+    """End a tensor._Pool's helper threads once they are idle."""
+    for inbox in pool._inboxes:
+        inbox.put(None)
 
 
 def _after(first, task):
