@@ -102,7 +102,8 @@ def cmd_preprocess(args) -> int:
 def _train_config_from(args) -> TrainConfig:
     """TrainConfig from the --config file's JSON object, overridden by the
     flags given; UsageError on a file that cannot be read, is not an object
-    or names a key that is not a TrainConfig field."""
+    or names a key that is not a TrainConfig field, and on a lambda from the
+    flag or the file under --lambda-sweep."""
     names = {f.name for f in fields(TrainConfig)}
     path, cfg = args.config, {}
     if path:
@@ -116,6 +117,12 @@ def _train_config_from(args) -> TrainConfig:
         unknown = sorted(cfg.keys() - names)
         if unknown:
             raise UsageError(f"unknown key(s) in {path}: " + ", ".join(unknown))
+    if args.lambda_sweep is not None:
+        # run_sweep sets lambda for each of its runs
+        for lam, source in ((args.lam, "--lambda"),
+                            (cfg.get("lam"), f"'lam' in {path}")):
+            if lam is not None:
+                raise UsageError(f"{source} is not allowed with --lambda-sweep")
     # train flags are stored under their TrainConfig field names
     cfg.update((n, getattr(args, n)) for n in names
                if getattr(args, n, None) is not None)
@@ -129,9 +136,6 @@ def _print_fold(fold_no, n_folds, report):
 
 
 def cmd_train(args) -> int:
-    if args.lam is not None and args.lambda_sweep is not None:
-        # run_sweep sets lambda for each of its runs
-        raise UsageError("--lambda is not allowed with --lambda-sweep")
     config = _train_config_from(args)
     data = _load_cache(args.cache_dir, args.stride)
 

@@ -300,7 +300,8 @@ def build_manifest(root, taxonomy=None) -> DatasetManifest:
     The raw files are listed, not read: each entry's frame_count is None.
     taxonomy is a path to a taxonomy file, or None for the built-in
     default. Missing subject/posture combinations produce warning strings;
-    a malformed taxonomy is fatal.
+    a malformed taxonomy, or two files of one subject and posture (S1/ and
+    S01/, or 2.txt and 02.txt), is fatal.
     """
     root = Path(root)
     taxonomy = default_taxonomy() if taxonomy is None else load_taxonomy(taxonomy)
@@ -308,7 +309,7 @@ def build_manifest(root, taxonomy=None) -> DatasetManifest:
     if not root.is_dir():
         raise ParseError(f"dataset root '{root}' is not a directory")
 
-    entries = []
+    entries = {}
     subjects_seen = []
     for subj_dir in sorted(root.iterdir()):
         m = _SUBJECT_DIR.match(subj_dir.name)
@@ -320,23 +321,24 @@ def build_manifest(root, taxonomy=None) -> DatasetManifest:
             mp = _POSTURE_FILE.match(f.stem)
             if mp is None:
                 continue
-            entries.append(ManifestEntry(path=str(f), subject_id=sid,
-                                         posture_id=int(mp.group(1))))
+            key = (sid, int(mp.group(1)))
+            if key in entries:
+                raise ParseError(
+                    f"'{entries[key].path}' and '{f}' are both subject {sid}, "
+                    f"posture {key[1]}")
+            entries[key] = ManifestEntry(path=str(f), subject_id=sid,
+                                         posture_id=key[1])
     if not entries:
         raise ParseError(
             f"no dataset files found under '{root}' "
             "(expected S<subject>/<posture>.txt)")
 
-    entries.sort(key=lambda e: (e.subject_id, e.posture_id))
-
-    warnings = []
-    have = {(e.subject_id, e.posture_id) for e in entries}
-    for sid in sorted(set(subjects_seen)):
-        for pid in range(1, NUM_POSTURES + 1):
-            if (sid, pid) not in have:
-                warnings.append(f"subject {sid}: posture {pid} missing")
-    return DatasetManifest(entries=entries, taxonomy=taxonomy,
-                           warnings=warnings)
+    warnings = [f"subject {sid}: posture {pid} missing"
+                for sid in sorted(set(subjects_seen))
+                for pid in range(1, NUM_POSTURES + 1)
+                if (sid, pid) not in entries]
+    return DatasetManifest(entries=[entries[k] for k in sorted(entries)],
+                           taxonomy=taxonomy, warnings=warnings)
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:

@@ -13,15 +13,16 @@ so the dense features keep their meaning, and its backward hands the
 gradient back in its input's layout.
 
 Every layer has the same call form, forward(x, train, rng=None); only
-Dropout reads rng, so a network runs any list of layers in one loop. A
-training-mode forward stores the cache its backward pass needs (its input,
-mask, argmax map or normalized activations), and the layer owns that cache
-until its backward consumes it: backward takes the cache, clears it, and
-returns the gradient w.r.t. the layer's input (None from a Conv2D built
-with needs_input_grad=False). So a training step holds no earlier batch's
-activations, and a second backward without a new training forward raises
-UsageError. MaxPool2D builds its argmax map, and LeakyReLU its sign mask,
-only in train mode.
+Dropout reads rng, so a network runs any list of layers in one loop. One
+cache rule holds for every layer (Layer): a forward replaces the layer's
+cache, with what backward needs (its input, mask, argmax map or normalized
+activations) in train mode and with nothing in any other, and backward
+takes the cache, clears it and returns the gradient w.r.t. the layer's
+input (None from a Conv2D built with needs_input_grad=False). So a
+training step holds no earlier batch's activations, an eval forward holds
+none, and a backward with no train-mode forward since the last backward
+or eval forward raises UsageError. MaxPool2D builds its argmax map, and
+LeakyReLU its sign mask, only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
@@ -104,39 +105,56 @@ def init_std(fan_in: int) -> float:
     return float(np.sqrt(2.0 / ((1.0 + slope * slope) * fan_in)))
 
 
-class Conv2D:
-    """3x3 valid convolution, stride 1, no bias: a BatchNorm follows every
-    conv, and its batch-mean subtraction would cancel one.
+class Layer:
+    """The cache rule of every layer: forward calls _keep, backward _take."""
+
+    _cache = None
+
+    def _keep(self, train: bool, *cache):
+        """Hold cache after a train-mode forward, nothing after any other."""
+        self._cache = cache if train else None
+
+    def _take(self):
+        """The held cache, which this clears; UsageError if none is held."""
+        if self._cache is None:
+            raise UsageError(
+                f"{type(self).__name__}.backward without a training forward")
+        cache, self._cache = self._cache, None
+        return cache
+
+
+class Conv2D(Layer):
+    """3x3 (KERNEL) valid convolution, stride 1, no bias: a BatchNorm follows
+    every conv, and its batch-mean subtraction would cancel one.
 
     With needs_input_grad false (a first layer, whose input is the data),
     backward computes only the parameter gradients and returns None.
     """
 
+    KERNEL = 3
+
     def __init__(self, cin: int, cout: int, rng, dtype=np.float32,
                  needs_input_grad: bool = True):
-        self.w = rng.normal(0.0, init_std(cin * 9),
-                            size=(cout, cin, 3, 3)).astype(dtype)
+        k = self.KERNEL
+        self.w = rng.normal(0.0, init_std(cin * k * k),
+                            size=(cout, cin, k, k)).astype(dtype)
         self.params = {"w": self.w}
         self.stats = {}
         self.grads = {}
         self.needs_input_grad = needs_input_grad
-        self._x = None
 
     def forward(self, x, train: bool, rng=None):
-        if train:
-            self._x = x
+        self._keep(train, x)
         return tensor.conv2d_valid(x, self.w)
 
     def backward(self, g):
-        if self._x is None:
-            raise UsageError("Conv2D.backward without a training forward")
-        x, self._x = self._x, None
+        (x,) = self._take()
         gx, self.grads["w"] = tensor.conv2d_valid_backward(
             x, self.w, g, need_x=self.needs_input_grad)
         return gx
 
 
-class BatchNorm2D:
+class BatchNorm2D(Layer):
     """Per-channel batch normalization over batch and spatial dims.
 
     Every pass works on the (B*H, W*C) rows view of a channels-last array,
@@ -177,7 +195,6 @@ class BatchNorm2D:
         self.stats = {"running_mean": self.running_mean,
                       "running_var": self.running_var}
         self.grads = {}
-        self._cache = None
 
     def eval_affine(self):
         """The eval map's per-channel (scale, shift), from the running
@@ -191,6 +208,7 @@ class BatchNorm2D:
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
+            self._keep(False)
             scale, shift = self.eval_affine()
             out = x2 * np.tile(scale, w)
             out += np.tile(shift, w)
@@ -224,13 +242,11 @@ class BatchNorm2D:
             out[rows] += beta
 
         tensor.in_parts(affine, b * h, x2.size)
-        self._cache = (xhat, inv_std)
+        self._keep(True, xhat, inv_std)
         return _unrows(out, x.shape)
 
     def backward(self, g):
-        if self._cache is None:
-            raise UsageError("BatchNorm2D.backward without a training forward")
-        (xhat, inv_std), self._cache = self._cache, None
+        xhat, inv_std = self._take()
         b, c, h, w = g.shape
         g2 = _rows(g)
         n = g.dtype.type(b * h * w)
@@ -257,16 +273,12 @@ class BatchNorm2D:
         return _unrows(prod, g.shape)
 
 
-class MaxPool2D:
+class MaxPool2D(Layer):
     """3x3 max-pooling with stride 2 (WINDOW, STRIDE), the network's only
     pool geometry, which PostureNet.feature_shapes reads."""
 
     WINDOW = 3
     STRIDE = 2
-
-    def __init__(self):
-        self._argmax = None
-        self._in_shape = None
 
     @classmethod
     def reads(cls, h: int, w: int):
@@ -278,20 +290,15 @@ class MaxPool2D:
     def forward(self, x, train: bool, rng=None):
         out, argmax = tensor.maxpool2d(x, window=self.WINDOW,
                                        stride=self.STRIDE, need_argmax=train)
-        if train:
-            self._argmax = argmax
-            self._in_shape = x.shape
+        self._keep(train, argmax, x.shape)
         return out
 
     def backward(self, g):
-        if self._argmax is None:
-            raise UsageError("MaxPool2D.backward without a training forward")
-        argmax, self._argmax = self._argmax, None
-        in_shape, self._in_shape = self._in_shape, None
+        argmax, in_shape = self._take()
         return tensor.maxpool2d_backward(g, argmax, in_shape)
 
 
-class LeakyReLU:
+class LeakyReLU(Layer):
     """max(x, SLOPE * x); SLOPE is also the gain of init_std. backward
     multiplies g by 1 where x > 0 and SLOPE elsewhere, from the train-mode
     mask: (1 - s) + s rounds to exactly 1 for every s in (0, 1), and a
@@ -300,14 +307,12 @@ class LeakyReLU:
 
     SLOPE = 0.2
 
-    def __init__(self):
-        self._pos = None
-
     def forward(self, x, train: bool, rng=None):
         # for 0 < slope < 1 the larger of x and slope * x is x where x > 0
         # and slope * x elsewhere, ±0 and ±inf included
         s = x.dtype.type(self.SLOPE)
         if not train:
+            self._keep(False)
             return np.maximum(x, s * x)
         pos, out = np.empty_like(x, dtype=bool), np.empty_like(x)
 
@@ -317,14 +322,12 @@ class LeakyReLU:
             np.maximum(x[part], out[part], out=out[part])
 
         tensor.in_parts(act, len(x), x.size)
-        self._pos = pos
+        self._keep(True, pos)
         return out
 
     def backward(self, g):
-        if self._pos is None:
-            raise UsageError("LeakyReLU.backward without a training forward")
+        (pos,) = self._take()
         s = g.dtype.type(self.SLOPE)
-        pos, self._pos = self._pos, None
         factor = np.empty_like(pos, dtype=g.dtype)
 
         def grad(part):
@@ -338,7 +341,7 @@ class LeakyReLU:
         return factor
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: survivors scaled by 1/(1-p), inference is identity.
 
     The mask is drawn in x's index order, whatever x's memory layout, and
@@ -350,11 +353,10 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
         self.rate = rate
-        self._scaled_mask = None
 
     def forward(self, x, train: bool, rng=None):
         if not train or self.rate == 0.0:
-            self._scaled_mask = 1.0 if train else None
+            self._keep(train, 1.0)
             return x
         if rng is None:
             raise UsageError("Dropout needs an rng in train mode")
@@ -367,13 +369,11 @@ class Dropout:
             np.multiply(x[part], mask[part], out=out[part])
 
         tensor.in_parts(drop, len(x), x.size)
-        self._scaled_mask = mask
+        self._keep(True, mask)
         return out
 
     def backward(self, g):
-        if self._scaled_mask is None:
-            raise UsageError("Dropout.backward without a training forward")
-        mask, self._scaled_mask = self._scaled_mask, None
+        (mask,) = self._take()
         if self.rate == 0.0:  # the mask is 1.0
             return g * mask
         out = np.empty_like(g)
@@ -383,28 +383,22 @@ class Dropout:
         return out
 
 
-class Flatten:
+class Flatten(Layer):
     """(B, ...) -> (B, features) in row-major index order, a copy when x is
     channels-last; backward returns the gradient in x's layout."""
 
-    def __init__(self):
-        self._x = None
-
     def forward(self, x, train: bool, rng=None):
-        if train:
-            self._x = x
+        self._keep(train, x)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, g):
-        if self._x is None:
-            raise UsageError("Flatten.backward without a training forward")
-        x, self._x = self._x, None
+        (x,) = self._take()
         gx = np.empty_like(x, dtype=g.dtype)
         gx[...] = g.reshape(x.shape)
         return gx
 
 
-class Dense:
+class Dense(Layer):
     """Affine map x @ w + b."""
 
     def __init__(self, fan_in: int, units: int, rng, dtype=np.float32):
@@ -414,20 +408,16 @@ class Dense:
         self.params = {"w": self.w, "b": self.b}
         self.stats = {}
         self.grads = {}
-        self._x = None
 
     def forward(self, x, train: bool, rng=None):
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"dense expects {self.w.shape[0]} features, got {x.shape[1]}")
-        if train:
-            self._x = x
+        self._keep(train, x)
         return x @ self.w + self.b
 
     def backward(self, g):
-        if self._x is None:
-            raise UsageError("Dense.backward without a training forward")
-        x, self._x = self._x, None
+        (x,) = self._take()
         self.grads["w"] = x.T @ g
         self.grads["b"] = g.sum(axis=0)
         return g @ self.w.T

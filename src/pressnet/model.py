@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, losses
-from .errors import (CheckpointError, ConfigError, ShapeError, UsageError,
-                     check_field_types)
+from .errors import CheckpointError, ConfigError, ShapeError, check_field_types
 from .layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten, LeakyReLU,
                      MaxPool2D, backward_stages, collect, forward_stages)
 
@@ -75,9 +74,10 @@ class PostureNet:
         MaxPool2D's geometry: conv1 pool1 conv2 pool2 conv3 conv4."""
         h, w = dataio.GRID_ROWS, dataio.GRID_COLS
         win, stride = MaxPool2D.WINDOW, MaxPool2D.STRIDE
+        trim = Conv2D.KERNEL - 1  # a valid conv's output is this much smaller
         shapes = []
         for i in range(4):
-            h, w = h - 2, w - 2  # 3x3 valid conv
+            h, w = h - trim, w - trim
             shapes.append((h, w))
             if i < 2:
                 h, w = (h - win) // stride + 1, (w - win) // stride + 1
@@ -112,7 +112,6 @@ class PostureNet:
         self.heads = [(name, Dense(width, n, rng, dtype))
                       for name, n in (("head_subject", config.num_subjects),
                                       ("head_posture", config.num_postures))]
-        self._cached_train = False
 
         # Per-kind aliases of the stages, read only by bench/spans.py
         # (Tracer._label_net) to name its timing spans.
@@ -182,14 +181,11 @@ class PostureNet:
                              f"with B >= 1, got {x.shape}")
         h = x.astype(self.dtype, copy=False)
         if train:
-            probs = self._heads(forward_stages(self.stages, h, True, rng), True)
-        else:
-            step = self.EVAL_BLOCK
-            blocks = [self._heads(self._infer(h[s:s + step]), False)
-                      for s in range(0, len(h), step)]
-            probs = tuple(np.concatenate(p) for p in zip(*blocks))
-        self._cached_train = train
-        return probs
+            return self._heads(forward_stages(self.stages, h, True, rng), True)
+        step = self.EVAL_BLOCK
+        blocks = [self._heads(self._infer(h[s:s + step]), False)
+                  for s in range(0, len(h), step)]
+        return tuple(np.concatenate(p) for p in zip(*blocks))
 
     def _heads(self, h, train: bool):
         logits_u, logits_p = (head.forward(h, train) for _, head in self.heads)
@@ -227,14 +223,12 @@ class PostureNet:
         """Gradients of the combined loss + L2 w.r.t. every trainable tensor.
 
         Requires the immediately preceding forward to have run in train mode
-        on the same batch. Each layer consumes its cache, so a second
-        backward needs a new train-mode forward first.
+        on the same batch. The layers enforce that order: each takes the
+        cache its last forward left, so after an eval forward, or a second
+        time, backward raises UsageError before any gradient is written.
         """
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0,1], got {lam}")
-        if not self._cached_train:
-            raise UsageError("backward requires a train-mode forward first")
-        self._cached_train = False
         dt = self.dtype
         g_u = dt(lam) * losses.cross_entropy_grad_logits(probs_u, labels_u)
         g_p = dt(1.0 - lam) * losses.cross_entropy_grad_logits(probs_p, labels_p)
@@ -263,8 +257,9 @@ def _pooled_block(x, conv: Conv2D, bn: BatchNorm2D, pool: MaxPool2D):
     copy (4.9% fewer GEMM rows for conv1, 11.6% for conv2), and every
     stage's forward is still called.
     """
-    rows, cols = pool.reads(x.shape[2] - 2, x.shape[3] - 2)  # 3x3 valid
-    crop = x.transpose(0, 2, 3, 1)[:, :rows + 2, :cols + 2]
+    trim = conv.KERNEL - 1
+    rows, cols = pool.reads(x.shape[2] - trim, x.shape[3] - trim)
+    crop = x.transpose(0, 2, 3, 1)[:, :rows + trim, :cols + trim]
     y = conv.forward(np.ascontiguousarray(crop).transpose(0, 3, 1, 2), False)
     flip = bn.eval_affine()[0] < 0
     if flip.any():

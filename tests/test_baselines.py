@@ -15,8 +15,8 @@ from pressnet.synthetic import synthetic_frame
 from pressnet.tensor import make_rng
 
 from util import (bagged_trees_oracle, best_split_oracle, ensemble_nodes,
-                  extract_features, held_activations, knn_classify,
-                  oracle_nodes, tree_walk)
+                  extract_features, grads_state, held_activations,
+                  knn_classify, oracle_nodes, tree_walk)
 
 
 def feature_oracle(frame):
@@ -527,6 +527,23 @@ class TestMlp:
             assert held_activations(layer) == [], name
         with pytest.raises(UsageError):
             model.backward(probs, y)
+
+    def test_eval_forward_clears_every_cache(self):
+        # an eval forward (predict) used to leave every dense layer's train
+        # input in place, for a later backward to take
+        rng = make_rng(61)
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(0, 2, size=6)
+        model = TinyMLP(3, 2, make_rng(62))
+        model.backward(model.forward(x, train=True), y)  # fills the grads
+        probs = model.forward(x, train=True)
+        model.predict(x)
+        for name, layer in model.stages:
+            assert held_activations(layer) == [], name
+        before = grads_state(model.stages)
+        with pytest.raises(UsageError):
+            model.backward(probs, y)
+        assert grads_state(model.stages) == before
 
     def test_deterministic_training(self, monkeypatch):
         monkeypatch.setattr(MLPBaseline, "EPOCHS", 3)

@@ -521,6 +521,19 @@ class TestTrain:
              "--baselines", "knn"])
         assert args.lam == 0.5 and args.baselines == ["knn"]
 
+    def test_config_lambda_with_sweep_refused_before_the_cache_loads(
+            self, tmp_path, capsys):
+        # the sweep used to train its own lambdas and drop the file's
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"lam": 0.3}))
+        rc = cli.main(["train", "--cache-dir", str(tmp_path / "missing"),
+                       "--out-dir", str(tmp_path / "run"), "--config",
+                       str(cfg_file), "--lambda-sweep", "0,0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: 'lam' in {cfg_file} is not allowed with --lambda-sweep\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag, text, values", [
         ("--lambda-sweep", "0.2,0.5", [0.2, 0.5]),
         ("--lambda-sweep", "0,0.5,0.5", [0.0, 0.5, 0.5]),

@@ -1,5 +1,6 @@
 """Ingestion: frame parsing, label inference, taxonomy, manifests."""
 
+import shutil
 import warnings
 
 import numpy as np
@@ -352,6 +353,25 @@ class TestManifest:
     def test_missing_root(self, tmp_path):
         with pytest.raises(ParseError):
             dataio.build_manifest(tmp_path / "nope")
+
+    @pytest.mark.parametrize("src, dst, named, posture", [
+        ("S1", "S01", ("S01/1.txt", "S1/1.txt"), 1),
+        ("S1/2.txt", "S1/02.txt", ("S1/02.txt", "S1/2.txt"), 2),
+    ], ids=["subject-dir", "posture-file"])
+    def test_two_files_of_one_subject_and_posture_are_fatal(
+            self, tmp_path, src, dst, named, posture):
+        # both used to be listed; the cache then held one array for the two
+        # manifest rows, which train refused and preprocess rebuilt the same
+        root, cache = tmp_path / "raw", tmp_path / "cache"
+        self.make_tree(root, subjects=2, postures=3)
+        copy = shutil.copytree if (root / src).is_dir() else shutil.copyfile
+        copy(root / src, root / dst)
+        with pytest.raises(ParseError) as info:
+            signal.preprocess_dataset(root, cache)
+        a, b = (root / n for n in named)
+        assert str(info.value) == (
+            f"'{a}' and '{b}' are both subject 1, posture {posture}")
+        assert not cache.exists()
 
     @pytest.mark.parametrize("name, reason", [
         ("missing.txt", "No such file or directory"),

@@ -324,7 +324,7 @@ class TestDropout:
         for x_in in (x, channels_last(x)):
             d = Dropout(0.3)
             outs.append(d.forward(x_in, train=True, rng=tensor.make_rng(30)))
-            masks.append(d._scaled_mask)
+            masks.append(d._cache[0])  # the scaled mask backward takes
         assert outs[0].tobytes() == outs[1].tobytes()
         assert masks[0].tobytes() == masks[1].tobytes()
         assert masks[0].flags.c_contiguous and outs[0].flags.c_contiguous
@@ -451,3 +451,19 @@ class TestCacheConsumed:
         # a new training forward arms it again
         layer.forward(x, train=True, rng=tensor.make_rng(44))
         layer.backward(g)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_forward_clears_the_cache(self, kind):
+        # an eval forward used to leave the train batch's cache in place,
+        # for a later backward to take
+        make, shape = self.KINDS[kind]
+        layer = make()
+        rng = tensor.make_rng(45)
+        x = rng.normal(size=shape).astype(np.float32)
+        out = layer.forward(x, train=True, rng=tensor.make_rng(46))
+        layer.forward(x, train=False)
+        assert held_activations(layer) == []
+        name = type(layer).__name__
+        with pytest.raises(UsageError, match=f"^{name}.backward without a "
+                                             "training forward$"):
+            layer.backward(rng.normal(size=out.shape).astype(np.float32))

@@ -14,8 +14,8 @@ from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
 from pressnet.model import ModelConfig, PostureNet
 from pressnet.optim import AdamState, adam_step
 
-from util import (SMALL_NET, held_activations, is_channels_last, max_rel_err,
-                  one_pass_forward, set_net_constants, small_net)
+from util import (SMALL_NET, grads_state, held_activations, is_channels_last,
+                  max_rel_err, one_pass_forward, set_net_constants, small_net)
 
 CFG = ModelConfig(num_subjects=2, num_postures=3)
 PAPER = ModelConfig(num_subjects=13, num_postures=17)
@@ -221,6 +221,24 @@ class TestBackward:
             assert held_activations(layer) == [], name
         with pytest.raises(UsageError):
             net.backward(pu, pp, yu, yp, 0.5)
+
+    def test_eval_forward_clears_every_cache(self, small_net):
+        # an eval forward used to leave 21 of the paper net's 27 stages and
+        # heads holding the train batch's activations
+        small_net(CONV_DROPOUT=(0.1, 0.1, 0.1, 0.1), DENSE_DROPOUT=0.2)
+        net = PostureNet(CFG, tensor.make_rng(48))
+        x, yu, yp = make_batch(tensor.make_rng(49), CFG, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(50))
+        net.backward(pu, pp, yu, yp, 0.5)  # fills every grads dict
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(51))
+        net.forward(x)
+        stages = net.stages + net.heads
+        for name, layer in stages:
+            assert held_activations(layer) == [], name
+        before = grads_state(stages)
+        with pytest.raises(UsageError):
+            net.backward(pu, pp, yu, yp, 0.5)
+        assert grads_state(stages) == before
 
     def test_train_step_peak_is_one_step(self):
         # peak traced allocation of a default-config batch-64 train step,

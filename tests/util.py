@@ -491,6 +491,15 @@ def held_activations(layer):
                    for a in (value if isinstance(value, tuple) else (value,)))]
 
 
+def grads_state(stages):
+    """The identity and bytes of every array in the grads dicts of a list
+    of (name, layer) stages, keyed (name, key): unchanged by a call that
+    writes no gradient."""
+    return {(name, key): (id(g), g.tobytes())
+            for name, layer in stages
+            for key, g in getattr(layer, "grads", {}).items()}
+
+
 def tensor_table(tensors):
     """The header's table of contents for the (name, array) pairs in
     `tensors`: one [name, little-endian dtype str, shape] each, in order."""
