@@ -14,15 +14,16 @@ gradient back in its input's layout.
 
 Every layer has the same call form, forward(x, train, rng=None); only
 Dropout reads rng, so a network runs any list of layers in one loop. One
-cache rule holds for every layer (Layer): a forward replaces the layer's
-cache, with what backward needs (its input, mask, argmax map or normalized
-activations) in train mode and with nothing in any other, and backward
-takes the cache, clears it and returns the gradient w.r.t. the layer's
-input (None from a Conv2D built with needs_input_grad=False). So a
-training step holds no earlier batch's activations, an eval forward holds
-none, and a backward with no train-mode forward since the last backward
-or eval forward raises UsageError. MaxPool2D builds its argmax map, and
-LeakyReLU its sign mask, only in train mode.
+cache rule holds for every layer (Layer): a forward first clears the
+layer's cache and, once its work is done in train mode, holds what
+backward needs (its input, mask, argmax map or normalized activations);
+backward takes the cache, clears it and returns the gradient w.r.t. the
+layer's input (None from a Conv2D built with needs_input_grad=False). So
+a training step holds no earlier batch's activations, an eval forward or
+a forward that raises holds none, and a backward with no completed
+train-mode forward since the last backward or other forward raises
+UsageError. MaxPool2D builds its argmax map, and LeakyReLU its sign mask,
+only in train mode.
 
 Trainable layers (Conv2D, BatchNorm2D, Dense) expose three dicts:
 
@@ -106,7 +107,8 @@ def init_std(fan_in: int) -> float:
 
 
 class Layer:
-    """The cache rule of every layer: forward calls _keep, backward _take."""
+    """The cache rule of every layer: forward calls _keep(False) first and
+    _keep(train, ...) once its work is done, backward calls _take."""
 
     _cache = None
 
@@ -144,8 +146,10 @@ class Conv2D(Layer):
         self.needs_input_grad = needs_input_grad
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
+        out = tensor.conv2d_valid(x, self.w)
         self._keep(train, x)
-        return tensor.conv2d_valid(x, self.w)
+        return out
 
     def backward(self, g):
         (x,) = self._take()
@@ -205,10 +209,10 @@ class BatchNorm2D(Layer):
         return scale, self.beta - self.running_mean * scale
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
-            self._keep(False)
             scale, shift = self.eval_affine()
             out = x2 * np.tile(scale, w)
             out += np.tile(shift, w)
@@ -288,6 +292,7 @@ class MaxPool2D(Layer):
                      for n in (h, w))
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
         out, argmax = tensor.maxpool2d(x, window=self.WINDOW,
                                        stride=self.STRIDE, need_argmax=train)
         self._keep(train, argmax, x.shape)
@@ -308,11 +313,11 @@ class LeakyReLU(Layer):
     SLOPE = 0.2
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
         # for 0 < slope < 1 the larger of x and slope * x is x where x > 0
         # and slope * x elsewhere, ±0 and ±inf included
         s = x.dtype.type(self.SLOPE)
         if not train:
-            self._keep(False)
             return np.maximum(x, s * x)
         pos, out = np.empty_like(x, dtype=bool), np.empty_like(x)
 
@@ -355,6 +360,7 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
         if not train or self.rate == 0.0:
             self._keep(train, 1.0)
             return x
@@ -388,8 +394,10 @@ class Flatten(Layer):
     channels-last; backward returns the gradient in x's layout."""
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
+        out = x.reshape(x.shape[0], -1)
         self._keep(train, x)
-        return x.reshape(x.shape[0], -1)
+        return out
 
     def backward(self, g):
         (x,) = self._take()
@@ -410,6 +418,7 @@ class Dense(Layer):
         self.grads = {}
 
     def forward(self, x, train: bool, rng=None):
+        self._keep(False)
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"dense expects {self.w.shape[0]} features, got {x.shape[1]}")

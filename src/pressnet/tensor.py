@@ -31,13 +31,17 @@ threads (one worker per core in os.sched_getaffinity, the calling thread
 being one), and only in parts whose results are exact by construction:
 each part writes its own slice of a buffer the caller allocated, with the
 operations the whole would run on it, so the bytes do not depend on the
-worker count. The im2col copies (training and inference), max-pooling with
-argmax and its backward run per batch part (in_parts); the convolution
-backward's kernel-gradient GEMM and input-gradient GEMMs are two tasks
-(concurrently), each one single-threaded BLAS call at a time once
-pin_blas_threads has run. _threads_for holds the one rule of both: work
-under 2 * SPLIT_MIN elements, or on one core, runs whole on the caller.
-Of inference, only the im2col copies split.
+worker count. Each conv forward copies and multiplies per batch part, at
+least 256 GEMM rows a part (GEMM_ROWS_MIN); the backward's im2col copy,
+max-pooling with argmax and its backward run per batch part too
+(in_parts); conv backward's kernel-gradient and input-gradient GEMMs are
+two tasks (concurrently). The exactness holds once pin_blas_threads has
+run BLAS on one thread, which gives a row part of GEMM_ROWS_MIN rows or
+more the bits of the whole GEMM (tests/test_tensor.py checks it); no
+dense GEMM splits.
+_threads_for holds the one rule of both: work under 2 * SPLIT_MIN
+elements, or on one core, runs whole on the caller. Inference pooling
+runs whole.
 Tasks run in the caller's contextvars context, so np.errstate holds in
 them; an exception in a task is re-raised in the caller once every task
 has ended; a forked child drops the pool and starts its own. A task calls
@@ -63,6 +67,9 @@ from .errors import ConfigError, ShapeError
 # elements per part; a smaller kernel runs whole: waking a worker costs
 # about what two float32 passes over 2**17 elements take
 SPLIT_MIN = 1 << 17
+# GEMM rows a conv forward's part holds at least, whatever SPLIT_MIN: an
+# exactness floor (parts of a few rows change bits), not a tuning knob
+GEMM_ROWS_MIN = 256
 
 
 class _Pool:
@@ -219,29 +226,31 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int):
-    """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
-    (Ho, Wo). Columns are offset-major and channel-minor: each window row
-    is read from the NHWC view, a run of C contiguous floats per offset
-    when x is channels-last. A one-channel input is gathered by kh*kw
-    shifted slice copies, one column each, which beats the 6-D window
-    copy at C = 1 and loses to it from C = 2 on. The copies run per batch
-    part (in_parts)."""
-    b, c, h, w = x.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
-    if c == 1:
-        def copy(part):
-            for u in range(kh):
-                for v in range(kw):
-                    cols[part, :, :, u, v, 0] = x[part, 0, u:u + ho, v:v + wo]
+def _copy_windows(x: np.ndarray, cols: np.ndarray):
+    """Copy the windows of x, (B,C,H,W) of any strides, into cols, a
+    (B, Ho, Wo, kh, kw, C) buffer: offset-major and channel-minor, each
+    window row read from the NHWC view, a run of C contiguous floats per
+    offset when x is channels-last. A one-channel input is gathered by
+    kh*kw shifted slice copies, one column each, which beats the 6-D
+    window copy at C = 1 and loses to it from C = 2 on."""
+    ho, wo, kh, kw = cols.shape[1:5]
+    if x.shape[1] == 1:
+        for u in range(kh):
+            for v in range(kw):
+                cols[:, :, :, u, v, 0] = x[:, 0, u:u + ho, v:v + wo]
     else:
         windows = sliding_window_view(x.transpose(0, 2, 3, 1), (kh, kw),
                                       axis=(1, 2))  # (B,Ho,Wo,C,kh,kw)
+        cols[...] = windows.transpose(0, 1, 2, 4, 5, 3)
 
-        def copy(part):
-            cols[part] = windows[part].transpose(0, 1, 2, 4, 5, 3)
-    in_parts(copy, b, cols.size)
+
+def _im2col(x: np.ndarray, kh: int, kw: int):
+    """(B,C,H,W), any strides -> column matrix (B*Ho*Wo, kh*kw*C) plus
+    (Ho, Wo), copied per batch part (in_parts)."""
+    b, c, h, w = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
+    in_parts(lambda part: _copy_windows(x[part], cols[part]), b, cols.size)
     return cols.reshape(b * ho * wo, kh * kw * c), ho, wo
 
 
@@ -250,8 +259,10 @@ def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     x: (B,Cin,H,W), any strides; kernels: (Cout,Cin,kh,kw).
     out[b,o,y,x] = sum_{c,u,v} x[b,c,y+u,x+v] * kernels[o,c,u,v]
-    The result is channels-last: a view of the GEMM's (B,Ho,Wo,Cout) output,
-    one GEMM call.
+    The result is channels-last: a view of a (B,Ho,Wo,Cout) buffer. Each
+    batch part (in_parts) of at least GEMM_ROWS_MIN GEMM rows copies its
+    frames' rows of the column matrix and multiplies them into its own
+    rows of that buffer; a call that does not split makes one GEMM call.
     """
     cout, cin, kh, kw = kernels.shape
     b, c, h, w = x.shape
@@ -259,10 +270,19 @@ def conv2d_valid(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
         raise ShapeError(f"input has {c} channels, kernels expect {cin}")
     if h < kh or w < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    cols, ho, wo = _im2col(x, kh, kw)
+    ho, wo = h - kh + 1, w - kw + 1
     # kernel rows in the columns' (kh, kw, Cin) order
     kmat = kernels.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
-    return (cols @ kmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
+    out = np.empty((b, ho, wo, cout), dtype=np.result_type(x, kernels))
+
+    def conv(part):
+        _copy_windows(x[part], cols[part])
+        np.matmul(cols[part].reshape(-1, len(kmat)), kmat,
+                  out=out[part].reshape(-1, cout))
+
+    in_parts(conv, b, cols.size, least=-(-GEMM_ROWS_MIN // (ho * wo)))
+    return out.transpose(0, 3, 1, 2)
 
 
 def conv2d_valid_backward(x: np.ndarray, kernels: np.ndarray,

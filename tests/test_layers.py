@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pressnet import tensor
-from pressnet.errors import ConfigError, UsageError
+from pressnet.errors import ConfigError, ShapeError, UsageError
 from pressnet.layers import (BatchNorm2D, Conv2D, Dense, Dropout, Flatten,
                              LeakyReLU, MaxPool2D)
 
@@ -451,6 +451,37 @@ class TestCacheConsumed:
         # a new training forward arms it again
         layer.forward(x, train=True, rng=tensor.make_rng(44))
         layer.backward(g)
+
+    # a train-mode input each kind refuses, and the error it raises
+    FAILING = {
+        "conv": ((4, 3, 6, 7), ShapeError),  # the wrong channel count
+        "conv_first": ((4, 1, 2, 7), ShapeError),  # smaller than the kernel
+        "bn": ((1, 3, 5, 6), ConfigError),  # a batch of one
+        "pool": ((2, 3, 2, 9), ShapeError),  # smaller than the window
+        "act": ((), TypeError),  # a 0-d array has no batch
+        "drop": ((4, 3, 5, 6), UsageError),  # no rng
+        "flatten": ((), IndexError),
+        "dense": ((3, 4), ShapeError),  # the wrong feature count
+    }
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_failed_forward_leaves_no_cache(self, kind):
+        # a train forward that raised used to leave the previous batch's
+        # cache (Conv2D and Flatten: the refused input) for backward to take
+        make, shape = self.KINDS[kind]
+        bad_shape, error = self.FAILING[kind]
+        layer = make()
+        rng = tensor.make_rng(47)
+        x = rng.normal(size=shape).astype(np.float32)
+        out = layer.forward(x, train=True, rng=tensor.make_rng(48))
+        with pytest.raises(error):
+            layer.forward(np.asarray(rng.normal(size=bad_shape), np.float32),
+                          train=True)
+        assert held_activations(layer) == []
+        name = type(layer).__name__
+        with pytest.raises(UsageError, match=f"^{name}.backward without a "
+                                             "training forward$"):
+            layer.backward(rng.normal(size=out.shape).astype(np.float32))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_eval_forward_clears_the_cache(self, kind):

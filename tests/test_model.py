@@ -240,6 +240,18 @@ class TestBackward:
             net.backward(pu, pp, yu, yp, 0.5)
         assert grads_state(stages) == before
 
+    def test_failed_train_forward_leaves_backward_refused(self, small_net):
+        # bn1 refuses a batch of one; conv1 used to keep it and bn1 the
+        # batch of four before it, so backward ran into a shape error
+        net = PostureNet(CFG, tensor.make_rng(52))
+        x, yu, yp = make_batch(tensor.make_rng(53), CFG, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(54))
+        with pytest.raises(ConfigError):
+            net.forward(x[:1], train=True, rng=tensor.make_rng(55))
+        assert held_activations(dict(net.stages)["bn1"]) == []
+        with pytest.raises(UsageError, match="^BatchNorm2D.backward "):
+            net.backward(pu, pp, yu, yp, 0.5)
+
     def test_train_step_peak_is_one_step(self):
         # peak traced allocation of a default-config batch-64 train step,
         # after a first step. The caches one step holds come to less than

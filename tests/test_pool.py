@@ -55,6 +55,19 @@ def inputs(shape, dtype, seed):
     return x, channels_last(x)
 
 
+def assert_conv_same_at_each_count(shape, cout, dtype):
+    b, c, h, w = shape
+    k = tensor.make_rng(3).normal(size=(cout, c, 3, 3)).astype(dtype)
+    g = tensor.make_rng(4).normal(size=(b, cout, h - 2, w - 2)).astype(dtype)
+    for x in inputs(shape, dtype, 5):
+        def run():
+            gx, gk = tensor.conv2d_valid_backward(x, k, g)
+            _, gk_only = tensor.conv2d_valid_backward(x, k, g, need_x=False)
+            return tensor.conv2d_valid(x, k), gx, gk, gk_only
+
+        assert_same_at_each_count(run)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", SHAPES)
 class TestSplitKernels:
@@ -85,17 +98,7 @@ class TestSplitKernels:
             assert all(other == seen[0] for other in seen[1:])
 
     def test_conv_forward_and_backward(self, shape, dtype):
-        b, c, h, w = shape
-        k = tensor.make_rng(3).normal(size=(5, c, 3, 3)).astype(dtype)
-        g = tensor.make_rng(4).normal(size=(b, 5, h - 2, w - 2)).astype(dtype)
-        for x in inputs(shape, dtype, 5):
-            def run():
-                gx, gk = tensor.conv2d_valid_backward(x, k, g)
-                _, gk_only = tensor.conv2d_valid_backward(x, k, g,
-                                                          need_x=False)
-                return tensor.conv2d_valid(x, k), gx, gk, gk_only
-
-            assert_same_at_each_count(run)
+        assert_conv_same_at_each_count(shape, 5, dtype)
 
     def test_batch_norm_train(self, shape, dtype):
         for x in inputs(shape, dtype, 6):
@@ -136,6 +139,12 @@ class TestSplitKernels:
             return [*own.values(), *state.m.values(), *state.v.values()]
 
         assert_same_at_each_count(run)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv_at_conv2s_train_shape(dtype):
+    # the network's largest conv, its forward GEMM split in frame parts
+    assert_conv_same_at_each_count((64, 32, 14, 30), 64, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -198,6 +207,16 @@ def test_small_arrays_run_whole_on_the_caller():
         tensor.maxpool2d(big, 3, 2, need_argmax=False)  # inference: whole
         assert calls == []
         tensor.maxpool2d(big, 3, 2)
+        assert calls == [2]
+    # nor does a conv forward whose parts would hold fewer than
+    # GEMM_ROWS_MIN GEMM rows, however low SPLIT_MIN is: conv4 on a
+    # 32-frame eval block has 288 rows, and 64 frames split in two
+    with workers(2) as pool:
+        calls = counting(pool)
+        k = np.ones((128, 128, 3, 3), np.float32)
+        tensor.conv2d_valid(np.ones((32, 128, 3, 11), np.float32), k)
+        assert calls == []
+        tensor.conv2d_valid(np.ones((64, 128, 3, 11), np.float32), k)
         assert calls == [2]
 
 

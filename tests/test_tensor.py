@@ -132,6 +132,40 @@ class TestConv2dValid:
         assert tensor.conv2d_valid(x, k).tobytes() == tensor.conv2d_valid(x, k).tobytes()
 
 
+# every conv GEMM of the network as (GEMM rows per frame, K, Cout): conv1
+# to conv4 in training, then conv1 and conv2 on inference's pooled crops
+CONV_GEMMS = ((30 * 62, 9, 32), (12 * 28, 288, 64), (3 * 11, 576, 128),
+              (1 * 9, 1152, 128), (29 * 61, 9, 32), (11 * 27, 288, 64))
+
+
+class TestGemmRowParts:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, k, cout", CONV_GEMMS)
+    def test_frame_parts_equal_the_whole_gemm(self, rows, k, cout, dtype):
+        # conv2d_valid's batch parts give the bytes of one GEMM only if
+        # BLAS gives each row the same bits in a part of GEMM_ROWS_MIN rows
+        # or more as in the whole; that holds per BLAS build, so it is
+        # checked here rather than assumed
+        least = -(-tensor.GEMM_ROWS_MIN // rows)  # frames a part holds
+        rng = tensor.make_rng(23, rows, k)
+        kmat = rng.normal(size=(cout, k)).astype(dtype).T  # conv2d_valid's
+        checked = 0
+        for b in (64, 46, 32, 5):
+            a = rng.normal(size=(b * rows, k)).astype(dtype)
+            whole = (a @ kmat).tobytes()
+            for parts in range(2, min(4, b // least) + 1):
+                out = np.empty((b * rows, cout), dtype)
+                bounds = [b * i // parts * rows for i in range(parts + 1)]
+                for r0, r1 in zip(bounds, bounds[1:]):
+                    np.matmul(a[r0:r1], kmat, out=out[r0:r1])
+                assert out.tobytes() == whole, (
+                    f"{parts} frame parts of a {b}-frame GEMM differ from "
+                    "the whole on BLAS core "
+                    f"{tensor.pin_blas_threads()['core']}")
+                checked += 1
+        assert checked
+
+
 class TestIm2col:
     @pytest.mark.parametrize("c", [1, 2, 32])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
