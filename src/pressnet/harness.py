@@ -258,7 +258,8 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
     having stopped; a checkpoint of another seed or config is a UsageError
     before the first batch.
     epoch_hook(epoch, curves) runs after each epoch (progress reporting).
-    BLAS runs on one thread (tensor.pin_blas_threads).
+    BLAS runs on one thread (tensor.pin_runtime; it also fixes malloc's
+    thresholds).
     """
     x = np.asarray(x, dtype=np.float32)
     y_user = np.asarray(y_user)
@@ -273,7 +274,7 @@ def train_model(x, y_user, y_posture, config: TrainConfig,
     if y_posture.max() >= model_config.num_postures or y_posture.min() < 0:
         raise LabelError("posture label outside model range")
 
-    tensor.pin_blas_threads()
+    tensor.pin_runtime()
     if resume is not None:
         if resume.seed != config.seed:
             raise UsageError(
@@ -411,7 +412,7 @@ def evaluate_model(net: PostureNet, data: FlatDataset, test_idx,
     test_idx = np.asarray(test_idx)
     if test_idx.size == 0:
         raise UsageError("empty test split")
-    tensor.pin_blas_threads()
+    tensor.pin_runtime()
     preds = []
     for s in range(0, test_idx.size, EVAL_CHUNK):
         x = data.x[test_idx[s:s + EVAL_CHUNK]]
@@ -616,9 +617,10 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
     """Cross-validated training and evaluation with persisted artifacts.
 
     Everything is checked before out_dir is created. BLAS is pinned to
-    one thread (tensor.pin_blas_threads). Under out_dir's lock it removes
-    an earlier run's DONE, its fold directories beyond this run's folds
-    and, unless `baselines` names methods, its baselines.json; then it
+    one thread, and malloc's thresholds fixed (tensor.pin_runtime). Under
+    out_dir's lock it removes an earlier run's DONE, its fold directories
+    beyond this run's folds and, unless `baselines` names methods, its
+    baselines.json; then it
     writes config.json (with the BLAS thread count and core type), one
     write_fold per run_fold (progress(fold_no, n_folds, report) runs after
     each), baselines.json when `baselines` names methods from
@@ -632,7 +634,7 @@ def run_experiment(data: FlatDataset, config: TrainConfig, out_dir,
     model_config = ModelConfig(data.num_subjects, data.num_postures)
     plan = split_for(data, config)
     classical.check_folds(baselines, plan.folds)
-    blas = tensor.pin_blas_threads()
+    blas = tensor.pin_runtime()
 
     out = Path(out_dir)
     with _locked_run_dir(out):

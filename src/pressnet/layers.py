@@ -172,13 +172,14 @@ class BatchNorm2D(Layer):
     the incoming gradient are never written. Per-channel sums (mean,
     variance, the gamma and beta gradients) come from _channel_sum; the
     train steps are the plain expressions' operations in the same order,
-    and so have their bits. In training each elementwise pass runs per
+    and so have their bits. In both modes each elementwise pass runs per
     row part on the pool.
 
     Eval mode is the affine map of Ioffe & Szegedy (2015, §3.2): two passes,
     x * scale + shift, with scale = gamma * inv_std and shift = beta -
     running_mean * scale computed per call from the running statistics
-    (eval_affine). Its bits are those of that scale/shift form, which
+    (eval_affine), one multiply into the output and one add in place. Its
+    bits are those of that scale/shift form, which
     differ from (x - mean) * inv_std * gamma + beta by a few ulps. Per
     channel the map never decreases as x grows where scale > 0, never
     increases where scale < 0 and is constant on finite x where scale is
@@ -213,9 +214,14 @@ class BatchNorm2D(Layer):
         b, c, h, w = x.shape
         x2 = _rows(x)
         if not train:
-            scale, shift = self.eval_affine()
-            out = x2 * np.tile(scale, w)
-            out += np.tile(shift, w)
+            scale, shift = (np.tile(v, w) for v in self.eval_affine())
+            out = np.empty_like(x2)
+
+            def apply(rows):
+                np.multiply(x2[rows], scale, out=out[rows])
+                out[rows] += shift
+
+            tensor.in_parts(apply, b * h, x2.size)
             return _unrows(out, x.shape)
 
         if b < 2:
@@ -307,8 +313,8 @@ class LeakyReLU(Layer):
     """max(x, SLOPE * x); SLOPE is also the gain of init_std. backward
     multiplies g by 1 where x > 0 and SLOPE elsewhere, from the train-mode
     mask: (1 - s) + s rounds to exactly 1 for every s in (0, 1), and a
-    multiply, unlike a select, does not branch on mixed signs. Training
-    runs both passes per batch part on the pool."""
+    multiply, unlike a select, does not branch on mixed signs. Both
+    passes run per batch part on the pool, the forward in either mode."""
 
     SLOPE = 0.2
 
@@ -317,17 +323,17 @@ class LeakyReLU(Layer):
         # for 0 < slope < 1 the larger of x and slope * x is x where x > 0
         # and slope * x elsewhere, ±0 and ±inf included
         s = x.dtype.type(self.SLOPE)
-        if not train:
-            return np.maximum(x, s * x)
-        pos, out = np.empty_like(x, dtype=bool), np.empty_like(x)
+        out = np.empty_like(x)
+        pos = np.empty_like(x, dtype=bool) if train else None
 
         def act(part):
-            np.greater(x[part], 0, out=pos[part])
+            if train:
+                np.greater(x[part], 0, out=pos[part])
             np.multiply(s, x[part], out=out[part])
             np.maximum(x[part], out[part], out=out[part])
 
         tensor.in_parts(act, len(x), x.size)
-        self._keep(True, pos)
+        self._keep(train, pos)
         return out
 
     def backward(self, g):

@@ -173,8 +173,11 @@ class PostureNet:
         deterministic, uses running batch-norm statistics and runs blocks of
         at most EVAL_BLOCK frames, whose probabilities it concatenates; in
         each block a pooled conv block runs its batch norm after the pool,
-        which changes no bit of the result.
+        which changes no bit of the result. Every stage's and head's cache
+        is cleared first, so a forward that raises part way leaves none.
         """
+        for _, layer in self.stages + self.heads:
+            layer._keep(False)
         grid = (dataio.GRID_ROWS, dataio.GRID_COLS)
         if x.ndim != 4 or x.shape[0] < 1 or x.shape[1:] != (1, *grid):
             raise ShapeError(f"expected input [B,1,{grid[0]},{grid[1]}] "
@@ -224,8 +227,9 @@ class PostureNet:
 
         Requires the immediately preceding forward to have run in train mode
         on the same batch. The layers enforce that order: each takes the
-        cache its last forward left, so after an eval forward, or a second
-        time, backward raises UsageError before any gradient is written.
+        cache its last forward left, so after an eval forward, a forward
+        that raised, or a second time, backward raises UsageError before
+        any gradient is written.
         """
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0,1], got {lam}")

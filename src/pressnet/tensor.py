@@ -33,15 +33,16 @@ each part writes its own slice of a buffer the caller allocated, with the
 operations the whole would run on it, so the bytes do not depend on the
 worker count. Each conv forward copies and multiplies per batch part, at
 least 256 GEMM rows a part (GEMM_ROWS_MIN); the backward's im2col copy,
-max-pooling with argmax and its backward run per batch part too
-(in_parts); conv backward's kernel-gradient and input-gradient GEMMs are
-two tasks (concurrently). The exactness holds once pin_blas_threads has
-run BLAS on one thread, which gives a row part of GEMM_ROWS_MIN rows or
-more the bits of the whole GEMM (tests/test_tensor.py checks it); no
-dense GEMM splits.
+max-pooling (with or without its argmax) and its backward run per batch
+part too (in_parts); conv backward's kernel-gradient and input-gradient
+GEMMs are two tasks (concurrently). The exactness holds once pin_runtime
+has run BLAS on one thread, which gives a row part of GEMM_ROWS_MIN rows
+or more the bits of the whole GEMM (tests/test_tensor.py checks it); no
+dense GEMM splits. pin_runtime also fixes glibc's malloc thresholds, so
+the activation-sized buffers every pass allocates and frees are reused
+from the heap rather than mapped, page-faulted and unmapped each time.
 _threads_for holds the one rule of both: work under 2 * SPLIT_MIN
-elements, or on one core, runs whole on the caller. Inference pooling
-runs whole.
+elements, or on one core, runs whole on the caller.
 Tasks run in the caller's contextvars context, so np.errstate holds in
 them; an exception in a task is re-raised in the caller once every task
 has ended; a forked child drops the pool and starts its own. A task calls
@@ -56,6 +57,7 @@ import contextvars
 import ctypes
 import itertools
 import os
+import platform
 import threading
 from functools import partial
 
@@ -70,6 +72,14 @@ SPLIT_MIN = 1 << 17
 # GEMM rows a conv forward's part holds at least, whatever SPLIT_MIN: an
 # exactness floor (parts of a few rows change bits), not a tuning knob
 GEMM_ROWS_MIN = 256
+# glibc's malloc thresholds (mallopt M_MMAP_THRESHOLD = -3 and
+# M_TRIM_THRESHOLD = -1): a block under 32 MiB (the largest mmap threshold
+# glibc documents for 64-bit) comes from the heap, and up to 128 MiB freed
+# at its top stays mapped, so the next pass reuses an activation buffer
+# instead of faulting in fresh pages. Fixed, so neither speed nor peak
+# memory hangs on the allocator's adaptive thresholds.
+MMAP_THRESHOLD = (-3, 32 << 20)
+TRIM_THRESHOLD = (-1, 128 << 20)
 
 
 class _Pool:
@@ -187,11 +197,18 @@ def in_parts(fn, n: int, size: int, least: int = 1) -> None:
                      for a, b in zip(bounds, bounds[1:])])
 
 
-def pin_blas_threads() -> dict:
+def pin_runtime() -> dict:
     """Run BLAS on one thread for the rest of the process, so results do
-    not depend on the thread count of the environment; returns
-    {"threads": the effective count, "core": OpenBLAS's kernel set}, each
-    None where the library numpy links does not say."""
+    not depend on the thread count of the environment, and, under glibc,
+    set MMAP_THRESHOLD and TRIM_THRESHOLD (RuntimeError if glibc refuses
+    one); returns {"threads": the effective count, "core": OpenBLAS's
+    kernel set}, each None where the library numpy links does not say."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        for param, value in (MMAP_THRESHOLD, TRIM_THRESHOLD):
+            if mallopt(param, value) != 1:
+                raise RuntimeError(f"glibc refused mallopt({param}, {value})")
     core = np._core if hasattr(np, "_core") else np.core
     # a handle's symbol lookup also searches the libraries it links
     lib = ctypes.CDLL(core._multiarray_umath.__file__)
@@ -353,8 +370,8 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
 
     The max is taken over strided views, columns first, then rows, into
     buffers laid out like x, so no window is ever copied and a channels-last
-    input gives a channels-last output. With the argmax (training) it runs
-    per batch part (in_parts); without it, whole on the calling thread.
+    input gives a channels-last output. It runs per batch part (in_parts),
+    each part building its slice of the argmax map when asked.
     """
     b, c, h, w = x.shape
     if h < window or w < window:
@@ -398,10 +415,7 @@ def maxpool2d(x: np.ndarray, window: int, stride: int,
         ap += lp
         ap += (np.arange(ho)[:, None] * w + np.arange(wo)) * stride  # corner
 
-    if need_argmax:
-        in_parts(pool, b, x.size)
-    else:  # inference pooling runs faster whole than split
-        pool(slice(None))
+    in_parts(pool, b, x.size)
     return out, argmax
 
 

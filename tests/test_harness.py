@@ -964,7 +964,7 @@ class TestRunExperiment:
 
 
 # OpenBLAS's thread count before and after argv[1] ("train" or "evaluate")
-# runs on a small net, read through the getter pin_blas_threads finds
+# runs on a small net, read through the getter pin_runtime finds
 BLAS_AFTER = """
 import ctypes, sys
 import numpy as np

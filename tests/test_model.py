@@ -242,15 +242,34 @@ class TestBackward:
 
     def test_failed_train_forward_leaves_backward_refused(self, small_net):
         # bn1 refuses a batch of one; conv1 used to keep it and bn1 the
-        # batch of four before it, so backward ran into a shape error
+        # batch of four before it, so backward ran into a shape error. The
+        # forward clears every cache first, so the first head refuses
         net = PostureNet(CFG, tensor.make_rng(52))
         x, yu, yp = make_batch(tensor.make_rng(53), CFG, 4)
         pu, pp = net.forward(x, train=True, rng=tensor.make_rng(54))
         with pytest.raises(ConfigError):
             net.forward(x[:1], train=True, rng=tensor.make_rng(55))
         assert held_activations(dict(net.stages)["bn1"]) == []
-        with pytest.raises(UsageError, match="^BatchNorm2D.backward "):
+        with pytest.raises(UsageError, match="^Dense.backward "):
             net.backward(pu, pp, yu, yp, 0.5)
+
+    def test_failed_train_forward_writes_no_gradient(self):
+        # the stages after bn1, and both heads, used to keep the batch of
+        # four, so backward wrote gradients into 10 layers (heads, fc1-2,
+        # conv2-4, bn2-4) before bn1 refused
+        cfg = ModelConfig(3, 4)
+        net = PostureNet(cfg, tensor.make_rng(56))
+        x, yu, yp = make_batch(tensor.make_rng(57), cfg, 4)
+        pu, pp = net.forward(x, train=True, rng=tensor.make_rng(58))
+        with pytest.raises(ConfigError):
+            net.forward(x[:1], train=True, rng=tensor.make_rng(59))
+        stages = net.stages + net.heads
+        for name, layer in stages[1:]:  # conv1 holds the batch of one
+            assert held_activations(layer) == [], name
+        before = grads_state(stages)
+        with pytest.raises(UsageError):
+            net.backward(pu, pp, yu, yp, 0.5)
+        assert grads_state(stages) == before
 
     def test_train_step_peak_is_one_step(self):
         # peak traced allocation of a default-config batch-64 train step,

@@ -23,7 +23,8 @@ import pytest
 from pressnet import layers, optim, tensor
 from pressnet.model import ModelConfig, PostureNet
 
-from util import channels_last, close, small_net, synthetic_batch, workers
+from util import (bn_eval_oracle, channels_last, close, small_net,
+                  synthetic_batch, workers)
 
 COUNTS = (1, 2, 3)
 # batches 2, 3, 47 and 64, odd channel counts, and conv1's one channel
@@ -83,7 +84,8 @@ class TestSplitKernels:
             assert_same_at_each_count(run)
 
     def test_maxpool_without_argmax(self, shape, dtype):
-        # inference pooling runs whole; its max is the argmax call's
+        # inference pooling runs in the same parts; its max is the argmax
+        # call's
         for x in inputs(shape, dtype, 1):
             x[0, 0, 0, :2] = np.nan
 
@@ -110,6 +112,42 @@ class TestSplitKernels:
                 gx = bn.backward(g)
                 return (out, gx, bn.running_mean, bn.running_var,
                         bn.grads["gamma"], bn.grads["beta"])
+
+            assert_same_at_each_count(run)
+
+    def test_batch_norm_eval(self, shape, dtype):
+        # random running statistics; gamma of both signs and one zero (the
+        # one-channel shape keeps a negative gamma)
+        c = shape[1]
+        bn = layers.BatchNorm2D(c, dtype)
+        rng = tensor.make_rng(18, c)
+        bn.gamma[...] = np.linspace(-1.5, 2.0, c)
+        bn.gamma[1:2] = 0
+        bn.beta[...] = rng.normal(size=c)
+        bn.running_mean[...] = rng.normal(size=c)
+        bn.running_var[...] = rng.uniform(0.25, 4.0, size=c)
+        for x in inputs(shape, dtype, 19):
+            want = bn_eval_oracle(x, bn.gamma, bn.beta, bn.running_mean,
+                                  bn.running_var, bn.EPS)
+
+            def run():
+                out = bn.forward(x, train=False)
+                assert np.ascontiguousarray(out).tobytes() == (
+                    np.ascontiguousarray(want).tobytes())
+                return (out,)
+
+            assert_same_at_each_count(run)
+
+    def test_activation_eval(self, shape, dtype):
+        for x in inputs(shape, dtype, 20):
+            x[0, 0, 0, :3] = (-0.0, np.inf, -np.inf)
+            want = np.maximum(x, x.dtype.type(layers.LeakyReLU.SLOPE) * x)
+
+            def run():
+                out = layers.LeakyReLU().forward(x, False)
+                assert out.strides == want.strides
+                assert out.tobytes() == want.tobytes()
+                return (out,)
 
             assert_same_at_each_count(run)
 
@@ -175,9 +213,20 @@ def test_network_step_same_at_each_count():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_network_inference_same_at_each_count(dtype):
-    # the paper's architecture over three EVAL_BLOCK blocks, the last short
+    # the paper's architecture over three EVAL_BLOCK blocks, the last
+    # short, with random running statistics and some negative gammas, so
+    # _pooled_block's sign flip meets the split pool
     x, _, _ = synthetic_batch(2 * PostureNet.EVAL_BLOCK + 5, 3, 4, seed=4)
     net = PostureNet(ModelConfig(3, 4), tensor.make_rng(17), dtype)
+    rng = tensor.make_rng(21)
+    for bn in net.bns:
+        c = len(bn.gamma)
+        bn.gamma[...] = rng.uniform(0.5, 1.5, size=c) * rng.choice([-1, 1], c)
+        bn.beta[...] = rng.normal(0.0, 0.1, size=c)
+        bn.running_mean[...] = rng.normal(0.0, 0.5, size=c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
+    assert all((bn.gamma < 0).any() and (bn.gamma > 0).any()
+               for bn in net.bns)
     assert_same_at_each_count(lambda: net.forward(x))
 
 
@@ -203,11 +252,13 @@ def test_small_arrays_run_whole_on_the_caller():
         x = np.ones((4, 8, 10, 12), np.float32)
         k = np.ones((8, 8, 3, 3), np.float32)
         tensor.conv2d_valid_backward(x, k, tensor.conv2d_valid(x, k))
-        big = np.ones((64, 32, 30, 62), np.float32)
-        tensor.maxpool2d(big, 3, 2, need_argmax=False)  # inference: whole
         assert calls == []
-        tensor.maxpool2d(big, 3, 2)
+        # a big pool splits, with or without its argmax
+        big = np.ones((64, 32, 30, 62), np.float32)
+        tensor.maxpool2d(big, 3, 2, need_argmax=False)
         assert calls == [2]
+        tensor.maxpool2d(big, 3, 2)
+        assert calls == [2, 2]
     # nor does a conv forward whose parts would hold fewer than
     # GEMM_ROWS_MIN GEMM rows, however low SPLIT_MIN is: conv4 on a
     # 32-frame eval block has 288 rows, and 64 frames split in two
@@ -231,6 +282,10 @@ def test_one_worker_never_reaches_the_pool():
         optim.adam_step(params, {"w": params["w"]}, optim.AdamState(params),
                         1e-3)
         tensor.maxpool2d(x, 3, 2)
+        # nor in inference
+        tensor.maxpool2d(x, 3, 2, need_argmax=False)
+        layers.BatchNorm2D(8).forward(x, False)
+        layers.LeakyReLU().forward(x, False)
     assert calls == []
 
 

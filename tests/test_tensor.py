@@ -5,6 +5,11 @@ Every numeric kernel is checked against an independent brute-force oracle
 against central finite differences in float64.
 """
 
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -161,9 +166,57 @@ class TestGemmRowParts:
                 assert out.tobytes() == whole, (
                     f"{parts} frame parts of a {b}-frame GEMM differ from "
                     "the whole on BLAS core "
-                    f"{tensor.pin_blas_threads()['core']}")
+                    f"{tensor.pin_runtime()['core']}")
                 checked += 1
         assert checked
+
+
+# minor faults of the third of three 256-frame eval forwards of a default
+# net, in a fresh process whose malloc thresholds are first held at
+# glibc's defaults (mallopt parameters -3 and -1, 128 KiB each) and then
+# pinned
+FAULTS_AFTER_PIN = """
+import ctypes, resource
+import numpy as np
+from pressnet import tensor
+from pressnet.model import ModelConfig, PostureNet
+
+mallopt = ctypes.CDLL(None).mallopt
+mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+for param in (-3, -1):
+    assert mallopt(param, 128 << 10) == 1
+tensor.pin_runtime()
+net = PostureNet(ModelConfig(3, 4), tensor.make_rng(24))
+x = tensor.make_rng(25).normal(size=(256, 1, 32, 64)).astype(np.float32)
+for _ in range(2):
+    net.forward(x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+net.forward(x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+class TestRuntimePin:
+    def test_returns_the_blas_settings(self):
+        # under glibc it also raises unless both mallopt calls took
+        info = tensor.pin_runtime()
+        assert set(info) == {"threads", "core"}
+        assert info["threads"] in (None, 1)
+
+    @pytest.mark.skipif(not GLIBC, reason="needs glibc's mallopt")
+    def test_forward_reuses_freed_buffers(self):
+        # below the pin's thresholds a pass maps or trims its activation
+        # buffers and faults them in again: held at glibc's defaults, 59k
+        # minor faults a 256-frame forward; where the dynamic thresholds
+        # settled in an evaluate process, 21k (82 MiB). After the pin the
+        # heap keeps them. A fresh process, so no earlier test's heap counts
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", FAULTS_AFTER_PIN],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        faults = int(done.stdout)
+        assert faults < 256, f"{faults} minor faults in a warm forward"
 
 
 class TestIm2col:
